@@ -134,20 +134,19 @@ def cmd_f2(args) -> int:
             sys.stdout.write("roots\n")
         sys.stdout.write("\t".join(rat_str(r) for r in roots) + "\n")
         return 0
+    gradients = []
+    for r in roots:
+        grad = f2_gradient(desc, r, ring, f1)
+        gradients.append({
+            "root": rat_str(r),
+            "value": _qpoly_out(grad.value, args.q1),
+            "tau_gradient": [_qpoly_out(c, args.q1) for c in grad.tau_grad],
+            "t_gradient": [_qpoly_out(c, args.q1) for c in grad.t_grad],
+        })
     payload = {
         "descriptor": desc.to_json(),
         "roots": [rat_str(r) for r in roots],
-        "gradients": [
-            {
-                "root": rat_str(r),
-                "value": _qpoly_out(f2_gradient(desc, r, ring, f1).value, args.q1),
-                "tau_gradient": [_qpoly_out(c, args.q1)
-                                 for c in f2_gradient(desc, r, ring, f1).tau_grad],
-                "t_gradient": [_qpoly_out(c, args.q1)
-                               for c in f2_gradient(desc, r, ring, f1).t_grad],
-            }
-            for r in roots
-        ],
+        "gradients": gradients,
     }
     _emit(payload, args)
     return 0
@@ -155,6 +154,10 @@ def cmd_f2(args) -> int:
 
 def cmd_higherk(args) -> int:
     from .reconstruct import higher_k_coeffs
+    if args.kmax < 3:
+        sys.stderr.write(f"ciqc higherk: error: --kmax must be at least 3 "
+                         f"(the first determined order), got {args.kmax}\n")
+        return 1
     desc = describe(args.n, _parse_d(args.d))
     records = higher_k_coeffs(desc, args.kmax)
     payload = {
@@ -173,8 +176,13 @@ def cmd_higherk(args) -> int:
 def cmd_residual(args) -> int:
     from .reduction import ReducedPotential, wdvv_residuals
     desc = describe(args.n, _parse_d(args.d))
-    with open(args.load) as handle:
-        F = TruncSeries.from_json(json.load(handle))
+    try:
+        with open(args.load) as handle:
+            F = TruncSeries.from_json(json.load(handle))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        sys.stderr.write(f"ciqc residual: error: cannot load {args.load}: "
+                         f"{type(exc).__name__}: {exc}\n")
+        return 1
     pot = ReducedPotential(desc, F)
     res = wdvv_residuals(pot)
 

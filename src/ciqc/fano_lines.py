@@ -13,6 +13,7 @@ four-point primitive normalization.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError, VerificationError
@@ -393,23 +394,62 @@ def _b4(v1, v2, v3, v4) -> Fraction:
     return acc
 
 
+def _hilb2_basis() -> List[LatticeVector]:
+    """Basis of the primitive lattice: the classes f_1..f_21 orthogonal to l
+    (a = 0), then v* = 5 l - 14 delta."""
+    def unit(i):
+        return [Fraction(1) if j == i else Fraction(0) for j in range(_RANK)]
+
+    basis = [LatticeVector(unit(i), 0) for i in range(1, _RANK)]
+    basis.append(LatticeVector([5 if j == 0 else 0 for j in range(_RANK)], -14))
+    return basis
+
+
+def _gram_data(basis: List[LatticeVector]) -> Tuple[List[List[int]], List[int]]:
+    """The Gram matrix _dot(gamma_i, gamma_j) and the delta coefficients a_i
+    of a basis, as Python ints; a non-integral entry is an error."""
+    def as_int(x: Fraction) -> int:
+        if x.denominator != 1:
+            raise InternalConsistencyError(f"Gram entry {x} is not integral")
+        return x.numerator
+
+    gram = [[as_int(_dot(u.gamma, v.gamma)) for v in basis] for u in basis]
+    return gram, [as_int(v.a) for v in basis]
+
+
+def _quadruple_forms(gram: List[List[int]], a: List[int],
+                     i: int, j: int, k: int, l: int) -> Tuple[int, int]:
+    """(lhs, b4) for basis vectors i, j, k, l from the integer Gram data:
+    lhs is the symmetrized product of _b2 forms, b4 equals _b4."""
+    def b2(x, y):
+        return 6 * (gram[x][y] - 2 * a[x] * a[y])
+
+    lhs = b2(i, j) * b2(k, l) + b2(i, k) * b2(l, j) + b2(i, l) * b2(j, k)
+    b4 = gram[i][j] * gram[k][l] + gram[i][k] * gram[j][l] \
+        + gram[i][l] * gram[j][k] \
+        - 2 * (a[i] * a[j] * gram[k][l] + a[i] * a[k] * gram[j][l]
+               + a[i] * a[l] * gram[j][k] + a[j] * a[k] * gram[i][l]
+               + a[j] * a[l] * gram[i][k] + a[k] * a[l] * gram[i][j]) \
+        + 12 * a[i] * a[j] * a[k] * a[l]
+    return lhs, b4
+
+
 def hilb2_check() -> Fraction:
     """Verify the four-point normalization on the hyperkaehler model of the
     lines on a cubic fourfold and return the forced scalar.
 
     The polarization is sigma_1 = 2 l - 5 delta; primitive classes satisfy
-    gamma.l + 5 a = 0.  For every quadruple of primitive basis vectors the
-    quadruple integral must equal the scalar times the symmetrized product
-    of the 2-point forms; the scalar comes out as 1.
+    gamma.l + 5 a = 0.  For every quadruple of primitive basis vectors (all
+    22 of them) the quadruple integral must equal the scalar times the
+    symmetrized product of the 2-point forms; the scalar comes out as 1.
+    Both sides are symmetric in the four slots once the Gram matrix is, so
+    each multiset of basis vectors is checked once, in integer arithmetic.
     """
-    def unit(i):
-        return [Fraction(1) if j == i else Fraction(0) for j in range(_RANK)]
-
-    basis = [LatticeVector(unit(i), 0) for i in range(1, _RANK)]
-    vstar = LatticeVector([5 if j == 0 else 0 for j in range(_RANK)], -14)
-    if _dot(vstar.gamma, unit(0)) + 5 * vstar.a != 0:
+    basis = _hilb2_basis()
+    vstar = basis[-1]
+    l_class = [Fraction(1) if j == 0 else Fraction(0) for j in range(_RANK)]
+    if _dot(vstar.gamma, l_class) + 5 * vstar.a != 0:
         raise InternalConsistencyError("v* is not primitive")
-    basis.append(vstar)
 
     sigma1 = LatticeVector([2 if j == 0 else 0 for j in range(_RANK)], -5)
     for v in basis:
@@ -417,25 +457,24 @@ def hilb2_check() -> Fraction:
         if _b4(v, sigma1, sigma1, sigma1) != 0:
             raise InternalConsistencyError("basis vector is not primitive")
 
+    gram, a = _gram_data(basis)
+    if any(row[j] != gram[j][i] for i, row in enumerate(gram) for j in range(i)):
+        raise InternalConsistencyError("Gram matrix is not symmetric")
+
     scalar = None
-    sample = basis[:6] + [vstar]
-    for v1 in sample:
-        for v2 in sample:
-            for v3 in sample:
-                for v4 in sample:
-                    lhs = _b2(v1, v2) * _b2(v3, v4) + _b2(v1, v3) * _b2(v4, v2) \
-                        + _b2(v1, v4) * _b2(v2, v3)
-                    rhs = 36 * _b4(v1, v2, v3, v4)
-                    if lhs == 0:
-                        if rhs != 0:
-                            raise VerificationError("inconsistent quadruple")
-                        continue
-                    ratio = rhs / lhs
-                    if scalar is None:
-                        scalar = ratio
-                    elif scalar != ratio:
-                        raise VerificationError(
-                            f"scalar not constant: {scalar} vs {ratio}")
+    for quad in combinations_with_replacement(range(len(basis)), 4):
+        lhs, b4 = _quadruple_forms(gram, a, *quad)
+        rhs = 36 * b4
+        if lhs == 0:
+            if rhs != 0:
+                raise VerificationError("inconsistent quadruple")
+            continue
+        ratio = Fraction(rhs, lhs)
+        if scalar is None:
+            scalar = ratio
+        elif scalar != ratio:
+            raise VerificationError(
+                f"scalar not constant: {scalar} vs {ratio}")
     if scalar is None:
         raise InternalConsistencyError("no nondegenerate quadruple found")
     return scalar

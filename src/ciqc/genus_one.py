@@ -111,7 +111,8 @@ def descendant_chern_sum(desc: CIDescriptor,
 
 
 def psi_top_descendant(desc: CIDescriptor, jet=None) -> Fraction:
-    """<psi^{n-3} H_n>_{0,1,1} from the hypergeometric series."""
+    """<psi^{n-3} H_n>_{0,1,1} from the hypergeometric series ``jet``
+    (pass a ring's ``jfun`` to reuse it; omitted, small_j is computed)."""
     if jet is None:
         jet = small_j(desc)
     return one_point_descendant(desc, jet, desc.n - 3, desc.n).coefficient(1)
@@ -124,13 +125,17 @@ def hn_11(n: int, desc: Optional[CIDescriptor] = None,
         -(1/24) sum_p <psi^p c_{n-2-p}(TX), H_n> + (1/24) <psi^{n-3} H_n>,
 
     checked against the cubic closed form (-(-2)^{n+2} - 9n^2 - 3n + 58)/72.
+    The ring is built once when none is passed; every two-point value and
+    the J-series read come from it.
     """
     if desc is None:
         desc = describe(n, (3,))
     if n < 3:
         raise DomainError("need n >= 3")
+    if ring is None:
+        ring = build_ring(desc)
     value = -Fraction(1, 24) * descendant_chern_sum(desc, ring) \
-        + Fraction(1, 24) * psi_top_descendant(desc)
+        + Fraction(1, 24) * psi_top_descendant(desc, ring.jfun)
     if desc.d == (3,):
         closed = Fraction(-((-2) ** (n + 2)) - 9 * n * n - 3 * n + 58, 72)
         if value != closed:
@@ -190,7 +195,7 @@ def f2_from_genus1(n: int, d=(3,)) -> GenusOneReport:
     deg = desc.degree
     kappa = Fraction(-desc.ell)
     M = Fraction(desc.chi - n - 1)
-    psi11 = Fraction(psi_top_descendant(desc), 12 * deg)
+    psi11 = Fraction(psi_top_descendant(desc, ring.jfun), 12 * deg)
     if d == (3,) and psi11 != Fraction(1, 2):
         raise VerificationError("<psi gamma, gamma>_{1,1} coefficient != 1/2")
     hn = hn_11(n, desc, ring)

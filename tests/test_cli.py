@@ -2,6 +2,9 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from ciqc.cli import main
 from ciqc.exact import parse_rat
@@ -191,3 +194,47 @@ def test_json_rationals_reparse_everywhere(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         walk(json.loads(out))
+
+
+def test_f2_json_pinned_bytes(capsys):
+    golden = Path(__file__).parent / "golden" / "f2_n4_d3.json"
+    code, out, _ = run(capsys, "f2", "--n", "4", "--d", "3")
+    assert code == 0
+    assert out == golden.read_text()
+
+
+def test_f2_gradient_once_per_root(capsys, monkeypatch):
+    from ciqc import reconstruct
+    calls = []
+    real = reconstruct.f2_gradient
+
+    def counted(desc, root, *args):
+        calls.append(root)
+        return real(desc, root, *args)
+
+    monkeypatch.setattr(reconstruct, "f2_gradient", counted)
+    code, _, _ = run(capsys, "f2", "--n", "4", "--d", "3")
+    assert code == 0
+    assert calls == [Fraction(1), Fraction(4)]
+
+
+@pytest.mark.parametrize("content", [None, "not json {", '{"nt": 4}'])
+def test_residual_unreadable_load_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "F.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "residual", "--n", "3", "--d", "3",
+                         "--load", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot load" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kmax", ["-3", "2"])
+def test_higherk_kmax_below_first_order_is_usage_error(capsys, kmax):
+    code, out, err = run(capsys, "higherk", "--n", "4", "--d", "3",
+                         "--kmax", kmax)
+    assert code == 1
+    assert out == ""
+    assert "--kmax" in err

@@ -2,9 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
+from ciqc import fano_lines
+from ciqc.errors import InternalConsistencyError, VerificationError
 from ciqc.fano_lines import (SchubertVector, fano_class, hilb2_check,
                              hilb2_examples, lines_class_primitive,
                              omega_checks, prim_square_class,
@@ -178,6 +181,63 @@ def test_hilb2_examples():
 
 def test_hilb2_scalar_is_one():
     assert hilb2_check() == 1
+
+
+def test_hilb2_gram_forms_match_lattice_forms():
+    # independent route: _b2/_b4 on the LatticeVectors, on every multiset of
+    # the former 7-vector sample f_1..f_6, v*
+    basis = fano_lines._hilb2_basis()
+    gram, a = fano_lines._gram_data(basis)
+    sample = list(range(6)) + [len(basis) - 1]
+    for i, j, k, l in combinations_with_replacement(sample, 4):
+        v1, v2, v3, v4 = basis[i], basis[j], basis[k], basis[l]
+        lhs = fano_lines._b2(v1, v2) * fano_lines._b2(v3, v4) \
+            + fano_lines._b2(v1, v3) * fano_lines._b2(v4, v2) \
+            + fano_lines._b2(v1, v4) * fano_lines._b2(v2, v3)
+        assert fano_lines._quadruple_forms(gram, a, i, j, k, l) == \
+            (lhs, fano_lines._b4(v1, v2, v3, v4))
+
+
+def test_hilb2_covers_the_full_basis(monkeypatch):
+    # a defect confined to f_21, outside the former sample, is caught
+    real = fano_lines._quadruple_forms
+
+    def tampered(gram, a, i, j, k, l):
+        lhs, b4 = real(gram, a, i, j, k, l)
+        return lhs, b4 + (1 if (i, j, k, l) == (20, 20, 20, 20) else 0)
+
+    monkeypatch.setattr(fano_lines, "_quadruple_forms", tampered)
+    with pytest.raises(VerificationError, match="scalar not constant"):
+        hilb2_check()
+
+
+def _tampered_dot(extra):
+    real = fano_lines._dot
+    return lambda u, v: real(u, v) + extra(u, v)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (lambda u, v: u[0] * v[0], "v\\* is not primitive"),       # l.l = 15
+    (lambda u, v: u[1] * v[2], "not symmetric"),
+    (lambda u, v: Fraction(1, 2) * u[1] * v[1], "not integral"),
+])
+def test_hilb2_rejects_a_tampered_form(monkeypatch, extra, message):
+    monkeypatch.setattr(fano_lines, "_dot", _tampered_dot(extra))
+    with pytest.raises(InternalConsistencyError, match=message):
+        hilb2_check()
+
+
+def test_hilb2_rejects_a_tampered_vstar(monkeypatch):
+    real = fano_lines._hilb2_basis
+
+    def tampered():
+        basis = real()
+        basis[-1] = fano_lines.LatticeVector(basis[-1].gamma, -13)
+        return basis
+
+    monkeypatch.setattr(fano_lines, "_hilb2_basis", tampered)
+    with pytest.raises(InternalConsistencyError, match="not primitive"):
+        hilb2_check()
 
 
 def test_omega_checks_extended_range():

@@ -117,3 +117,43 @@ def test_descendant_sum_closed_form_anchor():
     # (2/3)((-1)^n 2^{n+1} + 1) + 3n^2 + n - 2, e.g. 18 at n = 3, 72 at n = 4
     assert descendant_chern_sum(describe(3, (3,)), ring_for(3)) == 18
     assert descendant_chern_sum(describe(4, (3,)), ring_for(4)) == 72
+
+
+def _count_calls(monkeypatch, name, modules):
+    """Wrap ``name`` in each module with one shared call counter."""
+    calls = []
+    for module in modules:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 6])
+def test_hn11_builds_one_ring(monkeypatch, n):
+    from ciqc import genus_one, reconstruct
+    builds = _count_calls(monkeypatch, "build_ring", [genus_one, reconstruct])
+    hn_11(n)
+    assert len(builds) == 1
+
+
+def test_f2_from_genus1_builds_one_ring(monkeypatch):
+    from ciqc import genus_one, reconstruct
+    builds = _count_calls(monkeypatch, "build_ring", [genus_one, reconstruct])
+    assert f2_from_genus1(5).f2 == 1
+    assert len(builds) == 1
+
+
+def test_hn11_reuses_a_passed_ring(monkeypatch):
+    from ciqc import genus_one, reconstruct, smallqh
+    ring = ring_for(5)
+    expected = hn_11(5)
+    builds = _count_calls(monkeypatch, "build_ring",
+                          [genus_one, reconstruct, smallqh])
+    jets = _count_calls(monkeypatch, "small_j", [genus_one, smallqh])
+    assert hn_11(5, ring=ring) == expected == Fraction(-3, 4)
+    assert len(builds) == 0 and len(jets) == 0
