@@ -394,13 +394,14 @@ def _b4(v1, v2, v3, v4) -> Fraction:
     return acc
 
 
+def _unit(i: int) -> List[Fraction]:
+    return [Fraction(1) if j == i else Fraction(0) for j in range(_RANK)]
+
+
 def _hilb2_basis() -> List[LatticeVector]:
     """Basis of the primitive lattice: the classes f_1..f_21 orthogonal to l
     (a = 0), then v* = 5 l - 14 delta."""
-    def unit(i):
-        return [Fraction(1) if j == i else Fraction(0) for j in range(_RANK)]
-
-    basis = [LatticeVector(unit(i), 0) for i in range(1, _RANK)]
+    basis = [LatticeVector(_unit(i), 0) for i in range(1, _RANK)]
     basis.append(LatticeVector([5 if j == 0 else 0 for j in range(_RANK)], -14))
     return basis
 
@@ -417,20 +418,23 @@ def _gram_data(basis: List[LatticeVector]) -> Tuple[List[List[int]], List[int]]:
     return gram, [as_int(v.a) for v in basis]
 
 
-def _quadruple_forms(gram: List[List[int]], a: List[int],
-                     i: int, j: int, k: int, l: int) -> Tuple[int, int]:
-    """(lhs, b4) for basis vectors i, j, k, l from the integer Gram data:
-    lhs is the symmetrized product of _b2 forms, b4 equals _b4."""
-    def b2(x, y):
-        return 6 * (gram[x][y] - 2 * a[x] * a[y])
+# the three ways to split four slots into two pairs
+_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
 
-    lhs = b2(i, j) * b2(k, l) + b2(i, k) * b2(l, j) + b2(i, l) * b2(j, k)
-    b4 = gram[i][j] * gram[k][l] + gram[i][k] * gram[j][l] \
-        + gram[i][l] * gram[j][k] \
-        - 2 * (a[i] * a[j] * gram[k][l] + a[i] * a[k] * gram[j][l]
-               + a[i] * a[l] * gram[j][k] + a[j] * a[k] * gram[i][l]
-               + a[j] * a[l] * gram[i][k] + a[k] * a[l] * gram[i][j]) \
-        + 12 * a[i] * a[j] * a[k] * a[l]
+
+def _quadruple_forms(gram: List[List[int]], a: List[int],
+                     quad: Tuple[int, int, int, int]) -> Tuple[int, int]:
+    """(lhs, b4) for the basis vectors ``quad`` from the integer Gram data:
+    lhs is the symmetrized product of _b2 forms and b4 is _b4, both summed
+    over the three pairings of the four slots."""
+    i, j, k, l = quad
+    lhs = 0
+    b4 = 12 * a[i] * a[j] * a[k] * a[l]
+    for p, q, r, s in _PAIRINGS:
+        w, x, y, z = quad[p], quad[q], quad[r], quad[s]
+        lhs += 36 * (gram[w][x] - 2 * a[w] * a[x]) * (gram[y][z] - 2 * a[y] * a[z])
+        b4 += gram[w][x] * gram[y][z] \
+            - 2 * (a[w] * a[x] * gram[y][z] + a[y] * a[z] * gram[w][x])
     return lhs, b4
 
 
@@ -447,8 +451,7 @@ def hilb2_check() -> Fraction:
     """
     basis = _hilb2_basis()
     vstar = basis[-1]
-    l_class = [Fraction(1) if j == 0 else Fraction(0) for j in range(_RANK)]
-    if _dot(vstar.gamma, l_class) + 5 * vstar.a != 0:
+    if _dot(vstar.gamma, _unit(0)) + 5 * vstar.a != 0:
         raise InternalConsistencyError("v* is not primitive")
 
     sigma1 = LatticeVector([2 if j == 0 else 0 for j in range(_RANK)], -5)
@@ -463,7 +466,7 @@ def hilb2_check() -> Fraction:
 
     scalar = None
     for quad in combinations_with_replacement(range(len(basis)), 4):
-        lhs, b4 = _quadruple_forms(gram, a, *quad)
+        lhs, b4 = _quadruple_forms(gram, a, quad)
         rhs = 36 * b4
         if lhs == 0:
             if rhs != 0:

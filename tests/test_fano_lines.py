@@ -189,12 +189,12 @@ def test_hilb2_gram_forms_match_lattice_forms():
     basis = fano_lines._hilb2_basis()
     gram, a = fano_lines._gram_data(basis)
     sample = list(range(6)) + [len(basis) - 1]
-    for i, j, k, l in combinations_with_replacement(sample, 4):
-        v1, v2, v3, v4 = basis[i], basis[j], basis[k], basis[l]
+    for quad in combinations_with_replacement(sample, 4):
+        v1, v2, v3, v4 = (basis[i] for i in quad)
         lhs = fano_lines._b2(v1, v2) * fano_lines._b2(v3, v4) \
             + fano_lines._b2(v1, v3) * fano_lines._b2(v4, v2) \
             + fano_lines._b2(v1, v4) * fano_lines._b2(v2, v3)
-        assert fano_lines._quadruple_forms(gram, a, i, j, k, l) == \
+        assert fano_lines._quadruple_forms(gram, a, quad) == \
             (lhs, fano_lines._b4(v1, v2, v3, v4))
 
 
@@ -202,9 +202,9 @@ def test_hilb2_covers_the_full_basis(monkeypatch):
     # a defect confined to f_21, outside the former sample, is caught
     real = fano_lines._quadruple_forms
 
-    def tampered(gram, a, i, j, k, l):
-        lhs, b4 = real(gram, a, i, j, k, l)
-        return lhs, b4 + (1 if (i, j, k, l) == (20, 20, 20, 20) else 0)
+    def tampered(gram, a, quad):
+        lhs, b4 = real(gram, a, quad)
+        return lhs, b4 + (1 if quad == (20, 20, 20, 20) else 0)
 
     monkeypatch.setattr(fano_lines, "_quadruple_forms", tampered)
     with pytest.raises(VerificationError, match="scalar not constant"):
