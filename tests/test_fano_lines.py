@@ -184,8 +184,8 @@ def test_hilb2_scalar_is_one():
 
 
 def test_hilb2_gram_forms_match_lattice_forms():
-    # independent route: _b2/_b4 on the LatticeVectors, on every multiset of
-    # the former 7-vector sample f_1..f_6, v*
+    # independent route: _b2/_b4 on the LatticeVectors, on every multiset
+    # of f_1..f_6, v*
     basis = fano_lines._hilb2_basis()
     gram, a = fano_lines._gram_data(basis)
     sample = list(range(6)) + [len(basis) - 1]
@@ -199,7 +199,7 @@ def test_hilb2_gram_forms_match_lattice_forms():
 
 
 def test_hilb2_covers_the_full_basis(monkeypatch):
-    # a defect confined to f_21, outside the former sample, is caught
+    # a defect confined to f_21 is caught: the whole basis is checked
     real = fano_lines._quadruple_forms
 
     def tampered(gram, a, quad):
