@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -32,50 +31,26 @@ def _parse_d(text: str):
         raise DomainError(f"cannot parse multidegree {text!r}")
 
 
-def _qpoly_out(p: QPoly, q1: bool):
-    if q1:
-        return rat_str(p.eval_q1())
-    return [[k, rat_str(c)] for k, c in p.items()]
+def _qpoly_out(q1: bool):
+    """The QPoly serializer: [[k, "p/q"], ...], or one "p/q" after q = 1."""
+    return (lambda p: rat_str(p.eval_q1())) if q1 else QPoly.to_json
 
 
-def _matrix_out(mat, q1: bool):
-    return [[_qpoly_out(entry, q1) for entry in row] for row in mat]
+def _matrix_out(mat, out):
+    return [[out(entry) for entry in row] for row in mat]
 
 
 def _rational_matrix_out(mat):
     return [[rat_str(Fraction(entry)) for entry in row] for row in mat]
 
 
-def _series_out(series: TruncSeries, q1: bool):
-    return {
-        "nt": series.nt,
-        "degree_cap": series.degree_cap,
-        "s_cap": series.s_cap,
-        "qmax": series.qmax,
-        "terms": [
-            {"monomial": list(key), "coefficient": _qpoly_out(c, q1)}
-            for key, c in series.sorted_terms()
-        ],
-    }
-
-
-def _emit(payload, args) -> None:
+def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-
-
-def _qmax_arg(args, desc):
-    from .smallqh import default_qmax
-    if args.qmax is not None:
-        return args.qmax
-    env = os.environ.get("CIQC_QMAX")
-    if env:
-        return int(env)
-    return default_qmax(desc)
 
 
 def cmd_info(args) -> int:
     desc = describe(args.n, _parse_d(args.d))
-    _emit(desc.to_json(), args)
+    _emit(desc.to_json())
     if desc.exceptional:
         sys.stderr.write(
             f"domain error: exceptional complete intersection: "
@@ -87,22 +62,23 @@ def cmd_info(args) -> int:
 def cmd_smallqh(args) -> int:
     from .smallqh import build_ring, c_constant
     desc = describe(args.n, _parse_d(args.d))
-    ring = build_ring(desc, _qmax_arg(args, desc))
+    ring = build_ring(desc)
     cval, conj, match = c_constant(desc, ring)
+    out = _qpoly_out(args.q1)
     payload = {
         "descriptor": desc.to_json(),
         "qmax": ring.qmax,
-        "multH": _matrix_out(ring.multH, args.q1),
-        "powers": [[_qpoly_out(c, args.q1) for c in vec] for vec in ring.powers],
+        "multH": _matrix_out(ring.multH, out),
+        "powers": _matrix_out(ring.powers, out),
         "M": _rational_matrix_out(ring.M),
         "W": _rational_matrix_out(ring.W),
-        "g": _matrix_out(ring.g, args.q1),
-        "ginv": _matrix_out(ring.ginv, args.q1),
+        "g": _matrix_out(ring.g, out),
+        "ginv": _matrix_out(ring.ginv, out),
         "c": rat_str(cval),
         "c_conjecture": rat_str(conj),
         "conjecture_matches": match,
     }
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -110,15 +86,15 @@ def cmd_f1(args) -> int:
     from .reconstruct import f1_series
     from .smallqh import build_ring
     desc = describe(args.n, _parse_d(args.d))
-    ring = build_ring(desc, _qmax_arg(args, desc))
-    jet = f1_series(desc, ring)
+    jet = f1_series(desc, build_ring(desc))
+    out = _qpoly_out(args.q1)
     payload = {
         "descriptor": desc.to_json(),
-        "constant": _qpoly_out(jet.constant, args.q1),
-        "tau_jet": _series_out(jet.tau_jet, args.q1),
-        "t_jet": _series_out(jet.t_jet, args.q1),
+        "constant": out(jet.constant),
+        "tau_jet": jet.tau_jet.to_json(out),
+        "t_jet": jet.t_jet.to_json(out),
     }
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -126,7 +102,7 @@ def cmd_f2(args) -> int:
     from .reconstruct import f2_at_zero, f2_gradient, f1_series
     from .smallqh import build_ring
     desc = describe(args.n, _parse_d(args.d))
-    ring = build_ring(desc, _qmax_arg(args, desc))
+    ring = build_ring(desc)
     f1 = f1_series(desc, ring)
     roots = f2_at_zero(desc, ring, f1)
     if args.format == "tsv":
@@ -134,21 +110,22 @@ def cmd_f2(args) -> int:
             sys.stdout.write("roots\n")
         sys.stdout.write("\t".join(rat_str(r) for r in roots) + "\n")
         return 0
+    out = _qpoly_out(args.q1)
     gradients = []
     for r in roots:
         grad = f2_gradient(desc, r, ring, f1)
         gradients.append({
             "root": rat_str(r),
-            "value": _qpoly_out(grad.value, args.q1),
-            "tau_gradient": [_qpoly_out(c, args.q1) for c in grad.tau_grad],
-            "t_gradient": [_qpoly_out(c, args.q1) for c in grad.t_grad],
+            "value": out(grad.value),
+            "tau_gradient": [out(c) for c in grad.tau_grad],
+            "t_gradient": [out(c) for c in grad.t_grad],
         })
     payload = {
         "descriptor": desc.to_json(),
         "roots": [rat_str(r) for r in roots],
         "gradients": gradients,
     }
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -169,7 +146,7 @@ def cmd_higherk(args) -> int:
             for r in records
         ],
     }
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -185,10 +162,10 @@ def cmd_residual(args) -> int:
         return 1
     pot = ReducedPotential(desc, F)
     res = wdvv_residuals(pot)
+    out = _qpoly_out(args.q1)
 
     def violations(series):
-        return [{"monomial": list(key), "coefficient": _qpoly_out(c, args.q1)}
-                for key, c in series.sorted_terms()]
+        return series.to_json(out)["terms"]
 
     payload = {
         "descriptor": desc.to_json(),
@@ -199,7 +176,7 @@ def cmd_residual(args) -> int:
                     for k, series in sorted(res["ambient"].items())
                     if not series.is_zero()},
     }
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -238,7 +215,7 @@ def cmd_fano_lines(args) -> int:
             "scalar": rat_str(hilb2_check()),
             "examples": {k: rat_str(v) for k, v in hilb2_examples().items()},
         }
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -255,7 +232,7 @@ def cmd_genus1(args) -> int:
         "f2": rat_str(report.f2),
         "experimental": report.experimental,
     }
-    _emit(payload, args)
+    _emit(payload)
     return 0
 
 
@@ -278,31 +255,31 @@ def build_parser() -> _Parser:
                                  "complete intersections")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_d=True):
+    def common(p, need_d=True, q_option=False):
         p.add_argument("--n", type=int, required=True)
         if need_d:
             p.add_argument("--d", type=str, required=True,
                            help="comma-separated multidegree, e.g. 2,2")
-        p.add_argument("--qmax", type=int, default=None)
-        p.add_argument("--q", dest="q1", nargs="?", const="1", default=None,
-                       help="substitute q = 1 on output only")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--no-header", action="store_true")
+        if q_option:
+            p.add_argument("--q", dest="q1", nargs="?", const="1", default=None,
+                           help="substitute q = 1 on output only")
 
     p = sub.add_parser("info", help="descriptor invariants")
     common(p)
     p.set_defaults(func=cmd_info)
 
     p = sub.add_parser("smallqh", help="quantum ring data")
-    common(p)
+    common(p, q_option=True)
     p.set_defaults(func=cmd_smallqh)
 
     p = sub.add_parser("f1", help="degree-2 jet of F^(1)")
-    common(p)
+    common(p, q_option=True)
     p.set_defaults(func=cmd_f1)
 
     p = sub.add_parser("f2", help="roots and gradient of F^(2)(0)")
-    common(p)
+    common(p, q_option=True)
+    p.add_argument("--format", choices=("json", "tsv"), default="json")
+    p.add_argument("--no-header", action="store_true")
     p.set_defaults(func=cmd_f2)
 
     p = sub.add_parser("higherk", help="higher-order determination coefficients")
@@ -311,7 +288,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_higherk)
 
     p = sub.add_parser("residual", help="reduced-system residuals of a stored potential")
-    common(p)
+    common(p, q_option=True)
     p.add_argument("--load", type=str, required=True)
     p.set_defaults(func=cmd_residual)
 

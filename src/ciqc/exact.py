@@ -333,9 +333,6 @@ class TruncSeries:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def max_total_degree(self) -> int:
-        return max((sum(k) for k in self.terms), default=0)
-
     def truncate_degree(self, cap: int) -> "TruncSeries":
         out = TruncSeries(self.nt, min(cap, self.degree_cap), self.qmax, self.s_cap)
         for key, c in self.terms.items():
@@ -373,14 +370,15 @@ class TruncSeries:
         return (isinstance(other, TruncSeries) and self.nt == other.nt
                 and self.terms == other.terms)
 
-    def to_json(self) -> dict:
+    def to_json(self, coefficient=QPoly.to_json) -> dict:
+        """JSON form; ``coefficient`` maps each QPoly to its JSON value."""
         return {
             "nt": self.nt,
             "degree_cap": self.degree_cap,
             "s_cap": self.s_cap,
             "qmax": self.qmax,
             "terms": [
-                {"monomial": list(key), "coefficient": c.to_json()}
+                {"monomial": list(key), "coefficient": coefficient(c)}
                 for key, c in self.sorted_terms()
             ],
         }

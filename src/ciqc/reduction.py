@@ -187,10 +187,6 @@ def euler_beta(desc: CIDescriptor, k: int) -> Optional[Fraction]:
     return Fraction(num, desc.a)
 
 
-def admissible_orders(desc: CIDescriptor, kmax: int) -> List[int]:
-    return [k for k in range(1, kmax + 1) if euler_beta(desc, k) is not None]
-
-
 def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv,
                    odd_rank: Optional[int] = None):
     """Residuals of the s^{k-1}-coefficient equations of the reduced system.

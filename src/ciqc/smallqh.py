@@ -24,7 +24,7 @@ is corrected by exp(-ell q / z)).  Everything else is derived from it:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
@@ -164,7 +164,7 @@ def small_j(desc: CIDescriptor, qmax: Optional[int] = None,
         for m in range(1, delta + 1):
             inv = [dict() for _ in range(n + 1)]
             for j in range(n + 1):
-                c = Fraction((-1) ** j * _binom(top - 1 + j, j), m ** (top + j))
+                c = Fraction((-1) ** j * comb(top - 1 + j, j), m ** (top + j))
                 inv[j][-(top + j)] = c
             new = [dict() for _ in range(n + 1)]
             for h1 in range(n + 1):
@@ -194,11 +194,6 @@ def small_j(desc: CIDescriptor, qmax: Optional[int] = None,
         out.floor = zmin
         jet = out
     return jet
-
-
-def _binom(n: int, k: int) -> int:
-    from math import comb
-    return comb(n, k)
 
 
 def one_point_descendant(desc: CIDescriptor, jet: ZJet, k: int, i: int) -> QPoly:
@@ -447,24 +442,6 @@ def quantum_product_qp(desc: CIDescriptor, u, v, qmax: int):
     return out
 
 
-def classical_from_qp(ring: QuantumRingData, vec):
-    n = ring.desc.n
-    out = [QPoly.zero(ring.qmax) for _ in range(n + 1)]
-    for j in range(n + 1):
-        if vec[j].is_zero():
-            continue
-        for i in range(n + 1):
-            out[i] = out[i] + ring.powers[j][i] * vec[j]
-    return out
-
-
-def qp_from_classical(ring: QuantumRingData, vec):
-    n = ring.desc.n
-    pmat = [[ring.powers[j][i] for j in range(n + 1)] for i in range(n + 1)]
-    pinv = _invert_unipotent(pmat, ring.qmax)
-    return _mat_vec(pinv, vec)
-
-
 def c_constant(desc: CIDescriptor, ring: Optional[QuantumRingData] = None):
     """The constant c(n,d) from the M/W double sum, with the conjectured
     closed form sum_i (-1)^{i-1} (1/i!) (ell/b)^i reported alongside."""
@@ -503,11 +480,10 @@ class AmbientOrigin:
     constraint.  All values are exact polynomials in q.
     """
 
-    def __init__(self, desc: CIDescriptor, ring: Optional[QuantumRingData] = None,
-                 qmax: Optional[int] = None):
+    def __init__(self, desc: CIDescriptor, ring: Optional[QuantumRingData] = None):
         require_reconstruction_domain(desc)
         self.desc = desc
-        self.ring = ring if ring is not None else build_ring(desc, qmax)
+        self.ring = ring if ring is not None else build_ring(desc)
         self.qmax = self.ring.qmax
         self._cache: Dict[Tuple[int, ...], QPoly] = {}
         self._phi_cache: Dict[Tuple[int, int], QPoly] = {}
@@ -643,18 +619,12 @@ class AmbientOrigin:
                 continue
             mult = 1
             for i in set(key):
-                mult *= _factorial(key.count(i))
+                mult *= factorial(key.count(i))
             expo = [0] * (nt + 1)
             for i in key:
                 expo[i] += 1
             out = out.add_term(tuple(expo), val.scale(Fraction(1, mult)))
         return out
-
-
-@lru_cache(maxsize=None)
-def _factorial(k: int) -> int:
-    from math import factorial
-    return factorial(k)
 
 
 def _multisets(n: int, dmin: int, dmax: int):

@@ -131,13 +131,6 @@ def test_verify_filtered(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
-def test_env_qmax_override(capsys, monkeypatch):
-    monkeypatch.setenv("CIQC_QMAX", "7")
-    code, out, _ = run(capsys, "smallqh", "--n", "4", "--d", "3")
-    assert code == 0
-    assert json.loads(out)["qmax"] == 7
-
-
 def test_genus1_two_quadrics_flagged(capsys):
     code, out, _ = run(capsys, "genus1", "--n", "5", "--d", "2,2")
     assert code == 0
@@ -196,11 +189,48 @@ def test_json_rationals_reparse_everywhere(capsys):
         walk(json.loads(out))
 
 
-def test_f2_json_pinned_bytes(capsys):
-    golden = Path(__file__).parent / "golden" / "f2_n4_d3.json"
-    code, out, _ = run(capsys, "f2", "--n", "4", "--d", "3")
+GOLDEN = Path(__file__).parent / "golden"
+S_T1 = str(GOLDEN / "s_t1_n3.potential.json")  # F = s t^1 on (3,(3))
+GOLDEN_CASES = {
+    "f2_n4_d3": ["f2", "--n", "4", "--d", "3"],
+    "smallqh_n4_d3": ["smallqh", "--n", "4", "--d", "3"],
+    "f1_n4_d3": ["f1", "--n", "4", "--d", "3"],
+    "f1_n4_d3_q1": ["f1", "--n", "4", "--d", "3", "--q", "1"],
+    "residual_n3_d3_s_t1": ["residual", "--n", "3", "--d", "3", "--load", S_T1],
+    "residual_n3_d3_s_t1_q1": ["residual", "--n", "3", "--d", "3",
+                               "--load", S_T1, "--q", "1"],
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_CASES)
+def test_golden_stdout(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN_CASES[name])
     assert code == 0
-    assert out == golden.read_text()
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["smallqh", "--n", "4", "--d", "3", "--qmax", "0"],
+    ["f2", "--n", "4", "--d", "3", "--qmax", "1", "--format", "tsv"],
+    ["smallqh", "--n", "4", "--d", "3", "--qmax", "-1"],
+    ["smallqh", "--n", "4", "--d", "3", "--format", "tsv"],
+    ["genus1", "--n", "4", "--q", "1"],
+], ids=["smallqh-qmax0", "f2-qmax1-tsv", "smallqh-qmax-neg", "smallqh-tsv",
+        "genus1-q1"])
+def test_unhonoured_option_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "unrecognized arguments" in err
+
+
+def test_qmax_env_var_has_no_effect(capsys, monkeypatch):
+    code, plain, _ = run(capsys, "smallqh", "--n", "4", "--d", "3")
+    monkeypatch.setenv("CIQC_QMAX", "0")
+    code_env, out, _ = run(capsys, "smallqh", "--n", "4", "--d", "3")
+    assert code == code_env == 0
+    assert json.loads(out)["c"] == "2/9"
+    assert out == plain
 
 
 def test_f2_gradient_once_per_root(capsys, monkeypatch):
