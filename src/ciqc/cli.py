@@ -24,11 +24,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_d(text: str):
+def _multidegree(text: str):
+    """The --d argument type: a comma-separated list of integers."""
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise DomainError(f"cannot parse multidegree {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse multidegree {text!r}")
 
 
 def _qpoly_out(q1: bool):
@@ -49,7 +50,7 @@ def _emit(payload) -> None:
 
 
 def cmd_info(args) -> int:
-    desc = describe(args.n, _parse_d(args.d))
+    desc = describe(args.n, args.d)
     _emit(desc.to_json())
     if desc.exceptional:
         sys.stderr.write(
@@ -61,7 +62,7 @@ def cmd_info(args) -> int:
 
 def cmd_smallqh(args) -> int:
     from .smallqh import build_ring, c_constant
-    desc = describe(args.n, _parse_d(args.d))
+    desc = describe(args.n, args.d)
     ring = build_ring(desc)
     cval, conj, match = c_constant(desc, ring)
     out = _qpoly_out(args.q1)
@@ -85,7 +86,7 @@ def cmd_smallqh(args) -> int:
 def cmd_f1(args) -> int:
     from .reconstruct import f1_series
     from .smallqh import build_ring
-    desc = describe(args.n, _parse_d(args.d))
+    desc = describe(args.n, args.d)
     jet = f1_series(desc, build_ring(desc))
     out = _qpoly_out(args.q1)
     payload = {
@@ -101,7 +102,10 @@ def cmd_f1(args) -> int:
 def cmd_f2(args) -> int:
     from .reconstruct import f2_at_zero, f2_gradient, f1_series
     from .smallqh import build_ring
-    desc = describe(args.n, _parse_d(args.d))
+    if args.no_header and args.format != "tsv":
+        sys.stderr.write("ciqc f2: error: --no-header requires --format tsv\n")
+        return 1
+    desc = describe(args.n, args.d)
     ring = build_ring(desc)
     f1 = f1_series(desc, ring)
     roots = f2_at_zero(desc, ring, f1)
@@ -135,7 +139,7 @@ def cmd_higherk(args) -> int:
         sys.stderr.write(f"ciqc higherk: error: --kmax must be at least 3 "
                          f"(the first determined order), got {args.kmax}\n")
         return 1
-    desc = describe(args.n, _parse_d(args.d))
+    desc = describe(args.n, args.d)
     records = higher_k_coeffs(desc, args.kmax)
     payload = {
         "descriptor": desc.to_json(),
@@ -152,7 +156,7 @@ def cmd_higherk(args) -> int:
 
 def cmd_residual(args) -> int:
     from .reduction import ReducedPotential, wdvv_residuals
-    desc = describe(args.n, _parse_d(args.d))
+    desc = describe(args.n, args.d)
     try:
         with open(args.load) as handle:
             F = TruncSeries.from_json(json.load(handle))
@@ -221,8 +225,7 @@ def cmd_fano_lines(args) -> int:
 
 def cmd_genus1(args) -> int:
     from .genus_one import f2_from_genus1
-    d = _parse_d(args.d) if args.d else (3,)
-    report = f2_from_genus1(args.n, d)
+    report = f2_from_genus1(args.n, args.d)
     payload = {
         "n": report.n,
         "chi": report.chi,
@@ -240,7 +243,7 @@ def cmd_verify(args) -> int:
     from .acceptance import run_all
     only = None
     if args.n is not None and args.d is not None:
-        only = (args.n, _parse_d(args.d))
+        only = (args.n, args.d)
     results = run_all(only=only, seed=args.seed)
     all_ok = True
     for name, ok, detail in results:
@@ -258,7 +261,7 @@ def build_parser() -> _Parser:
     def common(p, need_d=True, q_option=False):
         p.add_argument("--n", type=int, required=True)
         if need_d:
-            p.add_argument("--d", type=str, required=True,
+            p.add_argument("--d", type=_multidegree, required=True,
                            help="comma-separated multidegree, e.g. 2,2")
         if q_option:
             p.add_argument("--q", dest="q1", nargs="?", const="1", default=None,
@@ -300,12 +303,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("genus1", help="genus-one determination of F^(2)(0)")
     common(p, need_d=False)
-    p.add_argument("--d", type=str, default=None)
+    p.add_argument("--d", type=_multidegree, default=(3,))
     p.set_defaults(func=cmd_genus1)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--d", type=str, default=None)
+    p.add_argument("--d", type=_multidegree, default=None)
     p.add_argument("--seed", type=int, default=20240811)
     p.set_defaults(func=cmd_verify)
     return parser

@@ -141,9 +141,6 @@ class QPoly:
         """Substitute q = 1 (output-side specialization only)."""
         return sum(self.coeffs.values(), ZERO)
 
-    def with_qmax(self, qmax: int) -> "QPoly":
-        return QPoly(self.coeffs, qmax)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = QPoly.const(other, self.qmax)
@@ -293,9 +290,8 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
         out = self.clone_empty()
-        # canonical iteration order keeps coefficient assembly deterministic
-        for k1, c1 in sorted(self.terms.items(), key=_mono_order_key):
-            for k2, c2 in sorted(other.terms.items(), key=_mono_order_key):
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
                 if out._keep(key):
                     out._store(key, c1 * c2)

@@ -15,21 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import DomainError, VerificationError
 from .geometry import CIDescriptor, _chern_numbers, chern_integrals, describe
-from .smallqh import QuantumRingData, build_ring, one_point_descendant, small_j
+from .smallqh import QuantumRingData, ZJet, build_ring, one_point_descendant
 
 
-def _seeds(desc: CIDescriptor, ring: Optional[QuantumRingData]) -> Tuple[Fraction, Fraction]:
+def _seeds(desc: CIDescriptor, ring: QuantumRingData) -> Tuple[Fraction, Fraction]:
     """Degree-one two-point seeds <H_n, H_{n-2}> and <H_{n-1}, H_{n-1}>.
 
     For cubics these are the cited values 18 and 45; they are read off the
     ring's flat sections and cross-checked for cubics.
     """
-    if ring is None:
-        ring = build_ring(desc)
     n = desc.n
     s1 = ring.two_point(n, n - 2).coefficient(1)
     s2 = ring.two_point(n - 1, n - 1).coefficient(1)
@@ -38,16 +36,15 @@ def _seeds(desc: CIDescriptor, ring: Optional[QuantumRingData]) -> Tuple[Fractio
     return s1, s2
 
 
-def two_point_g0(n: int, i: int, j: int, desc: Optional[CIDescriptor] = None,
-                 ring: Optional[QuantumRingData] = None) -> Fraction:
+def two_point_g0(desc: CIDescriptor, ring: QuantumRingData,
+                 i: int, j: int) -> Fraction:
     """<psi^{2n-2-i-j} H_i, H_j>_{0,2,1}, by the divisor/TRR induction.
 
     The recursion f(i,j) = f(i,j+1) - f(i+1,j) terminates on the diagonal
     i+j = 2n-2 where only (n,n-2), (n-1,n-1), (n-2,n) survive; the result
     is compared against the binomial closed form before returning.
     """
-    if desc is None:
-        desc = describe(n, (3,))
+    n = desc.n
     if not (0 <= i <= n and 0 <= j <= n and i + j <= 2 * n - 2):
         raise DomainError(f"indices ({i},{j}) out of range for n = {n}")
     s1, s2 = _seeds(desc, ring)
@@ -80,8 +77,7 @@ def two_point_g0(n: int, i: int, j: int, desc: Optional[CIDescriptor] = None,
     return value
 
 
-def descendant_chern_sum(desc: CIDescriptor,
-                         ring: Optional[QuantumRingData] = None) -> Fraction:
+def descendant_chern_sum(desc: CIDescriptor, ring: QuantumRingData) -> Fraction:
     """sum_{p=0}^{n-2} <psi^p c_{n-2-p}(TX), H_n>_{0,2,1}.
 
     Each summand is kappa_{n-2-p} <psi^p H_{n-2-p}, H_n> and the descendant
@@ -94,7 +90,7 @@ def descendant_chern_sum(desc: CIDescriptor,
     total = Fraction(0)
     residue_form = Fraction(0)
     for p in range(0, n - 1):
-        two_pt = two_point_g0(n, n - 2 - p, n, desc, ring)
+        two_pt = two_point_g0(desc, ring, n - 2 - p, n)
         if two_pt != (-1) ** p * s1:
             raise VerificationError("descendant value is not (-1)^p * seed")
         total += kappa[n - 2 - p] * two_pt
@@ -110,30 +106,22 @@ def descendant_chern_sum(desc: CIDescriptor,
     return total
 
 
-def psi_top_descendant(desc: CIDescriptor, jet=None) -> Fraction:
+def psi_top_descendant(desc: CIDescriptor, jet: ZJet) -> Fraction:
     """<psi^{n-3} H_n>_{0,1,1} from the hypergeometric series ``jet``
-    (pass a ring's ``jfun`` to reuse it; omitted, small_j is computed)."""
-    if jet is None:
-        jet = small_j(desc)
+    (a ring's ``jfun``)."""
     return one_point_descendant(desc, jet, desc.n - 3, desc.n).coefficient(1)
 
 
-def hn_11(n: int, desc: Optional[CIDescriptor] = None,
-          ring: Optional[QuantumRingData] = None) -> Fraction:
+def hn_11(desc: CIDescriptor, ring: QuantumRingData) -> Fraction:
     """<H_n>_{1,1} assembled from the degree-one comparison formula
 
         -(1/24) sum_p <psi^p c_{n-2-p}(TX), H_n> + (1/24) <psi^{n-3} H_n>,
 
-    checked against the cubic closed form (-(-2)^{n+2} - 9n^2 - 3n + 58)/72.
-    The ring is built once when none is passed; every two-point value and
-    the J-series read come from it.
+    checked for cubics against the closed form
+    (-(-2)^{n+2} - 9n^2 - 3n + 58)/72.  Every two-point value and the
+    J-series read come from ``ring``, the descriptor's quantum ring.
     """
-    if desc is None:
-        desc = describe(n, (3,))
-    if n < 3:
-        raise DomainError("need n >= 3")
-    if ring is None:
-        ring = build_ring(desc)
+    n = desc.n
     value = -Fraction(1, 24) * descendant_chern_sum(desc, ring) \
         + Fraction(1, 24) * psi_top_descendant(desc, ring.jfun)
     if desc.d == (3,):
@@ -198,15 +186,15 @@ def f2_from_genus1(n: int, d=(3,)) -> GenusOneReport:
     psi11 = Fraction(psi_top_descendant(desc, ring.jfun), 12 * deg)
     if d == (3,) and psi11 != Fraction(1, 2):
         raise VerificationError("<psi gamma, gamma>_{1,1} coefficient != 1/2")
-    hn = hn_11(n, desc, ring)
+    hn = hn_11(desc, ring)
     h0 = h_10(desc)
     coeff_f2 = Fraction((desc.chi - n) ** 2 - 1, 24)
     rhs = psi11 * M - Fraction(kappa, deg) * M * h0 - Fraction(M, deg) * hn \
         - Fraction(1, 24) * Fraction(kappa, deg) * (n - 1) * M
     f2 = rhs / coeff_f2
 
-    from .reconstruct import f2_at_zero
-    roots = f2_at_zero(desc, ring)
+    from .reconstruct import f1_series, f2_at_zero
+    roots = f2_at_zero(desc, ring, f1_series(desc, ring))
     if f2 not in roots:
         raise VerificationError(
             f"genus-one value {f2} is not a root of the quadratic {roots}")

@@ -20,20 +20,16 @@ from typing import Dict, List, Optional, Tuple
 from .errors import DomainError, InternalConsistencyError
 from .exact import QPoly, Rational, TruncSeries, linear_substitute
 from .geometry import CIDescriptor, require_reconstruction_domain
-from .smallqh import (AmbientOrigin, QuantumRingData, build_ring,
-                      quantum_product_qp)
+from .smallqh import QuantumRingData, quantum_product_qp
 
 
-def gamma_vector(desc: CIDescriptor, ring: Optional[QuantumRingData] = None):
+def gamma_vector(desc: CIDescriptor, ring: QuantumRingData):
     """The square-zero eigenvector gamma in the classical basis.
 
     All three structural properties are verified before returning:
     gamma o gamma = 0, H^a o gamma = lambda_a gamma with lambda_a = delta_a0,
     and (gamma, 1) = 1.
     """
-    require_reconstruction_domain(desc)
-    if ring is None:
-        ring = build_ring(desc)
     n, a, qmax = desc.n, desc.a, ring.qmax
     inv = Fraction(1, desc.degree)
     gamma_qp = [QPoly.zero(qmax) for _ in range(n + 1)]
@@ -170,6 +166,12 @@ class F1Jet:
     tau_jet: TruncSeries
     t_jet: TruncSeries
 
+    def second(self, i: int, j: int) -> QPoly:
+        """F^(1)_{ij}(0) for any tau indices (zero when one index is 0)."""
+        if i == 0 or j == 0:
+            return QPoly.zero(self.constant.qmax)
+        return self.quad[(i, j) if i <= j else (j, i)]
+
 
 def _tau_to_t_forms(ring: QuantumRingData):
     """tau^i as a linear combination of t-variables: tau^i = sum M_{i+ka}^i q^k t^{i+ka}."""
@@ -188,7 +190,7 @@ def _tau_to_t_forms(ring: QuantumRingData):
     return forms
 
 
-def f1_series(desc: CIDescriptor, ring: Optional[QuantumRingData] = None) -> F1Jet:
+def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
     """Degree-2 jet of F^(1), in quantum-power coordinates and converted to
     the classical coordinates.
 
@@ -196,10 +198,7 @@ def f1_series(desc: CIDescriptor, ring: Optional[QuantumRingData] = None) -> F1J
     from the divisor vector field (entries with an index 1) and from the
     contracted fourth derivatives of F^(0) (all other entries).
     """
-    require_reconstruction_domain(desc)
-    if ring is None:
-        ring = build_ring(desc)
-    origin = AmbientOrigin(desc, ring)
+    origin = ring.origin
     n, a, qmax = desc.n, desc.a, ring.qmax
 
     quad: Dict[Tuple[int, int], QPoly] = {}
@@ -245,40 +244,27 @@ def f1_series(desc: CIDescriptor, ring: Optional[QuantumRingData] = None) -> F1J
 def _f1_pair_row(desc, ring, f1: F1Jet, c: int) -> QPoly:
     """sum_{e,f} F^(1)_{1e}(0) g^{ef} F^(1)_{fc}(0)."""
     n = desc.n
-    qmax = ring.qmax
-    acc = QPoly.zero(qmax)
-
-    def quad(i, j):
-        if i == 0 or j == 0:
-            return QPoly.zero(qmax)
-        key = (i, j) if i <= j else (j, i)
-        return f1.quad[key]
-
+    acc = QPoly.zero(ring.qmax)
     for e in range(n + 1):
-        left = quad(1, e)
+        left = f1.second(1, e)
         if left.is_zero():
             continue
         for f in range(n + 1):
             gef = ring.ginv[e][f]
             if gef.is_zero():
                 continue
-            acc = acc + left * gef * quad(f, c)
+            acc = acc + left * gef * f1.second(f, c)
     return acc
 
 
-def f2_at_zero(desc: CIDescriptor, ring: Optional[QuantumRingData] = None,
-               f1: Optional[F1Jet] = None) -> List[Fraction]:
+def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData,
+               f1: F1Jet) -> List[Fraction]:
     """All roots of the quadratic satisfied by F^(2)(0).
 
     Returns the root list sorted ascending, {0} when the admissibility
     degree (n-1)/a is not a positive integer or when the quadratic
     degenerates to F^2 = 0.
     """
-    require_reconstruction_domain(desc)
-    if ring is None:
-        ring = build_ring(desc)
-    if f1 is None:
-        f1 = f1_series(desc, ring)
     n, a, qmax = desc.n, desc.a, ring.qmax
     if (n - 1) % a != 0:
         return [Fraction(0)]
@@ -330,14 +316,8 @@ class F2Jet:
 
 
 def f2_gradient(desc: CIDescriptor, f2zero: Rational,
-                ring: Optional[QuantumRingData] = None,
-                f1: Optional[F1Jet] = None) -> F2Jet:
+                ring: QuantumRingData, f1: F1Jet) -> F2Jet:
     """Origin gradient of F^(2) for a chosen root of the quadratic."""
-    require_reconstruction_domain(desc)
-    if ring is None:
-        ring = build_ring(desc)
-    if f1 is None:
-        f1 = f1_series(desc, ring)
     roots = f2_at_zero(desc, ring, f1)
     f2zero = Fraction(f2zero)
     if f2zero not in roots:
@@ -379,12 +359,11 @@ def f2_gradient(desc: CIDescriptor, f2zero: Rational,
     return F2Jet(desc, value, tau_grad, t_grad, jet, tau_jet)
 
 
-def f2_gradient_closed_form(desc: CIDescriptor, cval: Fraction) -> Dict[int, QPoly]:
+def f2_gradient_closed_form(desc: CIDescriptor, ring: QuantumRingData,
+                            cval: Fraction) -> Dict[int, QPoly]:
     """Closed form for the gradient rows when F^(2)(0) = 0: the entry at b
     is c(n,d)^2/deg * b(d)^{(n+b-2)/a} q^{(n+b-2)/a} for b = 2-n mod a."""
-    from .smallqh import default_qmax
-    n, a = desc.n, desc.a
-    qmax = default_qmax(desc)
+    n, a, qmax = desc.n, desc.a, ring.qmax
     out = {}
     for b in range(0, n + 1):
         if b >= 2 and (b - (2 - desc.n)) % a == 0:
@@ -408,14 +387,8 @@ def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
     at the origin for 1 <= a <= b <= n, and ``pure`` the residual of
     g^{0f} F2_f + F2 * F2.  Both must vanish for each admissible root.
     """
-    origin = AmbientOrigin(desc, ring)
+    origin = ring.origin
     n, qmax = desc.n, ring.qmax
-
-    def f1q(i, j):
-        if i == 0 or j == 0:
-            return QPoly.zero(qmax)
-        return f1.quad[(i, j) if i <= j else (j, i)]
-
     mixed = {}
     for a in range(1, n + 1):
         for b in range(a, n + 1):
@@ -425,9 +398,9 @@ def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
                     gef = ring.ginv[e][f]
                     if gef.is_zero():
                         continue
-                    res = res - f1q(a, e) * gef * f1q(f, b)
+                    res = res - f1.second(a, e) * gef * f1.second(f, b)
                     res = res + origin.partial((a, b, e)) * gef * f2jet.tau_grad[f]
-            res = res + (f1q(a, b) * f2jet.value).scale(2)
+            res = res + (f1.second(a, b) * f2jet.value).scale(2)
             mixed[(a, b)] = res
 
     pure = f2jet.value * f2jet.value
@@ -468,11 +441,7 @@ class FrobeniusOrigin:
         return out
 
 
-def frobenius_origin(desc: CIDescriptor,
-                     ring: Optional[QuantumRingData] = None) -> FrobeniusOrigin:
-    require_reconstruction_domain(desc)
-    if ring is None:
-        ring = build_ring(desc)
+def frobenius_origin(desc: CIDescriptor, ring: QuantumRingData) -> FrobeniusOrigin:
     gamma = gamma_vector(desc, ring)  # raises if any invariant fails
     return FrobeniusOrigin(desc, gamma)
 

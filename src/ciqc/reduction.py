@@ -62,7 +62,7 @@ class ReducedPotential:
         if self.odd:
             cap = desc.m // 2
             if F.s_cap is None or F.s_cap > cap:
-                F = _with_s_cap(F, cap)
+                F = F.recap(F.degree_cap, cap)
         self.F = F
         self.ginv = ginv if ginv is not None else \
             classical_pairing_inverse(desc, F.qmax)
@@ -71,13 +71,6 @@ class ReducedPotential:
     def s_cutoff(self) -> Optional[int]:
         """Residuals are asserted only below this s-power in odd mode."""
         return self.desc.m // 2 if self.odd else None
-
-
-def _with_s_cap(F: TruncSeries, cap: int) -> TruncSeries:
-    out = TruncSeries(F.nt, F.degree_cap, F.qmax, cap)
-    for key, c in F.terms.items():
-        out = out.add_term(key, c)
-    return out
 
 
 def _contract(ginv, left: List[TruncSeries], right: List[TruncSeries]) -> TruncSeries:

@@ -24,6 +24,7 @@ is corrected by exp(-ell q / z)).  Everything else is derived from it:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
@@ -210,7 +211,9 @@ class QuantumRingData:
     generator (H, or H + ell q for index one) acting on the classical basis;
     powers[j] expresses the j-th quantum power in the classical basis; M and
     W are the mutually inverse triangular base-change matrices; g and ginv
-    the pairing of quantum powers and its inverse.
+    the pairing of quantum powers and its inverse.  ``origin`` is the
+    descriptor's AmbientOrigin, built once so that every consumer of the
+    ring shares its memo of the F^(0) derivatives.
     """
 
     def __init__(self, desc, qmax, multh, powers, mmat, wmat, g, ginv, smat, jfun):
@@ -224,6 +227,10 @@ class QuantumRingData:
         self.ginv = ginv
         self.smat = smat
         self.jfun = jfun
+
+    @cached_property
+    def origin(self) -> "AmbientOrigin":
+        return AmbientOrigin(self.desc, self)
 
     def two_point(self, i: int, j: int, k: int = 0) -> QPoly:
         """< H_i, psi^k H_j >_{0,2,*} from the stored flat sections."""
@@ -387,11 +394,8 @@ def _check_inverse_rational(wmat, mmat):
                 raise InternalConsistencyError("W * M is not the identity")
 
 
-def pairings(desc: CIDescriptor, qmax: Optional[int] = None):
+def pairings(desc: CIDescriptor, qmax: int):
     """Pairing g_{ef} of quantum powers and its inverse g^{ef}."""
-    require_reconstruction_domain(desc)
-    if qmax is None:
-        qmax = default_qmax(desc)
     n, a, deg = desc.n, desc.a, desc.degree
     g = [[QPoly.zero(qmax) for _ in range(n + 1)] for _ in range(n + 1)]
     ginv = [[QPoly.zero(qmax) for _ in range(n + 1)] for _ in range(n + 1)]
@@ -442,12 +446,9 @@ def quantum_product_qp(desc: CIDescriptor, u, v, qmax: int):
     return out
 
 
-def c_constant(desc: CIDescriptor, ring: Optional[QuantumRingData] = None):
+def c_constant(desc: CIDescriptor, ring: QuantumRingData):
     """The constant c(n,d) from the M/W double sum, with the conjectured
     closed form sum_i (-1)^{i-1} (1/i!) (ell/b)^i reported alongside."""
-    require_reconstruction_domain(desc)
-    if ring is None:
-        ring = build_ring(desc)
     n, a = desc.n, desc.a
     b = Fraction(desc.b)
     M, W = ring.M, ring.W
@@ -480,11 +481,10 @@ class AmbientOrigin:
     constraint.  All values are exact polynomials in q.
     """
 
-    def __init__(self, desc: CIDescriptor, ring: Optional[QuantumRingData] = None):
-        require_reconstruction_domain(desc)
+    def __init__(self, desc: CIDescriptor, ring: QuantumRingData):
         self.desc = desc
-        self.ring = ring if ring is not None else build_ring(desc)
-        self.qmax = self.ring.qmax
+        self.ring = ring
+        self.qmax = ring.qmax
         self._cache: Dict[Tuple[int, ...], QPoly] = {}
         self._phi_cache: Dict[Tuple[int, int], QPoly] = {}
 
@@ -675,8 +675,7 @@ def low_point_terms(ring: QuantumRingData, degree_cap: int) -> TruncSeries:
     return out
 
 
-def f0_derivs(desc: CIDescriptor, ring: Optional[QuantumRingData] = None,
-              kmax: Optional[int] = None):
+def f0_derivs(desc: CIDescriptor, ring: QuantumRingData):
     """Third derivatives F_{abc}(0) and contracted fourth derivatives
     sum_e F_{abce}(0) g^{e0} of the ambient potential, quantum-power basis.
 
@@ -684,8 +683,7 @@ def f0_derivs(desc: CIDescriptor, ring: Optional[QuantumRingData] = None,
     QPoly values; entries that vanish by the congruence constraints are
     exact zeros.
     """
-    require_reconstruction_domain(desc)
-    origin = AmbientOrigin(desc, ring)
+    origin = ring.origin
     n, a = desc.n, desc.a
     deg = desc.degree
     third = {}

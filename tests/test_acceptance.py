@@ -12,3 +12,26 @@ def test_acceptance_criteria():
         if not ok:
             failures.append((name, detail))
     assert not failures, failures
+
+
+def test_run_all_ring_and_origin_counts(monkeypatch):
+    # rings are built only by the criteria; each ring memoizes its origin jet
+    from ciqc import acceptance, genus_one, smallqh
+    builds, origins = [], []
+    for module in (acceptance, genus_one):
+        def counted(*args, _real=module.build_ring):
+            builds.append(args)
+            return _real(*args)
+
+        monkeypatch.setattr(module, "build_ring", counted)
+    real_init = smallqh.AmbientOrigin.__init__
+
+    def counted_init(self, *args):
+        origins.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(smallqh.AmbientOrigin, "__init__", counted_init)
+    acceptance._ring.cache_clear()
+    assert all(ok for _, ok, _ in run_all())
+    assert len(builds) == 22
+    assert len(origins) <= 11

@@ -199,6 +199,10 @@ GOLDEN_CASES = {
     "residual_n3_d3_s_t1": ["residual", "--n", "3", "--d", "3", "--load", S_T1],
     "residual_n3_d3_s_t1_q1": ["residual", "--n", "3", "--d", "3",
                                "--load", S_T1, "--q", "1"],
+    "genus1_n4": ["genus1", "--n", "4"],
+    "genus1_n5_d22": ["genus1", "--n", "5", "--d", "2,2"],
+    "verify": ["verify"],
+    "verify_n4_d3": ["verify", "--n", "4", "--d", "3"],
 }
 
 
@@ -206,7 +210,8 @@ GOLDEN_CASES = {
 def test_golden_stdout(capsys, name):
     code, out, _ = run(capsys, *GOLDEN_CASES[name])
     assert code == 0
-    assert out == (GOLDEN / f"{name}.json").read_text()
+    suffix = "txt" if name.startswith("verify") else "json"  # verify prints text
+    assert out == (GOLDEN / f"{name}.{suffix}").read_text()
 
 
 @pytest.mark.parametrize("argv", [
@@ -268,3 +273,19 @@ def test_higherk_kmax_below_first_order_is_usage_error(capsys, kmax):
     assert code == 1
     assert out == ""
     assert "--kmax" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["f2", "--n", "4", "--d", "3", "--no-header"],
+    ["smallqh", "--n", "4", "--d", "3,x"],
+    ["info", "--n", "4", "--d", ""],
+    ["genus1", "--n", "4", "--d", "x"],
+    ["verify", "--n", "4", "--d", "x"],
+], ids=["f2-no-header-json", "smallqh-d-3x", "info-d-empty", "genus1-d-x",
+        "verify-d-x"])
+def test_malformed_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "Traceback" not in err

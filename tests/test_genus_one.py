@@ -8,7 +8,7 @@ from ciqc.errors import DomainError
 from ciqc.genus_one import (descendant_chern_sum, f2_from_genus1, h_10,
                             hn_11, psi_top_descendant, two_point_g0)
 from ciqc.geometry import describe
-from ciqc.reconstruct import f2_at_zero
+from ciqc.reconstruct import f1_series, f2_at_zero
 from ciqc.smallqh import build_ring
 
 _rings = {}
@@ -22,9 +22,10 @@ def ring_for(n, d=(3,)):
 
 def test_two_point_seed_values():
     for n in (3, 4, 5):
-        assert two_point_g0(n, n, n - 2, ring=ring_for(n)) == 18
-        assert two_point_g0(n, n - 1, n - 1, ring=ring_for(n)) == 45
-        assert two_point_g0(n, n - 2, n, ring=ring_for(n)) == 18
+        desc = describe(n, (3,))
+        assert two_point_g0(desc, ring_for(n), n, n - 2) == 18
+        assert two_point_g0(desc, ring_for(n), n - 1, n - 1) == 45
+        assert two_point_g0(desc, ring_for(n), n - 2, n) == 18
 
 
 def test_two_point_grid_induction_vs_closed_form():
@@ -35,17 +36,17 @@ def test_two_point_grid_induction_vs_closed_form():
         for i in range(n + 1):
             for j in range(n + 1):
                 if i + j <= 2 * n - 2:
-                    two_point_g0(n, i, j, desc, ring)
+                    two_point_g0(desc, ring, i, j)
 
 
 def test_two_point_rejects_out_of_range():
     with pytest.raises(DomainError):
-        two_point_g0(4, 4, 3, ring=ring_for(4))
+        two_point_g0(describe(4, (3,)), ring_for(4), 4, 3)
 
 
 def test_two_point_binomial_convention_case():
     # n = 4, (i,j) = (2,2): the closed form needs binom(x,k) = 0 for k < 0
-    val = two_point_g0(4, 2, 2, ring=ring_for(4))
+    val = two_point_g0(describe(4, (3,)), ring_for(4), 2, 2)
     # K = 2: (-1)^2 C(2,2) 18 + (-1)^1 C(2,1) 45 + (-1)^0 C(2,0) 18 = -54
     assert val == 18 - 90 + 18 == -54
 
@@ -54,21 +55,21 @@ def test_descendant_chern_sum_n3():
     # n = 3: the sum is 18 * sum (-1)^p [x^{1-p}] (1+x)^5/(1+3x) = 18
     desc = describe(3, (3,))
     assert descendant_chern_sum(desc, ring_for(3)) == 18
-    assert psi_top_descendant(desc) == 18
+    assert psi_top_descendant(desc, ring_for(3).jfun) == 18
     # so <H_3>_{1,1} = (-18 + 18)/24 = 0
-    assert hn_11(3, desc, ring_for(3)) == 0
+    assert hn_11(desc, ring_for(3)) == 0
 
 
 @pytest.mark.parametrize("n,expected", [(3, 0), (4, Fraction(-9, 4))])
 def test_hn11_values(n, expected):
-    assert hn_11(n, ring=ring_for(n)) == expected
+    assert hn_11(describe(n, (3,)), ring_for(n)) == expected
 
 
 def test_hn11_routes_agree_3_to_12():
     # residue-sum route vs closed form: the comparison is enforced inside
     # hn_11/descendant_chern_sum; sweep the range
     for n in range(3, 13):
-        hn_11(n, ring=ring_for(n))
+        hn_11(describe(n, (3,)), ring_for(n))
 
 
 def test_h10_cubic_threefold():
@@ -81,7 +82,8 @@ def test_f2_selection_is_one(n):
     assert report.f2 == 1
     assert report.psi11 == Fraction(1, 2)
     assert not report.experimental
-    assert report.f2 in f2_at_zero(describe(n, (3,)), ring_for(n))
+    desc, ring = describe(n, (3,)), ring_for(n)
+    assert report.f2 in f2_at_zero(desc, ring, f1_series(desc, ring))
 
 
 def test_f2_always_selects_one_across_range():
@@ -133,27 +135,19 @@ def _count_calls(monkeypatch, name, modules):
     return calls
 
 
-@pytest.mark.parametrize("n", [3, 6])
-def test_hn11_builds_one_ring(monkeypatch, n):
-    from ciqc import genus_one, reconstruct
-    builds = _count_calls(monkeypatch, "build_ring", [genus_one, reconstruct])
-    hn_11(n)
-    assert len(builds) == 1
-
-
 def test_f2_from_genus1_builds_one_ring(monkeypatch):
-    from ciqc import genus_one, reconstruct
-    builds = _count_calls(monkeypatch, "build_ring", [genus_one, reconstruct])
+    from ciqc import genus_one
+    builds = _count_calls(monkeypatch, "build_ring", [genus_one])
     assert f2_from_genus1(5).f2 == 1
     assert len(builds) == 1
 
 
-def test_hn11_reuses_a_passed_ring(monkeypatch):
-    from ciqc import genus_one, reconstruct, smallqh
-    ring = ring_for(5)
-    expected = hn_11(5)
-    builds = _count_calls(monkeypatch, "build_ring",
-                          [genus_one, reconstruct, smallqh])
-    jets = _count_calls(monkeypatch, "small_j", [genus_one, smallqh])
-    assert hn_11(5, ring=ring) == expected == Fraction(-3, 4)
+@pytest.mark.parametrize("n", [3, 5, 6])
+def test_hn11_reuses_a_passed_ring(monkeypatch, n):
+    from ciqc import genus_one, smallqh
+    desc, ring = describe(n, (3,)), ring_for(n)
+    builds = _count_calls(monkeypatch, "build_ring", [genus_one, smallqh])
+    jets = _count_calls(monkeypatch, "small_j", [smallqh])
+    expected = {3: 0, 5: Fraction(-3, 4), 6: Fraction(-15, 2)}[n]
+    assert hn_11(desc, ring) == expected
     assert len(builds) == 0 and len(jets) == 0

@@ -7,9 +7,9 @@ import pytest
 from ciqc.errors import DomainError
 from ciqc.exact import QPoly
 from ciqc.geometry import describe
-from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant, f0_derivs,
-                          one_point_descendant, pairings, quantum_product_qp,
-                          small_j)
+from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant, default_qmax,
+                          f0_derivs, one_point_descendant, pairings,
+                          quantum_product_qp, small_j)
 
 RING_DESCRIPTORS = [(3, (3,)), (4, (3,)), (5, (3,)), (3, (2, 2)),
                     (5, (2, 2)), (5, (5,)), (5, (2, 3))]
@@ -100,7 +100,7 @@ def test_cubic_m_entries():
 @pytest.mark.parametrize("n,d", RING_DESCRIPTORS)
 def test_pairings_formula_and_symmetry(n, d):
     desc = describe(n, d)
-    g, ginv = pairings(desc)
+    g, ginv = pairings(desc, default_qmax(desc))
     deg = desc.degree
     assert g[n][0].coefficient(0) == deg
     assert ginv[n][0] == QPoly.const(Fraction(1, deg), ginv[n][0].qmax)
@@ -114,21 +114,24 @@ def test_pairings_formula_and_symmetry(n, d):
 
 def test_pairing_example_cubic_fourfold():
     desc = describe(4, (3,))
-    g, ginv = pairings(desc)
+    g, ginv = pairings(desc, default_qmax(desc))
     assert ginv[4][0] == QPoly.const(Fraction(1, 3), ginv[4][0].qmax)
     assert ginv[1][0].coefficient(1) == -9  # -27 q / 3
 
 
 def test_c_constant_values():
     for n in range(3, 9):
-        val, conj, ok = c_constant(describe(n, (3,)))
+        desc = describe(n, (3,))
+        val, conj, ok = c_constant(desc, build_ring(desc))
         assert val == Fraction(2, 9)
         assert ok
-    val, conj, ok = c_constant(describe(5, (5,)))
+    desc = describe(5, (5,))
+    val, conj, ok = c_constant(desc, build_ring(desc))
     assert val == Fraction(14712, 390625)
     assert ok  # the conjectured closed form holds here
     for n in (3, 5):
-        val, _, _ = c_constant(describe(n, (2, 2)))
+        desc = describe(n, (2, 2))
+        val, _, _ = c_constant(desc, build_ring(desc))
         assert val == Fraction(1, 4)
 
 
@@ -205,7 +208,7 @@ def test_f0_fourfold_example_cubic():
 
 def test_ambient_origin_symmetric_and_string():
     desc = describe(4, (3,))
-    origin = AmbientOrigin(desc)
+    origin = AmbientOrigin(desc, build_ring(desc))
     # string equation kills any derivative of order >= 4 containing index 0
     assert origin.partial((0, 1, 2, 3)).is_zero()
     # symmetry is built in via sorting; check a five-point value is stable
