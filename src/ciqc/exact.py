@@ -3,16 +3,17 @@
 Every number in the package is a ``fractions.Fraction`` (re-exported here as
 ``Rational``); there is no floating point anywhere.  On top of that sit
 
-* ``QPoly`` -- truncated polynomials in the formal degree variable q,
+* ``QPoly`` -- exact polynomials in the formal degree variable q,
 * ``TruncSeries`` -- sparse multivariate series in t^0..t^n and s with QPoly
-  coefficients, truncated by total degree (and by an s-cap in odd dimensions),
+  coefficients, truncated by total degree, by a q-cap and (in odd
+  dimensions) by an s-cap; it is the only place q is truncated,
 * ``LinearSystem`` / ``solve_linear`` -- exact row reduction with kernel basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import ConfigurationError, DomainError
 
@@ -50,38 +51,38 @@ def parse_rat(s: str) -> Fraction:
 
 
 class QPoly:
-    """Polynomial in the Novikov variable q, truncated above q^qmax.
+    """Exact polynomial in the Novikov variable q.
 
     Coefficients are Rationals; zero coefficients are never stored and all
-    exponents satisfy 0 <= k <= qmax.  Instances are immutable in practice:
-    no method mutates self after construction.
+    exponents are non-negative.  QPoly never truncates: a q-cap exists only
+    on a stored ``TruncSeries``.  Instances are immutable in practice: no
+    method mutates self after construction.
     """
 
-    __slots__ = ("coeffs", "qmax")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Optional[dict] = None, qmax: int = 0):
-        self.qmax = qmax
+    def __init__(self, coeffs: Optional[dict] = None):
         clean = {}
         if coeffs:
             for k, c in coeffs.items():
                 if k < 0:
                     raise DomainError("negative q exponent")
                 c = rat(c)
-                if k <= qmax and c != 0:
+                if c != 0:
                     clean[k] = c
         self.coeffs = clean
 
     @staticmethod
-    def const(c, qmax: int) -> "QPoly":
-        return QPoly({0: rat(c)}, qmax)
+    def const(c) -> "QPoly":
+        return QPoly({0: rat(c)})
 
     @staticmethod
-    def zero(qmax: int) -> "QPoly":
-        return QPoly({}, qmax)
+    def zero() -> "QPoly":
+        return QPoly()
 
     @staticmethod
-    def q_power(k: int, qmax: int, c=ONE) -> "QPoly":
-        return QPoly({k: rat(c)}, qmax)
+    def q_power(k: int, c=ONE) -> "QPoly":
+        return QPoly({k: rat(c)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -89,53 +90,44 @@ class QPoly:
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs.get(k, ZERO)
 
-    def _check(self, other: "QPoly") -> None:
-        if self.qmax != other.qmax:
-            raise ConfigurationError(
-                f"q-cap mismatch: {self.qmax} vs {other.qmax}")
-
     def __add__(self, other: "QPoly") -> "QPoly":
-        self._check(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, ZERO) + c
-        return QPoly(out, self.qmax)
+        return QPoly(out)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
-        self._check(other)
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, ZERO) - c
-        return QPoly(out, self.qmax)
+        return QPoly(out)
 
     def __neg__(self) -> "QPoly":
-        return QPoly({k: -c for k, c in self.coeffs.items()}, self.qmax)
+        return QPoly({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check(other)
         out = {}
         for k1, c1 in self.coeffs.items():
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
-                if k <= self.qmax:
-                    out[k] = out.get(k, ZERO) + c1 * c2
-        return QPoly(out, self.qmax)
+                out[k] = out.get(k, ZERO) + c1 * c2
+        return QPoly(out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "QPoly":
         c = rat(c)
-        return QPoly({k: v * c for k, v in self.coeffs.items()}, self.qmax)
+        return QPoly({k: v * c for k, v in self.coeffs.items()})
 
     def shift_q(self, k: int) -> "QPoly":
-        """Multiply by q^k (terms beyond qmax are dropped)."""
-        return QPoly({j + k: c for j, c in self.coeffs.items()}, self.qmax)
+        """Multiply by q^k."""
+        return QPoly({j + k: c for j, c in self.coeffs.items()})
 
     def q_d_q(self) -> "QPoly":
         """Apply the derivation q d/dq."""
-        return QPoly({k: k * c for k, c in self.coeffs.items()}, self.qmax)
+        return QPoly({k: k * c for k, c in self.coeffs.items()})
 
     def eval_q1(self) -> Fraction:
         """Substitute q = 1 (output-side specialization only)."""
@@ -143,7 +135,7 @@ class QPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QPoly.const(other, self.qmax)
+            other = QPoly.const(other)
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -154,10 +146,6 @@ class QPoly:
 
     def to_json(self) -> list:
         return [[k, rat_str(c)] for k, c in self.items()]
-
-    @staticmethod
-    def from_json(data: Iterable, qmax: int) -> "QPoly":
-        return QPoly({int(k): parse_rat(c) for k, c in data}, qmax)
 
     def __repr__(self):
         if not self.coeffs:
@@ -179,7 +167,8 @@ class TruncSeries:
     ``nt`` is the number of t-variables; the s variable is always tracked as
     an extra exponent slot.  ``degree_cap`` bounds the total degree (t plus s)
     of stored monomials and ``s_cap`` optionally bounds the s-exponent, which
-    implements the odd-dimensional nilpotency s^{m/2+1} = 0.
+    implements the odd-dimensional nilpotency s^{m/2+1} = 0.  ``qmax``
+    bounds the q-exponents kept in each coefficient.
 
     Canonical monomial ordering is lexicographic on
     (s-degree, total t-degree, t-exponent tuple), which makes all derived
@@ -212,10 +201,15 @@ class TruncSeries:
         if len(key) != self.nt + 1:
             raise ConfigurationError("exponent tuple has wrong length")
         if not isinstance(coeff, QPoly):
-            coeff = QPoly.const(coeff, self.qmax)
-        if coeff.qmax != self.qmax:
-            raise ConfigurationError("coefficient q-cap mismatch")
-        if not self._keep(key) or coeff.is_zero():
+            coeff = QPoly.const(coeff)
+        if not self._keep(key):
+            return
+        qmax = self.qmax
+        for k in coeff.coeffs:
+            if k > qmax:
+                coeff = QPoly({k: c for k, c in coeff.coeffs.items() if k <= qmax})
+                break
+        if coeff.is_zero():
             return
         key = tuple(key)
         if key in self.terms:
@@ -234,10 +228,6 @@ class TruncSeries:
 
     def clone_empty(self) -> "TruncSeries":
         return TruncSeries(self.nt, self.degree_cap, self.qmax, self.s_cap)
-
-    @staticmethod
-    def zero(nt: int, degree_cap: int, qmax: int, s_cap=None) -> "TruncSeries":
-        return TruncSeries(nt, degree_cap, qmax, s_cap)
 
     def monomial_key(self, t_exps: dict, s_exp: int = 0) -> tuple:
         key = [0] * (self.nt + 1)
@@ -290,11 +280,19 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
         out = self.clone_empty()
+        qmax = self.qmax
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(k1, k2))
                 if out._keep(key):
-                    out._store(key, c1 * c2)
+                    # the coefficient product, skipping q-exponents past the cap
+                    prod = {}
+                    for e1, v1 in c1.coeffs.items():
+                        for e2, v2 in c2.coeffs.items():
+                            e = e1 + e2
+                            if e <= qmax:
+                                prod[e] = prod.get(e, ZERO) + v1 * v2
+                    out._store(key, QPoly(prod))
         return out
 
     def diff_t(self, i: int) -> "TruncSeries":
@@ -320,11 +318,10 @@ class TruncSeries:
 
     def constant_term(self) -> QPoly:
         key = (0,) * (self.nt + 1)
-        return self.terms.get(key, QPoly.zero(self.qmax))
+        return self.terms.get(key, QPoly.zero())
 
     def coefficient(self, t_exps: dict, s_exp: int = 0) -> QPoly:
-        return self.terms.get(self.monomial_key(t_exps, s_exp),
-                              QPoly.zero(self.qmax))
+        return self.terms.get(self.monomial_key(t_exps, s_exp), QPoly.zero())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -381,12 +378,36 @@ class TruncSeries:
 
     @staticmethod
     def from_json(data: dict) -> "TruncSeries":
-        out = TruncSeries(int(data["nt"]), int(data["degree_cap"]),
-                          int(data["qmax"]),
-                          None if data.get("s_cap") is None else int(data["s_cap"]))
+        """Parse the ``to_json`` form strictly: raises ValueError on a
+        malformed field, on a repeated monomial or q-exponent and on a term
+        outside the series' own caps, so nothing is silently coerced, summed
+        or dropped."""
+        out = TruncSeries(_json_nonneg_int(data["nt"], "nt"),
+                          _json_nonneg_int(data["degree_cap"], "degree_cap"),
+                          _json_nonneg_int(data["qmax"], "qmax"),
+                          None if data.get("s_cap") is None
+                          else _json_nonneg_int(data["s_cap"], "s_cap"))
+        seen = set()
         for item in data["terms"]:
-            key = tuple(int(e) for e in item["monomial"])
-            out._store(key, QPoly.from_json(item["coefficient"], out.qmax))
+            mono = item["monomial"]
+            if not isinstance(mono, list) or len(mono) != out.nt + 1:
+                raise ValueError(f"monomial {mono!r} needs {out.nt + 1} exponents")
+            key = tuple(_json_nonneg_int(e, "monomial exponent") for e in mono)
+            if not out._keep(key) or key in seen:
+                raise ValueError(f"monomial {mono} is repeated or outside the caps")
+            seen.add(key)
+            coeffs = {}
+            for k, c in item["coefficient"]:
+                k = _json_nonneg_int(k, "q-exponent")
+                if k > out.qmax or k in coeffs:
+                    raise ValueError(f"q-exponent {k} is repeated or above qmax {out.qmax}")
+                if not isinstance(c, str):
+                    raise ValueError(f"coefficient {c!r} is not a \"p/q\" string")
+                try:
+                    coeffs[k] = parse_rat(c)
+                except ZeroDivisionError:
+                    raise ValueError(f"coefficient {c!r} has a zero denominator")
+            out._store(key, QPoly(coeffs))
         return out
 
     def __repr__(self):
@@ -409,6 +430,13 @@ class TruncSeries:
         return " + ".join(parts)
 
 
+def _json_nonneg_int(value, what: str) -> int:
+    """A non-negative JSON integer (bools and floats are refused)."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _mono_order_key(item):
     key = item[0]
     return (key[-1], sum(key[:-1]), key[:-1])
@@ -423,7 +451,7 @@ def linear_substitute(series: TruncSeries, forms) -> TruncSeries:
     """
     out = series.clone_empty()
     one = TruncSeries(series.nt, series.degree_cap, series.qmax, series.s_cap)
-    one = one.add_term((0,) * (series.nt + 1), QPoly.const(1, series.qmax))
+    one = one.add_term((0,) * (series.nt + 1), QPoly.const(1))
 
     form_series = []
     for i in range(series.nt):
@@ -450,7 +478,7 @@ def linear_substitute(series: TruncSeries, forms) -> TruncSeries:
         if key[-1]:
             skey = [0] * (series.nt + 1)
             skey[-1] = key[-1]
-            term = term * one.clone_empty().add_term(tuple(skey), QPoly.const(1, series.qmax))
+            term = term * one.clone_empty().add_term(tuple(skey), QPoly.const(1))
         out = out + term.scale(coeff)
     return out
 

@@ -3,8 +3,7 @@
 The square-zero vector gamma = (H~^n - b q H~^{n-a}) / deg X is a common
 eigenvector of the quantum multiplications at the origin; the quotient-ring
 model C[w]/(w^{n+1} - b w^k) identifies the origin algebra with
-C[eps]/(eps^k) + C^{n+1-k}, which splits the linear systems of the order-by-
-order reconstruction.  On top of that sit the degree-2 jet of F^(1), the
+C[eps]/(eps^k) + C^{n+1-k}.  On top of that sit the degree-2 jet of F^(1), the
 quadratic satisfied by F^(2)(0) with its origin gradient, and the linear
 coefficients that determine the higher s-derivatives for cubics and for odd
 intersections of two quadrics.
@@ -20,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from .errors import DomainError, InternalConsistencyError
 from .exact import QPoly, Rational, TruncSeries, linear_substitute
 from .geometry import CIDescriptor, require_reconstruction_domain
-from .smallqh import QuantumRingData, quantum_product_qp
+from .smallqh import QuantumRingData, _unit_vector, quantum_product_qp
 
 
 def gamma_vector(desc: CIDescriptor, ring: QuantumRingData):
@@ -30,29 +29,28 @@ def gamma_vector(desc: CIDescriptor, ring: QuantumRingData):
     gamma o gamma = 0, H^a o gamma = lambda_a gamma with lambda_a = delta_a0,
     and (gamma, 1) = 1.
     """
-    n, a, qmax = desc.n, desc.a, ring.qmax
+    n, a = desc.n, desc.a
     inv = Fraction(1, desc.degree)
-    gamma_qp = [QPoly.zero(qmax) for _ in range(n + 1)]
-    gamma_qp[n] = QPoly.const(inv, qmax)
-    gamma_qp[n - a] = QPoly.q_power(1, qmax, -desc.b * inv)
+    gamma_qp = [QPoly.zero() for _ in range(n + 1)]
+    gamma_qp[n] = QPoly.const(inv)
+    gamma_qp[n - a] = QPoly.q_power(1, -desc.b * inv)
 
-    square = quantum_product_qp(desc, gamma_qp, gamma_qp, qmax)
+    square = quantum_product_qp(desc, gamma_qp, gamma_qp)
     if any(not c.is_zero() for c in square):
         raise InternalConsistencyError("gamma o gamma != 0")
     for e in range(n + 1):
-        unit = [QPoly.const(1 if i == e else 0, qmax) for i in range(n + 1)]
-        prod = quantum_product_qp(desc, unit, gamma_qp, qmax)
-        expect = gamma_qp if e == 0 else [QPoly.zero(qmax)] * (n + 1)
+        prod = quantum_product_qp(desc, _unit_vector(n, e), gamma_qp)
+        expect = gamma_qp if e == 0 else [QPoly.zero()] * (n + 1)
         if prod != expect:
             raise InternalConsistencyError(f"gamma is not an eigenvector for H^{e}")
 
-    gamma_cl = [QPoly.zero(qmax) for _ in range(n + 1)]
+    gamma_cl = [QPoly.zero() for _ in range(n + 1)]
     for j in range(n + 1):
         if gamma_qp[j].is_zero():
             continue
         for i in range(n + 1):
             gamma_cl[i] = gamma_cl[i] + ring.powers[j][i] * gamma_qp[j]
-    if gamma_cl[n].scale(desc.degree) != QPoly.const(1, qmax):
+    if gamma_cl[n].scale(desc.degree) != QPoly.const(1):
         raise InternalConsistencyError("(gamma, 1) != 1")
     return gamma_cl
 
@@ -169,14 +167,14 @@ class F1Jet:
     def second(self, i: int, j: int) -> QPoly:
         """F^(1)_{ij}(0) for any tau indices (zero when one index is 0)."""
         if i == 0 or j == 0:
-            return QPoly.zero(self.constant.qmax)
+            return QPoly.zero()
         return self.quad[(i, j) if i <= j else (j, i)]
 
 
 def _tau_to_t_forms(ring: QuantumRingData):
     """tau^i as a linear combination of t-variables: tau^i = sum M_{i+ka}^i q^k t^{i+ka}."""
     desc = ring.desc
-    n, a, qmax = desc.n, desc.a, ring.qmax
+    n, a = desc.n, desc.a
     forms = []
     for i in range(n + 1):
         form = []
@@ -184,7 +182,7 @@ def _tau_to_t_forms(ring: QuantumRingData):
         while i + k * a <= n:
             c = ring.M[i + k * a][i]
             if c != 0:
-                form.append((i + k * a, QPoly.q_power(k, qmax, c)))
+                form.append((i + k * a, QPoly.q_power(k, c)))
             k += 1
         forms.append(form)
     return forms
@@ -199,7 +197,7 @@ def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
     contracted fourth derivatives of F^(0) (all other entries).
     """
     origin = ring.origin
-    n, a, qmax = desc.n, desc.a, ring.qmax
+    n, a = desc.n, desc.a
 
     quad: Dict[Tuple[int, int], QPoly] = {}
     for i in range(1, n + 1):
@@ -216,15 +214,15 @@ def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
                     ).scale(Fraction(desc.b, desc.degree)).shift_q(1)
             quad[(i, j)] = val
 
-    constant = QPoly.q_power(1, qmax, -desc.ell) if a == 1 else QPoly.zero(qmax)
+    constant = QPoly.q_power(1, -desc.ell) if a == 1 else QPoly.zero()
 
-    tau = TruncSeries(n + 1, 2, qmax)
+    tau = TruncSeries(n + 1, 2, ring.qmax)
     key0 = (0,) * (n + 2)
     if not constant.is_zero():
         tau = tau.add_term(key0, constant)
     lin = [0] * (n + 2)
     lin[0] = 1
-    tau = tau.add_term(tuple(lin), QPoly.const(1, qmax))
+    tau = tau.add_term(tuple(lin), QPoly.const(1))
     for (i, j), val in quad.items():
         if val.is_zero():
             continue
@@ -244,7 +242,7 @@ def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
 def _f1_pair_row(desc, ring, f1: F1Jet, c: int) -> QPoly:
     """sum_{e,f} F^(1)_{1e}(0) g^{ef} F^(1)_{fc}(0)."""
     n = desc.n
-    acc = QPoly.zero(ring.qmax)
+    acc = QPoly.zero()
     for e in range(n + 1):
         left = f1.second(1, e)
         if left.is_zero():
@@ -265,13 +263,13 @@ def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData,
     degree (n-1)/a is not a positive integer or when the quadratic
     degenerates to F^2 = 0.
     """
-    n, a, qmax = desc.n, desc.a, ring.qmax
+    n, a = desc.n, desc.a
     if (n - 1) % a != 0:
         return [Fraction(0)]
     beta = (n - 1) // a
 
     A = ring.ginv[0][1].scale(Fraction(n - 1, a))
-    B = QPoly.zero(qmax)
+    B = QPoly.zero()
     for b in range(2, n + 1):
         g0b = ring.ginv[0][b]
         if g0b.is_zero():
@@ -281,9 +279,9 @@ def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData,
 
     a_coeff = A.coefficient(beta)
     b_coeff = B.coefficient(2 * beta)
-    if A != QPoly.q_power(beta, qmax, a_coeff):
+    if A != QPoly.q_power(beta, a_coeff):
         raise InternalConsistencyError("quadratic A-coefficient not q-homogeneous")
-    if B != QPoly.q_power(2 * beta, qmax, b_coeff):
+    if B != QPoly.q_power(2 * beta, b_coeff):
         raise InternalConsistencyError("quadratic B-coefficient not q-homogeneous")
     if a_coeff == 0 and b_coeff == 0:
         return [Fraction(0)]
@@ -322,30 +320,30 @@ def f2_gradient(desc: CIDescriptor, f2zero: Rational,
     f2zero = Fraction(f2zero)
     if f2zero not in roots:
         raise DomainError(f"{f2zero} is not a root of the F^(2)(0) quadratic {roots}")
-    n, a, qmax = desc.n, desc.a, ring.qmax
+    n, a = desc.n, desc.a
 
     if (n - 1) % a == 0 and f2zero != 0:
         beta = (n - 1) // a
-        value = QPoly.q_power(beta, qmax, f2zero)
+        value = QPoly.q_power(beta, f2zero)
     else:
-        value = QPoly.zero(qmax)
+        value = QPoly.zero()
 
-    tau_grad = [QPoly.zero(qmax) for _ in range(n + 1)]
+    tau_grad = [QPoly.zero() for _ in range(n + 1)]
     if (n - 1) % a == 0:
         tau_grad[1] = value.scale(Fraction(n - 1, a))
     for b in range(2, n + 1):
         tau_grad[b] = _f1_pair_row(desc, ring, f1, b - 1) \
             - (f1.quad[(1, b - 1)] * value).scale(2)
 
-    t_grad = [QPoly.zero(qmax) for _ in range(n + 1)]
+    t_grad = [QPoly.zero() for _ in range(n + 1)]
     for i in range(n + 1):
         for j in range(i % a, i + 1, a):
             c = ring.M[i][j]
             if c != 0 and not tau_grad[j].is_zero():
                 t_grad[i] = t_grad[i] + tau_grad[j].scale(c).shift_q((i - j) // a)
 
-    jet = TruncSeries(n + 1, 1, qmax)
-    tau_jet = TruncSeries(n + 1, 1, qmax)
+    jet = TruncSeries(n + 1, 1, ring.qmax)
+    tau_jet = TruncSeries(n + 1, 1, ring.qmax)
     if not value.is_zero():
         jet = jet.add_term((0,) * (n + 2), value)
         tau_jet = tau_jet.add_term((0,) * (n + 2), value)
@@ -359,19 +357,17 @@ def f2_gradient(desc: CIDescriptor, f2zero: Rational,
     return F2Jet(desc, value, tau_grad, t_grad, jet, tau_jet)
 
 
-def f2_gradient_closed_form(desc: CIDescriptor, ring: QuantumRingData,
-                            cval: Fraction) -> Dict[int, QPoly]:
+def f2_gradient_closed_form(desc: CIDescriptor, cval: Fraction) -> Dict[int, QPoly]:
     """Closed form for the gradient rows when F^(2)(0) = 0: the entry at b
     is c(n,d)^2/deg * b(d)^{(n+b-2)/a} q^{(n+b-2)/a} for b = 2-n mod a."""
-    n, a, qmax = desc.n, desc.a, ring.qmax
+    n, a = desc.n, desc.a
     out = {}
     for b in range(0, n + 1):
         if b >= 2 and (b - (2 - desc.n)) % a == 0:
             k = (desc.n + b - 2) // a
-            out[b] = QPoly.q_power(k, qmax,
-                                   cval * cval / desc.degree * Fraction(desc.b) ** k)
+            out[b] = QPoly.q_power(k, cval * cval / desc.degree * Fraction(desc.b) ** k)
         else:
-            out[b] = QPoly.zero(qmax)
+            out[b] = QPoly.zero()
     return out
 
 
@@ -388,11 +384,11 @@ def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
     g^{0f} F2_f + F2 * F2.  Both must vanish for each admissible root.
     """
     origin = ring.origin
-    n, qmax = desc.n, ring.qmax
+    n = desc.n
     mixed = {}
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            res = QPoly.zero(qmax)
+            res = QPoly.zero()
             for e in range(n + 1):
                 for f in range(n + 1):
                     gef = ring.ginv[e][f]
@@ -409,66 +405,6 @@ def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
         if not g0f.is_zero():
             pure = pure + g0f * f2jet.tau_grad[f]
     return mixed, pure
-
-
-# --- the split-basis eigen solver -------------------------------------------
-
-
-@dataclass
-class FrobeniusOrigin:
-    """Origin Frobenius algebra data in the split basis.
-
-    Basis order: u (unit of the nilpotent block), eps^1..eps^{k-1}, then the
-    semisimple idempotents e_1..e_{n+1-k}, with k = n + 1 - a.  The common
-    eigenvector is eps^{k-1}; multiplication eigenvalues are lambda_u = 1
-    and zero elsewhere.
-    """
-    desc: CIDescriptor
-    gamma: List[QPoly]
-
-    @property
-    def k(self) -> int:
-        return self.desc.n + 1 - self.desc.a
-
-    @property
-    def semisimple_count(self) -> int:
-        return self.desc.a
-
-    def labels(self) -> List[tuple]:
-        out = [("u",)]
-        out += [("eps", j) for j in range(1, self.k)]
-        out += [("e", j) for j in range(1, self.semisimple_count + 1)]
-        return out
-
-
-def frobenius_origin(desc: CIDescriptor, ring: QuantumRingData) -> FrobeniusOrigin:
-    gamma = gamma_vector(desc, ring)  # raises if any invariant fails
-    return FrobeniusOrigin(desc, gamma)
-
-
-def eigen_solve(origin: FrobeniusOrigin, rhs: Dict[tuple, Rational],
-                euler: Optional[Rational] = None):
-    """Solve C_{ab}^c x_c - lambda_a x_b - lambda_b x_a = rhs in the split
-    basis, in the order the structure dictates.
-
-    rhs maps equation labels to values: ("e", j) for the (e_j, e_j)
-    equation, ("eps", j) for the (eps, eps^{j-1}) equation with j >= 2, and
-    ("u",) for the (u, u) equation.  The eps-direction is not determined by
-    these equations; it is taken from ``euler`` when supplied, otherwise the
-    returned status says "needs Euler input".
-    """
-    k = origin.k
-    x: Dict[tuple, Fraction] = {}
-    for j in range(1, origin.semisimple_count + 1):
-        x[("e", j)] = Fraction(rhs.get(("e", j), 0))
-    for j in range(2, k):
-        x[("eps", j)] = Fraction(rhs.get(("eps", j), 0))
-    x[("u",)] = -Fraction(rhs.get(("u",), 0))
-    if k >= 2:
-        if euler is None:
-            return x, "needs Euler input"
-        x[("eps", 1)] = Fraction(euler)
-    return x, "ok"
 
 
 # --- higher-order coefficients ----------------------------------------------

@@ -40,13 +40,13 @@ def pack_s(desc: CIDescriptor, values: Sequence[Rational]) -> Rational:
     return -sum((vals[i] * vals[i + half] for i in range(half)), Fraction(0))
 
 
-def classical_pairing_inverse(desc: CIDescriptor, qmax: int):
+def classical_pairing_inverse(desc: CIDescriptor):
     """Inverse ambient Poincare pairing in the classical basis H_0..H_n."""
     n = desc.n
     inv = Fraction(1, desc.degree)
-    g = [[QPoly.zero(qmax) for _ in range(n + 1)] for _ in range(n + 1)]
+    g = [[QPoly.zero() for _ in range(n + 1)] for _ in range(n + 1)]
     for e in range(n + 1):
-        g[e][n - e] = QPoly.const(inv, qmax)
+        g[e][n - e] = QPoly.const(inv)
     return g
 
 
@@ -64,8 +64,7 @@ class ReducedPotential:
             if F.s_cap is None or F.s_cap > cap:
                 F = F.recap(F.degree_cap, cap)
         self.F = F
-        self.ginv = ginv if ginv is not None else \
-            classical_pairing_inverse(desc, F.qmax)
+        self.ginv = ginv if ginv is not None else classical_pairing_inverse(desc)
 
     @property
     def s_cutoff(self) -> Optional[int]:
@@ -102,7 +101,7 @@ def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
     d1 = [F.diff_t(i) for i in range(n + 1)]
     ds1 = [Fs.diff_t(i) for i in range(n + 1)]
     skey = [0] * (n + 1) + [1]
-    s_series = F.clone_empty().add_term(tuple(skey), QPoly.const(1, F.qmax))
+    s_series = F.clone_empty().add_term(tuple(skey), QPoly.const(1))
 
     mixed = {}
     for a in range(n + 1):
@@ -160,10 +159,10 @@ def euler_residual(pot: ReducedPotential, classical_cubic: TruncSeries) -> Trunc
     for i in range(n + 1):
         ti = [0] * (n + 2)
         ti[i] = 1
-        mono = F.clone_empty().add_term(tuple(ti), QPoly.const(1, F.qmax))
+        mono = F.clone_empty().add_term(tuple(ti), QPoly.const(1))
         acc = acc + (mono * F.diff_t(i)).scale(1 - i)
     skey = [0] * (n + 1) + [1]
-    smono = F.clone_empty().add_term(tuple(skey), QPoly.const(1, F.qmax))
+    smono = F.clone_empty().add_term(tuple(skey), QPoly.const(1))
     acc = acc + (smono * F.diff_s()).scale(2 - n)
     acc = acc + F.diff_t(1).scale(pot.desc.a)
     acc = acc - F.scale(3 - n)
@@ -246,7 +245,7 @@ def expand_to_full(F_red: TruncSeries, n: int, m: int) -> TruncSeries:
     for mu in range(m):
         key = [0] * (nt_full + 1)
         key[n + 1 + mu] = 2
-        s_full = s_full.add_term(tuple(key), QPoly.const(half, F_red.qmax))
+        s_full = s_full.add_term(tuple(key), QPoly.const(half))
     s_pows = [None, s_full]
 
     def s_power(e):
@@ -268,12 +267,11 @@ def full_wdvv_residuals(F: TruncSeries, n: int, m: int, deg: Fraction):
     variables: ambient pairing anti-diagonal with weight ``deg``, primitive
     pairing the identity."""
     nt = n + 1 + m
-    qmax = F.qmax
-    ginv = [[QPoly.zero(qmax) for _ in range(nt)] for _ in range(nt)]
+    ginv = [[QPoly.zero() for _ in range(nt)] for _ in range(nt)]
     for e in range(n + 1):
-        ginv[e][n - e] = QPoly.const(Fraction(1, deg), qmax)
+        ginv[e][n - e] = QPoly.const(Fraction(1, deg))
     for mu in range(m):
-        ginv[n + 1 + mu][n + 1 + mu] = QPoly.const(1, qmax)
+        ginv[n + 1 + mu][n + 1 + mu] = QPoly.const(1)
 
     grad = [F.diff_t(i) for i in range(nt)]
     second = {}
@@ -322,7 +320,7 @@ def j_recursion(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
     f_jets = [j.recap(cap) for j in f_jets]
     j0 = {zp: s.recap(cap) for zp, s in j0.items()}
     if ginv is None:
-        ginv = classical_pairing_inverse(desc, f_jets[0].qmax)
+        ginv = classical_pairing_inverse(desc)
     grads = [[jet.diff_t(i) for i in range(n + 1)] for jet in f_jets]
     layers = [dict(j0)]
     for k in range(0, kmax):
@@ -364,9 +362,7 @@ def primitive_j_layers(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
     """
     cap = max(j.degree_cap for j in f_jets)
     f_jets = [j.recap(cap) for j in f_jets]
-    qmax = f_jets[0].qmax
-    one = f_jets[0].clone_empty().add_term(
-        (0,) * (f_jets[0].nt + 1), QPoly.const(1, qmax))
+    one = f_jets[0].clone_empty().add_term((0,) * (f_jets[0].nt + 1), QPoly.const(1))
     e0: Dict[int, TruncSeries] = {0: one}
     power = one
     r = 1

@@ -34,31 +34,31 @@ from .geometry import CIDescriptor, require_reconstruction_domain
 
 
 def default_qmax(desc: CIDescriptor) -> int:
-    """Enough q-orders for every origin formula used downstream."""
+    """The q-cap of the series built from a ring: enough q-orders for every
+    origin formula used downstream."""
     return -(-2 * desc.n // desc.a) + 1  # ceil(2n/a) + 1
 
 
 class ZJet:
     """Vector-valued Laurent jet in z: {z-power: vector over H_0..H_n}.
 
-    Coefficient vectors have QPoly entries.  ``zmin``/``zmax`` are hard caps;
-    ``floor`` tracks down to which z-power the jet is actually reliable
-    (operations that consume a z-order raise it).
+    Coefficient vectors have exact QPoly entries.  ``zmin``/``zmax`` are
+    hard caps; ``floor`` tracks down to which z-power the jet is actually
+    reliable (operations that consume a z-order raise it).
     """
 
-    __slots__ = ("n", "qmax", "zmin", "zmax", "floor", "coeffs")
+    __slots__ = ("n", "zmin", "zmax", "floor", "coeffs")
 
-    def __init__(self, n: int, qmax: int, zmin: int, zmax: int,
+    def __init__(self, n: int, zmin: int, zmax: int,
                  floor: Optional[int] = None):
         self.n = n
-        self.qmax = qmax
         self.zmin = zmin
         self.zmax = zmax
         self.floor = zmin if floor is None else floor
         self.coeffs: Dict[int, List[QPoly]] = {}
 
     def _zero_vec(self) -> List[QPoly]:
-        return [QPoly.zero(self.qmax) for _ in range(self.n + 1)]
+        return [QPoly.zero() for _ in range(self.n + 1)]
 
     def vec(self, zpow: int) -> List[QPoly]:
         return self.coeffs.get(zpow, self._zero_vec())
@@ -73,7 +73,7 @@ class ZJet:
         return self.vec(zpow)[h]
 
     def copy(self) -> "ZJet":
-        out = ZJet(self.n, self.qmax, self.zmin, self.zmax, self.floor)
+        out = ZJet(self.n, self.zmin, self.zmax, self.floor)
         out.coeffs = {z: list(v) for z, v in self.coeffs.items()}
         return out
 
@@ -87,17 +87,17 @@ class ZJet:
         return out
 
     def __sub__(self, other: "ZJet") -> "ZJet":
-        return self + other.scale_qpoly(QPoly.const(-1, self.qmax))
+        return self + other.scale_qpoly(QPoly.const(-1))
 
     def scale_qpoly(self, c: QPoly) -> "ZJet":
-        out = ZJet(self.n, self.qmax, self.zmin, self.zmax, self.floor)
+        out = ZJet(self.n, self.zmin, self.zmax, self.floor)
         for z, v in self.coeffs.items():
             out.coeffs[z] = [x * c for x in v]
         return out
 
     def shift_z(self, k: int) -> "ZJet":
         """Multiply by z^k."""
-        out = ZJet(self.n, self.qmax, self.zmin, self.zmax,
+        out = ZJet(self.n, self.zmin, self.zmax,
                    max(self.floor + k, self.zmin))
         for z, v in self.coeffs.items():
             if self.zmin <= z + k <= self.zmax:
@@ -106,7 +106,7 @@ class ZJet:
 
     def cup_h(self) -> "ZJet":
         """Cup product with the hyperplane class: H_i -> H_{i+1}."""
-        out = ZJet(self.n, self.qmax, self.zmin, self.zmax, self.floor)
+        out = ZJet(self.n, self.zmin, self.zmax, self.floor)
         for z, v in self.coeffs.items():
             row = self._zero_vec()
             for h in range(self.n):
@@ -115,7 +115,7 @@ class ZJet:
         return out
 
     def q_d_q(self) -> "ZJet":
-        out = ZJet(self.n, self.qmax, self.zmin, self.zmax, self.floor)
+        out = ZJet(self.n, self.zmin, self.zmax, self.floor)
         for z, v in self.coeffs.items():
             out.coeffs[z] = [x.q_d_q() for x in v]
         return out
@@ -127,24 +127,26 @@ class ZJet:
         return True
 
 
-def small_j(desc: CIDescriptor, qmax: Optional[int] = None,
-            zorder: Optional[int] = None) -> ZJet:
-    """Hypergeometric small J-series of X at the origin.
+def small_j(desc: CIDescriptor, zorder: Optional[int] = None) -> ZJet:
+    """Hypergeometric small J-series of X at the origin, exact in q down to
+    z^{-zorder-1}.
 
     The coefficient of z^{-k-1} H_{n-i} q^d, multiplied by deg X, is the
     one-point descendant < psi^k H_i >_{0,1,d}.  Quadrics are allowed here;
     the other exceptional families and non-Fano inputs are refused.
     """
     require_reconstruction_domain(desc, allow_quadric=True)
-    if qmax is None:
-        qmax = default_qmax(desc)
     if zorder is None:
         zorder = desc.n + 3
     n = desc.n
     zmin = -(zorder + 1)
-    jet = ZJet(n, qmax, zmin, 1)
+    jet = ZJet(n, zmin, 1)
+    # J has degree 1 with deg z = deg H = 1 and deg q = a, so the term
+    # z^p H_h q^delta has p = 1 - h - a delta: no delta beyond qtop reaches
+    # the window
+    qtop = (1 - zmin) // desc.a
 
-    for delta in range(qmax + 1):
+    for delta in range(qtop + 1):
         # numerator: prod_j prod_{m=1}^{d_j delta} (d_j H + m z), as a
         # polynomial in H (truncated at H^n) with integer z-coefficients
         num = [{0: Fraction(1)}] + [dict() for _ in range(n)]
@@ -180,16 +182,16 @@ def small_j(desc: CIDescriptor, qmax: Optional[int] = None,
         for h in range(n + 1):
             for zp, c in term[h].items():
                 if zmin <= zp + 1 <= 1 and c != 0:
-                    jet.set_entry(zp + 1, h, QPoly.q_power(delta, qmax, c))
+                    jet.set_entry(zp + 1, h, QPoly.q_power(delta, c))
 
     if desc.a == 1:
         # J = exp(-ell q / z) * I
-        out = ZJet(n, qmax, zmin, 1)
+        out = ZJet(n, zmin, 1)
         fact = 1
-        for k in range(qmax + 1):
+        for k in range(qtop + 1):
             if k:
                 fact *= k
-            coeff = QPoly.q_power(k, qmax, Fraction((-desc.ell) ** k, fact))
+            coeff = QPoly.q_power(k, Fraction((-desc.ell) ** k, fact))
             shifted = jet.scale_qpoly(coeff).shift_z(-k)
             out = out + shifted
         out.floor = zmin
@@ -213,7 +215,9 @@ class QuantumRingData:
     W are the mutually inverse triangular base-change matrices; g and ginv
     the pairing of quantum powers and its inverse.  ``origin`` is the
     descriptor's AmbientOrigin, built once so that every consumer of the
-    ring shares its memo of the F^(0) derivatives.
+    ring shares its memo of the F^(0) derivatives.  All of these are exact
+    in q; ``qmax`` is only the q-cap of the series built from the ring
+    (``jet_series``, the F^(1)/F^(2) jets, ``low_point_terms``).
     """
 
     def __init__(self, desc, qmax, multh, powers, mmat, wmat, g, ginv, smat, jfun):
@@ -242,7 +246,7 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
     if qmax is None:
         qmax = default_qmax(desc)
     n, a = desc.n, desc.a
-    jet = small_j(desc, qmax, zorder=n + 3)
+    jet = small_j(desc, zorder=n + 3)
     s0 = jet.shift_z(-1)
     smat = [s0]
     cols_h: List[List[QPoly]] = []  # columns of multiplication by H itself
@@ -261,7 +265,7 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
             for c_idx in range(n + 1):
                 coeff = col[c_idx]
                 if c_idx == j + 1:
-                    coeff = coeff - QPoly.const(1, qmax)
+                    coeff = coeff - QPoly.const(1)
                 if not coeff.is_zero():
                     nxt = nxt - smat[c_idx].scale_qpoly(coeff)
             nxt.floor = t.floor
@@ -278,34 +282,34 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
     # multiplication by the shifted generator H~ (= H + ell q when a = 1)
     multh = [[cols_h[j][i] for j in range(n + 1)] for i in range(n + 1)]
     if a == 1:
-        shift = QPoly.q_power(1, qmax, desc.ell)
+        shift = QPoly.q_power(1, desc.ell)
         for i in range(n + 1):
             multh[i][i] = multh[i][i] + shift
 
-    powers = [_unit_vector(n, qmax, 0)]
+    powers = [_unit_vector(n, 0)]
     for _ in range(n + 1):
         powers.append(_mat_vec(multh, powers[-1]))
 
     # ring relation H^{n+1} = b q H^{n+1-a}
-    bq = QPoly.q_power(1, qmax, desc.b)
+    bq = QPoly.q_power(1, desc.b)
     expected = [v * bq for v in powers[n + 1 - a]]
     if powers[n + 1] != expected:
         raise InternalConsistencyError(
             "quantum ring relation H^{n+1} = b q H^{n+1-a} failed")
 
     # base change: powers[j][i] = coefficient of H_i in H^j
+    # (the base change is graded, so M is the exact inverse of the rational W)
     pmat = [[powers[j][i] for j in range(n + 1)] for i in range(n + 1)]
-    pinv = _invert_unipotent(pmat, qmax)
     wmat = _extract_graded(pmat, desc)
-    mmat = _extract_graded(pinv, desc)
+    mmat = _invert_unitriangular(wmat)
     _check_inverse_rational(wmat, mmat)
 
-    g, ginv = pairings(desc, qmax)
+    g, ginv = pairings(desc)
 
     # the pairing formula must agree with the classical pairing of powers
     for e in range(n + 1):
         for f in range(n + 1):
-            acc = QPoly.zero(qmax)
+            acc = QPoly.zero()
             for i in range(n + 1):
                 j = n - i
                 acc = acc + powers[e][i] * powers[f][j]
@@ -317,16 +321,15 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
                            g, ginv, smat, jet)
 
 
-def _unit_vector(n, qmax, idx):
-    return [QPoly.const(1, qmax) if i == idx else QPoly.zero(qmax)
-            for i in range(n + 1)]
+def _unit_vector(n, idx):
+    return [QPoly.const(1 if i == idx else 0) for i in range(n + 1)]
 
 
 def _mat_vec(mat, vec):
     n = len(vec)
     out = []
     for i in range(n):
-        acc = QPoly.zero(vec[0].qmax)
+        acc = QPoly.zero()
         for j in range(n):
             if not (mat[i][j].is_zero() or vec[j].is_zero()):
                 acc = acc + mat[i][j] * vec[j]
@@ -334,35 +337,16 @@ def _mat_vec(mat, vec):
     return out
 
 
-def _invert_unipotent(mat, qmax):
-    """Invert I + N where N has strictly positive q-degrees only."""
-    n = len(mat)
-    nil = [[mat[i][j] - (QPoly.const(1, qmax) if i == j else QPoly.zero(qmax))
-            for j in range(n)] for i in range(n)]
+def _invert_unitriangular(w) -> List[List[Rational]]:
+    """Inverse of a lower-unitriangular Rational matrix, by substitution."""
+    n = len(w)
+    if any(w[i][j] != (1 if i == j else 0) for i in range(n) for j in range(i, n)):
+        raise InternalConsistencyError("base change is not unitriangular")
+    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
-        for j in range(n):
-            if nil[i][j].coefficient(0) != 0:
-                raise InternalConsistencyError("base change is not unipotent")
-    out = [[QPoly.const(1, qmax) if i == j else QPoly.zero(qmax)
-            for j in range(n)] for i in range(n)]
-    power = [row[:] for row in out]
-    for k in range(1, qmax + 2):
-        power = [[_dot(power[i], [nil[r][j] for r in range(n)])
-                  for j in range(n)] for i in range(n)]
-        if all(power[i][j].is_zero() for i in range(n) for j in range(n)):
-            break
-        sign = -1 if k % 2 else 1
-        out = [[out[i][j] + power[i][j].scale(sign) for j in range(n)]
-               for i in range(n)]
+        for j in range(i):
+            out[i][j] = -sum((w[i][k] * out[k][j] for k in range(j, i)), Fraction(0))
     return out
-
-
-def _dot(row, col):
-    acc = QPoly.zero(row[0].qmax)
-    for x, y in zip(row, col):
-        if not (x.is_zero() or y.is_zero()):
-            acc = acc + x * y
-    return acc
 
 
 def _extract_graded(pm, desc) -> List[List[Rational]]:
@@ -394,25 +378,25 @@ def _check_inverse_rational(wmat, mmat):
                 raise InternalConsistencyError("W * M is not the identity")
 
 
-def pairings(desc: CIDescriptor, qmax: int):
+def pairings(desc: CIDescriptor):
     """Pairing g_{ef} of quantum powers and its inverse g^{ef}."""
     n, a, deg = desc.n, desc.a, desc.degree
-    g = [[QPoly.zero(qmax) for _ in range(n + 1)] for _ in range(n + 1)]
-    ginv = [[QPoly.zero(qmax) for _ in range(n + 1)] for _ in range(n + 1)]
+    g = [[QPoly.zero() for _ in range(n + 1)] for _ in range(n + 1)]
+    ginv = [[QPoly.zero() for _ in range(n + 1)] for _ in range(n + 1)]
     for e in range(n + 1):
         for f in range(n + 1):
             s = e + f - n
             if s >= 0 and s % a == 0:
                 k = s // a
-                g[e][f] = QPoly.q_power(k, qmax, Fraction(desc.b) ** k * deg)
+                g[e][f] = QPoly.q_power(k, Fraction(desc.b) ** k * deg)
             if e + f == n:
-                ginv[e][f] = QPoly.const(Fraction(1, deg), qmax)
+                ginv[e][f] = QPoly.const(Fraction(1, deg))
             elif e + f == n - a:
-                ginv[e][f] = QPoly.q_power(1, qmax, Fraction(-desc.b, deg))
+                ginv[e][f] = QPoly.q_power(1, Fraction(-desc.b, deg))
     # exact inverse check
     for e in range(n + 1):
         for h in range(n + 1):
-            acc = QPoly.zero(qmax)
+            acc = QPoly.zero()
             for f in range(n + 1):
                 acc = acc + g[e][f] * ginv[f][h]
             if acc != (1 if e == h else 0):
@@ -420,7 +404,7 @@ def pairings(desc: CIDescriptor, qmax: int):
     return g, ginv
 
 
-def qp_mult_single(desc: CIDescriptor, e: int, f: int, qmax: int) -> Tuple[int, QPoly]:
+def qp_mult_single(desc: CIDescriptor, e: int, f: int) -> Tuple[int, QPoly]:
     """Quantum product of power-basis elements: H^e o H^f = b^k q^k H^c."""
     n, a = desc.n, desc.a
     c = e + f
@@ -428,20 +412,20 @@ def qp_mult_single(desc: CIDescriptor, e: int, f: int, qmax: int) -> Tuple[int, 
     while c > n:
         c -= a
         k += 1
-    return c, QPoly.q_power(k, qmax, Fraction(desc.b) ** k)
+    return c, QPoly.q_power(k, Fraction(desc.b) ** k)
 
 
-def quantum_product_qp(desc: CIDescriptor, u, v, qmax: int):
+def quantum_product_qp(desc: CIDescriptor, u, v):
     """Product of two vectors given in quantum-power coordinates."""
     n = desc.n
-    out = [QPoly.zero(qmax) for _ in range(n + 1)]
+    out = [QPoly.zero() for _ in range(n + 1)]
     for e in range(n + 1):
         if u[e].is_zero():
             continue
         for f in range(n + 1):
             if v[f].is_zero():
                 continue
-            c, w = qp_mult_single(desc, e, f, qmax)
+            c, w = qp_mult_single(desc, e, f)
             out[c] = out[c] + u[e] * v[f] * w
     return out
 
@@ -484,7 +468,6 @@ class AmbientOrigin:
     def __init__(self, desc: CIDescriptor, ring: QuantumRingData):
         self.desc = desc
         self.ring = ring
-        self.qmax = ring.qmax
         self._cache: Dict[Tuple[int, ...], QPoly] = {}
         self._phi_cache: Dict[Tuple[int, int], QPoly] = {}
 
@@ -494,10 +477,9 @@ class AmbientOrigin:
         n, fa = self.desc.n, self.desc.a
         s = a + b + c - n
         if s < 0 or s % fa != 0:
-            return QPoly.zero(self.qmax)
+            return QPoly.zero()
         k = s // fa
-        return QPoly.q_power(k, self.qmax,
-                             Fraction(self.desc.b) ** k * self.desc.degree)
+        return QPoly.q_power(k, Fraction(self.desc.b) ** k * self.desc.degree)
 
     def _phi(self, s: int, i: int) -> QPoly:
         """Coefficient of tau^s d/d tau^i in the divisor vector field."""
@@ -505,22 +487,22 @@ class AmbientOrigin:
         if key in self._phi_cache:
             return self._phi_cache[key]
         n, a = self.desc.n, self.desc.a
-        out = QPoly.zero(self.qmax)
+        out = QPoly.zero()
         if s > i and (s - i) % a == 0:
             kl = (s - i) // a
             coeff = Fraction(0)
             for k in range(1, kl + 1):
                 if i + k * a <= n:
                     coeff += k * self.ring.M[i + k * a][i] * self.ring.W[s][i + k * a]
-            out = QPoly.q_power(kl, self.qmax, coeff)
+            out = QPoly.q_power(kl, coeff)
         self._phi_cache[key] = out
         return out
 
     def _reduce_index(self, x: int) -> Tuple[int, QPoly]:
         """Reduce an extended power index into [0, n] with its b q factor."""
         n, a = self.desc.n, self.desc.a
-        factor = QPoly.const(1, self.qmax)
-        bq = QPoly.q_power(1, self.qmax, self.desc.b)
+        factor = QPoly.const(1)
+        bq = QPoly.q_power(1, self.desc.b)
         while x > n:
             x -= a
             factor = factor * bq
@@ -530,7 +512,7 @@ class AmbientOrigin:
         """sum_{e,f} F_{left,e} g^{ef} F_{f,right} using the inverse pairing."""
         n, a = self.desc.n, self.desc.a
         deg = self.desc.degree
-        acc = QPoly.zero(self.qmax)
+        acc = QPoly.zero()
         for e in range(n + 1):
             le = self.partial(left + (e,))
             if le.is_zero():
@@ -557,7 +539,7 @@ class AmbientOrigin:
         if len(key) == 3:
             val = self._three_point(*key)
         elif key[0] == 0:
-            val = QPoly.zero(self.qmax)  # string equation
+            val = QPoly.zero()  # string equation
         elif key[0] == 1:
             val = self._divisor_step(key)
         else:
@@ -609,10 +591,11 @@ class AmbientOrigin:
 
         Only terms of total degree 3..degree are included (the classical
         quadratic part plays no role in any differential equation used here).
+        The series is stored at the ring's q-cap.
         """
         n = self.desc.n
         nt = n + 1 if nt is None else nt
-        out = TruncSeries(nt, degree, self.qmax)
+        out = TruncSeries(nt, degree, self.ring.qmax)
         for key in _multisets(n, 3, degree):
             val = self.partial(key)
             if val.is_zero():
@@ -652,11 +635,11 @@ def low_point_terms(ring: QuantumRingData, degree_cap: int) -> TruncSeries:
     Classical (degree-zero) low-point data is unstable and absent.
     """
     desc = ring.desc
-    n, qmax = desc.n, ring.qmax
-    out = TruncSeries(n + 1, degree_cap, qmax)
+    n = desc.n
+    out = TruncSeries(n + 1, degree_cap, ring.qmax)
     for i in range(n + 1):
         one = ring.jfun.entry(-1, n - i).scale(desc.degree)
-        one = QPoly({k: c for k, c in one.coeffs.items() if k >= 1}, qmax)
+        one = QPoly({k: c for k, c in one.coeffs.items() if k >= 1})
         if not one.is_zero():
             key = [0] * (n + 2)
             key[i] = 1
@@ -664,7 +647,7 @@ def low_point_terms(ring: QuantumRingData, degree_cap: int) -> TruncSeries:
     for i in range(n + 1):
         for j in range(i, n + 1):
             two = ring.two_point(i, j)
-            two = QPoly({k: c for k, c in two.coeffs.items() if k >= 1}, qmax)
+            two = QPoly({k: c for k, c in two.coeffs.items() if k >= 1})
             if two.is_zero():
                 continue
             key = [0] * (n + 2)

@@ -147,7 +147,7 @@ def test_residual_reports_violations(tmp_path, capsys):
     key = [0] * (desc.n + 2)
     key[1] = 1
     key[-1] = 1
-    F = F.add_term(tuple(key), QPoly.const(1, 2))  # F = s t^1: violates
+    F = F.add_term(tuple(key), QPoly.const(1))  # F = s t^1: violates
     # the first reduced equation at (1,1) through the F_{s1}^2 term
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(F.to_json()))
@@ -191,14 +191,21 @@ def test_json_rationals_reparse_everywhere(capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 S_T1 = str(GOLDEN / "s_t1_n3.potential.json")  # F = s t^1 on (3,(3))
+# a copy of perfbench/data/cubic4_deg4.json; its qmax of 4 drops 2 of the
+# 127 residual terms, which pins where residual products are truncated in q
+CUBIC4_DEG4 = str(GOLDEN / "cubic4_deg4.potential.json")
 GOLDEN_CASES = {
     "f2_n4_d3": ["f2", "--n", "4", "--d", "3"],
     "smallqh_n4_d3": ["smallqh", "--n", "4", "--d", "3"],
+    "smallqh_n3_d4": ["smallqh", "--n", "3", "--d", "4"],  # index one
+    "f1_n8_d9": ["f1", "--n", "8", "--d", "9"],
     "f1_n4_d3": ["f1", "--n", "4", "--d", "3"],
     "f1_n4_d3_q1": ["f1", "--n", "4", "--d", "3", "--q", "1"],
     "residual_n3_d3_s_t1": ["residual", "--n", "3", "--d", "3", "--load", S_T1],
     "residual_n3_d3_s_t1_q1": ["residual", "--n", "3", "--d", "3",
                                "--load", S_T1, "--q", "1"],
+    "residual_n4_d3_cubic4_deg4": ["residual", "--n", "4", "--d", "3",
+                                   "--load", CUBIC4_DEG4],
     "genus1_n4": ["genus1", "--n", "4"],
     "genus1_n5_d22": ["genus1", "--n", "5", "--d", "2,2"],
     "verify": ["verify"],
@@ -258,6 +265,41 @@ def test_residual_unreadable_load_is_usage_error(tmp_path, capsys, content):
     path = tmp_path / "F.json"
     if content is not None:
         path.write_text(content)
+    code, out, err = run(capsys, "residual", "--n", "3", "--d", "3",
+                         "--load", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot load" in err
+    assert "Traceback" not in err
+
+
+def _set_term(field, value):
+    return lambda F: F["terms"][0].update({field: value})
+
+
+# each edit of the F = s t^1 potential ({"nt": 4, "degree_cap": 2, "qmax": 2,
+# one term s t^1 with coefficient [[0, "1"]]}) makes the file malformed
+MALFORMED_POTENTIALS = {
+    "monomial-length": _set_term("monomial", [0, 1, 0, 0]),
+    "zero-denominator": _set_term("coefficient", [[0, "1/0"]]),
+    "negative-exponent": _set_term("monomial", [-1, 1, 0, 0, 1]),
+    "fractional-exponent": _set_term("monomial", [0, 1.5, 0, 0, 1]),
+    "fractional-q-exponent": _set_term("coefficient", [[0.5, "1"]]),
+    "duplicate-q-exponent": _set_term("coefficient", [[0, "1"], [0, "2"]]),
+    "negative-q-exponent": _set_term("coefficient", [[-1, "1"]]),
+    "outside-degree-cap": _set_term("monomial", [0, 3, 0, 0, 1]),
+    "repeated-monomial": lambda F: F["terms"].append(
+        {"monomial": [0, 1, 0, 0, 1], "coefficient": [[0, "-1"]]}),
+    "negative-qmax": lambda F: F.update(qmax=-1),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_POTENTIALS)
+def test_residual_malformed_potential_is_usage_error(tmp_path, capsys, name):
+    F = json.loads(Path(S_T1).read_text())
+    MALFORMED_POTENTIALS[name](F)
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(F))
     code, out, err = run(capsys, "residual", "--n", "3", "--d", "3",
                          "--load", str(path))
     assert code == 1

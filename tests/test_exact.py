@@ -3,9 +3,8 @@
 import random
 from fractions import Fraction
 
-import pytest
+from hypothesis import given, settings, strategies as st
 
-from ciqc.errors import ConfigurationError
 from ciqc.exact import (LinearSystem, QPoly, TruncSeries, kernel_dimension,
                         parse_rat, rat_str, solve_linear)
 
@@ -15,7 +14,7 @@ SEED = 20240811
 def series_from_poly(nt, cap, qmax, terms, s_cap=None):
     s = TruncSeries(nt, cap, qmax, s_cap)
     for key, c in terms.items():
-        s = s.add_term(key, QPoly.const(c, qmax))
+        s = s.add_term(key, QPoly.const(c))
     return s
 
 
@@ -26,17 +25,14 @@ def test_rational_round_trip():
 
 
 def test_qpoly_truncation_and_eval():
-    p = QPoly({0: 1, 2: Fraction(3, 2)}, qmax=4)
-    q3 = QPoly.q_power(3, 4)
+    p = QPoly({0: 1, 2: Fraction(3, 2)})
+    q3 = QPoly.q_power(3)
     assert (p * q3).coefficient(3) == 1
-    assert (p * q3).coefficient(5) == 0  # dropped by the cap
-    assert (q3 * q3).is_zero()
+    assert (p * q3).coefficient(5) == Fraction(3, 2)  # QPoly itself is exact
+    capped = TruncSeries(1, 0, 4)  # a stored series with qmax 4
+    assert capped.add_term((0, 0), p * q3).constant_term() == q3  # q^5 dropped
+    assert capped.add_term((0, 0), q3 * q3).is_zero()
     assert p.eval_q1() == Fraction(5, 2)
-
-
-def test_qpoly_cap_mismatch():
-    with pytest.raises(ConfigurationError):
-        QPoly.const(1, 3) + QPoly.const(1, 4)
 
 
 def test_mul_truncated_polynomial_identity():
@@ -56,8 +52,8 @@ def test_mul_truncated_odd_s_nilpotency():
 
 def test_mul_truncated_q_cap():
     a = series_from_poly(1, 4, 4, {(0, 0): 1})
-    a = a.add_term((1, 0), QPoly.q_power(2, 4))
-    b = a.add_term((1, 0), QPoly.q_power(3, 4)) - a
+    a = a.add_term((1, 0), QPoly.q_power(2))
+    b = a.add_term((1, 0), QPoly.q_power(3)) - a
     assert (a * b).coefficient({0: 2}).is_zero()  # q^5 dropped
 
 
@@ -68,7 +64,7 @@ def test_series_ring_axioms_random():
         s = TruncSeries(2, 3, 2)
         for _ in range(5):
             key = (rng.randrange(3), rng.randrange(3), rng.randrange(2))
-            coeff = QPoly({rng.randrange(2): Fraction(rng.randrange(-4, 5))}, 2)
+            coeff = QPoly({rng.randrange(2): Fraction(rng.randrange(-4, 5))})
             s = s.add_term(key, coeff)
         return s
 
@@ -86,9 +82,9 @@ def test_mul_insertion_order_independent():
     fwd = TruncSeries(2, 4, 0)
     rev = TruncSeries(2, 4, 0)
     for k in keys:
-        fwd = fwd.add_term(k, QPoly.const(coeffs[k], 0))
+        fwd = fwd.add_term(k, QPoly.const(coeffs[k]))
     for k in reversed(keys):
-        rev = rev.add_term(k, QPoly.const(coeffs[k], 0))
+        rev = rev.add_term(k, QPoly.const(coeffs[k]))
     other = series_from_poly(2, 4, 0, {(1, 0, 0): 2, (0, 1, 0): -3})
     assert fwd * other == rev * other
 
@@ -102,7 +98,7 @@ def test_diff_and_slices():
 
 def test_series_json_round_trip():
     s = series_from_poly(2, 3, 2, {(1, 1, 0): Fraction(-7, 3), (0, 0, 1): 2})
-    s = s.add_term((1, 0, 0), QPoly.q_power(2, 2, Fraction(5, 2)))
+    s = s.add_term((1, 0, 0), QPoly.q_power(2, Fraction(5, 2)))
     assert TruncSeries.from_json(s.to_json()) == s
 
 
@@ -151,3 +147,32 @@ def test_solution_substitutes_back():
         for v in kernel:
             for r in rows:
                 assert sum(ri * vi for ri, vi in zip(r, v)) == 0
+
+
+@st.composite
+def _capped_operands(draw):
+    """A q-cap Q with series A, B and a coefficient c that reach past it."""
+    qmax = draw(st.integers(0, 3))
+    qpoly = st.dictionaries(
+        st.integers(0, qmax + 3),
+        st.fractions(-3, 3, max_denominator=4), max_size=3).map(QPoly)
+    monomial = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1))
+
+    def series():
+        terms = draw(st.dictionaries(monomial, qpoly, max_size=5))
+        return TruncSeries(2, 3, qmax + 3, terms=terms)
+
+    return qmax, series(), series(), draw(qpoly)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_capped_operands())
+def test_store_time_truncation_equals_truncating_throughout(case):
+    qmax, a, b, c = case
+
+    def at(series, cap):
+        return TruncSeries(series.nt, series.degree_cap, cap, series.s_cap,
+                           series.terms)
+
+    assert at(a * b, qmax) == at(a, qmax) * at(b, qmax)
+    assert at(a.scale(c), qmax) == at(a, qmax).scale(c)

@@ -7,8 +7,8 @@ import pytest
 from ciqc.errors import DomainError
 from ciqc.exact import QPoly
 from ciqc.geometry import describe
-from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant, default_qmax,
-                          f0_derivs, one_point_descendant, pairings,
+from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant, f0_derivs,
+                          one_point_descendant, pairings,
                           quantum_product_qp, small_j)
 
 RING_DESCRIPTORS = [(3, (3,)), (4, (3,)), (5, (3,)), (3, (2, 2)),
@@ -16,7 +16,7 @@ RING_DESCRIPTORS = [(3, (3,)), (4, (3,)), (5, (3,)), (3, (2, 2)),
 
 
 def qc(ring, c):
-    return QPoly.const(c, ring.qmax)
+    return QPoly.const(c)
 
 
 def test_one_point_descendant_cubics():
@@ -54,12 +54,12 @@ def test_ring_relation(n, d):
     vec = ring.powers[0]
     for _ in range(n + 1):
         vec = [sum((ring.multH[i][j] * vec[j] for j in range(n + 1)),
-                   QPoly.zero(ring.qmax)) for i in range(n + 1)]
-    bq = QPoly.q_power(1, ring.qmax, desc.b)
+                   QPoly.zero()) for i in range(n + 1)]
+    bq = QPoly.q_power(1, desc.b)
     target = ring.powers[0]
     for _ in range(n + 1 - desc.a):
         target = [sum((ring.multH[i][j] * target[j] for j in range(n + 1)),
-                      QPoly.zero(ring.qmax)) for i in range(n + 1)]
+                      QPoly.zero()) for i in range(n + 1)]
     assert vec == [t * bq for t in target]
 
 
@@ -70,9 +70,9 @@ def test_cubic_fourfold_relation_explicit():
     v = ring.powers[0]
     for _ in range(5):
         v = [sum((ring.multH[i][j] * v[j] for j in range(5)),
-                 QPoly.zero(ring.qmax)) for i in range(5)]
+                 QPoly.zero()) for i in range(5)]
     h2 = ring.powers[2]
-    assert v == [x * QPoly.q_power(1, ring.qmax, 27) for x in h2]
+    assert v == [x * QPoly.q_power(1, 27) for x in h2]
 
 
 @pytest.mark.parametrize("n,d", RING_DESCRIPTORS)
@@ -100,10 +100,10 @@ def test_cubic_m_entries():
 @pytest.mark.parametrize("n,d", RING_DESCRIPTORS)
 def test_pairings_formula_and_symmetry(n, d):
     desc = describe(n, d)
-    g, ginv = pairings(desc, default_qmax(desc))
+    g, ginv = pairings(desc)
     deg = desc.degree
     assert g[n][0].coefficient(0) == deg
-    assert ginv[n][0] == QPoly.const(Fraction(1, deg), ginv[n][0].qmax)
+    assert ginv[n][0] == QPoly.const(Fraction(1, deg))
     if n - desc.a >= 0:
         assert ginv[n - desc.a][0].coefficient(1) == Fraction(-desc.b, deg)
     for e in range(n + 1):
@@ -114,8 +114,8 @@ def test_pairings_formula_and_symmetry(n, d):
 
 def test_pairing_example_cubic_fourfold():
     desc = describe(4, (3,))
-    g, ginv = pairings(desc, default_qmax(desc))
-    assert ginv[4][0] == QPoly.const(Fraction(1, 3), ginv[4][0].qmax)
+    g, ginv = pairings(desc)
+    assert ginv[4][0] == QPoly.const(Fraction(1, 3))
     assert ginv[1][0].coefficient(1) == -9  # -27 q / 3
 
 
@@ -150,10 +150,10 @@ def test_f0_third_derivatives_match_ring():
         ring = build_ring(desc)
         third, _ = f0_derivs(desc, ring)
         for (a, b, c), val in third.items():
-            u = [QPoly.const(1 if i == a else 0, ring.qmax) for i in range(n + 1)]
-            v = [QPoly.const(1 if i == b else 0, ring.qmax) for i in range(n + 1)]
-            prod = quantum_product_qp(desc, u, v, ring.qmax)
-            acc = QPoly.zero(ring.qmax)
+            u = [QPoly.const(1 if i == a else 0) for i in range(n + 1)]
+            v = [QPoly.const(1 if i == b else 0) for i in range(n + 1)]
+            prod = quantum_product_qp(desc, u, v)
+            acc = QPoly.zero()
             for e in range(n + 1):
                 acc = acc + prod[e] * ring.g[e][c]
             assert acc == val, (a, b, c)
@@ -177,7 +177,7 @@ def test_f0_fourth_contracted_matches_c_formula():
             if s >= 0 and s % desc.a == 0:
                 k = s // desc.a
                 if k >= n // desc.a:
-                    expected = QPoly.q_power(k, ring.qmax,
+                    expected = QPoly.q_power(k,
                                              cval * Fraction(desc.b) ** k)
                     assert val == expected, (n, d, a, b, c)
             else:
@@ -190,7 +190,7 @@ def test_f0_fourth_contracted_boundary_entry():
     desc = describe(5, (5,))
     ring = build_ring(desc)
     _, fourth0 = f0_derivs(desc, ring)
-    assert fourth0[(1, 1, 1)] == QPoly.q_power(1, ring.qmax, 120)
+    assert fourth0[(1, 1, 1)] == QPoly.q_power(1, 120)
     cval, _, _ = c_constant(desc, ring)
     assert cval * desc.b != 120
 
@@ -200,7 +200,7 @@ def test_f0_fourfold_example_cubic():
     desc = describe(4, (3,))
     ring = build_ring(desc)
     third, _ = f0_derivs(desc, ring)
-    assert third[(1, 1, 2)] == QPoly.const(3, ring.qmax)
+    assert third[(1, 1, 2)] == QPoly.const(3)
     assert third[(2, 2, 3)].coefficient(1) == 3 * 27  # sum = 4 + 3
     assert third[(2, 4, 4)].coefficient(2) == 3 * 27 ** 2  # sum = 4 + 6
     assert third[(1, 1, 1)].is_zero()
@@ -264,8 +264,8 @@ def test_two_point_consistent_with_divisor(n, d):
 def test_descendant_truncation_stability():
     # deeper caps never change already-computed coefficients
     desc = describe(4, (3,))
-    j1 = small_j(desc, qmax=3, zorder=4)
-    j2 = small_j(desc, qmax=5, zorder=6)
+    j1 = small_j(desc, zorder=4)
+    j2 = small_j(desc, zorder=6)
     for k in range(0, 4):
         for i in range(desc.n + 1):
             a = one_point_descendant(desc, j1, k, i)
@@ -283,10 +283,10 @@ def test_origin_jet_satisfies_differentiated_wdvv_sampled():
         desc = describe(n, d)
         ring = build_ring(desc)
         origin = AmbientOrigin(desc, ring)
-        deg, aa, qmax = desc.degree, desc.a, ring.qmax
+        deg, aa = desc.degree, desc.a
 
         def contract(left, right):
-            acc = QPoly.zero(qmax)
+            acc = QPoly.zero()
             for e in range(n + 1):
                 le = origin.partial(tuple(sorted(left + (e,))))
                 if le.is_zero():
