@@ -80,7 +80,8 @@ def check_one_point_descendant(only=None) -> Tuple[bool, str]:
         if only is not None and (n, (3,)) != tuple(only):
             continue
         desc = describe(n, (3,))
-        val = one_point_descendant(desc, small_j(desc), n - 3, n).coefficient(1)
+        jet = _ring(n, (3,)).jfun if (n, (3,)) in RING_DESCRIPTORS else small_j(desc)
+        val = one_point_descendant(desc, jet, n - 3, n).coefficient(1)
         if val != 18:
             return False, f"n = {n}: {val} != 18"
         rng.append(n)

@@ -133,11 +133,18 @@ def cmd_f2(args) -> int:
     return 0
 
 
+# The largest `higherk --kmax`.  The closed forms hold for every order and
+# one JSON record is printed per order, so a larger bound would only let a
+# mistyped value run for minutes before printing anything.
+HIGHERK_KMAX_LIMIT = 1000
+
+
 def cmd_higherk(args) -> int:
     from .reconstruct import higher_k_coeffs
-    if args.kmax < 3:
-        sys.stderr.write(f"ciqc higherk: error: --kmax must be at least 3 "
-                         f"(the first determined order), got {args.kmax}\n")
+    if not 3 <= args.kmax <= HIGHERK_KMAX_LIMIT:
+        sys.stderr.write(f"ciqc higherk: error: --kmax must be between 3 (the "
+                         f"first determined order) and {HIGHERK_KMAX_LIMIT}, "
+                         f"got {args.kmax}\n")
         return 1
     desc = describe(args.n, args.d)
     records = higher_k_coeffs(desc, args.kmax)

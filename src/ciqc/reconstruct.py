@@ -29,11 +29,8 @@ def gamma_vector(desc: CIDescriptor, ring: QuantumRingData):
     gamma o gamma = 0, H^a o gamma = lambda_a gamma with lambda_a = delta_a0,
     and (gamma, 1) = 1.
     """
-    n, a = desc.n, desc.a
-    inv = Fraction(1, desc.degree)
-    gamma_qp = [QPoly.zero() for _ in range(n + 1)]
-    gamma_qp[n] = QPoly.const(inv)
-    gamma_qp[n - a] = QPoly.q_power(1, -desc.b * inv)
+    n = desc.n
+    gamma_qp = ring.ginv[0]  # gamma^e = g^{e0}
 
     square = quantum_product_qp(desc, gamma_qp, gamma_qp)
     if any(not c.is_zero() for c in square):
@@ -173,19 +170,10 @@ class F1Jet:
 
 def _tau_to_t_forms(ring: QuantumRingData):
     """tau^i as a linear combination of t-variables: tau^i = sum M_{i+ka}^i q^k t^{i+ka}."""
-    desc = ring.desc
-    n, a = desc.n, desc.a
-    forms = []
-    for i in range(n + 1):
-        form = []
-        k = 0
-        while i + k * a <= n:
-            c = ring.M[i + k * a][i]
-            if c != 0:
-                form.append((i + k * a, QPoly.q_power(k, c)))
-            k += 1
-        forms.append(form)
-    return forms
+    n, a = ring.desc.n, ring.desc.a
+    return [[(j, QPoly.q_power((j - i) // a, ring.M[j][i]))
+             for j in range(i, n + 1, a) if ring.M[j][i]]
+            for i in range(n + 1)]
 
 
 def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
@@ -202,17 +190,10 @@ def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
     quad: Dict[Tuple[int, int], QPoly] = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            if i == 1:
-                val = origin._phi(j, 0)
-            else:
-                # contracted-fourth-derivative route:
-                # F^(1)_{ij}(0) = - sum_e F_{1,i-1,j,e}(0) g^{e0}
-                val = -origin.partial((1, i - 1, j, n)).scale(Fraction(1, desc.degree))
-                if n - a >= 0:
-                    val = val + origin.partial(
-                        tuple(sorted((1, i - 1, j, n - a)))
-                    ).scale(Fraction(desc.b, desc.degree)).shift_q(1)
-            quad[(i, j)] = val
+            # index 1: the divisor vector field; otherwise the contracted
+            # fourth derivatives F^(1)_{ij}(0) = - sum_e F_{1,i-1,j,e}(0) g^{e0}
+            quad[(i, j)] = (origin._phi(j, 0) if i == 1
+                            else -origin.contract0((1, i - 1, j)))
 
     constant = QPoly.q_power(1, -desc.ell) if a == 1 else QPoly.zero()
 

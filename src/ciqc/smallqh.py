@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from itertools import combinations, combinations_with_replacement
+from math import comb, factorial, prod
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
@@ -40,65 +41,79 @@ def default_qmax(desc: CIDescriptor) -> int:
 
 
 class ZJet:
-    """Vector-valued Laurent jet in z: {z-power: vector over H_0..H_n}.
+    """Graded vector-valued Laurent jet in z: {z-power: vector over H_0..H_n}.
 
-    Coefficient vectors have exact QPoly entries.  ``zmin``/``zmax`` are
-    hard caps; ``floor`` tracks down to which z-power the jet is actually
-    reliable (operations that consume a z-order raise it).
+    With deg z = deg H = 1 and deg q = a the jet has one ``degree`` (the
+    J-series has degree 1), so the coefficient at z^p H_h is a rational c
+    standing for c q^{(degree - h - p)/a}; only c is stored.  ``set_entry``
+    raises on a term off that grading and jets of different degree cannot be
+    added, so every entry is a single q-monomial fixed by its position;
+    ``entry`` attaches the q-power.  ``zmin``/``zmax`` are hard caps;
+    ``floor`` tracks down to which z-power the jet is actually reliable
+    (operations that consume a z-order raise it).
     """
 
-    __slots__ = ("n", "zmin", "zmax", "floor", "coeffs")
+    __slots__ = ("n", "a", "degree", "zmin", "zmax", "floor", "coeffs")
 
-    def __init__(self, n: int, zmin: int, zmax: int,
+    def __init__(self, n: int, a: int, degree: int, zmin: int, zmax: int,
                  floor: Optional[int] = None):
         self.n = n
+        self.a = a
+        self.degree = degree
         self.zmin = zmin
         self.zmax = zmax
         self.floor = zmin if floor is None else floor
-        self.coeffs: Dict[int, List[QPoly]] = {}
+        self.coeffs: Dict[int, List[Rational]] = {}
 
-    def _zero_vec(self) -> List[QPoly]:
-        return [QPoly.zero() for _ in range(self.n + 1)]
+    def _like(self, degree: int, floor: int) -> "ZJet":
+        return ZJet(self.n, self.a, degree, self.zmin, self.zmax, floor)
 
-    def vec(self, zpow: int) -> List[QPoly]:
+    def _zero_vec(self) -> List[Rational]:
+        return [Fraction(0)] * (self.n + 1)
+
+    def vec(self, zpow: int) -> List[Rational]:
         return self.coeffs.get(zpow, self._zero_vec())
 
-    def set_entry(self, zpow: int, h: int, value: QPoly) -> None:
+    def set_entry(self, zpow: int, h: int, value: Rational, qpow: int) -> None:
+        """Add value q^qpow at z^zpow H_h."""
         if zpow < self.zmin or zpow > self.zmax:
             return
+        if zpow + h + self.a * qpow != self.degree:
+            raise InternalConsistencyError(
+                f"term z^{zpow} H_{h} q^{qpow} violates the grading of a "
+                f"degree-{self.degree} jet")
         row = self.coeffs.setdefault(zpow, self._zero_vec())
-        row[h] = row[h] + value
+        row[h] += value
 
     def entry(self, zpow: int, h: int) -> QPoly:
-        return self.vec(zpow)[h]
-
-    def copy(self) -> "ZJet":
-        out = ZJet(self.n, self.zmin, self.zmax, self.floor)
-        out.coeffs = {z: list(v) for z, v in self.coeffs.items()}
-        return out
+        return _graded(self.vec(zpow)[h], self.degree - h - zpow, self.a)
 
     def __add__(self, other: "ZJet") -> "ZJet":
-        out = self.copy()
-        out.floor = max(self.floor, other.floor)
+        if other.degree != self.degree:
+            raise InternalConsistencyError(
+                f"adding jets of degree {self.degree} and {other.degree}")
+        out = self._like(self.degree, max(self.floor, other.floor))
+        out.coeffs = {z: list(v) for z, v in self.coeffs.items()}
         for z, v in other.coeffs.items():
+            row = out.coeffs.setdefault(z, self._zero_vec())
             for h, c in enumerate(v):
-                if not c.is_zero():
-                    out.set_entry(z, h, c)
+                if c:
+                    row[h] += c
         return out
 
     def __sub__(self, other: "ZJet") -> "ZJet":
-        return self + other.scale_qpoly(QPoly.const(-1))
+        return self + other.scale(-1)
 
-    def scale_qpoly(self, c: QPoly) -> "ZJet":
-        out = ZJet(self.n, self.zmin, self.zmax, self.floor)
+    def scale(self, c: Rational, qpow: int = 0) -> "ZJet":
+        """Multiply by c q^qpow."""
+        out = self._like(self.degree + self.a * qpow, self.floor)
         for z, v in self.coeffs.items():
             out.coeffs[z] = [x * c for x in v]
         return out
 
     def shift_z(self, k: int) -> "ZJet":
         """Multiply by z^k."""
-        out = ZJet(self.n, self.zmin, self.zmax,
-                   max(self.floor + k, self.zmin))
+        out = self._like(self.degree + k, max(self.floor + k, self.zmin))
         for z, v in self.coeffs.items():
             if self.zmin <= z + k <= self.zmax:
                 out.coeffs[z + k] = list(v)
@@ -106,25 +121,33 @@ class ZJet:
 
     def cup_h(self) -> "ZJet":
         """Cup product with the hyperplane class: H_i -> H_{i+1}."""
-        out = ZJet(self.n, self.zmin, self.zmax, self.floor)
+        out = self._like(self.degree + 1, self.floor)
         for z, v in self.coeffs.items():
-            row = self._zero_vec()
-            for h in range(self.n):
-                row[h + 1] = v[h]
-            out.coeffs[z] = row
+            out.coeffs[z] = [Fraction(0)] + v[:-1]
         return out
 
     def q_d_q(self) -> "ZJet":
-        out = ZJet(self.n, self.zmin, self.zmax, self.floor)
+        """Apply q d/dq: each entry times its q-exponent."""
+        out = self._like(self.degree, self.floor)
         for z, v in self.coeffs.items():
-            out.coeffs[z] = [x.q_d_q() for x in v]
+            out.coeffs[z] = [c * ((self.degree - h - z) // self.a) if c else c
+                             for h, c in enumerate(v)]
         return out
 
     def is_zero_above(self, floor: int) -> bool:
         for z, v in self.coeffs.items():
-            if z >= floor and any(not c.is_zero() for c in v):
+            if z >= floor and any(v):
                 return False
         return True
+
+
+def _graded(c: Rational, qdeg: int, a: int) -> QPoly:
+    """c q^{qdeg/a}: a rational at a position of q-degree qdeg, as a QPoly."""
+    if not c:
+        return QPoly.zero()
+    if qdeg < 0 or qdeg % a:
+        raise InternalConsistencyError(f"q-degree {qdeg} is off the grading")
+    return QPoly.q_power(qdeg // a, c)
 
 
 def small_j(desc: CIDescriptor, zorder: Optional[int] = None) -> ZJet:
@@ -140,7 +163,7 @@ def small_j(desc: CIDescriptor, zorder: Optional[int] = None) -> ZJet:
         zorder = desc.n + 3
     n = desc.n
     zmin = -(zorder + 1)
-    jet = ZJet(n, zmin, 1)
+    jet = ZJet(n, desc.a, 1, zmin, 1)
     # J has degree 1 with deg z = deg H = 1 and deg q = a, so the term
     # z^p H_h q^delta has p = 1 - h - a delta: no delta beyond qtop reaches
     # the window
@@ -182,18 +205,16 @@ def small_j(desc: CIDescriptor, zorder: Optional[int] = None) -> ZJet:
         for h in range(n + 1):
             for zp, c in term[h].items():
                 if zmin <= zp + 1 <= 1 and c != 0:
-                    jet.set_entry(zp + 1, h, QPoly.q_power(delta, c))
+                    jet.set_entry(zp + 1, h, c, delta)
 
     if desc.a == 1:
         # J = exp(-ell q / z) * I
-        out = ZJet(n, zmin, 1)
+        out = ZJet(n, desc.a, 1, zmin, 1)
         fact = 1
         for k in range(qtop + 1):
             if k:
                 fact *= k
-            coeff = QPoly.q_power(k, Fraction((-desc.ell) ** k, fact))
-            shifted = jet.scale_qpoly(coeff).shift_z(-k)
-            out = out + shifted
+            out = out + jet.scale(Fraction((-desc.ell) ** k, fact), k).shift_z(-k)
         out.floor = zmin
         jet = out
     return jet
@@ -215,9 +236,13 @@ class QuantumRingData:
     W are the mutually inverse triangular base-change matrices; g and ginv
     the pairing of quantum powers and its inverse.  ``origin`` is the
     descriptor's AmbientOrigin, built once so that every consumer of the
-    ring shares its memo of the F^(0) derivatives.  All of these are exact
-    in q; ``qmax`` is only the q-cap of the series built from the ring
-    (``jet_series``, the F^(1)/F^(2) jets, ``low_point_terms``).
+    ring shares its memo of the F^(0) derivatives.  The grading fixes the
+    q-exponent of every entry, so the ring is computed on rationals: M and
+    W are Rational, and multH, powers, g and ginv attach their q-power as
+    exact QPoly entries.  ``smat``/``jfun`` are graded ZJets (the flat
+    sections and the J-series).  ``qmax`` is only the q-cap of the series
+    built from the ring (``jet_series``, the F^(1)/F^(2) jets,
+    ``low_point_terms``).
     """
 
     def __init__(self, desc, qmax, multh, powers, mmat, wmat, g, ginv, smat, jfun):
@@ -247,60 +272,46 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
         qmax = default_qmax(desc)
     n, a = desc.n, desc.a
     jet = small_j(desc, zorder=n + 3)
-    s0 = jet.shift_z(-1)
-    smat = [s0]
-    cols_h: List[List[QPoly]] = []  # columns of multiplication by H itself
+    smat = [jet.shift_z(-1)]
+    # cols[j][i]: coefficient of H_i in H o H_j, at q^{(j+1-i)/a}
+    cols: List[List[Rational]] = []
 
     for j in range(n + 1):
         t = smat[j].q_d_q().shift_z(1) + smat[j].cup_h()
         col = t.vec(0)
-        for i in range(n + 1):
-            for qk, c in col[i].items():
-                if c != 0 and (i + qk * a != j + 1 or qk < 0):
-                    raise InternalConsistencyError(
-                        f"H * H_{j} has a term H_{i} q^{qk} violating the grading")
-        cols_h.append(col)
+        cols.append(col)
+        nxt = t
+        for c_idx in range(n + 1):
+            coeff = col[c_idx] - int(c_idx == j + 1)
+            if coeff:
+                nxt = nxt - smat[c_idx].scale(coeff, (j + 1 - c_idx) // a)
         if j < n:
-            nxt = t
-            for c_idx in range(n + 1):
-                coeff = col[c_idx]
-                if c_idx == j + 1:
-                    coeff = coeff - QPoly.const(1)
-                if not coeff.is_zero():
-                    nxt = nxt - smat[c_idx].scale_qpoly(coeff)
             nxt.floor = t.floor
             smat.append(nxt)
-        else:
-            resid = t
-            for c_idx in range(n + 1):
-                if not col[c_idx].is_zero():
-                    resid = resid - smat[c_idx].scale_qpoly(col[c_idx])
-            if not resid.is_zero_above(resid.floor):
-                raise InternalConsistencyError(
-                    "flat-section recursion failed to close at the top power")
+        elif not nxt.is_zero_above(nxt.floor):
+            raise InternalConsistencyError(
+                "flat-section recursion failed to close at the top power")
 
     # multiplication by the shifted generator H~ (= H + ell q when a = 1)
-    multh = [[cols_h[j][i] for j in range(n + 1)] for i in range(n + 1)]
+    mult = [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
     if a == 1:
-        shift = QPoly.q_power(1, desc.ell)
         for i in range(n + 1):
-            multh[i][i] = multh[i][i] + shift
+            mult[i][i] += desc.ell
 
-    powers = [_unit_vector(n, 0)]
+    # quantum powers: pw[j][i] = coefficient of H_i in H^j, at q^{(j-i)/a}
+    pw = [[Fraction(int(i == 0)) for i in range(n + 1)]]
     for _ in range(n + 1):
-        powers.append(_mat_vec(multh, powers[-1]))
+        prev = pw[-1]
+        pw.append([sum((mult[i][k] * prev[k] for k in range(n + 1) if prev[k]),
+                       Fraction(0)) for i in range(n + 1)])
 
     # ring relation H^{n+1} = b q H^{n+1-a}
-    bq = QPoly.q_power(1, desc.b)
-    expected = [v * bq for v in powers[n + 1 - a]]
-    if powers[n + 1] != expected:
+    if pw[n + 1] != [desc.b * c for c in pw[n + 1 - a]]:
         raise InternalConsistencyError(
             "quantum ring relation H^{n+1} = b q H^{n+1-a} failed")
 
-    # base change: powers[j][i] = coefficient of H_i in H^j
-    # (the base change is graded, so M is the exact inverse of the rational W)
-    pmat = [[powers[j][i] for j in range(n + 1)] for i in range(n + 1)]
-    wmat = _extract_graded(pmat, desc)
+    # the graded base change: W[i][j] = pw[i][j]; M is its exact inverse
+    wmat = pw[: n + 1]
     mmat = _invert_unitriangular(wmat)
     _check_inverse_rational(wmat, mmat)
 
@@ -309,15 +320,16 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
     # the pairing formula must agree with the classical pairing of powers
     for e in range(n + 1):
         for f in range(n + 1):
-            acc = QPoly.zero()
-            for i in range(n + 1):
-                j = n - i
-                acc = acc + powers[e][i] * powers[f][j]
-            if acc.scale(desc.degree) != g[e][f]:
+            acc = sum((pw[e][i] * pw[f][n - i] for i in range(n + 1)), Fraction(0))
+            if _graded(acc * desc.degree, e + f - n, a) != g[e][f]:
                 raise InternalConsistencyError(
                     f"pairing formula disagrees at ({e},{f})")
 
-    return QuantumRingData(desc, qmax, multh, powers[: n + 1], mmat, wmat,
+    multh = [[_graded(mult[i][j], j + 1 - i, a) for j in range(n + 1)]
+             for i in range(n + 1)]
+    powers = [[_graded(pw[j][i], j - i, a) for i in range(n + 1)]
+              for j in range(n + 1)]
+    return QuantumRingData(desc, qmax, multh, powers, mmat, wmat,
                            g, ginv, smat, jet)
 
 
@@ -349,26 +361,6 @@ def _invert_unitriangular(w) -> List[List[Rational]]:
     return out
 
 
-def _extract_graded(pm, desc) -> List[List[Rational]]:
-    """Read the Rational matrix X_i^j with H-grading q^{(i-j)/a} off pm.
-
-    pm[i][j] is the H_i coefficient of the j-th column vector; the result is
-    indexed as X[i][j] with X[i][j] the coefficient at q^{(i-j)/a}.
-    """
-    n, a = desc.n, desc.a
-    out = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            poly = pm[j][i]
-            for qk, c in poly.items():
-                if c == 0:
-                    continue
-                if j + qk * a != i:
-                    raise InternalConsistencyError("graded base change violated")
-                out[i][j] = c
-    return out
-
-
 def _check_inverse_rational(wmat, mmat):
     n = len(wmat)
     for i in range(n):
@@ -378,6 +370,13 @@ def _check_inverse_rational(wmat, mmat):
                 raise InternalConsistencyError("W * M is not the identity")
 
 
+def reduce_power(desc: CIDescriptor, x: int) -> Tuple[int, QPoly]:
+    """The power-basis rule H^x = (b q)^k H^{x-ka}, with x - ka in [0, n]:
+    returns (x - ka, (b q)^k)."""
+    k = max(0, -(-(x - desc.n) // desc.a))
+    return x - k * desc.a, QPoly.q_power(k, Fraction(desc.b) ** k)
+
+
 def pairings(desc: CIDescriptor):
     """Pairing g_{ef} of quantum powers and its inverse g^{ef}."""
     n, a, deg = desc.n, desc.a, desc.degree
@@ -385,10 +384,9 @@ def pairings(desc: CIDescriptor):
     ginv = [[QPoly.zero() for _ in range(n + 1)] for _ in range(n + 1)]
     for e in range(n + 1):
         for f in range(n + 1):
-            s = e + f - n
-            if s >= 0 and s % a == 0:
-                k = s // a
-                g[e][f] = QPoly.q_power(k, Fraction(desc.b) ** k * deg)
+            top, factor = reduce_power(desc, e + f)
+            if top == n:
+                g[e][f] = factor.scale(deg)
             if e + f == n:
                 ginv[e][f] = QPoly.const(Fraction(1, deg))
             elif e + f == n - a:
@@ -404,17 +402,6 @@ def pairings(desc: CIDescriptor):
     return g, ginv
 
 
-def qp_mult_single(desc: CIDescriptor, e: int, f: int) -> Tuple[int, QPoly]:
-    """Quantum product of power-basis elements: H^e o H^f = b^k q^k H^c."""
-    n, a = desc.n, desc.a
-    c = e + f
-    k = 0
-    while c > n:
-        c -= a
-        k += 1
-    return c, QPoly.q_power(k, Fraction(desc.b) ** k)
-
-
 def quantum_product_qp(desc: CIDescriptor, u, v):
     """Product of two vectors given in quantum-power coordinates."""
     n = desc.n
@@ -425,7 +412,7 @@ def quantum_product_qp(desc: CIDescriptor, u, v):
         for f in range(n + 1):
             if v[f].is_zero():
                 continue
-            c, w = qp_mult_single(desc, e, f)
+            c, w = reduce_power(desc, e + f)
             out[c] = out[c] + u[e] * v[f] * w
     return out
 
@@ -474,12 +461,8 @@ class AmbientOrigin:
     # -- building blocks
 
     def _three_point(self, a: int, b: int, c: int) -> QPoly:
-        n, fa = self.desc.n, self.desc.a
-        s = a + b + c - n
-        if s < 0 or s % fa != 0:
-            return QPoly.zero()
-        k = s // fa
-        return QPoly.q_power(k, Fraction(self.desc.b) ** k * self.desc.degree)
+        top, factor = reduce_power(self.desc, a + b + c)
+        return factor.scale(self.desc.degree) if top == self.desc.n else QPoly.zero()
 
     def _phi(self, s: int, i: int) -> QPoly:
         """Coefficient of tau^s d/d tau^i in the divisor vector field."""
@@ -498,31 +481,24 @@ class AmbientOrigin:
         self._phi_cache[key] = out
         return out
 
-    def _reduce_index(self, x: int) -> Tuple[int, QPoly]:
-        """Reduce an extended power index into [0, n] with its b q factor."""
-        n, a = self.desc.n, self.desc.a
-        factor = QPoly.const(1)
-        bq = QPoly.q_power(1, self.desc.b)
-        while x > n:
-            x -= a
-            factor = factor * bq
-        return x, factor
-
     def _pair_contract(self, left: Tuple[int, ...], right: Tuple[int, ...]) -> QPoly:
         """sum_{e,f} F_{left,e} g^{ef} F_{f,right} using the inverse pairing."""
-        n, a = self.desc.n, self.desc.a
-        deg = self.desc.degree
         acc = QPoly.zero()
-        for e in range(n + 1):
+        for e, row in enumerate(self.ring.ginv):
             le = self.partial(left + (e,))
             if le.is_zero():
                 continue
-            f = n - e
-            acc = acc + le * self.partial(right + (f,)).scale(Fraction(1, deg))
-            f2 = n - a - e
-            if f2 >= 0:
-                acc = acc - le * self.partial(right + (f2,)).scale(
-                    Fraction(self.desc.b, deg)).shift_q(1)
+            for f, gef in enumerate(row):
+                if not gef.is_zero():
+                    acc = acc + le * gef * self.partial(right + (f,))
+        return acc
+
+    def contract0(self, key: Tuple[int, ...]) -> QPoly:
+        """sum_e F_{key,e}(0) g^{e0}: a derivative contracted with the unit."""
+        acc = QPoly.zero()
+        for e, row in enumerate(self.ring.ginv):
+            if not row[0].is_zero():
+                acc = acc + self.partial(key + (e,)) * row[0]
         return acc
 
     # -- the jet itself
@@ -568,15 +544,14 @@ class AmbientOrigin:
         A = amin - 1
 
         def ext(x: int, tail: Tuple[int, ...]) -> QPoly:
-            x0, factor = self._reduce_index(x)
-            return factor * self.partial(tuple(sorted(tail + (x0,))))
+            x0, factor = reduce_power(self.desc, x)
+            return factor * self.partial(tail + (x0,))
 
         val = ext(A + C, (1, D) + P)
         val = val + ext(1 + D, (A, C) + P)
         val = val - ext(C + D, (A, 1) + P)
         # middle splits of P (both parts proper)
         if P:
-            from itertools import combinations
             idx = range(len(P))
             for rsize in range(1, len(P)):
                 for subset in combinations(idx, rsize):
@@ -586,7 +561,7 @@ class AmbientOrigin:
                     val = val - self._pair_contract((A, 1) + p1, (C, D) + p2)
         return val
 
-    def jet_series(self, degree: int, nt: Optional[int] = None) -> TruncSeries:
+    def jet_series(self, degree: int) -> TruncSeries:
         """Assemble the tau-coordinate jet of F^(0) as a TruncSeries.
 
         Only terms of total degree 3..degree are included (the classical
@@ -594,36 +569,21 @@ class AmbientOrigin:
         The series is stored at the ring's q-cap.
         """
         n = self.desc.n
-        nt = n + 1 if nt is None else nt
-        out = TruncSeries(nt, degree, self.ring.qmax)
+        out = TruncSeries(n + 1, degree, self.ring.qmax)
         for key in _multisets(n, 3, degree):
             val = self.partial(key)
             if val.is_zero():
                 continue
-            mult = 1
-            for i in set(key):
-                mult *= factorial(key.count(i))
-            expo = [0] * (nt + 1)
-            for i in key:
-                expo[i] += 1
+            expo = [key.count(i) for i in range(n + 2)]
+            mult = prod(factorial(e) for e in expo)
             out = out.add_term(tuple(expo), val.scale(Fraction(1, mult)))
         return out
 
 
 def _multisets(n: int, dmin: int, dmax: int):
     """All ascending index multisets over 0..n of sizes dmin..dmax."""
-    out = []
-
-    def rec(prefix, start, remaining):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for i in range(start, n + 1):
-            rec(prefix + [i], i, remaining - 1)
-
-    for size in range(dmin, dmax + 1):
-        rec([], 0, size)
-    return out
+    return [key for size in range(dmin, dmax + 1)
+            for key in combinations_with_replacement(range(n + 1), size)]
 
 
 def low_point_terms(ring: QuantumRingData, degree_cap: int) -> TruncSeries:
@@ -667,16 +627,7 @@ def f0_derivs(desc: CIDescriptor, ring: QuantumRingData):
     exact zeros.
     """
     origin = ring.origin
-    n, a = desc.n, desc.a
-    deg = desc.degree
-    third = {}
-    fourth0 = {}
-    for key in _multisets(n, 3, 3):
-        third[key] = origin.partial(key)
-    for key in _multisets(n, 3, 3):
-        acc = origin.partial(tuple(sorted(key + (n,)))).scale(Fraction(1, deg))
-        if n - a >= 0:
-            acc = acc - origin.partial(tuple(sorted(key + (n - a,)))).scale(
-                Fraction(desc.b, deg)).shift_q(1)
-        fourth0[key] = acc
+    keys = _multisets(desc.n, 3, 3)
+    third = {key: origin.partial(key) for key in keys}
+    fourth0 = {key: origin.contract0(key) for key in keys}
     return third, fourth0

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ciqc.cli import main
+from ciqc.cli import HIGHERK_KMAX_LIMIT, main
 from ciqc.exact import parse_rat
 
 
@@ -315,6 +315,18 @@ def test_higherk_kmax_below_first_order_is_usage_error(capsys, kmax):
     assert code == 1
     assert out == ""
     assert "--kmax" in err
+
+
+def test_higherk_kmax_above_limit_is_usage_error(capsys):
+    code, out, err = run(capsys, "higherk", "--n", "4", "--d", "3",
+                         "--kmax", "100000000")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--kmax" in err
+    code, out, _ = run(capsys, "higherk", "--n", "4", "--d", "3",
+                       "--kmax", str(HIGHERK_KMAX_LIMIT))
+    assert code == 0
+    assert json.loads(out)["records"][-1]["order"] == HIGHERK_KMAX_LIMIT
 
 
 @pytest.mark.parametrize("argv", [

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from ciqc.acceptance import _expected_f1_t_jet, _ring
 from ciqc.errors import DomainError
-from ciqc.exact import QPoly, TruncSeries
+from ciqc.exact import QPoly
 from ciqc.geometry import describe
 from ciqc.reconstruct import (artin_iso, f1_series, f2_at_zero, f2_gradient,
                               f2_gradient_closed_form, f2_origin_residuals,
@@ -15,27 +16,18 @@ from ciqc.smallqh import build_ring, c_constant
 RING_DESCRIPTORS = [(3, (3,)), (4, (3,)), (5, (3,)), (3, (2, 2)),
                     (5, (2, 2)), (5, (5,)), (5, (2, 3))]
 
-_ring_cache = {}
-
-
-def ring_for(n, d):
-    if (n, d) not in _ring_cache:
-        _ring_cache[(n, d)] = build_ring(describe(n, d))
-    return _ring_cache[(n, d)]
-
-
 @pytest.mark.parametrize("n,d", RING_DESCRIPTORS)
 def test_gamma_invariants(n, d):
     # construction verifies gamma o gamma = 0, the eigenvector property and
     # (gamma, 1) = 1; reaching here without an exception is the assertion
     desc = describe(n, d)
-    gamma = gamma_vector(desc, ring_for(n, d))
+    gamma = gamma_vector(desc, _ring(n, d))
     assert len(gamma) == n + 1
 
 
 def test_gamma_cubic_fourfold_explicit():
     desc = describe(4, (3,))
-    ring = ring_for(4, (3,))
+    ring = _ring(4, (3,))
     gamma = gamma_vector(desc, ring)
     third = Fraction(1, 3)
     # (1/3)(H~^4 - 27 q H~) expressed in the classical basis
@@ -65,49 +57,18 @@ def test_artin_iso_checks():
         artin_iso(4, 2, 0)
 
 
-def expected_f1_t_jet(desc, qmax):
-    """t^0 - ell q t^{n-1} - (ell/2) q sum t^i t^{n-i} - ell^2 q^2 t^{n-1} t^n.
-
-    q-powers follow the dimension constraint (the printed display leaves
-    them implicit on the linear term)."""
-    n, ell = desc.n, desc.ell
-    s = TruncSeries(n + 1, 2, qmax)
-    lin = [0] * (n + 2)
-    lin[0] = 1
-    s = s.add_term(tuple(lin), QPoly.const(1))
-    lin = [0] * (n + 2)
-    lin[n - 1] = 1
-    s = s.add_term(tuple(lin), QPoly.q_power(1, -ell))
-    # the quadratic: -(ell/2) q sum_{i=1}^{n-1} t^i t^{n-i}, the sum running
-    # over ordered pairs, so each unordered off-diagonal monomial gets -ell q
-    for i in range(1, n):
-        j = n - i
-        if i > j:
-            continue
-        key = [0] * (n + 2)
-        key[i] += 1
-        key[j] += 1
-        coeff = Fraction(-ell) if i != j else Fraction(-ell, 2)
-        s = s.add_term(tuple(key), QPoly.q_power(1, coeff))
-    key = [0] * (n + 2)
-    key[n - 1] += 1
-    key[n] += 1
-    s = s.add_term(tuple(key), QPoly.q_power(2, -ell * ell))
-    return s
-
-
 @pytest.mark.parametrize("n,d", [(3, (3,)), (4, (3,)), (5, (3,)),
                                  (3, (2, 2)), (5, (2, 2))])
 def test_f1_jet_matches_printed_form(n, d):
     desc = describe(n, d)
-    ring = ring_for(n, d)
+    ring = _ring(n, d)
     jet = f1_series(desc, ring)
-    assert jet.t_jet == expected_f1_t_jet(desc, ring.qmax)
+    assert jet.t_jet == _expected_f1_t_jet(desc, ring.qmax)
 
 
 def test_f1_cubic_fourfold_explicit_coefficients():
     desc = describe(4, (3,))
-    jet = f1_series(desc, ring_for(4, (3,)))
+    jet = f1_series(desc, _ring(4, (3,)))
     t = jet.t_jet
     assert t.coefficient({0: 1}) == QPoly.const(1)
     assert t.coefficient({3: 1}).coefficient(1) == -6
@@ -118,7 +79,7 @@ def test_f1_cubic_fourfold_explicit_coefficients():
 
 def test_f1_string_direction():
     for n, d in [(4, (3,)), (3, (2, 2))]:
-        jet = f1_series(describe(n, d), ring_for(n, d))
+        jet = f1_series(describe(n, d), _ring(n, d))
         grad0 = jet.t_jet.diff_t(0)
         assert grad0.constant_term() == QPoly.const(1)
         # and t^0 appears only linearly
@@ -130,7 +91,7 @@ def test_f1_quadratic_matches_c_constant_in_range():
     # F^(1)_{ij}(0) = -c(n,d) b^k q^k at i+j = 1+ka on the stable range
     for n, d in [(4, (3,)), (5, (3,)), (3, (2, 2))]:
         desc = describe(n, d)
-        ring = ring_for(n, d)
+        ring = _ring(n, d)
         cval, _, _ = c_constant(desc, ring)
         jet = f1_series(desc, ring)
         for (i, j), val in jet.quad.items():
@@ -152,7 +113,7 @@ def test_f1_quadratic_matches_c_constant_in_range():
     (5, (2, 3), [0]),
 ])
 def test_f2_at_zero_root_sets(n, d, expected):
-    desc, ring = describe(n, d), ring_for(n, d)
+    desc, ring = describe(n, d), _ring(n, d)
     roots = f2_at_zero(desc, ring, f1_series(desc, ring))
     assert roots == [Fraction(e) for e in expected]
 
@@ -162,7 +123,7 @@ def test_f2_at_zero_quintic_fivefold_boundary():
     # with the true F^(1) data (cross-checked against the divisor route,
     # both fourth-derivative splits and the isotropy constraint) it reads
     # (F - 1440 q^2)^2 = 0, so the double root 1440 is forced
-    desc, ring = describe(5, (5,)), ring_for(5, (5,))
+    desc, ring = describe(5, (5,)), _ring(5, (5,))
     roots = f2_at_zero(desc, ring, f1_series(desc, ring))
     assert roots == [Fraction(1440)]
 
@@ -181,7 +142,7 @@ def test_f2_zero_whenever_gcd_filter_triggers():
 
 def test_f2_gradient_cubic_jets():
     desc = describe(4, (3,))
-    ring = ring_for(4, (3,))
+    ring = _ring(4, (3,))
     f1 = f1_series(desc, ring)
     jet1 = f2_gradient(desc, 1, ring, f1)
     # jet: 1 + t^1 + 3 t^n with q-powers q, q, q^2
@@ -197,7 +158,7 @@ def test_f2_gradient_cubic_jets():
 
 def test_f2_gradient_two_quadrics():
     desc = describe(5, (2, 2))
-    ring = ring_for(5, (2, 2))
+    ring = _ring(5, (2, 2))
     jet = f2_gradient(desc, 1, ring, f1_series(desc, ring))
     assert jet.value.coefficient(1) == 1
     assert jet.t_grad[1].coefficient(1) == 1
@@ -221,7 +182,7 @@ def test_f2_gradient_closed_form_other_degrees():
 def test_f2_origin_residuals_each_root():
     for n, d in [(4, (3,)), (5, (3,)), (3, (2, 2)), (5, (2, 2))]:
         desc = describe(n, d)
-        ring = ring_for(n, d)
+        ring = _ring(n, d)
         f1 = f1_series(desc, ring)
         for root in f2_at_zero(desc, ring, f1):
             f2jet = f2_gradient(desc, root, ring, f1)
@@ -233,7 +194,7 @@ def test_f2_origin_residuals_each_root():
 
 def test_f2_origin_residuals_detect_wrong_root():
     desc = describe(4, (3,))
-    ring = ring_for(4, (3,))
+    ring = _ring(4, (3,))
     f1 = f1_series(desc, ring)
     f2jet = f2_gradient(desc, 1, ring, f1)
     # tamper with the value: residual of the pure equation must trip
@@ -279,7 +240,7 @@ def test_gamma_killed_by_multiplication_matrix():
     from ciqc.smallqh import _mat_vec
     for n, d in [(4, (3,)), (3, (2, 2)), (5, (5,))]:
         desc = describe(n, d)
-        ring = ring_for(n, d)
+        ring = _ring(n, d)
         gamma = gamma_vector(desc, ring)
         image = _mat_vec(ring.multH, gamma)
         assert all(c.is_zero() for c in image), (n, d)
@@ -312,7 +273,7 @@ def test_f2_quintic_fivefold_residuals_close():
     # origin system (all mixed equations and the isotropy equation), with
     # gradient rows 2880 q^2, 9000000 q^3, 28114632000 q^4
     desc = describe(5, (5,))
-    ring = ring_for(5, (5,))
+    ring = _ring(5, (5,))
     f1 = f1_series(desc, ring)
     jet = f2_gradient(desc, Fraction(1440), ring, f1)
     assert jet.tau_grad[1].coefficient(2) == 2880

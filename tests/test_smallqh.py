@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from ciqc.errors import DomainError
+from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly
 from ciqc.geometry import describe
-from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant, f0_derivs,
-                          one_point_descendant, pairings,
+from ciqc.smallqh import (AmbientOrigin, ZJet, build_ring, c_constant,
+                          f0_derivs, one_point_descendant, pairings,
                           quantum_product_qp, small_j)
 
 RING_DESCRIPTORS = [(3, (3,)), (4, (3,)), (5, (3,)), (3, (2, 2)),
@@ -36,6 +36,37 @@ def test_small_j_degree_zero_is_classical():
             c0 = jet.entry(zpow, h).coefficient(0)
             expected = 1 if (zpow == 1 and h == 0) else 0
             assert c0 == expected
+
+
+def test_zjet_enforces_the_grading():
+    # deg z = deg H = 1 and deg q = a = 3: in a degree-1 jet the entry at
+    # z^p H_h stands for c q^{(1 - h - p)/3}
+    jet = ZJet(4, 3, 1, -7, 1)
+    jet.set_entry(-2, 0, Fraction(5), 1)
+    jet.set_entry(-3, 1, Fraction(2), 1)
+    assert jet.entry(-2, 0) == QPoly.q_power(1, 5)
+    assert jet.q_d_q().scale(3, 2).entry(-2, 0) == QPoly.q_power(3, 15)
+    assert jet.cup_h().entry(-3, 2) == QPoly.q_power(1, 2)
+    with pytest.raises(InternalConsistencyError):
+        jet.set_entry(-2, 0, Fraction(1), 0)  # z^{-2} H_0 carries q^1
+    with pytest.raises(InternalConsistencyError):
+        jet.set_entry(0, 0, Fraction(1), 0)  # q-degree 1 is off the grading
+    with pytest.raises(InternalConsistencyError):
+        jet + jet.shift_z(-1)
+    with pytest.raises(InternalConsistencyError):
+        jet - jet.scale(2, 1)
+    # q z^{-3} has degree 0, so the moved jet adds to the original
+    total = jet + jet.scale(1, 1).shift_z(-3)
+    assert total.entry(-2, 0) == QPoly.q_power(1, 5)
+    assert total.entry(-5, 0) == QPoly.q_power(2, 5)
+
+
+def test_flat_sections_are_graded():
+    # J has degree 1 and the flat section S_j starts at H_j: degree j
+    for n, d in [(4, (3,)), (4, (3, 3)), (5, (2, 3))]:
+        ring = build_ring(describe(n, d))
+        assert ring.jfun.degree == 1
+        assert [s.degree for s in ring.smat] == list(range(n + 1))
 
 
 def test_small_j_refuses_non_fano_and_exceptional():
