@@ -7,7 +7,8 @@ Every number in the package is a ``fractions.Fraction`` (re-exported here as
 * ``TruncSeries`` -- sparse multivariate series in t^0..t^n and s with QPoly
   coefficients, truncated by total degree, by a q-cap and (in odd
   dimensions) by an s-cap; it is the only place q is truncated,
-* ``LinearSystem`` / ``solve_linear`` -- exact row reduction with kernel basis.
+* ``contract`` -- the contraction of two rows through an inverse pairing,
+* ``solve_linear`` -- exact row reduction with kernel basis.
 """
 
 from __future__ import annotations
@@ -118,6 +119,8 @@ class QPoly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "QPoly":
+        if isinstance(c, QPoly):
+            return self * c
         c = rat(c)
         return QPoly({k: v * c for k, v in self.coeffs.items()})
 
@@ -483,21 +486,25 @@ def linear_substitute(series: TruncSeries, forms) -> TruncSeries:
     return out
 
 
-class LinearSystem:
-    """Dense rectangular system A x = rhs over the Rationals."""
+def contract(ginv, left, right):
+    """sum_{e,f} left[e] g^{ef} right[f] through the inverse pairing ``ginv``.
 
-    def __init__(self, matrix, rhs):
-        self.matrix = [[rat(c) for c in row] for row in matrix]
-        self.rhs = [rat(c) for c in rhs]
-        if len(self.matrix) != len(self.rhs):
-            raise ConfigurationError("matrix and rhs sizes differ")
-        widths = {len(row) for row in self.matrix}
-        if len(widths) > 1:
-            raise ConfigurationError("ragged matrix")
+    The rows hold QPoly or TruncSeries entries; a product is formed only
+    when left[e], g^{ef} and right[f] are all nonzero.
+    """
+    acc = None
+    for e, le in enumerate(left):
+        if le.is_zero():
+            continue
+        for f, gef in enumerate(ginv[e]):
+            if not gef.is_zero() and not right[f].is_zero():
+                term = (le * right[f]).scale(gef)
+                acc = term if acc is None else acc + term
+    return left[0].scale(ZERO) if acc is None else acc
 
 
-def solve_linear(sys: LinearSystem):
-    """Exact reduced row echelon solve.
+def solve_linear(matrix, rhs):
+    """Exact reduced row echelon solve of the dense system matrix x = rhs.
 
     Returns (particular, kernel, witness): ``particular`` is one solution or
     None when the system is inconsistent, in which case ``witness`` is the
@@ -507,11 +514,16 @@ def solve_linear(sys: LinearSystem):
 
     Pivots are chosen among the nonzero candidates by largest absolute
     numerator, which keeps intermediate entries modest; exactness does not
-    depend on the choice.
+    depend on the choice.  Raises ConfigurationError when the matrix and
+    rhs sizes differ or the matrix is ragged.
     """
-    rows = len(sys.matrix)
-    cols = len(sys.matrix[0]) if rows else 0
-    aug = [list(sys.matrix[i]) + [sys.rhs[i]] for i in range(rows)]
+    if len(matrix) != len(rhs):
+        raise ConfigurationError("matrix and rhs sizes differ")
+    if len({len(row) for row in matrix}) > 1:
+        raise ConfigurationError("ragged matrix")
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    aug = [[rat(c) for c in matrix[i]] + [rat(rhs[i])] for i in range(rows)]
     origin = list(range(rows))
 
     pivot_cols = []
@@ -566,6 +578,5 @@ def kernel_dimension(matrix) -> int:
     """Dimension of the null space of a Rational matrix."""
     if not matrix:
         return 0
-    sysm = LinearSystem(matrix, [ZERO] * len(matrix))
-    _, kernel, _ = solve_linear(sysm)
+    _, kernel, _ = solve_linear(matrix, [ZERO] * len(matrix))
     return len(kernel)

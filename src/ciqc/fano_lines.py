@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError, VerificationError
-from .exact import LinearSystem, solve_linear
+from .exact import solve_linear
 from .geometry import describe
 
 TwoRowPartition = Tuple[int, int]
@@ -208,7 +208,7 @@ def prim_square_class(n: int) -> List[Fraction]:
     if target:
         rows = [[images[k].terms.get(key, Fraction(0)) for k in range(n0)]
                 for key in target]
-        _, kernel, _ = solve_linear(LinearSystem(rows, [0] * len(rows)))
+        _, kernel, _ = solve_linear(rows, [0] * len(rows))
         if len(kernel) != 1:
             raise InternalConsistencyError(
                 f"kernel dimension {len(kernel)} != 1 at n = {n}")
@@ -309,7 +309,7 @@ def rank_estimates(n: int) -> dict:
             return len(basis)
         rows = [[img.terms.get(key, Fraction(0)) for img in images]
                 for key in target]
-        _, kernel, _ = solve_linear(LinearSystem(rows, [0] * len(rows)))
+        _, kernel, _ = solve_linear(rows, [0] * len(rows))
         return len(kernel)
 
     bands = {}

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
-from .exact import QPoly, Rational, TruncSeries, linear_substitute
+from .exact import QPoly, Rational, TruncSeries, contract, linear_substitute
 from .geometry import CIDescriptor, require_reconstruction_domain
 from .smallqh import QuantumRingData, _unit_vector, quantum_product_qp
 
@@ -167,6 +167,10 @@ class F1Jet:
             return QPoly.zero()
         return self.quad[(i, j) if i <= j else (j, i)]
 
+    def row(self, i: int) -> List[QPoly]:
+        """The Hessian row F^(1)_{ie}(0), e = 0..n."""
+        return [self.second(i, e) for e in range(self.desc.n + 1)]
+
 
 def _tau_to_t_forms(ring: QuantumRingData):
     """tau^i as a linear combination of t-variables: tau^i = sum M_{i+ka}^i q^k t^{i+ka}."""
@@ -220,44 +224,38 @@ def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
 # --- F^(2) ------------------------------------------------------------------
 
 
-def _f1_pair_row(desc, ring, f1: F1Jet, c: int) -> QPoly:
-    """sum_{e,f} F^(1)_{1e}(0) g^{ef} F^(1)_{fc}(0)."""
+def _f2_gradient_parts(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet):
+    """The tau-gradient of F^(2) at 0 as (const, slope), affine in
+    F2 = F^(2)(0): F2_b = const_b + slope_b F2, read off the order-2
+    equations as F2_1 = (n-1)/a F2 and, for b >= 2,
+    F2_b = F1_{1e} g^{ef} F1_{f,b-1} - 2 F1_{1,b-1} F2."""
     n = desc.n
-    acc = QPoly.zero()
-    for e in range(n + 1):
-        left = f1.second(1, e)
-        if left.is_zero():
-            continue
-        for f in range(n + 1):
-            gef = ring.ginv[e][f]
-            if gef.is_zero():
-                continue
-            acc = acc + left * gef * f1.second(f, c)
-    return acc
+    row1 = f1.row(1)
+    const = [QPoly.zero()] * 2 + [contract(ring.ginv, row1, f1.row(b - 1))
+                                  for b in range(2, n + 1)]
+    slope = [QPoly.zero(), QPoly.const(Fraction(n - 1, desc.a))] + [
+        f1.quad[(1, b - 1)].scale(-2) for b in range(2, n + 1)]
+    return const, slope
 
 
 def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData,
                f1: F1Jet) -> List[Fraction]:
     """All roots of the quadratic satisfied by F^(2)(0).
 
-    Returns the root list sorted ascending, {0} when the admissibility
-    degree (n-1)/a is not a positive integer or when the quadratic
-    degenerates to F^2 = 0.
+    The pure order-2 equation F2^2 + g^{0f} F2_f = 0 reads F2^2 + A F2 + B
+    = 0, with A and B the g^{0f}-contractions of the gradient's slope and
+    constant part.  Returns the root list sorted ascending, {0} when the
+    admissibility degree (n-1)/a is not a positive integer or when the
+    quadratic degenerates to F^2 = 0.
     """
     n, a = desc.n, desc.a
     if (n - 1) % a != 0:
         return [Fraction(0)]
     beta = (n - 1) // a
-
-    A = ring.ginv[0][1].scale(Fraction(n - 1, a))
-    B = QPoly.zero()
-    for b in range(2, n + 1):
-        g0b = ring.ginv[0][b]
-        if g0b.is_zero():
-            continue
-        A = A - (g0b * f1.quad[(1, b - 1)]).scale(2)
-        B = B + g0b * _f1_pair_row(desc, ring, f1, b - 1)
-
+    const, slope = _f2_gradient_parts(desc, ring, f1)
+    unit = _unit_vector(n, 0)
+    A = contract(ring.ginv, unit, slope)
+    B = contract(ring.ginv, unit, const)
     a_coeff = A.coefficient(beta)
     b_coeff = B.coefficient(2 * beta)
     if A != QPoly.q_power(beta, a_coeff):
@@ -270,8 +268,7 @@ def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData,
     root = _exact_sqrt(disc)
     if root is None:
         raise InternalConsistencyError("quadratic for F^(2)(0) has no rational root")
-    sols = sorted({(-a_coeff - root) / 2, (-a_coeff + root) / 2})
-    return sols
+    return sorted({(-a_coeff - root) / 2, (-a_coeff + root) / 2})
 
 
 def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -302,19 +299,9 @@ def f2_gradient(desc: CIDescriptor, f2zero: Rational,
     if f2zero not in roots:
         raise DomainError(f"{f2zero} is not a root of the F^(2)(0) quadratic {roots}")
     n, a = desc.n, desc.a
-
-    if (n - 1) % a == 0 and f2zero != 0:
-        beta = (n - 1) // a
-        value = QPoly.q_power(beta, f2zero)
-    else:
-        value = QPoly.zero()
-
-    tau_grad = [QPoly.zero() for _ in range(n + 1)]
-    if (n - 1) % a == 0:
-        tau_grad[1] = value.scale(Fraction(n - 1, a))
-    for b in range(2, n + 1):
-        tau_grad[b] = _f1_pair_row(desc, ring, f1, b - 1) \
-            - (f1.quad[(1, b - 1)] * value).scale(2)
+    value = QPoly.q_power((n - 1) // a, f2zero)  # zero unless a | n - 1
+    const, slope = _f2_gradient_parts(desc, ring, f1)
+    tau_grad = [c + s * value for c, s in zip(const, slope)]
 
     t_grad = [QPoly.zero() for _ in range(n + 1)]
     for i in range(n + 1):
@@ -323,19 +310,14 @@ def f2_gradient(desc: CIDescriptor, f2zero: Rational,
             if c != 0 and not tau_grad[j].is_zero():
                 t_grad[i] = t_grad[i] + tau_grad[j].scale(c).shift_q((i - j) // a)
 
-    jet = TruncSeries(n + 1, 1, ring.qmax)
-    tau_jet = TruncSeries(n + 1, 1, ring.qmax)
-    if not value.is_zero():
-        jet = jet.add_term((0,) * (n + 2), value)
-        tau_jet = tau_jet.add_term((0,) * (n + 2), value)
-    for i in range(n + 1):
-        key = [0] * (n + 2)
-        key[i] = 1
-        if not t_grad[i].is_zero():
-            jet = jet.add_term(tuple(key), t_grad[i])
-        if not tau_grad[i].is_zero():
-            tau_jet = tau_jet.add_term(tuple(key), tau_grad[i])
-    return F2Jet(desc, value, tau_grad, t_grad, jet, tau_jet)
+    def linear_jet(grad):
+        terms = {(0,) * (n + 2): value}
+        for i, g in enumerate(grad):
+            terms[tuple(int(k == i) for k in range(n + 2))] = g
+        return TruncSeries(n + 1, 1, ring.qmax, terms=terms)
+
+    return F2Jet(desc, value, tau_grad, t_grad, linear_jet(t_grad),
+                 linear_jet(tau_grad))
 
 
 def f2_gradient_closed_form(desc: CIDescriptor, cval: Fraction) -> Dict[int, QPoly]:
@@ -369,22 +351,12 @@ def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
     mixed = {}
     for a in range(1, n + 1):
         for b in range(a, n + 1):
-            res = QPoly.zero()
-            for e in range(n + 1):
-                for f in range(n + 1):
-                    gef = ring.ginv[e][f]
-                    if gef.is_zero():
-                        continue
-                    res = res - f1.second(a, e) * gef * f1.second(f, b)
-                    res = res + origin.partial((a, b, e)) * gef * f2jet.tau_grad[f]
-            res = res + (f1.second(a, b) * f2jet.value).scale(2)
-            mixed[(a, b)] = res
-
-    pure = f2jet.value * f2jet.value
-    for f in range(n + 1):
-        g0f = ring.ginv[0][f]
-        if not g0f.is_zero():
-            pure = pure + g0f * f2jet.tau_grad[f]
+            third = [origin.partial((a, b, e)) for e in range(n + 1)]
+            mixed[(a, b)] = (contract(ring.ginv, third, f2jet.tau_grad)
+                             - contract(ring.ginv, f1.row(a), f1.row(b))
+                             + (f1.second(a, b) * f2jet.value).scale(2))
+    pure = f2jet.value * f2jet.value + contract(ring.ginv, _unit_vector(n, 0),
+                                                f2jet.tau_grad)
     return mixed, pure
 
 

@@ -17,11 +17,12 @@ J-function recursion that rebuilds descendant data from the potential.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial
 from typing import Dict, List, Optional, Sequence
 
 from .errors import DomainError
-from .exact import QPoly, Rational, TruncSeries
+from .exact import QPoly, Rational, TruncSeries, contract
 from .geometry import CIDescriptor
 
 
@@ -53,8 +54,7 @@ def classical_pairing_inverse(desc: CIDescriptor):
 class ReducedPotential:
     """A potential F(t^0..t^n, s) with its descriptor and parity mode."""
 
-    def __init__(self, desc: CIDescriptor, F: TruncSeries,
-                 ginv: Optional[List[List[QPoly]]] = None):
+    def __init__(self, desc: CIDescriptor, F: TruncSeries):
         if F.nt != desc.n + 1:
             raise DomainError("potential has the wrong number of t-variables")
         self.desc = desc
@@ -64,7 +64,7 @@ class ReducedPotential:
             if F.s_cap is None or F.s_cap > cap:
                 F = F.recap(F.degree_cap, cap)
         self.F = F
-        self.ginv = ginv if ginv is not None else classical_pairing_inverse(desc)
+        self.ginv = classical_pairing_inverse(desc)
 
     @property
     def s_cutoff(self) -> Optional[int]:
@@ -72,17 +72,22 @@ class ReducedPotential:
         return self.desc.m // 2 if self.odd else None
 
 
-def _contract(ginv, left: List[TruncSeries], right: List[TruncSeries]) -> TruncSeries:
-    n = len(left) - 1
-    acc = left[0].clone_empty()
-    for e in range(n + 1):
-        if left[e].is_zero():
-            continue
-        for f in range(n + 1):
-            if ginv[e][f].is_zero() or right[f].is_zero():
-                continue
-            acc = acc + (left[e] * right[f]).scale(ginv[e][f])
-    return acc
+def _wdvv(F: TruncSeries, ginv, quads) -> Dict[tuple, TruncSeries]:
+    """F_{abe} g^{ef} F_{cdf} - F_{ace} g^{ef} F_{bdf} for each (a,b,c,d) in
+    ``quads``, from one memo of the third derivatives of F."""
+    third: Dict[tuple, TruncSeries] = {}
+
+    def row(a, b):
+        out = []
+        for e in range(F.nt):
+            key = tuple(sorted((a, b, e)))
+            if key not in third:
+                third[key] = F.diff_t(key[0]).diff_t(key[1]).diff_t(key[2])
+            out.append(third[key])
+        return out
+
+    return {(a, b, c, d): contract(ginv, row(a, b), row(c, d))
+            - contract(ginv, row(a, c), row(b, d)) for a, b, c, d in quads}
 
 
 def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
@@ -109,39 +114,20 @@ def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
         for b in range(a, n + 1):
             dab = da.diff_t(b)
             third = [dab.diff_t(e) for e in range(n + 1)]
-            res = _contract(ginv, third, ds1)
+            res = contract(ginv, third, ds1)
             res = res + (s_series * dab.diff_s() * Fss).scale(2)
             res = res - ds1[a] * ds1[b]
             if pot.s_cutoff is not None:
                 res = res.drop_s_at_or_above(pot.s_cutoff)
             mixed[(a, b)] = res
 
-    pure = _contract(ginv, ds1, ds1) + (s_series * Fss * Fss).scale(2)
+    pure = contract(ginv, ds1, ds1) + (s_series * Fss * Fss).scale(2)
     if pot.s_cutoff is not None:
         pure = pure.drop_s_at_or_above(pot.s_cutoff)
 
-    ambient = {}
-    f0 = F.s_slice(0)
-    d3 = {}
-    for a in range(n + 1):
-        for b in range(a, n + 1):
-            for e in range(n + 1):
-                key = tuple(sorted((a, b, e)))
-                if key not in d3:
-                    d3[key] = f0.diff_t(key[0]).diff_t(key[1]).diff_t(key[2])
-    for a in range(n + 1):
-        for b in range(a, n + 1):
-            for c in range(b, n + 1):
-                for d in range(n + 1):
-                    lhs = _contract(
-                        ginv,
-                        [d3[tuple(sorted((a, b, e)))] for e in range(n + 1)],
-                        [d3[tuple(sorted((c, d, f)))] for f in range(n + 1)])
-                    rhs = _contract(
-                        ginv,
-                        [d3[tuple(sorted((a, c, e)))] for e in range(n + 1)],
-                        [d3[tuple(sorted((b, d, f)))] for f in range(n + 1)])
-                    ambient[(a, b, c, d)] = lhs - rhs
+    ambient = _wdvv(F.s_slice(0), ginv,
+                    [(a, b, c, d) for a, b, c in combinations_with_replacement(
+                        range(n + 1), 3) for d in range(n + 1)])
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
 
 
@@ -212,7 +198,7 @@ def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv,
             res = jets[0].clone_empty()
             for j in range(0, kk + 1):
                 third = [grad[j][a].diff_t(b).diff_t(e) for e in range(nt)]
-                res = res + _contract(ginv, third, grad[kk - j + 1]).scale(
+                res = res + contract(ginv, third, grad[kk - j + 1]).scale(
                     Fraction(1, factorial(j) * factorial(kk - j)))
             for j in range(1, kk + 1):
                 res = res + (grad[j][a].diff_t(b) * jets[kk - j + 2]).scale(
@@ -224,7 +210,7 @@ def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv,
 
     pure = jets[0].clone_empty()
     for j in range(1, kk + 2):
-        pure = pure + _contract(ginv, grad[j], grad[kk + 2 - j]).scale(
+        pure = pure + contract(ginv, grad[j], grad[kk + 2 - j]).scale(
             Fraction(1, factorial(j - 1) * factorial(kk + 1 - j)))
     for j in range(2, kk + 2):
         pure = pure + (jets[j] * jets[kk + 3 - j]).scale(
@@ -273,29 +259,8 @@ def full_wdvv_residuals(F: TruncSeries, n: int, m: int, deg: Fraction):
     for mu in range(m):
         ginv[n + 1 + mu][n + 1 + mu] = QPoly.const(1)
 
-    grad = [F.diff_t(i) for i in range(nt)]
-    second = {}
-    for a in range(nt):
-        for b in range(a, nt):
-            second[(a, b)] = grad[a].diff_t(b)
-
-    def d3(a, b, e):
-        key = tuple(sorted((a, b, e)))
-        return second[(key[0], key[1])].diff_t(key[2])
-
-    residuals = {}
-    for a in range(nt):
-        for b in range(a, nt):
-            for c in range(b, nt):
-                for d in range(c, nt):
-                    lhs = _contract(ginv, [d3(a, b, e) for e in range(nt)],
-                                    [d3(c, d, f) for f in range(nt)])
-                    rhs = _contract(ginv, [d3(a, c, e) for e in range(nt)],
-                                    [d3(b, d, f) for f in range(nt)])
-                    res = lhs - rhs
-                    if not res.is_zero():
-                        residuals[(a, b, c, d)] = res
-    return residuals
+    residuals = _wdvv(F, ginv, combinations_with_replacement(range(nt), 4))
+    return {key: res for key, res in residuals.items() if not res.is_zero()}
 
 
 # --- J-function recursion --------------------------------------------------
@@ -334,13 +299,8 @@ def j_recursion(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
         for i in range(0, k + 1):
             cki = comb(k, i)
             for zp, series in layers[k - i].items():
-                for b in range(n + 1):
-                    for c in range(n + 1):
-                        if ginv[b][c].is_zero():
-                            continue
-                        term = (grads[i + 1][b] * series.diff_t(c)).scale(
-                            ginv[b][c]).scale(cki)
-                        add(zp - 1, term)
+                dseries = [series.diff_t(c) for c in range(n + 1)]
+                add(zp - 1, contract(ginv, grads[i + 1], dseries).scale(cki))
         if k >= 1:
             for i in range(0, k):
                 c2 = 2 * k * comb(k - 1, i)

@@ -481,6 +481,7 @@ class AmbientOrigin:
         self._phi_cache[key] = out
         return out
 
+    # Kept lazy: eager exact.contract rows evaluate 295 partials, not 193, on (8,(9)).
     def _pair_contract(self, left: Tuple[int, ...], right: Tuple[int, ...]) -> QPoly:
         """sum_{e,f} F_{left,e} g^{ef} F_{f,right} using the inverse pairing."""
         acc = QPoly.zero()

@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from ciqc.exact import (LinearSystem, QPoly, TruncSeries, kernel_dimension,
+from ciqc.errors import ConfigurationError
+from ciqc.exact import (QPoly, TruncSeries, contract, kernel_dimension,
                         parse_rat, rat_str, solve_linear)
 
 SEED = 20240811
@@ -103,8 +105,7 @@ def test_series_json_round_trip():
 
 
 def test_solve_identity():
-    sysm = LinearSystem([[1, 0], [0, 1]], [1, 0])
-    x, kernel, witness = solve_linear(sysm)
+    x, kernel, witness = solve_linear([[1, 0], [0, 1]], [1, 0])
     assert x == [1, 0] and kernel == [] and witness is None
 
 
@@ -112,7 +113,7 @@ def test_solve_tridiagonal_252_chain_n5():
     # chain with interior rows (2,5,2) and boundary rows matching the
     # degree-(2n-2) band at n = 5: unknowns y_0..y_2
     rows = [[2, 5, 2], [0, 2, 5]]
-    x, kernel, witness = solve_linear(LinearSystem(rows, [0, 0]))
+    x, kernel, witness = solve_linear(rows, [0, 0])
     assert witness is None
     assert len(kernel) == 1
     v = kernel[0]
@@ -127,8 +128,7 @@ def test_solve_injectivity_chain_n5():
 
 
 def test_solve_inconsistent_reports_witness():
-    sysm = LinearSystem([[1, 1], [2, 2]], [1, 3])
-    x, kernel, witness = solve_linear(sysm)
+    x, kernel, witness = solve_linear([[1, 1], [2, 2]], [1, 3])
     assert x is None
     assert witness in (0, 1)  # a row participating in the contradiction
     assert len(kernel) == 1
@@ -140,13 +140,20 @@ def test_solution_substitutes_back():
         rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(3)]
         target = [Fraction(rng.randrange(-3, 4)) for _ in range(4)]
         rhs = [sum(r[j] * target[j] for j in range(4)) for r in rows]
-        x, kernel, witness = solve_linear(LinearSystem(rows, rhs))
+        x, kernel, witness = solve_linear(rows, rhs)
         assert witness is None
         for r, b in zip(rows, rhs):
             assert sum(ri * xi for ri, xi in zip(r, x)) == b
         for v in kernel:
             for r in rows:
                 assert sum(ri * vi for ri, vi in zip(r, v)) == 0
+
+
+def test_solve_rejects_malformed_systems():
+    with pytest.raises(ConfigurationError, match="sizes differ"):
+        solve_linear([[1, 0], [0, 1]], [1])
+    with pytest.raises(ConfigurationError, match="ragged"):
+        solve_linear([[1, 0], [1]], [1, 0])
 
 
 @st.composite
@@ -176,3 +183,45 @@ def test_store_time_truncation_equals_truncating_throughout(case):
 
     assert at(a * b, qmax) == at(a, qmax) * at(b, qmax)
     assert at(a.scale(c), qmax) == at(a, qmax).scale(c)
+
+
+_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+_qpolys = st.dictionaries(st.integers(0, 2), _fractions, max_size=2).map(QPoly)
+
+
+def _series(nt):
+    monomial = st.tuples(*[st.integers(0, 2)] * (nt + 1))
+    return st.dictionaries(monomial, _qpolys, max_size=3).map(
+        lambda terms: TruncSeries(nt, 3, 3, terms=terms))
+
+
+@st.composite
+def _pairing_rows(draw):
+    """A symmetric inverse pairing over QPoly with two QPoly rows and two
+    TruncSeries rows of the same length."""
+    size = draw(st.integers(1, 3))
+    ginv = [[None] * size for _ in range(size)]
+    for e in range(size):
+        for f in range(e, size):
+            ginv[e][f] = ginv[f][e] = draw(_qpolys)
+    rows = [draw(st.lists(kind, min_size=size, max_size=size))
+            for kind in (_qpolys, _qpolys, _series(2), _series(2))]
+    return ginv, rows
+
+
+@settings(derandomize=True, deadline=None)
+@given(_pairing_rows())
+def test_contract_is_symmetric_for_a_symmetric_pairing(case):
+    ginv, (p, q, u, v) = case
+    assert contract(ginv, p, q) == contract(ginv, q, p)
+    assert contract(ginv, u, v) == contract(ginv, v, u)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_series(2), _series(2), st.integers(0, 1))
+def test_diff_t_obeys_leibniz(a, b, i):
+    # d(ab) = da b + a db holds through degree cap - 1: the product drops
+    # its terms above the cap before it is differentiated
+    lhs = (a * b).diff_t(i).truncate_degree(a.degree_cap - 1)
+    rhs = (a.diff_t(i) * b + a * b.diff_t(i)).truncate_degree(a.degree_cap - 1)
+    assert lhs == rhs

@@ -4,34 +4,26 @@ from fractions import Fraction
 
 import pytest
 
+from ciqc.acceptance import _ring
 from ciqc.errors import DomainError
 from ciqc.genus_one import (descendant_chern_sum, f2_from_genus1, h_10,
                             hn_11, psi_top_descendant, two_point_g0)
 from ciqc.geometry import describe
 from ciqc.reconstruct import f1_series, f2_at_zero
-from ciqc.smallqh import build_ring
-
-_rings = {}
-
-
-def ring_for(n, d=(3,)):
-    if (n, d) not in _rings:
-        _rings[(n, d)] = build_ring(describe(n, d))
-    return _rings[(n, d)]
 
 
 def test_two_point_seed_values():
     for n in (3, 4, 5):
         desc = describe(n, (3,))
-        assert two_point_g0(desc, ring_for(n), n, n - 2) == 18
-        assert two_point_g0(desc, ring_for(n), n - 1, n - 1) == 45
-        assert two_point_g0(desc, ring_for(n), n - 2, n) == 18
+        assert two_point_g0(desc, _ring(n, (3,)), n, n - 2) == 18
+        assert two_point_g0(desc, _ring(n, (3,)), n - 1, n - 1) == 45
+        assert two_point_g0(desc, _ring(n, (3,)), n - 2, n) == 18
 
 
 def test_two_point_grid_induction_vs_closed_form():
     # the comparison runs inside two_point_g0; sweep the admissible grid
     for n in range(3, 9):
-        ring = ring_for(n)
+        ring = _ring(n, (3,))
         desc = describe(n, (3,))
         for i in range(n + 1):
             for j in range(n + 1):
@@ -41,12 +33,12 @@ def test_two_point_grid_induction_vs_closed_form():
 
 def test_two_point_rejects_out_of_range():
     with pytest.raises(DomainError):
-        two_point_g0(describe(4, (3,)), ring_for(4), 4, 3)
+        two_point_g0(describe(4, (3,)), _ring(4, (3,)), 4, 3)
 
 
 def test_two_point_binomial_convention_case():
     # n = 4, (i,j) = (2,2): the closed form needs binom(x,k) = 0 for k < 0
-    val = two_point_g0(describe(4, (3,)), ring_for(4), 2, 2)
+    val = two_point_g0(describe(4, (3,)), _ring(4, (3,)), 2, 2)
     # K = 2: (-1)^2 C(2,2) 18 + (-1)^1 C(2,1) 45 + (-1)^0 C(2,0) 18 = -54
     assert val == 18 - 90 + 18 == -54
 
@@ -54,22 +46,22 @@ def test_two_point_binomial_convention_case():
 def test_descendant_chern_sum_n3():
     # n = 3: the sum is 18 * sum (-1)^p [x^{1-p}] (1+x)^5/(1+3x) = 18
     desc = describe(3, (3,))
-    assert descendant_chern_sum(desc, ring_for(3)) == 18
-    assert psi_top_descendant(desc, ring_for(3).jfun) == 18
+    assert descendant_chern_sum(desc, _ring(3, (3,))) == 18
+    assert psi_top_descendant(desc, _ring(3, (3,)).jfun) == 18
     # so <H_3>_{1,1} = (-18 + 18)/24 = 0
-    assert hn_11(desc, ring_for(3)) == 0
+    assert hn_11(desc, _ring(3, (3,))) == 0
 
 
 @pytest.mark.parametrize("n,expected", [(3, 0), (4, Fraction(-9, 4))])
 def test_hn11_values(n, expected):
-    assert hn_11(describe(n, (3,)), ring_for(n)) == expected
+    assert hn_11(describe(n, (3,)), _ring(n, (3,))) == expected
 
 
 def test_hn11_routes_agree_3_to_12():
     # residue-sum route vs closed form: the comparison is enforced inside
     # hn_11/descendant_chern_sum; sweep the range
     for n in range(3, 13):
-        hn_11(describe(n, (3,)), ring_for(n))
+        hn_11(describe(n, (3,)), _ring(n, (3,)))
 
 
 def test_h10_cubic_threefold():
@@ -82,7 +74,7 @@ def test_f2_selection_is_one(n):
     assert report.f2 == 1
     assert report.psi11 == Fraction(1, 2)
     assert not report.experimental
-    desc, ring = describe(n, (3,)), ring_for(n)
+    desc, ring = describe(n, (3,)), _ring(n, (3,))
     assert report.f2 in f2_at_zero(desc, ring, f1_series(desc, ring))
 
 
@@ -117,8 +109,8 @@ def test_parity_consistency_with_lines_route():
 def test_descendant_sum_closed_form_anchor():
     # the cubic descendant sum has the closed value
     # (2/3)((-1)^n 2^{n+1} + 1) + 3n^2 + n - 2, e.g. 18 at n = 3, 72 at n = 4
-    assert descendant_chern_sum(describe(3, (3,)), ring_for(3)) == 18
-    assert descendant_chern_sum(describe(4, (3,)), ring_for(4)) == 72
+    assert descendant_chern_sum(describe(3, (3,)), _ring(3, (3,))) == 18
+    assert descendant_chern_sum(describe(4, (3,)), _ring(4, (3,))) == 72
 
 
 def _count_calls(monkeypatch, name, modules):
@@ -145,7 +137,7 @@ def test_f2_from_genus1_builds_one_ring(monkeypatch):
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_hn11_reuses_a_passed_ring(monkeypatch, n):
     from ciqc import genus_one, smallqh
-    desc, ring = describe(n, (3,)), ring_for(n)
+    desc, ring = describe(n, (3,)), _ring(n, (3,))
     builds = _count_calls(monkeypatch, "build_ring", [genus_one, smallqh])
     jets = _count_calls(monkeypatch, "small_j", [smallqh])
     expected = {3: 0, 5: Fraction(-3, 4), 6: Fraction(-15, 2)}[n]

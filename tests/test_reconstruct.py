@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ciqc.acceptance import _expected_f1_t_jet, _ring
+from ciqc.acceptance import RING_DESCRIPTORS, _expected_f1_t_jet, _ring
 from ciqc.errors import DomainError
 from ciqc.exact import QPoly
 from ciqc.geometry import describe
@@ -13,8 +13,6 @@ from ciqc.reconstruct import (artin_iso, f1_series, f2_at_zero, f2_gradient,
                               gamma_vector, higher_k_coeffs)
 from ciqc.smallqh import build_ring, c_constant
 
-RING_DESCRIPTORS = [(3, (3,)), (4, (3,)), (5, (3,)), (3, (2, 2)),
-                    (5, (2, 2)), (5, (5,)), (5, (2, 3))]
 
 @pytest.mark.parametrize("n,d", RING_DESCRIPTORS)
 def test_gamma_invariants(n, d):

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from ciqc.acceptance import _ring
 from ciqc.errors import DomainError
 from ciqc.exact import QPoly, TruncSeries, linear_substitute
 from ciqc.geometry import describe
@@ -15,20 +16,14 @@ from ciqc.reduction import (ReducedPotential, euler_beta,
                             full_wdvv_residuals, euler_residual,
                             index_one_two_point_primitive, j_recursion,
                             pack_s, primitive_j_layers, wdvv_residuals)
-from ciqc.smallqh import AmbientOrigin, build_ring, low_point_terms
+from ciqc.smallqh import low_point_terms
 
 SEED = 20240811
 
-_cache = {}
-
 
 def cubic4_data():
-    if "c4" not in _cache:
-        desc = describe(4, (3,))
-        ring = build_ring(desc)
-        origin = AmbientOrigin(desc, ring)
-        _cache["c4"] = (desc, ring, origin)
-    return _cache["c4"]
+    ring = _ring(4, (3,))
+    return ring.desc, ring, ring.origin
 
 
 def test_pack_s_even():
@@ -104,6 +99,18 @@ def test_reduced_residuals_detect_perturbation():
               for series in res["eq_mixed"].values())
     hit = hit or not res["eq_pure"].s_slice(0).truncate_degree(1).is_zero()
     assert hit
+
+
+def test_full_wdvv_matches_ambient_residuals():
+    # with no primitive variables the full-variable oracle is the ambient
+    # WDVV of F^(0): it reports the nonzero residuals with a <= b <= c <= d
+    desc, ring, F, f0_t = assemble_reduced_potential()
+    ambient = wdvv_residuals(ReducedPotential(desc, F))["ambient"]
+    full = full_wdvv_residuals(f0_t, desc.n, 0, desc.degree)
+    shared = {key: res for key, res in ambient.items() if key[2] <= key[3]}
+    assert len(shared) == 70
+    assert full and full == {key: res for key, res in shared.items()
+                             if not res.is_zero()}
 
 
 def test_euler_residual_vanishes_and_detects():
