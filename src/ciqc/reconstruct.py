@@ -240,7 +240,13 @@ def _f2_gradient_parts(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet):
 
 def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData,
                f1: F1Jet) -> List[Fraction]:
-    """All roots of the quadratic satisfied by F^(2)(0).
+    """All roots of the quadratic satisfied by F^(2)(0), sorted ascending."""
+    return _f2_roots(desc, ring, *_f2_gradient_parts(desc, ring, f1))
+
+
+def _f2_roots(desc: CIDescriptor, ring: QuantumRingData,
+              const, slope) -> List[Fraction]:
+    """The roots of F^(2)(0) from the gradient parts.
 
     The pure order-2 equation F2^2 + g^{0f} F2_f = 0 reads F2^2 + A F2 + B
     = 0, with A and B the g^{0f}-contractions of the gradient's slope and
@@ -252,7 +258,6 @@ def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData,
     if (n - 1) % a != 0:
         return [Fraction(0)]
     beta = (n - 1) // a
-    const, slope = _f2_gradient_parts(desc, ring, f1)
     unit = _unit_vector(n, 0)
     A = contract(ring.ginv, unit, slope)
     B = contract(ring.ginv, unit, const)
@@ -294,13 +299,13 @@ class F2Jet:
 def f2_gradient(desc: CIDescriptor, f2zero: Rational,
                 ring: QuantumRingData, f1: F1Jet) -> F2Jet:
     """Origin gradient of F^(2) for a chosen root of the quadratic."""
-    roots = f2_at_zero(desc, ring, f1)
+    const, slope = _f2_gradient_parts(desc, ring, f1)
+    roots = _f2_roots(desc, ring, const, slope)
     f2zero = Fraction(f2zero)
     if f2zero not in roots:
         raise DomainError(f"{f2zero} is not a root of the F^(2)(0) quadratic {roots}")
     n, a = desc.n, desc.a
     value = QPoly.q_power((n - 1) // a, f2zero)  # zero unless a | n - 1
-    const, slope = _f2_gradient_parts(desc, ring, f1)
     tau_grad = [c + s * value for c, s in zip(const, slope)]
 
     t_grad = [QPoly.zero() for _ in range(n + 1)]

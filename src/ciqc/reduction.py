@@ -8,10 +8,11 @@ genus-zero potential F(t^0..t^n, s) satisfies
     E F = (3-n) F + a(n,d) * d/dt^1 (classical cubic form),
 
 with both WDVV-type equations read modulo s^{m/2} in odd dimensions.  This
-module evaluates residuals of these equations (and of their order-by-order
-s-expansions) exactly; it never solves them -- the reconstruction module
-drives solving, this one is the trusted checker.  It also carries the
-J-function recursion that rebuilds descendant data from the potential.
+module evaluates residuals of these equations exactly (their order-by-order
+s-expansions are s-slices of the same residuals); it never solves them --
+the reconstruction module drives solving, this one is the trusted checker.
+It also carries the J-function recursion that rebuilds descendant data
+from the potential.
 """
 
 from __future__ import annotations
@@ -90,6 +91,29 @@ def _wdvv(F: TruncSeries, ginv, quads) -> Dict[tuple, TruncSeries]:
             - contract(ginv, row(a, c), row(b, d)) for a, b, c, d in quads}
 
 
+def _reduced(F: TruncSeries, ginv):
+    """Residuals (mixed, pure) of the two reduced equations on F(t, s):
+    ``mixed[(a,b)]`` for 0 <= a <= b <= n is the first, ``pure`` the second."""
+    n = F.nt - 1
+    Fs = F.diff_s()
+    Fss = Fs.diff_s()
+    d1 = [F.diff_t(i) for i in range(n + 1)]
+    ds1 = [Fs.diff_t(i) for i in range(n + 1)]
+    s_series = F.clone_empty().add_term(F.monomial_key({}, 1), QPoly.const(1))
+
+    mixed = {}
+    for a in range(n + 1):
+        for b in range(a, n + 1):
+            dab = d1[a].diff_t(b)
+            third = [dab.diff_t(e) for e in range(n + 1)]
+            res = contract(ginv, third, ds1)
+            res = res + (s_series * dab.diff_s() * Fss).scale(2)
+            mixed[(a, b)] = res - ds1[a] * ds1[b]
+
+    pure = contract(ginv, ds1, ds1) + (s_series * Fss * Fss).scale(2)
+    return mixed, pure
+
+
 def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
     """Residuals of the reduced system and of the ambient WDVV of F^(0).
 
@@ -98,36 +122,15 @@ def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
     (a,b,c,d) to the ambient WDVV residual of F at s = 0.  In odd mode the
     first two are truncated below s^{m/2} before being reported.
     """
-    F = pot.F
-    n = pot.desc.n
-    ginv = pot.ginv
-    Fs = F.diff_s()
-    Fss = Fs.diff_s()
-    d1 = [F.diff_t(i) for i in range(n + 1)]
-    ds1 = [Fs.diff_t(i) for i in range(n + 1)]
-    skey = [0] * (n + 1) + [1]
-    s_series = F.clone_empty().add_term(tuple(skey), QPoly.const(1))
-
-    mixed = {}
-    for a in range(n + 1):
-        da = d1[a]
-        for b in range(a, n + 1):
-            dab = da.diff_t(b)
-            third = [dab.diff_t(e) for e in range(n + 1)]
-            res = contract(ginv, third, ds1)
-            res = res + (s_series * dab.diff_s() * Fss).scale(2)
-            res = res - ds1[a] * ds1[b]
-            if pot.s_cutoff is not None:
-                res = res.drop_s_at_or_above(pot.s_cutoff)
-            mixed[(a, b)] = res
-
-    pure = contract(ginv, ds1, ds1) + (s_series * Fss * Fss).scale(2)
+    mixed, pure = _reduced(pot.F, pot.ginv)
     if pot.s_cutoff is not None:
+        mixed = {key: res.drop_s_at_or_above(pot.s_cutoff)
+                 for key, res in mixed.items()}
         pure = pure.drop_s_at_or_above(pot.s_cutoff)
 
-    ambient = _wdvv(F.s_slice(0), ginv,
+    ambient = _wdvv(pot.F.s_slice(0), pot.ginv,
                     [(a, b, c, d) for a, b, c in combinations_with_replacement(
-                        range(n + 1), 3) for d in range(n + 1)])
+                        range(pot.F.nt), 3) for d in range(pot.F.nt)])
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
 
 
@@ -137,23 +140,16 @@ def euler_residual(pot: ReducedPotential, classical_cubic: TruncSeries) -> Trunc
         E = sum (1-i) t^i d/dt^i + (2-n) s d/ds + a(n,d) d/dt^1.
 
     E never touches q; the equation encodes the dimension axiom together
-    with the divisor equation.
+    with the divisor equation.  E - (3-n) is diagonal on monomials: it
+    multiplies t^key s^j by sum (1-i) key_i + (2-n) j - (3-n).
     """
     F = pot.F
     n = pot.desc.n
-    acc = F.clone_empty()
-    for i in range(n + 1):
-        ti = [0] * (n + 2)
-        ti[i] = 1
-        mono = F.clone_empty().add_term(tuple(ti), QPoly.const(1))
-        acc = acc + (mono * F.diff_t(i)).scale(1 - i)
-    skey = [0] * (n + 1) + [1]
-    smono = F.clone_empty().add_term(tuple(skey), QPoly.const(1))
-    acc = acc + (smono * F.diff_s()).scale(2 - n)
-    acc = acc + F.diff_t(1).scale(pot.desc.a)
-    acc = acc - F.scale(3 - n)
-    acc = acc - classical_cubic.diff_t(1).scale(pot.desc.a)
-    return acc
+    weighted = TruncSeries(F.nt, F.degree_cap, F.qmax, F.s_cap, terms={
+        key: c.scale(sum((1 - i) * e for i, e in enumerate(key[:-1]))
+                     + (2 - n) * key[-1] - (3 - n))
+        for key, c in F.terms.items()})
+    return weighted + (F - classical_cubic).diff_t(1).scale(pot.desc.a)
 
 
 def euler_beta(desc: CIDescriptor, k: int) -> Optional[Fraction]:
@@ -174,48 +170,25 @@ def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv,
     governing F^(2).  In odd dimensions the expansion is only valid below
     the nilpotency order; k >= m - 1 is refused.
 
-    Returns (mixed, pure): mixed maps (a,b) to a residual jet, pure is the
-    residual jet of the second equation.
+    Returns (mixed, pure) of ``_reduced`` on F = sum_{i<=k} s^i F^(i) / i!,
+    sliced at s^{k-1}.  F is stored to degree C + k, C the largest jet cap,
+    so no term of F^(k) is dropped; the slices are cut back to degree C.
     """
     if k < 1:
         raise DomainError("expansion order must be >= 1")
     if odd_rank is not None and k >= odd_rank - 1:
         raise DomainError(
             f"order {k} not asserted in odd mode with primitive rank {odd_rank}")
-    kk = k - 1  # the printed expansion index
-    if len(jets) < kk + 2:
-        raise DomainError(f"need jets F^(0)..F^({kk + 1})")
+    if len(jets) < k + 1:
+        raise DomainError(f"need jets F^(0)..F^({k})")
     cap = max(j.degree_cap for j in jets)
-    jets = [j.recap(cap) for j in jets]
-    nt = jets[0].nt
-    n = nt - 1
-
-    grad = [[jet.diff_t(i) for i in range(nt)] for jet in jets]
-
-    mixed = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            res = jets[0].clone_empty()
-            for j in range(0, kk + 1):
-                third = [grad[j][a].diff_t(b).diff_t(e) for e in range(nt)]
-                res = res + contract(ginv, third, grad[kk - j + 1]).scale(
-                    Fraction(1, factorial(j) * factorial(kk - j)))
-            for j in range(1, kk + 1):
-                res = res + (grad[j][a].diff_t(b) * jets[kk - j + 2]).scale(
-                    Fraction(2, factorial(j - 1) * factorial(kk - j)))
-            for j in range(1, kk + 2):
-                res = res - (grad[j][a] * grad[kk - j + 2][b]).scale(
-                    Fraction(1, factorial(j - 1) * factorial(kk - j + 1)))
-            mixed[(a, b)] = res
-
-    pure = jets[0].clone_empty()
-    for j in range(1, kk + 2):
-        pure = pure + contract(ginv, grad[j], grad[kk + 2 - j]).scale(
-            Fraction(1, factorial(j - 1) * factorial(kk + 1 - j)))
-    for j in range(2, kk + 2):
-        pure = pure + (jets[j] * jets[kk + 3 - j]).scale(
-            Fraction(2, factorial(j - 2) * factorial(kk + 1 - j)))
-    return mixed, pure
+    F = TruncSeries(jets[0].nt, cap + k, jets[0].qmax, terms={
+        key[:-1] + (i,): c.scale(Fraction(1, factorial(i)))
+        for i, jet in enumerate(jets[:k + 1]) for key, c in jet.terms.items()})
+    mixed, pure = _reduced(F, ginv)
+    return ({key: res.s_slice(k - 1).truncate_degree(cap)
+             for key, res in mixed.items()},
+            pure.s_slice(k - 1).truncate_degree(cap))
 
 
 # --- brute-force expansion over primitive variables (equivalence oracle) --
@@ -226,12 +199,11 @@ def expand_to_full(F_red: TruncSeries, n: int, m: int) -> TruncSeries:
     potential, producing a polynomial in t^0..t^n, u^1..u^m."""
     nt_full = n + 1 + m
     out = TruncSeries(nt_full, F_red.degree_cap, F_red.qmax)
-    half = Fraction(1, 2)
     s_full = TruncSeries(nt_full, F_red.degree_cap, F_red.qmax)
     for mu in range(m):
         key = [0] * (nt_full + 1)
         key[n + 1 + mu] = 2
-        s_full = s_full.add_term(tuple(key), QPoly.const(half))
+        s_full = s_full.add_term(tuple(key), QPoly.const(Fraction(1, 2)))
     s_pows = [None, s_full]
 
     def s_power(e):
@@ -268,12 +240,12 @@ def full_wdvv_residuals(F: TruncSeries, n: int, m: int, deg: Fraction):
 
 def j_recursion(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
                 j0: Dict[int, TruncSeries], kmax: int, zmin: int,
-                ginv=None) -> List[Dict[int, TruncSeries]]:
+                ginv) -> List[Dict[int, TruncSeries]]:
     """Reconstruct the s-expansion layers of an ambient J-component.
 
     ``f_jets[i]`` are t-jets of F^(i) (needed up to order kmax + 1) over the
-    same coordinates as ``j0``, the s = 0 layer; ``ginv`` defaults to the
-    classical ambient inverse pairing.  Layer k+1 is built as
+    same coordinates as ``j0``, the s = 0 layer, and ``ginv`` is the inverse
+    pairing in those coordinates.  Layer k+1 is built as
 
       J^(k+1) = (1/z) [ sum_i C(k,i) F^(i+1)_b g^{bc} d_c J^(k-i)
                         + 2k sum_i C(k-1,i) F^(i+2) J^(k-i) ].
@@ -284,8 +256,6 @@ def j_recursion(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
     cap = max([j.degree_cap for j in f_jets] + [s.degree_cap for s in j0.values()])
     f_jets = [j.recap(cap) for j in f_jets]
     j0 = {zp: s.recap(cap) for zp, s in j0.items()}
-    if ginv is None:
-        ginv = classical_pairing_inverse(desc)
     grads = [[jet.diff_t(i) for i in range(n + 1)] for jet in f_jets]
     layers = [dict(j0)]
     for k in range(0, kmax):

@@ -260,6 +260,23 @@ def test_f2_gradient_once_per_root(capsys, monkeypatch):
     assert calls == [Fraction(1), Fraction(4)]
 
 
+@pytest.mark.parametrize("n,d,builds", [("4", "3", 3), ("8", "9", 2)])
+def test_f2_gradient_parts_built_once_per_call(capsys, monkeypatch, n, d, builds):
+    # f2_at_zero builds the gradient parts once, then f2_gradient once per root
+    from ciqc import reconstruct
+    calls = []
+    real = reconstruct._f2_gradient_parts
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reconstruct, "_f2_gradient_parts", counted)
+    code, _, _ = run(capsys, "f2", "--n", n, "--d", d)
+    assert code == 0
+    assert len(calls) == builds
+
+
 @pytest.mark.parametrize("content", [None, "not json {", '{"nt": 4}'])
 def test_residual_unreadable_load_is_usage_error(tmp_path, capsys, content):
     path = tmp_path / "F.json"

@@ -134,7 +134,7 @@ def test_f2_zero_whenever_gcd_filter_triggers():
             continue
         import math
         if math.gcd(desc.n - 2, desc.a) > 1:
-            ring = build_ring(desc)
+            ring = _ring(n, d)
             assert f2_at_zero(desc, ring, f1_series(desc, ring)) == [Fraction(0)]
 
 
@@ -167,7 +167,7 @@ def test_f2_gradient_closed_form_other_degrees():
     # when F^(2)(0) = 0 the gradient rows follow the closed form
     for n, d in [(5, (2, 3)), (7, (2, 2, 2))]:
         desc = describe(n, d)
-        ring = build_ring(desc)
+        ring = _ring(n, d)
         cval, _, _ = c_constant(desc, ring)
         jet = f2_gradient(desc, 0, ring, f1_series(desc, ring))
         closed = f2_gradient_closed_form(desc, cval)
@@ -249,11 +249,10 @@ def test_f1_divisor_route_matches_contracted_route():
     # agree with the contracted fourth-derivative identity applied to the
     # symmetric entry, including for index-one descriptors
     from fractions import Fraction as Fr
-    from ciqc.smallqh import AmbientOrigin
     for n, d in [(4, (3,)), (5, (5,)), (4, (3, 3))]:
         desc = describe(n, d)
-        ring = build_ring(desc)
-        origin = AmbientOrigin(desc, ring)
+        ring = _ring(n, d)
+        origin = ring.origin
         jet = f1_series(desc, ring)
         for j in range(2, n + 1):
             via_phi = jet.quad[(1, j)]

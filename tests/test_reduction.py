@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ciqc.acceptance import _ring
 from ciqc.errors import DomainError
@@ -53,12 +54,12 @@ def test_euler_beta_filter():
     assert euler_beta(describe(5, (2, 3)), 2) is None  # (n-1)/a = 4/3
 
 
-def assemble_reduced_potential(deg0=5, deg1=2):
-    """F = F^(0) + s F^(1) for the cubic fourfold, in classical coordinates."""
-    desc, ring, origin = cubic4_data()
-    forms = _tau_to_t_forms(ring)
-    f0_tau = origin.jet_series(deg0)
-    f0_t = linear_substitute(f0_tau, forms)
+def assemble_reduced_potential(n=4, d=(3,), deg0=5, deg1=2):
+    """F = F^(0) + s F^(1) in classical coordinates, by default for the
+    cubic fourfold."""
+    ring = _ring(n, d)
+    desc = ring.desc
+    f0_t = linear_substitute(ring.origin.jet_series(deg0), _tau_to_t_forms(ring))
     f1 = f1_series(desc, ring)
     cap = max(deg0, deg1 + 1)
     F = TruncSeries(desc.n + 1, cap, ring.qmax)
@@ -145,6 +146,45 @@ def test_euler_residual_vanishes_and_detects():
     assert window(euler_residual(bad, cubic)) != []
 
 
+def _euler_product_form(pot, cubic):
+    """sum (1-i) t^i F_i + (2-n) s F_s + a F_1 - (3-n) F - a c_1, one
+    monomial product per variable."""
+    F, n, a = pot.F, pot.desc.n, pot.desc.a
+
+    def var(i):  # t^i for i <= n, s for i = n + 1
+        return F.clone_empty().add_term(
+            tuple(int(k == i) for k in range(n + 2)), QPoly.const(1))
+
+    acc = (var(n + 1) * F.diff_s()).scale(2 - n)
+    for i in range(n + 1):
+        acc = acc + (var(i) * F.diff_t(i)).scale(1 - i)
+    return (acc + F.diff_t(1).scale(a) - F.scale(3 - n)
+            - cubic.diff_t(1).scale(a))
+
+
+_qpolys = st.dictionaries(
+    st.integers(0, 2), st.builds(Fraction, st.integers(-3, 3),
+                                 st.integers(1, 4)), max_size=2).map(QPoly)
+
+
+@pytest.mark.parametrize("n,d", [(4, (3,)), (3, (2, 2))])
+@settings(derandomize=True, deadline=None)
+@given(data=st.data())
+def test_euler_residual_equals_product_form(n, d, data):
+    # on X_3(2,2) ReducedPotential caps s at m/2 = 2, below the drawn s^3
+    desc = describe(n, d)
+    monomial = st.tuples(*[st.integers(0, 1)] * (n + 1), st.integers(0, 3))
+
+    def series(s_cap):
+        terms = data.draw(st.dictionaries(monomial, _qpolys, max_size=6))
+        return TruncSeries(n + 1, 6, 2, s_cap, terms=terms)
+
+    pot = ReducedPotential(desc, series(None))
+    assert pot.F.s_cap == (2 if n % 2 else None)
+    cubic = series(pot.F.s_cap)
+    assert euler_residual(pot, cubic) == _euler_product_form(pot, cubic)
+
+
 def test_expand_order_one_reproduces_square_zero_equations():
     desc, ring, origin = cubic4_data()
     f1 = f1_series(desc, ring)
@@ -153,6 +193,21 @@ def test_expand_order_one_reproduces_square_zero_equations():
     for key, series in mixed.items():
         assert series.truncate_degree(1).is_zero(), key
     assert pure.truncate_degree(1).is_zero()
+
+
+@pytest.mark.parametrize("n,d", [(3, (3,)), (4, (3,)), (5, (3,)),
+                                 (3, (2, 2)), (5, (2, 2))])
+def test_expand_order_one_reports_string_equation_rows(n, d):
+    # the a = 0 rows of the first equation are reported too; the string
+    # equation makes them vanish to the order the jets determine
+    ring = _ring(n, d)
+    f1 = f1_series(ring.desc, ring)
+    mixed, _ = expand_order_k([ring.origin.jet_series(4), f1.tau_jet], 1,
+                              ring.ginv)
+    rows = [key for key in mixed if key[0] == 0]
+    assert rows == [(0, b) for b in range(n + 1)]
+    for key in rows:
+        assert mixed[key].truncate_degree(1).is_zero(), key
 
 
 def test_expand_order_one_detects_perturbation():
@@ -372,19 +427,7 @@ def test_j_recursion_layers_consistency():
 def test_odd_mode_residuals_truncated_below_nilpotency():
     # X_3(2,2): m = 4, so residuals are asserted only below s^2; the
     # reconstructed F = F^(0) + s F^(1) obeys the reduced system there
-    from ciqc.geometry import describe as _describe
-    from ciqc.smallqh import AmbientOrigin as _AO, build_ring as _br
-    from ciqc.reconstruct import f1_series as _f1, _tau_to_t_forms as _forms
-    desc = _describe(3, (2, 2))
-    ring = _br(desc)
-    origin = _AO(desc, ring)
-    f0_t = linear_substitute(origin.jet_series(5), _forms(ring))
-    f1 = _f1(desc, ring)
-    F = TruncSeries(desc.n + 1, 5, ring.qmax)
-    for key, c in f0_t.terms.items():
-        F = F.add_term(key, c)
-    for key, c in f1.t_jet.terms.items():
-        F = F.add_term(key[:-1] + (1,), c)
+    desc, ring, F, _ = assemble_reduced_potential(3, (2, 2), 5, 2)
     pot = ReducedPotential(desc, F)
     assert pot.F.s_cap == desc.m // 2 == 2
     assert pot.s_cutoff == 2
@@ -399,20 +442,8 @@ def test_odd_mode_residuals_truncated_below_nilpotency():
 
 def test_reduced_residuals_other_descriptors():
     # same vanishing on an odd cubic and the odd two-quadrics case
-    from ciqc.geometry import describe as _describe
-    from ciqc.smallqh import AmbientOrigin as _AO, build_ring as _br
-    from ciqc.reconstruct import f1_series as _f1, _tau_to_t_forms as _forms
     for n, d in [(5, (3,)), (3, (2, 2))]:
-        desc = _describe(n, d)
-        ring = _br(desc)
-        origin = _AO(desc, ring)
-        f0_t = linear_substitute(origin.jet_series(4), _forms(ring))
-        f1 = _f1(desc, ring)
-        F = TruncSeries(desc.n + 1, 4, ring.qmax)
-        for key, c in f0_t.terms.items():
-            F = F.add_term(key, c)
-        for key, c in f1.t_jet.terms.items():
-            F = F.add_term(key[:-1] + (1,), c)
+        desc, ring, F, _ = assemble_reduced_potential(n, d, 4, 2)
         pot = ReducedPotential(desc, F)
         res = wdvv_residuals(pot)
         for key, series in res["eq_mixed"].items():
