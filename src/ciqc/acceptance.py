@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
-from .exact import QPoly, TruncSeries
+from .exact import QPoly, TruncSeries, monomial
 from .geometry import describe
 from .smallqh import (_mat_vec, build_ring, c_constant, one_point_descendant,
                       small_j)
@@ -127,27 +127,13 @@ def check_f1(only=None) -> Tuple[bool, str]:
 
 def _expected_f1_t_jet(desc, qmax) -> TruncSeries:
     n, ell = desc.n, desc.ell
-    s = TruncSeries(n + 1, 2, qmax)
-    lin = [0] * (n + 2)
-    lin[0] = 1
-    s = s.add_term(tuple(lin), QPoly.const(1))
-    lin = [0] * (n + 2)
-    lin[n - 1] = 1
-    s = s.add_term(tuple(lin), QPoly.q_power(1, -ell))
-    for i in range(1, n):
-        j = n - i
-        if i > j:
-            continue
-        key = [0] * (n + 2)
-        key[i] += 1
-        key[j] += 1
-        coeff = Fraction(-ell) if i != j else Fraction(-ell, 2)
-        s = s.add_term(tuple(key), QPoly.q_power(1, coeff))
-    key = [0] * (n + 2)
-    key[n - 1] += 1
-    key[n] += 1
-    s = s.add_term(tuple(key), QPoly.q_power(2, -ell * ell))
-    return s
+    terms = {monomial(n + 1, (0,)): QPoly.const(1),
+             monomial(n + 1, (n - 1,)): QPoly.q_power(1, -ell)}
+    for i in range(1, n // 2 + 1):
+        terms[monomial(n + 1, (i, n - i))] = QPoly.q_power(
+            1, Fraction(-ell, 2 if 2 * i == n else 1))
+    terms[monomial(n + 1, (n - 1, n))] = QPoly.q_power(2, -ell * ell)
+    return TruncSeries(n + 1, 2, qmax, terms=terms)
 
 
 def check_f2_roots(only=None) -> Tuple[bool, str]:
@@ -231,9 +217,8 @@ def check_property_suites(only=None, seed: int = 20240811) -> Tuple[bool, str]:
     # (a) reduced vs full WDVV, even mode, m = 3
     from .reduction import expand_to_full, full_wdvv_residuals
     n, m = 2, 3
-    good = TruncSeries(n + 1, 4, 0)
-    good = good.add_term((2, 0, 1, 0), QPoly.const(Fraction(1, 2)))
-    good = good.add_term((1, 2, 0, 0), QPoly.const(Fraction(1, 2)))
+    good = TruncSeries(n + 1, 4, 0, terms={(2, 0, 1, 0): Fraction(1, 2),
+                                            (1, 2, 0, 0): Fraction(1, 2)})
     res = full_wdvv_residuals(expand_to_full(good, n, m), n, m, Fraction(1))
     if any(not r.truncate_degree(1).is_zero() for r in res.values()):
         return False, "associative toy fails the full WDVV"

@@ -7,12 +7,15 @@ Every number in the package is a ``fractions.Fraction`` (re-exported here as
 * ``TruncSeries`` -- sparse multivariate series in t^0..t^n and s with QPoly
   coefficients, truncated by total degree, by a q-cap and (in odd
   dimensions) by an s-cap; it is the only place q is truncated,
+* ``substitute`` -- replacing each variable of a series by a series (the
+  flat change of basis, and s = sum u^2/2 in the equivalence oracle),
 * ``contract`` -- the contraction of two rows through an inverse pairing,
 * ``solve_linear`` -- exact row reduction with kernel basis.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
@@ -229,15 +232,9 @@ class TruncSeries:
            (other.nt, other.degree_cap, other.s_cap, other.qmax):
             raise ConfigurationError("series cap/variable mismatch")
 
-    def clone_empty(self) -> "TruncSeries":
-        return TruncSeries(self.nt, self.degree_cap, self.qmax, self.s_cap)
-
-    def monomial_key(self, t_exps: dict, s_exp: int = 0) -> tuple:
-        key = [0] * (self.nt + 1)
-        for i, e in t_exps.items():
-            key[i] = e
-        key[-1] = s_exp
-        return tuple(key)
+    def like(self, terms: Optional[dict] = None) -> "TruncSeries":
+        """A series with the same variables and caps holding ``terms``."""
+        return TruncSeries(self.nt, self.degree_cap, self.qmax, self.s_cap, terms)
 
     def add_term(self, key, coeff) -> "TruncSeries":
         out = self.copy()
@@ -245,7 +242,7 @@ class TruncSeries:
         return out
 
     def copy(self) -> "TruncSeries":
-        out = self.clone_empty()
+        out = self.like()
         out.terms = dict(self.terms)
         return out
 
@@ -264,13 +261,10 @@ class TruncSeries:
         return out
 
     def __neg__(self) -> "TruncSeries":
-        out = self.clone_empty()
-        for key, c in self.terms.items():
-            out._store(key, -c)
-        return out
+        return self.like({key: -c for key, c in self.terms.items()})
 
     def scale(self, c) -> "TruncSeries":
-        out = self.clone_empty()
+        out = self.like()
         if isinstance(c, QPoly):
             for key, v in self.terms.items():
                 out._store(key, v * c)
@@ -282,7 +276,7 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check(other)
-        out = self.clone_empty()
+        out = self.like()
         qmax = self.qmax
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -302,7 +296,7 @@ class TruncSeries:
         """Partial derivative with respect to t^i."""
         if not 0 <= i < self.nt:
             raise DomainError(f"no t-variable of index {i}")
-        out = self.clone_empty()
+        out = self.like()
         for key, c in self.terms.items():
             if key[i] > 0:
                 nk = list(key)
@@ -311,7 +305,7 @@ class TruncSeries:
         return out
 
     def diff_s(self) -> "TruncSeries":
-        out = self.clone_empty()
+        out = self.like()
         for key, c in self.terms.items():
             if key[-1] > 0:
                 nk = list(key)
@@ -324,32 +318,19 @@ class TruncSeries:
         return self.terms.get(key, QPoly.zero())
 
     def coefficient(self, t_exps: dict, s_exp: int = 0) -> QPoly:
-        return self.terms.get(self.monomial_key(t_exps, s_exp), QPoly.zero())
+        key = monomial(self.nt, Counter(t_exps).elements(), s_exp)
+        return self.terms.get(key, QPoly.zero())
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def truncate_degree(self, cap: int) -> "TruncSeries":
-        out = TruncSeries(self.nt, min(cap, self.degree_cap), self.qmax, self.s_cap)
-        for key, c in self.terms.items():
-            out._store(key, c)
-        return out
+        return self.recap(min(cap, self.degree_cap), self.s_cap)
 
     def recap(self, degree_cap: int, s_cap=None) -> "TruncSeries":
         """Re-store the terms under new caps (raising a cap marks the new
         orders as unknown-zero rather than computing them)."""
-        out = TruncSeries(self.nt, degree_cap, self.qmax, s_cap)
-        for key, c in self.terms.items():
-            out._store(key, c)
-        return out
-
-    def drop_s_at_or_above(self, s_power: int) -> "TruncSeries":
-        """Forget all monomials with s-exponent >= s_power (odd-mode slicing)."""
-        out = self.clone_empty()
-        for key, c in self.terms.items():
-            if key[-1] < s_power:
-                out._store(key, c)
-        return out
+        return TruncSeries(self.nt, degree_cap, self.qmax, s_cap, self.terms)
 
     def s_slice(self, s_power: int) -> "TruncSeries":
         """Series of t-monomials multiplying s^s_power (s removed)."""
@@ -440,9 +421,40 @@ def _json_nonneg_int(value, what: str) -> int:
     return value
 
 
+def monomial(nt: int, t_indices=(), s: int = 0) -> tuple:
+    """The exponent key (e_0, ..., e_{nt-1}, e_s) of the product of t^i over
+    ``t_indices`` (an index may repeat) times s^s."""
+    key = [0] * (nt + 1)
+    for i in t_indices:
+        key[i] += 1
+    key[-1] = s
+    return tuple(key)
+
+
 def _mono_order_key(item):
     key = item[0]
     return (key[-1], sum(key[:-1]), key[:-1])
+
+
+def substitute(series: TruncSeries, images) -> TruncSeries:
+    """Replace variable v of ``series`` (t^0..t^{nt-1}, then s) by the series
+    ``images[v]``; the result has the variables and caps of the images.
+
+    Each power of an image is formed once.  Truncation commutes with the
+    substitution because no exponent is negative.
+    """
+    one = images[0].like({monomial(images[0].nt): ONE})
+    powers = [[one, image] for image in images]
+    out = one.like()
+    for key, coeff in series.sorted_terms():
+        term = one
+        for v, e in enumerate(key):
+            if e:
+                while len(powers[v]) <= e:
+                    powers[v].append(powers[v][-1] * images[v])
+                term = term * powers[v][e]
+        out = out + term.scale(coeff)
+    return out
 
 
 def linear_substitute(series: TruncSeries, forms) -> TruncSeries:
@@ -452,38 +464,10 @@ def linear_substitute(series: TruncSeries, forms) -> TruncSeries:
     The s variable is untouched.  Used for the flat change of coordinates
     between the classical-power and quantum-power bases.
     """
-    out = series.clone_empty()
-    one = TruncSeries(series.nt, series.degree_cap, series.qmax, series.s_cap)
-    one = one.add_term((0,) * (series.nt + 1), QPoly.const(1))
-
-    form_series = []
-    for i in range(series.nt):
-        f = series.clone_empty()
-        for j, c in forms[i]:
-            key = [0] * (series.nt + 1)
-            key[j] = 1
-            f = f.add_term(tuple(key), c)
-        form_series.append(f)
-
-    # cache powers of each substituted variable
-    powers = [[one] for _ in range(series.nt)]
-
-    def power(i, e):
-        while len(powers[i]) <= e:
-            powers[i].append(powers[i][-1] * form_series[i])
-        return powers[i][e]
-
-    for key, coeff in series.sorted_terms():
-        term = one
-        for i, e in enumerate(key[:-1]):
-            if e:
-                term = term * power(i, e)
-        if key[-1]:
-            skey = [0] * (series.nt + 1)
-            skey[-1] = key[-1]
-            term = term * one.clone_empty().add_term(tuple(skey), QPoly.const(1))
-        out = out + term.scale(coeff)
-    return out
+    nt = series.nt
+    images = [series.like({monomial(nt, (j,)): c for j, c in forms[i]})
+              for i in range(nt)]
+    return substitute(series, images + [series.like({monomial(nt, s=1): ONE})])
 
 
 def contract(ginv, left, right):

@@ -236,8 +236,8 @@ def prim_square_class(n: int) -> List[Fraction]:
     return z
 
 
-def prim_square_vector(n: int) -> SchubertVector:
-    z = prim_square_class(n)
+def prim_square_vector(n: int, z: List[Fraction]) -> SchubertVector:
+    """The class sum_k z_k {n-2-k, k} of the coefficients ``z``."""
     out = SchubertVector(n)
     for k, zk in enumerate(z):
         out._store((n - 2 - k, k), zk)
@@ -255,7 +255,7 @@ def omega_checks(n: int) -> dict:
         raise DomainError("need n >= 3")
     desc = describe(n, (3,))
     z = prim_square_class(n)
-    v = prim_square_vector(n)
+    v = prim_square_vector(n, z)
     cls = lines_class_primitive(n)
 
     s1pow = sigma1_power(n, n - 2)

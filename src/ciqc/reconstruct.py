@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
-from .exact import QPoly, Rational, TruncSeries, contract, linear_substitute
+from .exact import (QPoly, Rational, TruncSeries, contract, linear_substitute,
+                    monomial)
 from .geometry import CIDescriptor, require_reconstruction_domain
 from .smallqh import QuantumRingData, _unit_vector, quantum_product_qp
 
@@ -201,22 +202,11 @@ def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
 
     constant = QPoly.q_power(1, -desc.ell) if a == 1 else QPoly.zero()
 
-    tau = TruncSeries(n + 1, 2, ring.qmax)
-    key0 = (0,) * (n + 2)
-    if not constant.is_zero():
-        tau = tau.add_term(key0, constant)
-    lin = [0] * (n + 2)
-    lin[0] = 1
-    tau = tau.add_term(tuple(lin), QPoly.const(1))
+    terms = {monomial(n + 1): constant, monomial(n + 1, (0,)): QPoly.const(1)}
     for (i, j), val in quad.items():
-        if val.is_zero():
-            continue
-        key = [0] * (n + 2)
-        key[i] += 1
-        key[j] += 1
         # Taylor coefficient: F_{ij} for i != j, F_{ii}/2 on the diagonal
-        tau = tau.add_term(tuple(key), val if i != j else val.scale(Fraction(1, 2)))
-
+        terms[monomial(n + 1, (i, j))] = val if i != j else val.scale(Fraction(1, 2))
+    tau = TruncSeries(n + 1, 2, ring.qmax, terms=terms)
     t_jet = linear_substitute(tau, _tau_to_t_forms(ring))
     return F1Jet(desc, constant, quad, tau, t_jet)
 
@@ -241,22 +231,24 @@ def _f2_gradient_parts(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet):
 def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData,
                f1: F1Jet) -> List[Fraction]:
     """All roots of the quadratic satisfied by F^(2)(0), sorted ascending."""
-    return _f2_roots(desc, ring, *_f2_gradient_parts(desc, ring, f1))
+    return _f2_roots(desc, ring, f1)
 
 
-def _f2_roots(desc: CIDescriptor, ring: QuantumRingData,
-              const, slope) -> List[Fraction]:
-    """The roots of F^(2)(0) from the gradient parts.
+def _f2_roots(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet,
+              parts=None) -> List[Fraction]:
+    """The roots of F^(2)(0) from the gradient parts (const, slope) of f1,
+    built here unless the caller passes them.
 
     The pure order-2 equation F2^2 + g^{0f} F2_f = 0 reads F2^2 + A F2 + B
     = 0, with A and B the g^{0f}-contractions of the gradient's slope and
     constant part.  Returns the root list sorted ascending, {0} when the
-    admissibility degree (n-1)/a is not a positive integer or when the
-    quadratic degenerates to F^2 = 0.
+    admissibility degree (n-1)/a is not a positive integer (without reading
+    the parts) or when the quadratic degenerates to F^2 = 0.
     """
     n, a = desc.n, desc.a
     if (n - 1) % a != 0:
         return [Fraction(0)]
+    const, slope = parts or _f2_gradient_parts(desc, ring, f1)
     beta = (n - 1) // a
     unit = _unit_vector(n, 0)
     A = contract(ring.ginv, unit, slope)
@@ -300,29 +292,18 @@ def f2_gradient(desc: CIDescriptor, f2zero: Rational,
                 ring: QuantumRingData, f1: F1Jet) -> F2Jet:
     """Origin gradient of F^(2) for a chosen root of the quadratic."""
     const, slope = _f2_gradient_parts(desc, ring, f1)
-    roots = _f2_roots(desc, ring, const, slope)
+    roots = _f2_roots(desc, ring, f1, (const, slope))
     f2zero = Fraction(f2zero)
     if f2zero not in roots:
         raise DomainError(f"{f2zero} is not a root of the F^(2)(0) quadratic {roots}")
     n, a = desc.n, desc.a
     value = QPoly.q_power((n - 1) // a, f2zero)  # zero unless a | n - 1
     tau_grad = [c + s * value for c, s in zip(const, slope)]
-
-    t_grad = [QPoly.zero() for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(i % a, i + 1, a):
-            c = ring.M[i][j]
-            if c != 0 and not tau_grad[j].is_zero():
-                t_grad[i] = t_grad[i] + tau_grad[j].scale(c).shift_q((i - j) // a)
-
-    def linear_jet(grad):
-        terms = {(0,) * (n + 2): value}
-        for i, g in enumerate(grad):
-            terms[tuple(int(k == i) for k in range(n + 2))] = g
-        return TruncSeries(n + 1, 1, ring.qmax, terms=terms)
-
-    return F2Jet(desc, value, tau_grad, t_grad, linear_jet(t_grad),
-                 linear_jet(tau_grad))
+    terms = {monomial(n + 1, (i,)): g for i, g in enumerate(tau_grad)}
+    tau_jet = TruncSeries(n + 1, 1, ring.qmax, terms={monomial(n + 1): value, **terms})
+    t_jet = linear_substitute(tau_jet, _tau_to_t_forms(ring))
+    t_grad = [t_jet.coefficient({i: 1}) for i in range(n + 1)]
+    return F2Jet(desc, value, tau_grad, t_grad, t_jet, tau_jet)
 
 
 def f2_gradient_closed_form(desc: CIDescriptor, cval: Fraction) -> Dict[int, QPoly]:

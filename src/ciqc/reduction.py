@@ -23,7 +23,7 @@ from math import comb, factorial
 from typing import Dict, List, Optional, Sequence
 
 from .errors import DomainError
-from .exact import QPoly, Rational, TruncSeries, contract
+from .exact import ONE, QPoly, Rational, TruncSeries, contract, monomial, substitute
 from .geometry import CIDescriptor
 
 
@@ -99,7 +99,7 @@ def _reduced(F: TruncSeries, ginv):
     Fss = Fs.diff_s()
     d1 = [F.diff_t(i) for i in range(n + 1)]
     ds1 = [Fs.diff_t(i) for i in range(n + 1)]
-    s_series = F.clone_empty().add_term(F.monomial_key({}, 1), QPoly.const(1))
+    s_series = F.like({monomial(F.nt, s=1): ONE})
 
     mixed = {}
     for a in range(n + 1):
@@ -124,9 +124,9 @@ def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
     """
     mixed, pure = _reduced(pot.F, pot.ginv)
     if pot.s_cutoff is not None:
-        mixed = {key: res.drop_s_at_or_above(pot.s_cutoff)
+        mixed = {key: res.recap(res.degree_cap, pot.s_cutoff - 1)
                  for key, res in mixed.items()}
-        pure = pure.drop_s_at_or_above(pot.s_cutoff)
+        pure = pure.recap(pure.degree_cap, pot.s_cutoff - 1)
 
     ambient = _wdvv(pot.F.s_slice(0), pot.ginv,
                     [(a, b, c, d) for a, b, c in combinations_with_replacement(
@@ -198,26 +198,11 @@ def expand_to_full(F_red: TruncSeries, n: int, m: int) -> TruncSeries:
     """Substitute s = sum u_mu^2 / 2 (even orthonormal mode) into a reduced
     potential, producing a polynomial in t^0..t^n, u^1..u^m."""
     nt_full = n + 1 + m
-    out = TruncSeries(nt_full, F_red.degree_cap, F_red.qmax)
-    s_full = TruncSeries(nt_full, F_red.degree_cap, F_red.qmax)
-    for mu in range(m):
-        key = [0] * (nt_full + 1)
-        key[n + 1 + mu] = 2
-        s_full = s_full.add_term(tuple(key), QPoly.const(Fraction(1, 2)))
-    s_pows = [None, s_full]
-
-    def s_power(e):
-        while len(s_pows) <= e:
-            s_pows.append(s_pows[-1] * s_full)
-        return s_pows[e]
-
-    for key, coeff in F_red.sorted_terms():
-        new_key = list(key[:-1]) + [0] * m + [0]
-        base = TruncSeries(nt_full, F_red.degree_cap, F_red.qmax)
-        base = base.add_term(tuple(new_key), coeff)
-        se = key[-1]
-        out = out + (base if se == 0 else base * s_power(se))
-    return out
+    full = TruncSeries(nt_full, F_red.degree_cap, F_red.qmax)
+    s_full = full.like({monomial(nt_full, (n + 1 + mu,) * 2): Fraction(1, 2)
+                        for mu in range(m)})
+    return substitute(F_red, [full.like({monomial(nt_full, (i,)): ONE})
+                              for i in range(n + 1)] + [s_full])
 
 
 def full_wdvv_residuals(F: TruncSeries, n: int, m: int, deg: Fraction):
@@ -264,7 +249,7 @@ def j_recursion(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
         def add(zp, series):
             if zp < zmin or series.is_zero():
                 return
-            new[zp] = new.get(zp, series.clone_empty()) + series
+            new[zp] = new.get(zp, series.like()) + series
 
         for i in range(0, k + 1):
             cki = comb(k, i)
@@ -292,7 +277,7 @@ def primitive_j_layers(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
     """
     cap = max(j.degree_cap for j in f_jets)
     f_jets = [j.recap(cap) for j in f_jets]
-    one = f_jets[0].clone_empty().add_term((0,) * (f_jets[0].nt + 1), QPoly.const(1))
+    one = f_jets[0].like({monomial(f_jets[0].nt): ONE})
     e0: Dict[int, TruncSeries] = {0: one}
     power = one
     r = 1
@@ -313,7 +298,7 @@ def primitive_j_layers(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
                     continue
                 term = (f_jets[i + 2] * series).scale(Fraction(1, factorial(i)))
                 if not term.is_zero():
-                    new[zp - 1] = new.get(zp - 1, term.clone_empty()) + term
+                    new[zp - 1] = new.get(zp - 1, term.like()) + term
         layers.append({zp: s.scale(Fraction(1, j + 1)) for zp, s in new.items()})
     return layers
 

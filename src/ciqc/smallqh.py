@@ -30,7 +30,7 @@ from math import comb, factorial, prod
 from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
-from .exact import QPoly, Rational, TruncSeries
+from .exact import QPoly, Rational, TruncSeries, monomial
 from .geometry import CIDescriptor, require_reconstruction_domain
 
 
@@ -570,15 +570,13 @@ class AmbientOrigin:
         The series is stored at the ring's q-cap.
         """
         n = self.desc.n
-        out = TruncSeries(n + 1, degree, self.ring.qmax)
+        terms = {}
         for key in _multisets(n, 3, degree):
             val = self.partial(key)
-            if val.is_zero():
-                continue
-            expo = [key.count(i) for i in range(n + 2)]
-            mult = prod(factorial(e) for e in expo)
-            out = out.add_term(tuple(expo), val.scale(Fraction(1, mult)))
-        return out
+            if not val.is_zero():
+                expo = monomial(n + 1, key)
+                terms[expo] = val.scale(Fraction(1, prod(map(factorial, expo))))
+        return TruncSeries(n + 1, degree, self.ring.qmax, terms=terms)
 
 
 def _multisets(n: int, dmin: int, dmax: int):
@@ -595,28 +593,17 @@ def low_point_terms(ring: QuantumRingData, degree_cap: int) -> TruncSeries:
     one-point terms <H_i>_{0,1,d} and two-point terms <H_i, H_j>_{0,2,d}.
     Classical (degree-zero) low-point data is unstable and absent.
     """
-    desc = ring.desc
-    n = desc.n
-    out = TruncSeries(n + 1, degree_cap, ring.qmax)
-    for i in range(n + 1):
-        one = ring.jfun.entry(-1, n - i).scale(desc.degree)
-        one = QPoly({k: c for k, c in one.coeffs.items() if k >= 1})
-        if not one.is_zero():
-            key = [0] * (n + 2)
-            key[i] = 1
-            out = out.add_term(tuple(key), one)
+    desc, n = ring.desc, ring.desc.n
+    terms = {monomial(n + 1, (i,)): ring.jfun.entry(-1, n - i).scale(desc.degree)
+             for i in range(n + 1)}
     for i in range(n + 1):
         for j in range(i, n + 1):
-            two = ring.two_point(i, j)
-            two = QPoly({k: c for k, c in two.coeffs.items() if k >= 1})
-            if two.is_zero():
-                continue
-            key = [0] * (n + 2)
-            key[i] += 1
-            key[j] += 1
-            out = out.add_term(tuple(key),
-                               two if i != j else two.scale(Fraction(1, 2)))
-    return out
+            # Taylor coefficient: halved on the diagonal
+            terms[monomial(n + 1, (i, j))] = ring.two_point(i, j).scale(
+                Fraction(1, 2) if i == j else 1)
+    return TruncSeries(n + 1, degree_cap, ring.qmax, terms={
+        key: QPoly({k: c for k, c in v.coeffs.items() if k >= 1})
+        for key, v in terms.items()})
 
 
 def f0_derivs(desc: CIDescriptor, ring: QuantumRingData):

@@ -260,9 +260,11 @@ def test_f2_gradient_once_per_root(capsys, monkeypatch):
     assert calls == [Fraction(1), Fraction(4)]
 
 
-@pytest.mark.parametrize("n,d,builds", [("4", "3", 3), ("8", "9", 2)])
+@pytest.mark.parametrize("n,d,builds", [("4", "3", 3), ("8", "9", 2),
+                                         ("6", "2,3", 1)])
 def test_f2_gradient_parts_built_once_per_call(capsys, monkeypatch, n, d, builds):
-    # f2_at_zero builds the gradient parts once, then f2_gradient once per root
+    # f2_at_zero builds the gradient parts once, then f2_gradient once per
+    # root; when a does not divide n - 1 the root set {0} needs no parts
     from ciqc import reconstruct
     calls = []
     real = reconstruct._f2_gradient_parts

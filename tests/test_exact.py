@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ciqc.errors import ConfigurationError
 from ciqc.exact import (QPoly, TruncSeries, contract, kernel_dimension,
-                        parse_rat, rat_str, solve_linear)
+                        monomial, parse_rat, rat_str, solve_linear, substitute)
 
 SEED = 20240811
 
@@ -57,24 +57,6 @@ def test_mul_truncated_q_cap():
     a = a.add_term((1, 0), QPoly.q_power(2))
     b = a.add_term((1, 0), QPoly.q_power(3)) - a
     assert (a * b).coefficient({0: 2}).is_zero()  # q^5 dropped
-
-
-def test_series_ring_axioms_random():
-    rng = random.Random(SEED)
-
-    def random_series():
-        s = TruncSeries(2, 3, 2)
-        for _ in range(5):
-            key = (rng.randrange(3), rng.randrange(3), rng.randrange(2))
-            coeff = QPoly({rng.randrange(2): Fraction(rng.randrange(-4, 5))})
-            s = s.add_term(key, coeff)
-        return s
-
-    for _ in range(25):
-        a, b, c = random_series(), random_series(), random_series()
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a * b == b * a
 
 
 def test_mul_insertion_order_independent():
@@ -225,3 +207,29 @@ def test_diff_t_obeys_leibniz(a, b, i):
     lhs = (a * b).diff_t(i).truncate_degree(a.degree_cap - 1)
     rhs = (a.diff_t(i) * b + a * b.diff_t(i)).truncate_degree(a.degree_cap - 1)
     assert lhs == rhs
+
+
+@settings(derandomize=True, deadline=None)
+@given(_series(2), _series(2), _series(2))
+def test_series_ring_axioms_random(a, b, c):
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a * b == b * a
+
+
+def _linear_images(nt):
+    """One homogeneous linear form in t^0..t^{nt-1}, s for each variable."""
+    linear = st.sampled_from([monomial(nt, (i,)) for i in range(nt)]
+                             + [monomial(nt, s=1)])
+    return st.lists(st.dictionaries(linear, _qpolys, max_size=2).map(
+        lambda terms: TruncSeries(nt, 3, 3, terms=terms)),
+        min_size=nt + 1, max_size=nt + 1)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_series(2), _series(2), _linear_images(2))
+def test_substitute_linear_images_is_a_ring_homomorphism(a, b, images):
+    # a homogeneous linear image keeps every degree, and no q-exponent is
+    # negative, so the caps drop the same terms on both sides
+    assert substitute(a * b, images) == substitute(a, images) * substitute(b, images)
+    assert substitute(a + b, images) == substitute(a, images) + substitute(b, images)

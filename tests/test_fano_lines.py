@@ -103,7 +103,7 @@ def test_primitive_annihilated_by_sigma1sq_minus_sigma2():
     # primitive square times the lines class is killed by it
     for n in (4, 5, 6):
         from ciqc.fano_lines import prim_square_vector
-        v = prim_square_vector(n)
+        v = prim_square_vector(n, prim_square_class(n))
         cls = lines_class_primitive(n)
         prod = schubert_product(schubert_product(v, cls),
                                 SchubertVector.basis(n, 1, 1))
@@ -237,6 +237,20 @@ def test_hilb2_rejects_a_tampered_vstar(monkeypatch):
     monkeypatch.setattr(fano_lines, "_hilb2_basis", tampered)
     with pytest.raises(InternalConsistencyError, match="not primitive"):
         hilb2_check()
+
+
+def test_omega_checks_computes_the_primitive_square_class_once(monkeypatch):
+    calls = []
+    real = fano_lines.prim_square_class
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(fano_lines, "prim_square_class", counted)
+    for n in range(3, 11):
+        assert fano_lines.omega_checks(n)["quartic_ok"]
+    assert calls == list(range(3, 11))
 
 
 def test_omega_checks_extended_range():

@@ -1,6 +1,7 @@
 """Descriptor and characteristic-number tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ciqc.errors import DomainError
 from ciqc.geometry import (ORTHOGONAL, SYMPLECTIC, WEYL_D, WEYL_E6, Z2,
@@ -80,3 +81,16 @@ def test_chi_parity_and_m_consistency():
 
 def test_describe_pure_function_of_sorted_input():
     assert describe(5, (2, 3)) == describe(5, (3, 2))
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.integers(-1, 12), st.lists(st.integers(0, 6), max_size=4))
+def test_describe_raises_or_is_consistent(n, d):
+    # every input is either refused or yields a nonnegative primitive rank
+    # and an Euler characteristic equal to the top Chern integral
+    try:
+        desc = describe(n, d)
+    except DomainError:
+        return
+    assert desc.m >= 0
+    assert chern_integrals(desc)[0] == desc.chi

@@ -6,9 +6,9 @@ import pytest
 
 from ciqc.acceptance import RING_DESCRIPTORS, _expected_f1_t_jet, _ring
 from ciqc.errors import DomainError
-from ciqc.exact import QPoly
+from ciqc.exact import QPoly, TruncSeries, linear_substitute
 from ciqc.geometry import describe
-from ciqc.reconstruct import (artin_iso, f1_series, f2_at_zero, f2_gradient,
+from ciqc.reconstruct import (_tau_to_t_forms, artin_iso, f1_series, f2_at_zero, f2_gradient,
                               f2_gradient_closed_form, f2_origin_residuals,
                               gamma_vector, higher_k_coeffs)
 from ciqc.smallqh import build_ring, c_constant
@@ -81,7 +81,7 @@ def test_f1_string_direction():
         grad0 = jet.t_jet.diff_t(0)
         assert grad0.constant_term() == QPoly.const(1)
         # and t^0 appears only linearly
-        assert grad0 == jet.t_jet.clone_empty().add_term(
+        assert grad0 == jet.t_jet.like().add_term(
             (0,) * (n + 2), QPoly.const(1))
 
 
@@ -279,3 +279,21 @@ def test_f2_quintic_fivefold_residuals_close():
     mixed, pure = f2_origin_residuals(desc, ring, f1, jet)
     assert pure.is_zero()
     assert all(res.is_zero() for res in mixed.values())
+
+
+@pytest.mark.parametrize("n,d", [(4, (3,)), (3, (2, 2)), (5, (5,)), (5, (2, 3))])
+def test_tau_to_t_substitution_round_trip(n, d):
+    # t^j = sum_k W[k][j] q^{(k-j)/a} tau^k undoes tau^i = sum_j M[j][i]
+    # q^{(j-i)/a} t^j, since W M = I
+    ring = _ring(n, d)
+    a = ring.desc.a
+    t_to_tau = [[(k, QPoly.q_power((k - j) // a, ring.W[k][j]))
+                 for k in range(j, n + 1, a) if ring.W[k][j]]
+                for j in range(n + 1)]
+    # F^(0) + s F^(1): the s variable passes through unchanged
+    f1 = f1_series(ring.desc, ring).tau_jet
+    tau_jet = ring.origin.jet_series(5) + TruncSeries(
+        n + 1, 5, ring.qmax, terms={key[:-1] + (1,): c for key, c in f1.terms.items()})
+    t_jet = linear_substitute(tau_jet, _tau_to_t_forms(ring))
+    assert t_jet != tau_jet
+    assert linear_substitute(t_jet, t_to_tau) == tau_jet

@@ -123,7 +123,7 @@ def test_euler_residual_vanishes_and_detects():
     for key, c in low.terms.items():
         Ffull = Ffull.add_term(key, c)
     pot = ReducedPotential(desc, Ffull)
-    cubic = f0_t.clone_empty()
+    cubic = f0_t.like()
     for key, c in f0_t.terms.items():
         if sum(key) == 3:
             c0 = c.coefficient(0)
@@ -152,7 +152,7 @@ def _euler_product_form(pot, cubic):
     F, n, a = pot.F, pot.desc.n, pot.desc.a
 
     def var(i):  # t^i for i <= n, s for i = n + 1
-        return F.clone_empty().add_term(
+        return F.like().add_term(
             tuple(int(k == i) for k in range(n + 2)), QPoly.const(1))
 
     acc = (var(n + 1) * F.diff_s()).scale(2 - n)
@@ -277,19 +277,19 @@ def reduced_residuals_zero(desc_n, F, deg):
     Fs = F.diff_s()
     Fss = Fs.diff_s()
     skey = (0,) * nt + (1,)
-    s_series = F.clone_empty().add_term(skey, QPoly.const(1))
+    s_series = F.like().add_term(skey, QPoly.const(1))
     ok = True
     for a in range(nt):
         for b in range(a, nt):
             dab = F.diff_t(a).diff_t(b)
             third = [dab.diff_t(e) for e in range(nt)]
-            acc = dab.clone_empty()
+            acc = dab.like()
             for e in range(nt):
                 acc = acc + third[e] * Fs.diff_t(desc_n - e)
             acc = acc + (s_series * dab.diff_s() * Fss).scale(2)
             acc = acc - Fs.diff_t(a) * Fs.diff_t(b)
             ok = ok and acc.truncate_degree(deg).is_zero()
-    acc = F.clone_empty()
+    acc = F.like()
     for e in range(nt):
         acc = acc + Fs.diff_t(e) * Fs.diff_t(desc_n - e)
     acc = acc + (s_series * Fss * Fss).scale(2)
@@ -301,8 +301,8 @@ def reduced_residuals_zero(desc_n, F, deg):
         for b in range(nt):
             for c in range(nt):
                 for d in range(nt):
-                    lhs = F.clone_empty()
-                    rhs = F.clone_empty()
+                    lhs = F.like()
+                    rhs = F.like()
                     for e in range(nt):
                         lhs = lhs + f0.diff_t(a).diff_t(b).diff_t(e) * \
                             f0.diff_t(desc_n - e).diff_t(c).diff_t(d)
@@ -413,7 +413,7 @@ def test_j_recursion_layers_consistency():
     out = layers[1]
     # J^(1) = (1/z) F^(1)_b g^{bc} d_c J^(0): with J^(0) = g_{an} tau^n both
     # sides are computable directly
-    expect = seed.clone_empty()
+    expect = seed.like()
     f1r = f1.tau_jet.recap(seed.degree_cap)
     for bb in range(n + 1):
         for c in range(n + 1):
