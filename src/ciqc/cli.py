@@ -46,7 +46,8 @@ def _rational_matrix_out(mat):
 
 
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def cmd_info(args) -> int:
@@ -180,6 +181,7 @@ def cmd_residual(args) -> int:
 
     payload = {
         "descriptor": desc.to_json(),
+        "window": pot.window,
         "eq_mixed": {f"{a},{b}": violations(series)
                      for (a, b), series in sorted(res["eq_mixed"].items())},
         "eq_pure": violations(res["eq_pure"]),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .errors import ConfigurationError, DomainError
@@ -275,22 +276,7 @@ class TruncSeries:
         return out
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        out = self.like()
-        qmax = self.qmax
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(k1, k2))
-                if out._keep(key):
-                    # the coefficient product, skipping q-exponents past the cap
-                    prod = {}
-                    for e1, v1 in c1.coeffs.items():
-                        for e2, v2 in c2.coeffs.items():
-                            e = e1 + e2
-                            if e <= qmax:
-                                prod[e] = prod.get(e, ZERO) + v1 * v2
-                    out._store(key, QPoly(prod))
-        return out
+        return _sum_of_products(self, [(self, None, other)])
 
     def diff_t(self, i: int) -> "TruncSeries":
         """Partial derivative with respect to t^i."""
@@ -470,12 +456,94 @@ def linear_substitute(series: TruncSeries, forms) -> TruncSeries:
     return substitute(series, images + [series.like({monomial(nt, s=1): ONE})])
 
 
+def _flatten(series: TruncSeries, den: int, base: int, q_unit: int) -> list:
+    """The terms of ``series`` as rows (degree, s, packed, q, numerator),
+    sorted by total degree: ``packed`` holds e_0..e_{nt-1}, e_s and the
+    q-exponent as the digits of one int in ``base`` (q at ``q_unit``), and
+    ``numerator`` is the coefficient of q^q times ``den``."""
+    rows = []
+    for key, coeff in series.terms.items():
+        packed = 0
+        for e in reversed(key):
+            packed = packed * base + e
+        degree, s = sum(key), key[-1]
+        for q, c in coeff.coeffs.items():
+            rows.append((degree, s, packed + q * q_unit, q,
+                         c.numerator * (den // c.denominator)))
+    rows.sort(key=lambda row: row[0])
+    return rows
+
+
+def _sum_of_products(like: TruncSeries, triples) -> TruncSeries:
+    """sum left * g * right over the (left, g, right) ``triples`` under the
+    caps of ``like``, where g is a QPoly or None for 1.
+
+    Every series operand is flattened once over one common denominator D
+    and every g over G, so the products accumulate as exact integers over
+    D^2 G and each output coefficient becomes one Fraction.  A product key
+    is one addition of packed keys; no digit carries, because the degree,
+    s- and q-caps are checked on the small ints first.
+    """
+    nt, cap, qmax = like.nt, like.degree_cap, like.qmax
+    s_cap = cap if like.s_cap is None else like.s_cap
+    base = max(cap, qmax, 0) + 1
+    q_unit = base ** (nt + 1)
+    operands = {}
+    for left, _, right in triples:
+        operands[id(left)] = left
+        operands[id(right)] = right
+    for series in operands.values():
+        like._check(series)
+    den = lcm(*(c.denominator for series in operands.values()
+                for coeff in series.terms.values() for c in coeff.coeffs.values()))
+    g_den = lcm(*(c.denominator for _, g, _ in triples if g is not None
+                  for c in g.coeffs.values()))
+    flat = {i: _flatten(series, den, base, q_unit) for i, series in operands.items()}
+
+    acc = {}
+    for left, g, right in triples:
+        g_rows = [(0, g_den)] if g is None else [
+            (q, c.numerator * (g_den // c.denominator)) for q, c in g.coeffs.items()]
+        right_rows = flat[id(right)]
+        for gq, gn in g_rows:
+            for d1, s1, k1, q1, n1 in flat[id(left)]:
+                room, s_room, q_room = cap - d1, s_cap - s1, qmax - q1 - gq
+                k1, n1 = k1 + gq * q_unit, n1 * gn
+                for d2, s2, k2, q2, n2 in right_rows:
+                    if d2 > room:
+                        break
+                    if s2 <= s_room and q2 <= q_room:
+                        key = k1 + k2
+                        acc[key] = acc.get(key, 0) + n1 * n2
+
+    den = den * den * g_den
+    grouped = {}
+    for packed, num in acc.items():
+        if num:
+            q, mono = divmod(packed, q_unit)
+            grouped.setdefault(mono, {})[q] = Fraction(num, den)
+    out = like.like()
+    for mono, coeffs in grouped.items():
+        key = []
+        for _ in range(nt + 1):
+            mono, e = divmod(mono, base)
+            key.append(e)
+        out.terms[tuple(key)] = QPoly(coeffs)
+    return out
+
+
 def contract(ginv, left, right):
     """sum_{e,f} left[e] g^{ef} right[f] through the inverse pairing ``ginv``.
 
     The rows hold QPoly or TruncSeries entries; a product is formed only
-    when left[e], g^{ef} and right[f] are all nonzero.
+    when left[e], g^{ef} and right[f] are all nonzero.  Series rows go
+    through one product accumulator.
     """
+    if isinstance(left[0], TruncSeries):
+        return _sum_of_products(left[0], [
+            (le, gef, right[f]) for e, le in enumerate(left) if not le.is_zero()
+            for f, gef in enumerate(ginv[e])
+            if not gef.is_zero() and not right[f].is_zero()])
     acc = None
     for e, le in enumerate(left):
         if le.is_zero():

@@ -72,10 +72,21 @@ class ReducedPotential:
         """Residuals are asserted only below this s-power in odd mode."""
         return self.desc.m // 2 if self.odd else None
 
+    @property
+    def window(self) -> Dict[str, int]:
+        """The total degree through which F, known through its degree cap
+        N, determines each residual.  F_{abe} is known through N - 3 and
+        F_{abe}(0) != 0, so the ambient WDVV and the first reduced equation
+        are determined through N - 3; the second has only the factors
+        F_{se}, F_{sf}, F_{ss}, known through N - 2."""
+        cap = self.F.degree_cap
+        return {"ambient": cap - 3, "eq_mixed": cap - 3, "eq_pure": cap - 2}
 
-def _wdvv(F: TruncSeries, ginv, quads) -> Dict[tuple, TruncSeries]:
+
+def _wdvv(F: TruncSeries, ginv, quads, cap=None) -> Dict[tuple, TruncSeries]:
     """F_{abe} g^{ef} F_{cdf} - F_{ace} g^{ef} F_{bdf} for each (a,b,c,d) in
-    ``quads``, from one memo of the third derivatives of F."""
+    ``quads``, from one memo of the third derivatives of F, each cut to
+    total degree ``cap`` (when given) before any product is formed."""
     third: Dict[tuple, TruncSeries] = {}
 
     def row(a, b):
@@ -83,7 +94,8 @@ def _wdvv(F: TruncSeries, ginv, quads) -> Dict[tuple, TruncSeries]:
         for e in range(F.nt):
             key = tuple(sorted((a, b, e)))
             if key not in third:
-                third[key] = F.diff_t(key[0]).diff_t(key[1]).diff_t(key[2])
+                series = F.diff_t(key[0]).diff_t(key[1]).diff_t(key[2])
+                third[key] = series if cap is None else series.truncate_degree(cap)
             out.append(third[key])
         return out
 
@@ -91,46 +103,59 @@ def _wdvv(F: TruncSeries, ginv, quads) -> Dict[tuple, TruncSeries]:
             - contract(ginv, row(a, c), row(b, d)) for a, b, c, d in quads}
 
 
-def _reduced(F: TruncSeries, ginv):
+def _reduced(F: TruncSeries, ginv, mixed_cap: int, pure_cap: int,
+             s_cap: Optional[int]):
     """Residuals (mixed, pure) of the two reduced equations on F(t, s):
-    ``mixed[(a,b)]`` for 0 <= a <= b <= n is the first, ``pure`` the second."""
+    ``mixed[(a,b)]`` for 0 <= a <= b <= n is the first, through total
+    degree ``mixed_cap``, and ``pure`` the second, through ``pure_cap``;
+    both through s-degree ``s_cap`` unless it is None.  Every factor is cut
+    to those caps before any product is formed; no exponent is negative,
+    so the products inside the caps are exact."""
     n = F.nt - 1
     Fs = F.diff_s()
     Fss = Fs.diff_s()
-    d1 = [F.diff_t(i) for i in range(n + 1)]
     ds1 = [Fs.diff_t(i) for i in range(n + 1)]
     s_series = F.like({monomial(F.nt, s=1): ONE})
 
+    def cut(series, cap):
+        return series.recap(cap, s_cap)
+
+    s_m, Fss_m = cut(s_series, mixed_cap), cut(Fss, mixed_cap)
+    ds1_m = [cut(series, mixed_cap) for series in ds1]
     mixed = {}
     for a in range(n + 1):
+        da = F.diff_t(a)
         for b in range(a, n + 1):
-            dab = d1[a].diff_t(b)
-            third = [dab.diff_t(e) for e in range(n + 1)]
-            res = contract(ginv, third, ds1)
-            res = res + (s_series * dab.diff_s() * Fss).scale(2)
-            mixed[(a, b)] = res - ds1[a] * ds1[b]
+            dab = da.diff_t(b)
+            third = [cut(dab.diff_t(e), mixed_cap) for e in range(n + 1)]
+            res = contract(ginv, third, ds1_m)
+            res = res + (s_m * cut(dab.diff_s(), mixed_cap) * Fss_m).scale(2)
+            mixed[(a, b)] = res - ds1_m[a] * ds1_m[b]
 
-    pure = contract(ginv, ds1, ds1) + (s_series * Fss * Fss).scale(2)
+    s_p, Fss_p = cut(s_series, pure_cap), cut(Fss, pure_cap)
+    ds1_p = [cut(series, pure_cap) for series in ds1]
+    pure = contract(ginv, ds1_p, ds1_p) + (s_p * Fss_p * Fss_p).scale(2)
     return mixed, pure
 
 
 def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
-    """Residuals of the reduced system and of the ambient WDVV of F^(0).
+    """Residuals of the reduced system and of the ambient WDVV of F^(0),
+    each through the total degree ``pot.window`` gives it; no term above
+    that degree is formed.
 
     Keys: 'eq_mixed' maps (a,b) to the residual of the first reduced
     equation, 'eq_pure' is the residual of the second, 'ambient' maps
     (a,b,c,d) to the ambient WDVV residual of F at s = 0.  In odd mode the
-    first two are truncated below s^{m/2} before being reported.
+    first two are truncated below s^{m/2}.
     """
-    mixed, pure = _reduced(pot.F, pot.ginv)
-    if pot.s_cutoff is not None:
-        mixed = {key: res.recap(res.degree_cap, pot.s_cutoff - 1)
-                 for key, res in mixed.items()}
-        pure = pure.recap(pure.degree_cap, pot.s_cutoff - 1)
-
+    window = pot.window
+    s_cap = None if pot.s_cutoff is None else pot.s_cutoff - 1
+    mixed, pure = _reduced(pot.F, pot.ginv, window["eq_mixed"],
+                           window["eq_pure"], s_cap)
     ambient = _wdvv(pot.F.s_slice(0), pot.ginv,
                     [(a, b, c, d) for a, b, c in combinations_with_replacement(
-                        range(pot.F.nt), 3) for d in range(pot.F.nt)])
+                        range(pot.F.nt), 3) for d in range(pot.F.nt)],
+                    window["ambient"])
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
 
 
@@ -172,7 +197,9 @@ def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv,
 
     Returns (mixed, pure) of ``_reduced`` on F = sum_{i<=k} s^i F^(i) / i!,
     sliced at s^{k-1}.  F is stored to degree C + k, C the largest jet cap,
-    so no term of F^(k) is dropped; the slices are cut back to degree C.
+    so no term of F^(k) is dropped; the slices are cut back to t-degree C,
+    so ``_reduced`` forms no term of total degree above C + k - 1 or of
+    s-degree above k - 1.
     """
     if k < 1:
         raise DomainError("expansion order must be >= 1")
@@ -185,7 +212,7 @@ def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv,
     F = TruncSeries(jets[0].nt, cap + k, jets[0].qmax, terms={
         key[:-1] + (i,): c.scale(Fraction(1, factorial(i)))
         for i, jet in enumerate(jets[:k + 1]) for key, c in jet.terms.items()})
-    mixed, pure = _reduced(F, ginv)
+    mixed, pure = _reduced(F, ginv, cap + k - 1, cap + k - 1, k - 1)
     return ({key: res.s_slice(k - 1).truncate_degree(cap)
              for key, res in mixed.items()},
             pure.s_slice(k - 1).truncate_degree(cap))

@@ -139,25 +139,29 @@ def test_genus1_two_quadrics_flagged(capsys):
 
 
 def test_residual_reports_violations(tmp_path, capsys):
-    # a deliberately wrong s-coefficient shows up as reported monomials
-    from ciqc.geometry import describe
-    from ciqc.exact import TruncSeries, QPoly
-    desc = describe(3, (3,))
-    F = TruncSeries(desc.n + 1, 2, 2)
-    key = [0] * (desc.n + 2)
-    key[1] = 1
-    key[-1] = 1
-    F = F.add_term(tuple(key), QPoly.const(1))  # F = s t^1: violates
-    # the first reduced equation at (1,1) through the F_{s1}^2 term
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(F.to_json()))
-    code, out, _ = run(capsys, "residual", "--n", "3", "--d", "3",
-                       "--load", str(path))
-    assert code == 0
-    data = json.loads(out)
-    nonzero = [v for v in data["eq_mixed"].values() if v] + \
-        ([data["eq_pure"]] if data["eq_pure"] else [])
-    assert nonzero  # the violation is reported
+    # a deliberately wrong s-coefficient shows up as reported monomials:
+    # F = s t^1 violates the first reduced equation at (1,1) through the
+    # F_{s1}^2 term, a residual of -1 at degree 0.  At degree cap 2 the
+    # potential determines no degree of that equation, at cap 3 degree 0.
+    from ciqc.exact import QPoly, TruncSeries, monomial
+    reports = {}
+    for cap in (2, 3):
+        F = TruncSeries(4, cap, 2, terms={monomial(4, (1,), s=1): QPoly.const(1)})
+        path = tmp_path / f"bad{cap}.json"
+        path.write_text(json.dumps(F.to_json()))
+        code, out, _ = run(capsys, "residual", "--n", "3", "--d", "3",
+                           "--load", str(path))
+        assert code == 0
+        reports[cap] = json.loads(out)
+    keys = [f"{a},{b}" for a in range(4) for b in range(a, 4)]
+    assert reports[2]["window"] == {"ambient": -1, "eq_mixed": -1, "eq_pure": 0}
+    assert reports[2]["eq_mixed"] == {key: [] for key in keys}
+    assert reports[3]["window"] == {"ambient": 0, "eq_mixed": 0, "eq_pure": 1}
+    term = {"monomial": [0, 0, 0, 0, 0], "coefficient": [[0, "-1"]]}
+    assert reports[3]["eq_mixed"] == {key: [term] if key == "1,1" else []
+                                      for key in keys}
+    for data in reports.values():
+        assert data["eq_pure"] == [] and data["ambient"] == {}
 
 
 def test_json_rationals_reparse_everywhere(capsys):
@@ -191,8 +195,10 @@ def test_json_rationals_reparse_everywhere(capsys):
 
 GOLDEN = Path(__file__).parent / "golden"
 S_T1 = str(GOLDEN / "s_t1_n3.potential.json")  # F = s t^1 on (3,(3))
-# a copy of perfbench/data/cubic4_deg4.json; its qmax of 4 drops 2 of the
-# 127 residual terms, which pins where residual products are truncated in q
+# a copy of perfbench/data/cubic4_deg4.json; inside its window its report
+# holds only the three degree-2 eq_pure terms that its F^(1), a degree-2
+# jet stored under cap 4, leaves (the q-cap of products is pinned by
+# tests/test_exact.py::test_products_equal_the_pairwise_reference)
 CUBIC4_DEG4 = str(GOLDEN / "cubic4_deg4.potential.json")
 GOLDEN_CASES = {
     "f2_n4_d3": ["f2", "--n", "4", "--d", "3"],

@@ -217,6 +217,70 @@ def test_series_ring_axioms_random(a, b, c):
     assert a * b == b * a
 
 
+def _pairwise_product(left, g, right):
+    """left * g * right term pair by term pair: the reference for the
+    packed integer kernel of ``TruncSeries.__mul__`` and ``contract``."""
+    out = {}
+    for k1, c1 in left.terms.items():
+        for k2, c2 in right.terms.items():
+            key = tuple(a + b for a, b in zip(k1, k2))
+            if sum(key) > left.degree_cap or (
+                    left.s_cap is not None and key[-1] > left.s_cap):
+                continue
+            for e1, v1 in (c1 * g).coeffs.items():
+                for e2, v2 in c2.coeffs.items():
+                    if e1 + e2 <= left.qmax:
+                        coeff = out.setdefault(key, {})
+                        coeff[e1 + e2] = coeff.get(e1 + e2, 0) + v1 * v2
+    return out
+
+
+def _reference_sum(triples):
+    total = {}
+    for left, g, right in triples:
+        for key, coeff in _pairwise_product(left, g, right).items():
+            for e, v in coeff.items():
+                total.setdefault(key, {})
+                total[key][e] = total[key].get(e, 0) + v
+    terms = {key: QPoly(coeff) for key, coeff in total.items()}
+    return {key: c for key, c in terms.items() if not c.is_zero()}
+
+
+@st.composite
+def _capped_rows(draw):
+    """Two rows of series under random degree, s- and q-caps (the right row
+    sometimes the left itself), and a square QPoly pairing between them."""
+    nt = draw(st.integers(1, 3))
+    cap, qmax = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    s_cap = draw(st.none() | st.integers(0, 3))
+    coeff = st.dictionaries(st.integers(0, qmax + 2),
+                            st.fractions(-5, 5, max_denominator=6),
+                            max_size=3).map(QPoly)
+    # a monomial inside the degree cap: a list of variables, s being nt
+    mono = st.lists(st.integers(0, nt), max_size=cap).map(
+        lambda v: monomial(nt, [i for i in v if i < nt], v.count(nt)))
+    terms = st.dictionaries(mono, coeff, max_size=6)
+    size = draw(st.integers(1, 3))
+    left = [TruncSeries(nt, cap, qmax, s_cap, draw(terms)) for _ in range(size)]
+    right = left if draw(st.booleans()) else [
+        TruncSeries(nt, cap, qmax, s_cap, draw(terms)) for _ in range(size)]
+    ginv = [[draw(coeff) for _ in range(size)] for _ in range(size)]
+    return ginv, left, right
+
+
+@settings(derandomize=True, deadline=None)
+@given(_capped_rows())
+def test_products_equal_the_pairwise_reference(case):
+    ginv, left, right = case
+    one = QPoly.const(1)
+    for a in left:
+        for b in right:
+            assert (a * b).terms == _reference_sum([(a, one, b)])
+    assert contract(ginv, left, right).terms == _reference_sum([
+        (le, ginv[e][f], right[f]) for e, le in enumerate(left)
+        for f in range(len(right))])
+
+
 def _linear_images(nt):
     """One homogeneous linear form in t^0..t^{nt-1}, s for each variable."""
     linear = st.sampled_from([monomial(nt, (i,)) for i in range(nt)]

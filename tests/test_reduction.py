@@ -3,16 +3,17 @@ brute-force equivalence oracle, and the J-function recursion."""
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ciqc.acceptance import _ring
 from ciqc.errors import DomainError
-from ciqc.exact import QPoly, TruncSeries, linear_substitute
+from ciqc.exact import QPoly, TruncSeries, linear_substitute, monomial
 from ciqc.geometry import describe
 from ciqc.reconstruct import _tau_to_t_forms, f1_series, f2_at_zero, f2_gradient
-from ciqc.reduction import (ReducedPotential, euler_beta,
+from ciqc.reduction import (ReducedPotential, _reduced, _wdvv, euler_beta,
                             expand_order_k, expand_to_full,
                             full_wdvv_residuals, euler_residual,
                             index_one_two_point_primitive, j_recursion,
@@ -104,14 +105,89 @@ def test_reduced_residuals_detect_perturbation():
 
 def test_full_wdvv_matches_ambient_residuals():
     # with no primitive variables the full-variable oracle is the ambient
-    # WDVV of F^(0): it reports the nonzero residuals with a <= b <= c <= d
+    # WDVV of F^(0): it reports the nonzero residuals with a <= b <= c <= d;
+    # F^(0) is perturbed at t^1 t^2 t^4, so both are nonzero in the window
     desc, ring, F, f0_t = assemble_reduced_potential()
-    ambient = wdvv_residuals(ReducedPotential(desc, F))["ambient"]
-    full = full_wdvv_residuals(f0_t, desc.n, 0, desc.degree)
+    bump = monomial(desc.n + 1, (1, 2, 4))
+    pot = ReducedPotential(desc, F.add_term(bump, QPoly.q_power(1, 1)))
+    window = pot.window["ambient"]
+    ambient = wdvv_residuals(pot)["ambient"]
+    full = full_wdvv_residuals(f0_t.add_term(bump, QPoly.q_power(1, 1)),
+                               desc.n, 0, desc.degree)
     shared = {key: res for key, res in ambient.items() if key[2] <= key[3]}
     assert len(shared) == 70
-    assert full and full == {key: res for key, res in shared.items()
-                             if not res.is_zero()}
+    inside = {key: res.truncate_degree(window) for key, res in full.items()}
+    inside = {key: res for key, res in inside.items() if not res.is_zero()}
+    assert inside and inside == {key: res for key, res in shared.items()
+                                 if not res.is_zero()}
+
+
+def _unwindowed(pot):
+    """``wdvv_residuals`` with every product kept up to the potential's own
+    degree cap, as the checker computed before it had a window."""
+    cap, nt = pot.F.degree_cap, pot.F.nt
+    s_cap = None if pot.s_cutoff is None else pot.s_cutoff - 1
+    mixed, pure = _reduced(pot.F, pot.ginv, cap, cap, s_cap)
+    ambient = _wdvv(pot.F.s_slice(0), pot.ginv, [
+        (a, b, c, d) for a, b, c in combinations_with_replacement(range(nt), 3)
+        for d in range(nt)])
+    return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
+
+
+def _residual_degrees(res, base):
+    """The lowest total degree at which ``res`` differs from ``base``, per
+    equation ('eq_mixed', 'eq_pure', 'ambient'); equal equations are absent."""
+    lowest = {}
+    for name in ("eq_mixed", "ambient"):
+        for key, series in res[name].items():
+            diff = series - base[name][key]
+            if not diff.is_zero():
+                low = min(sum(k) for k in diff.terms)
+                lowest[name] = min(lowest.get(name, low), low)
+    diff = res["eq_pure"] - base["eq_pure"]
+    if not diff.is_zero():
+        lowest["eq_pure"] = min(sum(k) for k in diff.terms)
+    return lowest
+
+
+@pytest.mark.parametrize("n,d", [(4, (3,)), (3, (2, 2))])
+def test_windowed_residuals_are_the_unwindowed_ones_truncated(n, d):
+    # F = F^(0) + s F^(1) at cap 5 (odd mode for (3,(2,2))): the window is
+    # 2 for the ambient and first equation and 3 for the second
+    desc, ring, F, _ = assemble_reduced_potential(n, d, 5, 2)
+    nt = desc.n + 1
+
+    def check(F):
+        pot = ReducedPotential(desc, F)
+        window = pot.window
+        res = wdvv_residuals(pot)
+        full = _unwindowed(pot)
+        for name in ("eq_mixed", "ambient"):
+            assert res[name].keys() == full[name].keys()
+            for key, series in res[name].items():
+                assert series.degree_cap == window[name]
+                assert series == full[name][key].truncate_degree(window[name])
+        assert res["eq_pure"] == full["eq_pure"].truncate_degree(window["eq_pure"])
+        return res, full
+
+    assert ReducedPotential(desc, F).window == {
+        "ambient": 2, "eq_mixed": 2, "eq_pure": 3}
+    clean, clean_full = check(F)
+    q = QPoly.q_power(1, 1)
+    # F^(0) perturbed at degree deg + 3 moves the ambient and first
+    # equation at degree deg; s F^(1) at degree deg + 2 moves the second
+    for deg in range(3):
+        res, _ = check(F.add_term(monomial(nt, (1, 2) + (n,) * (deg + 1)), q))
+        low = _residual_degrees(res, clean)
+        assert low["ambient"] == low["eq_mixed"] == deg
+    for deg in range(4):
+        res, _ = check(F.add_term(monomial(nt, (1,) * (deg + 1), 1), q))
+        assert _residual_degrees(res, clean)["eq_pure"] == deg
+    # s (t^2)^4 moves the residuals only above the window: the unwindowed
+    # evaluation shows it, the report does not
+    res, full = check(F.add_term(monomial(nt, (2,) * 4, 1), q))
+    assert _residual_degrees(full, clean_full) == {"eq_mixed": 3, "eq_pure": 4}
+    assert _residual_degrees(res, clean) == {}
 
 
 def test_euler_residual_vanishes_and_detects():
