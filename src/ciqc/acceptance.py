@@ -267,11 +267,13 @@ def check_property_suites(only=None, seed: int = 20240811) -> Tuple[bool, str]:
                 if prod != (1 if i == j else 0):
                     return False, f"pairing inverse fails at {nd}"
 
-    # (d) quotient-ring model checks
+    # (d) quotient-ring model checks; k = 1 is the semisimple case
     from .reconstruct import artin_iso
-    for nk in [(4, 2), (5, 3), (6, 2)]:
+    for nk in [(4, 1), (4, 2), (5, 3), (6, 2)]:
         report = artin_iso(nk[0], nk[1], 27)
-        if not (report["eps_k_zero"] and report["eps_power_formula"]):
+        closed = report["semisimple_distinct_roots" if nk[1] == 1
+                        else "eps_power_formula"]
+        if not (report["eps_k_zero"] and closed):
             return False, f"quotient-ring checks fail at {nk}"
     return True, "WDVV equivalence, Pieri/duality, W M = I, pairing inverses, quotient model"
 

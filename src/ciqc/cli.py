@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalConsistencyError, VerificationError
 from .exact import QPoly, TruncSeries, rat_str
-from .geometry import describe
+from .geometry import describe, require_reconstruction_domain
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,6 +165,7 @@ def cmd_higherk(args) -> int:
 def cmd_residual(args) -> int:
     from .reduction import ReducedPotential, wdvv_residuals
     desc = describe(args.n, args.d)
+    require_reconstruction_domain(desc)
     try:
         with open(args.load) as handle:
             F = TruncSeries.from_json(json.load(handle))
@@ -250,8 +251,12 @@ def cmd_genus1(args) -> int:
 
 def cmd_verify(args) -> int:
     from .acceptance import run_all
+    if (args.n is None) != (args.d is None):
+        sys.stderr.write("ciqc verify: error: --n and --d must be given together\n")
+        return 1
     only = None
-    if args.n is not None and args.d is not None:
+    if args.n is not None:
+        require_reconstruction_domain(describe(args.n, args.d))
         only = (args.n, args.d)
     results = run_all(only=only, seed=args.seed)
     all_ok = True

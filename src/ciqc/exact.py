@@ -128,10 +128,6 @@ class QPoly:
         c = rat(c)
         return QPoly({k: v * c for k, v in self.coeffs.items()})
 
-    def shift_q(self, k: int) -> "QPoly":
-        """Multiply by q^k."""
-        return QPoly({j + k: c for j, c in self.coeffs.items()})
-
     def q_d_q(self) -> "QPoly":
         """Apply the derivation q d/dq."""
         return QPoly({k: k * c for k, c in self.coeffs.items()})
@@ -261,9 +257,6 @@ class TruncSeries:
             out._store(key, -c)
         return out
 
-    def __neg__(self) -> "TruncSeries":
-        return self.like({key: -c for key, c in self.terms.items()})
-
     def scale(self, c) -> "TruncSeries":
         out = self.like()
         if isinstance(c, QPoly):
@@ -298,10 +291,6 @@ class TruncSeries:
                 nk[-1] -= 1
                 out._store(tuple(nk), c.scale(key[-1]))
         return out
-
-    def constant_term(self) -> QPoly:
-        key = (0,) * (self.nt + 1)
-        return self.terms.get(key, QPoly.zero())
 
     def coefficient(self, t_exps: dict, s_exp: int = 0) -> QPoly:
         key = monomial(self.nt, Counter(t_exps).elements(), s_exp)
@@ -624,11 +613,3 @@ def _kernel_basis(aug, pivot_cols, cols):
             vec = [v / first for v in vec]
         basis.append(vec)
     return basis
-
-
-def kernel_dimension(matrix) -> int:
-    """Dimension of the null space of a Rational matrix."""
-    if not matrix:
-        return 0
-    _, kernel, _ = solve_linear(matrix, [ZERO] * len(matrix))
-    return len(kernel)

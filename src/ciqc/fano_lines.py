@@ -58,18 +58,12 @@ class SchubertVector:
             out._store(key, c)
         return out
 
-    def __sub__(self, other: "SchubertVector") -> "SchubertVector":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "SchubertVector":
         return SchubertVector(self.n, {k: v * Fraction(c) for k, v in self.terms.items()})
 
     def _check(self, other: "SchubertVector") -> None:
         if self.n != other.n:
             raise DomainError("ambient Grassmannians differ")
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SchubertVector) and self.n == other.n \
@@ -119,49 +113,6 @@ def schubert_product(u: SchubertVector, v: SchubertVector) -> SchubertVector:
     return out
 
 
-def schur_oracle_product(u: SchubertVector, v: SchubertVector) -> SchubertVector:
-    """Independent product route through two-variable Schur polynomials.
-
-    Classes map to s_{(a,b)}(x,y) = sum_{j=b}^{a} x^j y^{a+b-j}; the product
-    polynomial is peeled back into Schur terms by leading monomials, and
-    shapes with a > n vanish in the quotient (h_m = 0 for m > n kills both
-    Jacobi-Trudi entries).
-    """
-    u._check(v)
-    n = u.n
-
-    def poly(vec):
-        out: Dict[Tuple[int, int], Fraction] = {}
-        for (a, b), c in vec.terms.items():
-            for j in range(b, a + 1):
-                key = (j, a + b - j)
-                out[key] = out.get(key, Fraction(0)) + c
-        return out
-
-    pu, pv = poly(u), poly(v)
-    prod: Dict[Tuple[int, int], Fraction] = {}
-    for (x1, y1), c1 in pu.items():
-        for (x2, y2), c2 in pv.items():
-            key = (x1 + x2, y1 + y2)
-            prod[key] = prod.get(key, Fraction(0)) + c1 * c2
-    prod = {k: c for k, c in prod.items() if c != 0}
-
-    out = SchubertVector(n)
-    while prod:
-        a, b = max((k for k in prod if k[0] >= k[1]), key=lambda k: k)
-        c = prod[(a, b)]
-        for j in range(b, a + 1):
-            key = (j, a + b - j)
-            cur = prod.get(key, Fraction(0)) - c
-            if cur == 0:
-                prod.pop(key, None)
-            else:
-                prod[key] = cur
-        if a <= n:
-            out._store((a, b), c)
-    return out
-
-
 def sigma1_power(n: int, k: int) -> SchubertVector:
     out = SchubertVector.basis(n, 0, 0)
     for _ in range(k):
@@ -177,13 +128,6 @@ def lines_class_primitive(n: int) -> SchubertVector:
     t2 = schubert_product(s1_2, s2).scale(-4)
     t3 = schubert_product(s2, s2)
     return t1 + t2 + t3
-
-
-def fano_class(n: int) -> SchubertVector:
-    """Fundamental class of the lines on a cubic n-fold inside G(2, n+2)."""
-    if n < 3:
-        raise DomainError("need n >= 3")
-    return lines_class_primitive(n).scale(9)
 
 
 def prim_square_class(n: int) -> List[Fraction]:

@@ -306,46 +306,6 @@ def f2_gradient(desc: CIDescriptor, f2zero: Rational,
     return F2Jet(desc, value, tau_grad, t_grad, t_jet, tau_jet)
 
 
-def f2_gradient_closed_form(desc: CIDescriptor, cval: Fraction) -> Dict[int, QPoly]:
-    """Closed form for the gradient rows when F^(2)(0) = 0: the entry at b
-    is c(n,d)^2/deg * b(d)^{(n+b-2)/a} q^{(n+b-2)/a} for b = 2-n mod a."""
-    n, a = desc.n, desc.a
-    out = {}
-    for b in range(0, n + 1):
-        if b >= 2 and (b - (2 - desc.n)) % a == 0:
-            k = (desc.n + b - 2) // a
-            out[b] = QPoly.q_power(k, cval * cval / desc.degree * Fraction(desc.b) ** k)
-        else:
-            out[b] = QPoly.zero()
-    return out
-
-
-def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
-                        f1: F1Jet, f2jet: F2Jet):
-    """Origin residuals of the order-2 expansion equations.
-
-    Returns (mixed, pure): ``mixed[(a,b)]`` is the residual of
-
-      -F1_{ae} g^{ef} F1_{fb} + F0_{abe} g^{ef} F2_f + 2 F1_{ab} F2
-        - F2_a F1_b - F1_a F2_b
-
-    at the origin for 1 <= a <= b <= n, and ``pure`` the residual of
-    g^{0f} F2_f + F2 * F2.  Both must vanish for each admissible root.
-    """
-    origin = ring.origin
-    n = desc.n
-    mixed = {}
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            third = [origin.partial((a, b, e)) for e in range(n + 1)]
-            mixed[(a, b)] = (contract(ring.ginv, third, f2jet.tau_grad)
-                             - contract(ring.ginv, f1.row(a), f1.row(b))
-                             + (f1.second(a, b) * f2jet.value).scale(2))
-    pure = f2jet.value * f2jet.value + contract(ring.ginv, _unit_vector(n, 0),
-                                                f2jet.tau_grad)
-    return mixed, pure
-
-
 # --- higher-order coefficients ----------------------------------------------
 
 

@@ -1,45 +1,29 @@
-"""Monodromy-reduced WDVV / Euler / quantum-differential system.
+"""Monodromy-reduced WDVV system.
 
 After packing the primitive coordinates into the single invariant s, the
 genus-zero potential F(t^0..t^n, s) satisfies
 
     F_{abe} g^{ef} F_{sf} + 2 s F_{sab} F_{ss} = F_{sa} F_{sb},
     F_{se} g^{ef} F_{sf} + 2 s F_{ss}^2 = 0,
-    E F = (3-n) F + a(n,d) * d/dt^1 (classical cubic form),
 
-with both WDVV-type equations read modulo s^{m/2} in odd dimensions.  This
-module evaluates residuals of these equations exactly (their order-by-order
-s-expansions are s-slices of the same residuals); it never solves them --
-the reconstruction module drives solving, this one is the trusted checker.
-It also carries the J-function recursion that rebuilds descendant data
-from the potential.
+both read modulo s^{m/2} in odd dimensions.  This module evaluates
+residuals of these equations exactly (their order-by-order s-expansions are
+s-slices of the same residuals); it never solves them -- the
+reconstruction module drives solving, this one is the trusted checker.
+The Euler field E F = (3-n) F + a(n,d) d/dt^1 (classical cubic form)
+enters only through ``euler_beta``, the degree it forces on F^(k)(0).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb, factorial
-from typing import Dict, List, Optional, Sequence
+from math import factorial
+from typing import Dict, Optional, Sequence
 
 from .errors import DomainError
-from .exact import ONE, QPoly, Rational, TruncSeries, contract, monomial, substitute
+from .exact import ONE, QPoly, TruncSeries, contract, monomial, substitute
 from .geometry import CIDescriptor
-
-
-def pack_s(desc: CIDescriptor, values: Sequence[Rational]) -> Rational:
-    """Evaluate the invariant s on a primitive coordinate vector.
-
-    Even dimensions use an orthonormal basis, s = sum v_i^2 / 2; odd
-    dimensions a symplectic basis, s = - sum v_i v_{i+m/2}.
-    """
-    vals = [Fraction(v) for v in values]
-    if len(vals) != desc.m:
-        raise DomainError(f"expected {desc.m} primitive coordinates, got {len(vals)}")
-    if desc.n % 2 == 0:
-        return sum((v * v for v in vals), Fraction(0)) / 2
-    half = desc.m // 2
-    return -sum((vals[i] * vals[i + half] for i in range(half)), Fraction(0))
 
 
 def classical_pairing_inverse(desc: CIDescriptor):
@@ -159,24 +143,6 @@ def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
 
 
-def euler_residual(pot: ReducedPotential, classical_cubic: TruncSeries) -> TruncSeries:
-    """Residual of E F = (3-n) F + a(n,d) d/dt^1 c for the Euler field
-
-        E = sum (1-i) t^i d/dt^i + (2-n) s d/ds + a(n,d) d/dt^1.
-
-    E never touches q; the equation encodes the dimension axiom together
-    with the divisor equation.  E - (3-n) is diagonal on monomials: it
-    multiplies t^key s^j by sum (1-i) key_i + (2-n) j - (3-n).
-    """
-    F = pot.F
-    n = pot.desc.n
-    weighted = TruncSeries(F.nt, F.degree_cap, F.qmax, F.s_cap, terms={
-        key: c.scale(sum((1 - i) * e for i, e in enumerate(key[:-1]))
-                     + (2 - n) * key[-1] - (3 - n))
-        for key, c in F.terms.items()})
-    return weighted + (F - classical_cubic).diff_t(1).scale(pot.desc.a)
-
-
 def euler_beta(desc: CIDescriptor, k: int) -> Optional[Fraction]:
     """Degree beta = (k(n-2)-(n-3))/a forced on F^(k)(0); None when it is
     not a positive integer (so F^(k)(0) = 0 by the dimension filter)."""
@@ -192,8 +158,10 @@ def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv,
 
     ``jets[i]`` is the t-jet of F^(i); k = 1 yields the square-zero pair
     (eigenvalue equation and isotropy of the gradient), k = 2 the equations
-    governing F^(2).  In odd dimensions the expansion is only valid below
-    the nilpotency order; k >= m - 1 is refused.
+    governing F^(2).  Only a caller that passes ``odd_rank`` is refused, at
+    k >= odd_rank - 1, and no command passes it; odd mode is otherwise cut
+    below s^{m/2} by ``ReducedPotential`` alone, and the two odd-mode rules
+    are not yet reconciled.
 
     Returns (mixed, pure) of ``_reduced`` on F = sum_{i<=k} s^i F^(i) / i!,
     sliced at s^{k-1}.  F is stored to degree C + k, C the largest jet cap,
@@ -245,100 +213,3 @@ def full_wdvv_residuals(F: TruncSeries, n: int, m: int, deg: Fraction):
 
     residuals = _wdvv(F, ginv, combinations_with_replacement(range(nt), 4))
     return {key: res for key, res in residuals.items() if not res.is_zero()}
-
-
-# --- J-function recursion --------------------------------------------------
-
-
-def j_recursion(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
-                j0: Dict[int, TruncSeries], kmax: int, zmin: int,
-                ginv) -> List[Dict[int, TruncSeries]]:
-    """Reconstruct the s-expansion layers of an ambient J-component.
-
-    ``f_jets[i]`` are t-jets of F^(i) (needed up to order kmax + 1) over the
-    same coordinates as ``j0``, the s = 0 layer, and ``ginv`` is the inverse
-    pairing in those coordinates.  Layer k+1 is built as
-
-      J^(k+1) = (1/z) [ sum_i C(k,i) F^(i+1)_b g^{bc} d_c J^(k-i)
-                        + 2k sum_i C(k-1,i) F^(i+2) J^(k-i) ].
-    """
-    if len(f_jets) < kmax + 2:
-        raise DomainError(f"need F-jets to order {kmax + 1}")
-    n = desc.n
-    cap = max([j.degree_cap for j in f_jets] + [s.degree_cap for s in j0.values()])
-    f_jets = [j.recap(cap) for j in f_jets]
-    j0 = {zp: s.recap(cap) for zp, s in j0.items()}
-    grads = [[jet.diff_t(i) for i in range(n + 1)] for jet in f_jets]
-    layers = [dict(j0)]
-    for k in range(0, kmax):
-        new: Dict[int, TruncSeries] = {}
-
-        def add(zp, series):
-            if zp < zmin or series.is_zero():
-                return
-            new[zp] = new.get(zp, series.like()) + series
-
-        for i in range(0, k + 1):
-            cki = comb(k, i)
-            for zp, series in layers[k - i].items():
-                dseries = [series.diff_t(c) for c in range(n + 1)]
-                add(zp - 1, contract(ginv, grads[i + 1], dseries).scale(cki))
-        if k >= 1:
-            for i in range(0, k):
-                c2 = 2 * k * comb(k - 1, i)
-                for zp, series in layers[k - i].items():
-                    add(zp - 1, (f_jets[i + 2] * series).scale(c2))
-        layers.append(new)
-    return layers
-
-
-def primitive_j_layers(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
-                       kmax: int, zmin: int) -> List[Dict[int, TruncSeries]]:
-    """s-expansion layers of exp(F_s / z), the scalar factor of the
-    primitive sector J_a = g_{ab} t^b exp(F_s / z).
-
-    With F_s = sum_k s^k F^(k+1) / k!, layer 0 is exp(F^(1)/z) and the
-    higher layers follow from d/ds exp(F_s/z) = (F_ss / z) exp(F_s/z):
-
-        (j+1) E_{j+1} = (1/z) sum_{i=0}^{j} F^(i+2) E_{j-i} / i!.
-    """
-    cap = max(j.degree_cap for j in f_jets)
-    f_jets = [j.recap(cap) for j in f_jets]
-    one = f_jets[0].like({monomial(f_jets[0].nt): ONE})
-    e0: Dict[int, TruncSeries] = {0: one}
-    power = one
-    r = 1
-    while -r >= zmin:
-        power = power * f_jets[1]
-        if power.is_zero():
-            break
-        e0[-r] = power.scale(Fraction(1, factorial(r)))
-        r += 1
-    layers: List[Dict[int, TruncSeries]] = [e0]
-    for j in range(0, kmax):
-        new: Dict[int, TruncSeries] = {}
-        for i in range(0, j + 1):
-            if i + 2 >= len(f_jets):
-                continue
-            for zp, series in layers[j - i].items():
-                if zp - 1 < zmin:
-                    continue
-                term = (f_jets[i + 2] * series).scale(Fraction(1, factorial(i)))
-                if not term.is_zero():
-                    new[zp - 1] = new.get(zp - 1, term.like()) + term
-        layers.append({zp: s.scale(Fraction(1, j + 1)) for zp, s in new.items()})
-    return layers
-
-
-def index_one_two_point_primitive(desc: CIDescriptor, kmax: int):
-    """Two-point descendants <gamma_a psi^k, gamma_b>_{0,2,k+1} / g_{ab}
-    for index-one targets, by the topological recursion induction
-    (k+1) T_k = F^(1)(0) T_{k-1}, T_{-1} = 1, F^(1)(0) = -ell."""
-    if desc.a != 1:
-        raise DomainError("two-point primitive tower only forms for index 1")
-    out = []
-    t = Fraction(1)
-    for k in range(0, kmax + 1):
-        t = t * Fraction(-desc.ell, k + 1)
-        out.append(t)
-    return out

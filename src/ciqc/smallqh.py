@@ -241,8 +241,7 @@ class QuantumRingData:
     W are Rational, and multH, powers, g and ginv attach their q-power as
     exact QPoly entries.  ``smat``/``jfun`` are graded ZJets (the flat
     sections and the J-series).  ``qmax`` is only the q-cap of the series
-    built from the ring (``jet_series``, the F^(1)/F^(2) jets,
-    ``low_point_terms``).
+    built from the ring (``jet_series``, the F^(1)/F^(2) jets).
     """
 
     def __init__(self, desc, qmax, multh, powers, mmat, wmat, g, ginv, smat, jfun):
@@ -583,39 +582,3 @@ def _multisets(n: int, dmin: int, dmax: int):
     """All ascending index multisets over 0..n of sizes dmin..dmax."""
     return [key for size in range(dmin, dmax + 1)
             for key in combinations_with_replacement(range(n + 1), size)]
-
-
-def low_point_terms(ring: QuantumRingData, degree_cap: int) -> TruncSeries:
-    """Stable one- and two-point quantum terms of the ambient potential.
-
-    The WDVV equations only see third derivatives, but the Euler/divisor
-    identity holds for the full potential including the degree-positive
-    one-point terms <H_i>_{0,1,d} and two-point terms <H_i, H_j>_{0,2,d}.
-    Classical (degree-zero) low-point data is unstable and absent.
-    """
-    desc, n = ring.desc, ring.desc.n
-    terms = {monomial(n + 1, (i,)): ring.jfun.entry(-1, n - i).scale(desc.degree)
-             for i in range(n + 1)}
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            # Taylor coefficient: halved on the diagonal
-            terms[monomial(n + 1, (i, j))] = ring.two_point(i, j).scale(
-                Fraction(1, 2) if i == j else 1)
-    return TruncSeries(n + 1, degree_cap, ring.qmax, terms={
-        key: QPoly({k: c for k, c in v.coeffs.items() if k >= 1})
-        for key, v in terms.items()})
-
-
-def f0_derivs(desc: CIDescriptor, ring: QuantumRingData):
-    """Third derivatives F_{abc}(0) and contracted fourth derivatives
-    sum_e F_{abce}(0) g^{e0} of the ambient potential, quantum-power basis.
-
-    Returns (third, fourth0) where third[(a,b,c)] and fourth0[(a,b,c)] are
-    QPoly values; entries that vanish by the congruence constraints are
-    exact zeros.
-    """
-    origin = ring.origin
-    keys = _multisets(desc.n, 3, 3)
-    third = {key: origin.partial(key) for key in keys}
-    fourth0 = {key: origin.contract0(key) for key in keys}
-    return third, fourth0

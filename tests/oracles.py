@@ -1,0 +1,242 @@
+"""Reference computations the tests compare the package against.
+
+None of these is reached by a ``ciqc`` command; each is an independent
+route to a value the package computes another way, or a test input:
+
+* ``reduced_potential`` -- F = F^(0) + s F^(1) in classical coordinates;
+* ``low_point_terms`` -- the stable one- and two-point terms of F^(0);
+* ``pack_s`` -- the invariant s on a primitive coordinate vector;
+* ``j_recursion``/``primitive_j_layers`` -- the s-expansion of J;
+* ``f2_gradient_closed_form``/``f2_origin_residuals`` -- the F^(2) origin
+  data checked without the gradient solve;
+* ``schur_oracle_product`` -- Schubert products through Schur polynomials.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
+from typing import Dict, List, Sequence, Tuple
+
+from ciqc.acceptance import _ring
+from ciqc.errors import DomainError
+from ciqc.exact import (ONE, QPoly, Rational, TruncSeries, contract,
+                        linear_substitute, monomial)
+from ciqc.fano_lines import SchubertVector
+from ciqc.geometry import CIDescriptor
+from ciqc.reconstruct import F1Jet, F2Jet, _tau_to_t_forms, f1_series
+from ciqc.smallqh import QuantumRingData, _unit_vector
+
+
+def reduced_potential(n=4, d=(3,), deg0=5):
+    """F = F^(0) + s F^(1) in classical coordinates, from the degree-``deg0``
+    jet of F^(0) and the degree-2 jet of F^(1), stored under degree cap
+    max(deg0, 3); by default for the cubic fourfold.
+
+    Returns (desc, ring, F, f0_t) with f0_t the F^(0) jet alone."""
+    ring = _ring(n, d)
+    f0_t = linear_substitute(ring.origin.jet_series(deg0), _tau_to_t_forms(ring))
+    f1 = f1_series(ring.desc, ring)
+    terms = dict(f0_t.terms)
+    terms.update({key[:-1] + (1,): c for key, c in f1.t_jet.terms.items()})
+    F = TruncSeries(n + 1, max(deg0, 3), ring.qmax, terms=terms)
+    return ring.desc, ring, F, f0_t
+
+
+def low_point_terms(ring: QuantumRingData, degree_cap: int) -> TruncSeries:
+    """Stable one- and two-point quantum terms of the ambient potential.
+
+    The WDVV equations only see third derivatives, but the Euler/divisor
+    identity holds for the full potential including the degree-positive
+    one-point terms <H_i>_{0,1,d} and two-point terms <H_i, H_j>_{0,2,d}.
+    Classical (degree-zero) low-point data is unstable and absent.
+    """
+    desc, n = ring.desc, ring.desc.n
+    terms = {monomial(n + 1, (i,)): ring.jfun.entry(-1, n - i).scale(desc.degree)
+             for i in range(n + 1)}
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            # Taylor coefficient: halved on the diagonal
+            terms[monomial(n + 1, (i, j))] = ring.two_point(i, j).scale(
+                Fraction(1, 2) if i == j else 1)
+    return TruncSeries(n + 1, degree_cap, ring.qmax, terms={
+        key: QPoly({k: c for k, c in v.coeffs.items() if k >= 1})
+        for key, v in terms.items()})
+
+
+def pack_s(desc: CIDescriptor, values: Sequence[Rational]) -> Rational:
+    """Evaluate the invariant s on a primitive coordinate vector.
+
+    Even dimensions use an orthonormal basis, s = sum v_i^2 / 2; odd
+    dimensions a symplectic basis, s = - sum v_i v_{i+m/2}.
+    """
+    vals = [Fraction(v) for v in values]
+    if len(vals) != desc.m:
+        raise DomainError(f"expected {desc.m} primitive coordinates, got {len(vals)}")
+    if desc.n % 2 == 0:
+        return sum((v * v for v in vals), Fraction(0)) / 2
+    half = desc.m // 2
+    return -sum((vals[i] * vals[i + half] for i in range(half)), Fraction(0))
+
+
+def j_recursion(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
+                j0: Dict[int, TruncSeries], kmax: int, zmin: int,
+                ginv) -> List[Dict[int, TruncSeries]]:
+    """Reconstruct the s-expansion layers of an ambient J-component.
+
+    ``f_jets[i]`` are t-jets of F^(i) (needed up to order kmax + 1) over the
+    same coordinates as ``j0``, the s = 0 layer, and ``ginv`` is the inverse
+    pairing in those coordinates.  Layer k+1 is built as
+
+      J^(k+1) = (1/z) [ sum_i C(k,i) F^(i+1)_b g^{bc} d_c J^(k-i)
+                        + 2k sum_i C(k-1,i) F^(i+2) J^(k-i) ].
+    """
+    if len(f_jets) < kmax + 2:
+        raise DomainError(f"need F-jets to order {kmax + 1}")
+    n = desc.n
+    cap = max([j.degree_cap for j in f_jets] + [s.degree_cap for s in j0.values()])
+    f_jets = [j.recap(cap) for j in f_jets]
+    j0 = {zp: s.recap(cap) for zp, s in j0.items()}
+    grads = [[jet.diff_t(i) for i in range(n + 1)] for jet in f_jets]
+    layers = [dict(j0)]
+    for k in range(0, kmax):
+        new: Dict[int, TruncSeries] = {}
+
+        def add(zp, series):
+            if zp < zmin or series.is_zero():
+                return
+            new[zp] = new.get(zp, series.like()) + series
+
+        for i in range(0, k + 1):
+            cki = comb(k, i)
+            for zp, series in layers[k - i].items():
+                dseries = [series.diff_t(c) for c in range(n + 1)]
+                add(zp - 1, contract(ginv, grads[i + 1], dseries).scale(cki))
+        if k >= 1:
+            for i in range(0, k):
+                c2 = 2 * k * comb(k - 1, i)
+                for zp, series in layers[k - i].items():
+                    add(zp - 1, (f_jets[i + 2] * series).scale(c2))
+        layers.append(new)
+    return layers
+
+
+def primitive_j_layers(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
+                       kmax: int, zmin: int) -> List[Dict[int, TruncSeries]]:
+    """s-expansion layers of exp(F_s / z), the scalar factor of the
+    primitive sector J_a = g_{ab} t^b exp(F_s / z).
+
+    With F_s = sum_k s^k F^(k+1) / k!, layer 0 is exp(F^(1)/z) and the
+    higher layers follow from d/ds exp(F_s/z) = (F_ss / z) exp(F_s/z):
+
+        (j+1) E_{j+1} = (1/z) sum_{i=0}^{j} F^(i+2) E_{j-i} / i!.
+    """
+    cap = max(j.degree_cap for j in f_jets)
+    f_jets = [j.recap(cap) for j in f_jets]
+    one = f_jets[0].like({monomial(f_jets[0].nt): ONE})
+    e0: Dict[int, TruncSeries] = {0: one}
+    power = one
+    r = 1
+    while -r >= zmin:
+        power = power * f_jets[1]
+        if power.is_zero():
+            break
+        e0[-r] = power.scale(Fraction(1, factorial(r)))
+        r += 1
+    layers: List[Dict[int, TruncSeries]] = [e0]
+    for j in range(0, kmax):
+        new: Dict[int, TruncSeries] = {}
+        for i in range(0, j + 1):
+            if i + 2 >= len(f_jets):
+                continue
+            for zp, series in layers[j - i].items():
+                if zp - 1 < zmin:
+                    continue
+                term = (f_jets[i + 2] * series).scale(Fraction(1, factorial(i)))
+                if not term.is_zero():
+                    new[zp - 1] = new.get(zp - 1, term.like()) + term
+        layers.append({zp: s.scale(Fraction(1, j + 1)) for zp, s in new.items()})
+    return layers
+
+
+def f2_gradient_closed_form(desc: CIDescriptor, cval: Fraction) -> Dict[int, QPoly]:
+    """Closed form for the gradient rows when F^(2)(0) = 0: the entry at b
+    is c(n,d)^2/deg * b(d)^{(n+b-2)/a} q^{(n+b-2)/a} for b = 2-n mod a."""
+    n, a = desc.n, desc.a
+    out = {}
+    for b in range(0, n + 1):
+        if b >= 2 and (b - (2 - desc.n)) % a == 0:
+            k = (desc.n + b - 2) // a
+            out[b] = QPoly.q_power(k, cval * cval / desc.degree * Fraction(desc.b) ** k)
+        else:
+            out[b] = QPoly.zero()
+    return out
+
+
+def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
+                        f1: F1Jet, f2jet: F2Jet):
+    """Origin residuals of the order-2 expansion equations.
+
+    Returns (mixed, pure): ``mixed[(a,b)]`` is the residual of
+
+      -F1_{ae} g^{ef} F1_{fb} + F0_{abe} g^{ef} F2_f + 2 F1_{ab} F2
+        - F2_a F1_b - F1_a F2_b
+
+    at the origin for 1 <= a <= b <= n, and ``pure`` the residual of
+    g^{0f} F2_f + F2 * F2.  Both must vanish for each admissible root.
+    """
+    origin = ring.origin
+    n = desc.n
+    mixed = {}
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            third = [origin.partial((a, b, e)) for e in range(n + 1)]
+            mixed[(a, b)] = (contract(ring.ginv, third, f2jet.tau_grad)
+                             - contract(ring.ginv, f1.row(a), f1.row(b))
+                             + (f1.second(a, b) * f2jet.value).scale(2))
+    pure = f2jet.value * f2jet.value + contract(ring.ginv, _unit_vector(n, 0),
+                                                f2jet.tau_grad)
+    return mixed, pure
+
+
+def schur_oracle_product(u: SchubertVector, v: SchubertVector) -> SchubertVector:
+    """Independent product route through two-variable Schur polynomials.
+
+    Classes map to s_{(a,b)}(x,y) = sum_{j=b}^{a} x^j y^{a+b-j}; the product
+    polynomial is peeled back into Schur terms by leading monomials, and
+    shapes with a > n vanish in the quotient (h_m = 0 for m > n kills both
+    Jacobi-Trudi entries).
+    """
+    u._check(v)
+    n = u.n
+
+    def poly(vec):
+        out: Dict[Tuple[int, int], Fraction] = {}
+        for (a, b), c in vec.terms.items():
+            for j in range(b, a + 1):
+                key = (j, a + b - j)
+                out[key] = out.get(key, Fraction(0)) + c
+        return out
+
+    pu, pv = poly(u), poly(v)
+    prod: Dict[Tuple[int, int], Fraction] = {}
+    for (x1, y1), c1 in pu.items():
+        for (x2, y2), c2 in pv.items():
+            key = (x1 + x2, y1 + y2)
+            prod[key] = prod.get(key, Fraction(0)) + c1 * c2
+    prod = {k: c for k, c in prod.items() if c != 0}
+
+    out = SchubertVector(n)
+    while prod:
+        a, b = max((k for k in prod if k[0] >= k[1]), key=lambda k: k)
+        c = prod[(a, b)]
+        for j in range(b, a + 1):
+            key = (j, a + b - j)
+            cur = prod.get(key, Fraction(0)) - c
+            if cur == 0:
+                prod.pop(key, None)
+            else:
+                prod[key] = cur
+        if a <= n:
+            out._store((a, b), c)
+    return out

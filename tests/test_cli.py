@@ -8,6 +8,7 @@ import pytest
 
 from ciqc.cli import HIGHERK_KMAX_LIMIT, main
 from ciqc.exact import parse_rat
+from oracles import reduced_potential
 
 
 def run(capsys, *argv):
@@ -100,20 +101,7 @@ def test_fano_lines_hilb2(capsys):
 
 def test_residual_command(tmp_path, capsys):
     # store F = F^(0) jet + s F^(1) and confirm the reporting shape
-    from ciqc.geometry import describe
-    from ciqc.smallqh import build_ring, AmbientOrigin
-    from ciqc.reconstruct import f1_series, _tau_to_t_forms
-    from ciqc.exact import linear_substitute, TruncSeries
-    desc = describe(3, (3,))
-    ring = build_ring(desc)
-    origin = AmbientOrigin(desc, ring)
-    f0_t = linear_substitute(origin.jet_series(3), _tau_to_t_forms(ring))
-    f1 = f1_series(desc, ring)
-    F = TruncSeries(desc.n + 1, 3, ring.qmax)
-    for key, c in f0_t.terms.items():
-        F = F.add_term(key, c)
-    for key, c in f1.t_jet.terms.items():
-        F = F.add_term(key[:-1] + (1,), c)
+    _, _, F, _ = reduced_potential(3, (3,), 3)
     path = tmp_path / "F.json"
     path.write_text(json.dumps(F.to_json()))
     code, out, _ = run(capsys, "residual", "--n", "3", "--d", "3",
@@ -368,3 +356,47 @@ def test_malformed_input_is_usage_error(capsys, argv):
     assert out == ""
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# descriptors outside the reconstruction domain, each with the words of
+# stderr that name its case
+OUT_OF_DOMAIN = {
+    "4,2,2": "two quadrics",
+    "4,2": "quadric hypersurface",
+    "2,3": "dimension 2 < 3",
+    "3,5": "non-Fano",
+}
+
+
+@pytest.mark.parametrize("nd", OUT_OF_DOMAIN)
+def test_residual_outside_domain_is_domain_error(tmp_path, capsys, nd):
+    # the reduction to the one invariant s needs orthogonal or symplectic
+    # monodromy; the case is refused although F = s t^1 has the shape
+    # the descriptor asks for
+    from ciqc.exact import TruncSeries, monomial
+    n, d = nd.split(",", 1)
+    nt = int(n) + 1
+    path = tmp_path / "F.json"
+    path.write_text(json.dumps(TruncSeries(
+        nt, 2, 2, terms={monomial(nt, (1,), s=1): 1}).to_json()))
+    code, out, err = run(capsys, "residual", "--n", n, "--d", d,
+                         "--load", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and OUT_OF_DOMAIN[nd] in err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--n", "4"], ["verify", "--d", "3"]],
+                         ids=["verify-n-only", "verify-d-only"])
+def test_verify_partial_descriptor_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--n and --d" in err
+
+
+def test_verify_exceptional_descriptor_is_domain_error(capsys):
+    code, out, err = run(capsys, "verify", "--n", "4", "--d", "2,2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "two quadrics" in err

@@ -1,24 +1,23 @@
 """Reduced WDVV/Euler system residuals, the s-packing, the full-variable
-brute-force equivalence oracle, and the J-function recursion."""
+brute-force equivalence oracle, and the J-function recursion oracles."""
 
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ciqc.acceptance import _ring
 from ciqc.errors import DomainError
-from ciqc.exact import QPoly, TruncSeries, linear_substitute, monomial
+from ciqc.exact import QPoly, TruncSeries, monomial
 from ciqc.geometry import describe
-from ciqc.reconstruct import _tau_to_t_forms, f1_series, f2_at_zero, f2_gradient
+from ciqc.reconstruct import f1_series, f2_at_zero, f2_gradient
 from ciqc.reduction import (ReducedPotential, _reduced, _wdvv, euler_beta,
                             expand_order_k, expand_to_full,
-                            full_wdvv_residuals, euler_residual,
-                            index_one_two_point_primitive, j_recursion,
-                            pack_s, primitive_j_layers, wdvv_residuals)
-from ciqc.smallqh import low_point_terms
+                            full_wdvv_residuals, wdvv_residuals)
+from oracles import (j_recursion, low_point_terms, pack_s, primitive_j_layers,
+                     reduced_potential)
 
 SEED = 20240811
 
@@ -55,26 +54,10 @@ def test_euler_beta_filter():
     assert euler_beta(describe(5, (2, 3)), 2) is None  # (n-1)/a = 4/3
 
 
-def assemble_reduced_potential(n=4, d=(3,), deg0=5, deg1=2):
-    """F = F^(0) + s F^(1) in classical coordinates, by default for the
-    cubic fourfold."""
-    ring = _ring(n, d)
-    desc = ring.desc
-    f0_t = linear_substitute(ring.origin.jet_series(deg0), _tau_to_t_forms(ring))
-    f1 = f1_series(desc, ring)
-    cap = max(deg0, deg1 + 1)
-    F = TruncSeries(desc.n + 1, cap, ring.qmax)
-    for key, c in f0_t.terms.items():
-        F = F.add_term(key, c)
-    for key, c in f1.t_jet.terms.items():
-        F = F.add_term(key[:-1] + (1,), c)
-    return desc, ring, F, f0_t
-
-
 def test_reduced_residuals_vanish_on_reconstructed_data():
     # F = F^(0) + s F^(1): the s^0 slice of the first reduced equation and
     # of the pure equation must vanish to the order the jets determine
-    desc, ring, F, _ = assemble_reduced_potential()
+    desc, ring, F, _ = reduced_potential()
     pot = ReducedPotential(desc, F)
     res = wdvv_residuals(pot)
     for (a, b), series in res["eq_mixed"].items():
@@ -91,7 +74,7 @@ def test_reduced_residuals_vanish_on_reconstructed_data():
 
 
 def test_reduced_residuals_detect_perturbation():
-    desc, ring, F, _ = assemble_reduced_potential()
+    desc, ring, F, _ = reduced_potential()
     key = [0] * (desc.n + 2)
     key[desc.n - 1] = 1
     key[-1] = 1  # tamper with the s t^{n-1} coefficient of F^(1)
@@ -107,7 +90,7 @@ def test_full_wdvv_matches_ambient_residuals():
     # with no primitive variables the full-variable oracle is the ambient
     # WDVV of F^(0): it reports the nonzero residuals with a <= b <= c <= d;
     # F^(0) is perturbed at t^1 t^2 t^4, so both are nonzero in the window
-    desc, ring, F, f0_t = assemble_reduced_potential()
+    desc, ring, F, f0_t = reduced_potential()
     bump = monomial(desc.n + 1, (1, 2, 4))
     pot = ReducedPotential(desc, F.add_term(bump, QPoly.q_power(1, 1)))
     window = pot.window["ambient"]
@@ -154,7 +137,7 @@ def _residual_degrees(res, base):
 def test_windowed_residuals_are_the_unwindowed_ones_truncated(n, d):
     # F = F^(0) + s F^(1) at cap 5 (odd mode for (3,(2,2))): the window is
     # 2 for the ambient and first equation and 3 for the second
-    desc, ring, F, _ = assemble_reduced_potential(n, d, 5, 2)
+    desc, ring, F, _ = reduced_potential(n, d, 5)
     nt = desc.n + 1
 
     def check(F):
@@ -190,14 +173,29 @@ def test_windowed_residuals_are_the_unwindowed_ones_truncated(n, d):
     assert _residual_degrees(res, clean) == {}
 
 
+def euler_operator(pot, cubic):
+    """Residual of E F = (3-n) F + a(n,d) d/dt^1 c for the Euler field
+    E = sum (1-i) t^i d/dt^i + (2-n) s d/ds + a(n,d) d/dt^1, written as
+    sum (1-i) t^i F_i + (2-n) s F_s + a F_1 - (3-n) F - a c_1 with one
+    monomial product per variable."""
+    F, n, a = pot.F, pot.desc.n, pot.desc.a
+
+    def var(i):  # t^i for i <= n, s for i = n + 1
+        return F.like().add_term(
+            tuple(int(k == i) for k in range(n + 2)), QPoly.const(1))
+
+    acc = (var(n + 1) * F.diff_s()).scale(2 - n)
+    for i in range(n + 1):
+        acc = acc + (var(i) * F.diff_t(i)).scale(1 - i)
+    return (acc + F.diff_t(1).scale(a) - F.scale(3 - n)
+            - cubic.diff_t(1).scale(a))
+
+
 def test_euler_residual_vanishes_and_detects():
     # the Euler identity sees the full potential, including the stable
     # one- and two-point quantum terms invisible to the WDVV equations
-    desc, ring, F, f0_t = assemble_reduced_potential()
-    low = low_point_terms(ring, F.degree_cap)
-    Ffull = F
-    for key, c in low.terms.items():
-        Ffull = Ffull.add_term(key, c)
+    desc, ring, F, f0_t = reduced_potential()
+    Ffull = F + low_point_terms(ring, F.degree_cap)
     pot = ReducedPotential(desc, Ffull)
     cubic = f0_t.like()
     for key, c in f0_t.terms.items():
@@ -214,51 +212,12 @@ def test_euler_residual_vanishes_and_detects():
                 or (key[-1] == 1 and sum(key[:-1]) <= 1)]
         return kept
 
-    assert window(euler_residual(pot, cubic)) == []
+    assert window(euler_operator(pot, cubic)) == []
     key = [0] * (desc.n + 2)
     key[2] = 1
     key[-1] = 1
     bad = ReducedPotential(desc, Ffull.add_term(tuple(key), QPoly.const(1)))
-    assert window(euler_residual(bad, cubic)) != []
-
-
-def _euler_product_form(pot, cubic):
-    """sum (1-i) t^i F_i + (2-n) s F_s + a F_1 - (3-n) F - a c_1, one
-    monomial product per variable."""
-    F, n, a = pot.F, pot.desc.n, pot.desc.a
-
-    def var(i):  # t^i for i <= n, s for i = n + 1
-        return F.like().add_term(
-            tuple(int(k == i) for k in range(n + 2)), QPoly.const(1))
-
-    acc = (var(n + 1) * F.diff_s()).scale(2 - n)
-    for i in range(n + 1):
-        acc = acc + (var(i) * F.diff_t(i)).scale(1 - i)
-    return (acc + F.diff_t(1).scale(a) - F.scale(3 - n)
-            - cubic.diff_t(1).scale(a))
-
-
-_qpolys = st.dictionaries(
-    st.integers(0, 2), st.builds(Fraction, st.integers(-3, 3),
-                                 st.integers(1, 4)), max_size=2).map(QPoly)
-
-
-@pytest.mark.parametrize("n,d", [(4, (3,)), (3, (2, 2))])
-@settings(derandomize=True, deadline=None)
-@given(data=st.data())
-def test_euler_residual_equals_product_form(n, d, data):
-    # on X_3(2,2) ReducedPotential caps s at m/2 = 2, below the drawn s^3
-    desc = describe(n, d)
-    monomial = st.tuples(*[st.integers(0, 1)] * (n + 1), st.integers(0, 3))
-
-    def series(s_cap):
-        terms = data.draw(st.dictionaries(monomial, _qpolys, max_size=6))
-        return TruncSeries(n + 1, 6, 2, s_cap, terms=terms)
-
-    pot = ReducedPotential(desc, series(None))
-    assert pot.F.s_cap == (2 if n % 2 else None)
-    cubic = series(pot.F.s_cap)
-    assert euler_residual(pot, cubic) == _euler_product_form(pot, cubic)
+    assert window(euler_operator(bad, cubic)) != []
 
 
 def test_expand_order_one_reproduces_square_zero_equations():
@@ -306,7 +265,7 @@ def test_expand_order_two_is_the_f2_equation():
     for root in f2_at_zero(desc, ring, f1):
         f2 = f2_gradient(desc, root, ring, f1)
         _, pure = expand_order_k([f0_tau, f1.tau_jet, f2.tau_jet], 2, ring.ginv)
-        assert pure.constant_term().is_zero(), root
+        assert pure.coefficient({}).is_zero(), root
 
 
 def test_expand_order_refused_in_shallow_odd_mode():
@@ -453,23 +412,20 @@ def test_primitive_layers_z1_coefficient_is_fs():
 
 
 def test_index_one_two_point_tower():
-    desc = describe(4, (3, 3))
+    # for index one the two-point primitive descendants
+    # <gamma_a psi^k, gamma_b>_{0,2,k+1} / g_ab are (-ell)^{k+1}/(k+1)! q^{k+1}:
+    # the constant terms of layer 0 of the primitive J-layers, exp(F^(1)/z)
+    # with F^(1)(0) = -ell q
+    ring = _ring(4, (3, 3))
+    desc = ring.desc
     assert desc.a == 1
-    tower = index_one_two_point_primitive(desc, 3)
+    f1 = f1_series(desc, ring)
+    layer0 = primitive_j_layers(desc, [ring.origin.jet_series(3), f1.tau_jet],
+                                0, -4)[0]
     ell = desc.ell
-    assert tower[0] == Fraction(-ell, 1)
-    assert tower[1] == Fraction(ell * ell, 2)
-    assert tower[2] == Fraction(-ell ** 3, 6)
-    # normalization C(1/z) = 1: the tower must match the coefficients of
-    # exp(F^(1)(0)/z) with F^(1)(0) = -ell q
-    import math
-    for k, val in enumerate(tower):
-        assert val == Fraction((-ell) ** (k + 1), math.factorial(k + 1))
-
-
-def test_index_one_two_point_requires_index_one():
-    with pytest.raises(DomainError):
-        index_one_two_point_primitive(describe(4, (3,)), 2)
+    for k in range(4):
+        tower = Fraction((-ell) ** (k + 1), factorial(k + 1))
+        assert layer0[-k - 1].coefficient({}) == QPoly.q_power(k + 1, tower), k
 
 
 def test_j_recursion_layers_consistency():
@@ -503,7 +459,7 @@ def test_j_recursion_layers_consistency():
 def test_odd_mode_residuals_truncated_below_nilpotency():
     # X_3(2,2): m = 4, so residuals are asserted only below s^2; the
     # reconstructed F = F^(0) + s F^(1) obeys the reduced system there
-    desc, ring, F, _ = assemble_reduced_potential(3, (2, 2), 5, 2)
+    desc, ring, F, _ = reduced_potential(3, (2, 2), 5)
     pot = ReducedPotential(desc, F)
     assert pot.F.s_cap == desc.m // 2 == 2
     assert pot.s_cutoff == 2
@@ -519,7 +475,7 @@ def test_odd_mode_residuals_truncated_below_nilpotency():
 def test_reduced_residuals_other_descriptors():
     # same vanishing on an odd cubic and the odd two-quadrics case
     for n, d in [(5, (3,)), (3, (2, 2))]:
-        desc, ring, F, _ = assemble_reduced_potential(n, d, 4, 2)
+        desc, ring, F, _ = reduced_potential(n, d, 4)
         pot = ReducedPotential(desc, F)
         res = wdvv_residuals(pot)
         for key, series in res["eq_mixed"].items():

@@ -1,7 +1,7 @@
 """Small quantum cohomology: descendants, ring structure, pairings, c(n,d)."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -10,8 +10,8 @@ from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly
 from ciqc.geometry import describe
 from ciqc.smallqh import (AmbientOrigin, ZJet, build_ring, c_constant,
-                          f0_derivs, one_point_descendant, pairings,
-                          quantum_product_qp, small_j)
+                          one_point_descendant, pairings, quantum_product_qp,
+                          small_j)
 
 
 def qc(ring, c):
@@ -178,8 +178,8 @@ def test_f0_third_derivatives_match_ring():
     for n, d in [(4, (3,)), (3, (2, 2)), (5, (5,))]:
         desc = describe(n, d)
         ring = _ring(n, d)
-        third, _ = f0_derivs(desc, ring)
-        for (a, b, c), val in third.items():
+        for a, b, c in combinations_with_replacement(range(n + 1), 3):
+            val = ring.origin.partial((a, b, c))
             u = [QPoly.const(1 if i == a else 0) for i in range(n + 1)]
             v = [QPoly.const(1 if i == b else 0) for i in range(n + 1)]
             prod = quantum_product_qp(desc, u, v)
@@ -198,8 +198,8 @@ def test_f0_fourth_contracted_matches_c_formula():
         desc = describe(n, d)
         ring = _ring(n, d)
         cval, _, _ = c_constant(desc, ring)
-        _, fourth0 = f0_derivs(desc, ring)
-        for (a, b, c), val in fourth0.items():
+        for a, b, c in combinations_with_replacement(range(n + 1), 3):
+            val = ring.origin.contract0((a, b, c))
             if 0 in (a, b, c):
                 assert val.is_zero()
                 continue
@@ -219,8 +219,7 @@ def test_f0_fourth_contracted_boundary_entry():
     # X_5(5) at (1,1,1) the true contracted value is 120 q, not c*b*q
     desc = describe(5, (5,))
     ring = _ring(5, (5,))
-    _, fourth0 = f0_derivs(desc, ring)
-    assert fourth0[(1, 1, 1)] == QPoly.q_power(1, 120)
+    assert ring.origin.contract0((1, 1, 1)) == QPoly.q_power(1, 120)
     cval, _, _ = c_constant(desc, ring)
     assert cval * desc.b != 120
 
@@ -229,11 +228,11 @@ def test_f0_fourfold_example_cubic():
     # F_{abc}(0) = 3 * 27^k q^k when a+b+c = 4 + 3k
     desc = describe(4, (3,))
     ring = _ring(4, (3,))
-    third, _ = f0_derivs(desc, ring)
-    assert third[(1, 1, 2)] == QPoly.const(3)
-    assert third[(2, 2, 3)].coefficient(1) == 3 * 27  # sum = 4 + 3
-    assert third[(2, 4, 4)].coefficient(2) == 3 * 27 ** 2  # sum = 4 + 6
-    assert third[(1, 1, 1)].is_zero()
+    origin = ring.origin
+    assert origin.partial((1, 1, 2)) == QPoly.const(3)
+    assert origin.partial((2, 2, 3)).coefficient(1) == 3 * 27  # sum = 4 + 3
+    assert origin.partial((2, 4, 4)).coefficient(2) == 3 * 27 ** 2  # sum = 4 + 6
+    assert origin.partial((1, 1, 1)).is_zero()
 
 
 def test_ambient_origin_symmetric_and_string():
@@ -325,7 +324,7 @@ def test_origin_jet_satisfies_differentiated_wdvv():
                 if f2 >= 0:
                     acc = acc - (le * origin.partial(
                         tuple(sorted(right + (f2,)))).scale(
-                        Fraction(desc.b, deg))).shift_q(1)
+                        Fraction(desc.b, deg))) * QPoly.q_power(1)
             return acc
 
         for A, B, C, D, p in product(range(1, n + 1), repeat=5):
