@@ -235,7 +235,15 @@ def cmd_fano_lines(args) -> int:
 
 def cmd_genus1(args) -> int:
     from .genus_one import f2_from_genus1
-    report = f2_from_genus1(args.n, args.d)
+    from .smallqh import build_ring
+    if tuple(sorted(args.d)) not in ((3,), (2, 2)):
+        raise DomainError("genus-one determination implemented for d = (3), (2,2)")
+    desc = describe(args.n, args.d)
+    if desc.exceptional:
+        raise DomainError(f"exceptional: {desc.exceptional_case}")
+    if args.n < 3:
+        raise DomainError("need n >= 3")
+    report = f2_from_genus1(desc, build_ring(desc))
     payload = {
         "n": report.n,
         "chi": report.chi,
@@ -256,14 +264,13 @@ def cmd_verify(args) -> int:
         return 1
     only = None
     if args.n is not None:
-        require_reconstruction_domain(describe(args.n, args.d))
-        only = (args.n, args.d)
+        desc = describe(args.n, args.d)
+        require_reconstruction_domain(desc)
+        only = (desc.n, desc.d)
     results = run_all(only=only, seed=args.seed)
-    all_ok = True
     for name, ok, detail in results:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
-        all_ok = all_ok and ok
-    return 0 if all_ok else 3
+    return 0 if all(ok for _, ok, _ in results) else 3
 
 
 def build_parser() -> _Parser:

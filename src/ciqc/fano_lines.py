@@ -270,8 +270,9 @@ def rank_estimates(n: int) -> dict:
             return 0
         return j // 2 + 1 if j <= n else n + 1 - (j + 1) // 2
 
+    # primitive products span Sym^2, or Lambda^2 when n is odd (odd classes)
     m = desc.m
-    sym2 = m * (m + 1) // 2
+    pair_rank = m * (m + 1) // 2 if n % 2 == 0 else m * (m - 1) // 2
     betti = []
     for i in range(0, 4 * n - 7):
         prim = m if (i - n) % 2 == 0 else 0
@@ -280,7 +281,7 @@ def rank_estimates(n: int) -> dict:
         elif i < 2 * n - 4:
             diff = prim
         elif i == 2 * n - 4:
-            diff = prim + sym2 - 1
+            diff = prim + pair_rank - 1
         elif i <= 2 * n - 2:
             diff = prim - (1 if i % 2 == 0 else 0)
         elif i <= 3 * n - 6:

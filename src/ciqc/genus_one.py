@@ -18,8 +18,8 @@ from math import comb
 from typing import Tuple
 
 from .errors import DomainError, VerificationError
-from .geometry import CIDescriptor, _chern_numbers, chern_integrals, describe
-from .smallqh import QuantumRingData, ZJet, build_ring, one_point_descendant
+from .geometry import CIDescriptor, _chern_numbers, chern_integrals
+from .smallqh import QuantumRingData, ZJet, one_point_descendant
 
 
 def _seeds(desc: CIDescriptor, ring: QuantumRingData) -> Tuple[Fraction, Fraction]:
@@ -156,9 +156,9 @@ class GenusOneReport:
     experimental: bool = False
 
 
-def f2_from_genus1(n: int, d=(3,)) -> GenusOneReport:
+def f2_from_genus1(desc: CIDescriptor, ring: QuantumRingData) -> GenusOneReport:
     """Solve the primitive contraction of the genus-one recursion for the
-    four-point constant.
+    four-point constant of ``desc``, a cubic or (2,2), n >= 3, on its ``ring``.
 
     Writing M = chi - n - 1 (the signed primitive rank), the contraction of
     the genus-one relation over the primitive classes reads
@@ -171,16 +171,7 @@ def f2_from_genus1(n: int, d=(3,)) -> GenusOneReport:
     dimensional pairing signs are absorbed uniformly into M, a convention
     verified against the independent lines-variety route.
     """
-    d = tuple(sorted(d))
-    if d not in ((3,), (2, 2)):
-        raise DomainError("genus-one determination implemented for d = (3), (2,2)")
-    desc = describe(n, d)
-    if desc.exceptional:
-        raise DomainError(f"exceptional: {desc.exceptional_case}")
-    if n < 3:
-        raise DomainError("need n >= 3")
-    ring = build_ring(desc)
-    deg = desc.degree
+    n, d, deg = desc.n, desc.d, desc.degree
     kappa = Fraction(-desc.ell)
     M = Fraction(desc.chi - n - 1)
     psi11 = Fraction(psi_top_descendant(desc, ring.jfun), 12 * deg)

@@ -152,16 +152,13 @@ def euler_beta(desc: CIDescriptor, k: int) -> Optional[Fraction]:
     return Fraction(num, desc.a)
 
 
-def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv,
-                   odd_rank: Optional[int] = None):
+def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv):
     """Residuals of the s^{k-1}-coefficient equations of the reduced system.
 
     ``jets[i]`` is the t-jet of F^(i); k = 1 yields the square-zero pair
     (eigenvalue equation and isotropy of the gradient), k = 2 the equations
-    governing F^(2).  Only a caller that passes ``odd_rank`` is refused, at
-    k >= odd_rank - 1, and no command passes it; odd mode is otherwise cut
-    below s^{m/2} by ``ReducedPotential`` alone, and the two odd-mode rules
-    are not yet reconciled.
+    governing F^(2).  No order is refused here: the one odd-mode rule is
+    ``ReducedPotential``'s, which asserts the equations below s^{m/2} only.
 
     Returns (mixed, pure) of ``_reduced`` on F = sum_{i<=k} s^i F^(i) / i!,
     sliced at s^{k-1}.  F is stored to degree C + k, C the largest jet cap,
@@ -171,9 +168,6 @@ def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv,
     """
     if k < 1:
         raise DomainError("expansion order must be >= 1")
-    if odd_rank is not None and k >= odd_rank - 1:
-        raise DomainError(
-            f"order {k} not asserted in odd mode with primitive rank {odd_rank}")
     if len(jets) < k + 1:
         raise DomainError(f"need jets F^(0)..F^({k})")
     cap = max(j.degree_cap for j in jets)

@@ -260,9 +260,9 @@ class QuantumRingData:
     def origin(self) -> "AmbientOrigin":
         return AmbientOrigin(self.desc, self)
 
-    def two_point(self, i: int, j: int, k: int = 0) -> QPoly:
-        """< H_i, psi^k H_j >_{0,2,*} from the stored flat sections."""
-        return self.smat[i].entry(-k - 1, self.desc.n - j).scale(self.desc.degree)
+    def two_point(self, i: int, j: int) -> QPoly:
+        """< H_i, H_j >_{0,2,*} from the stored flat sections."""
+        return self.smat[i].entry(-1, self.desc.n - j).scale(self.desc.degree)
 
 
 def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingData:

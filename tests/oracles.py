@@ -9,7 +9,9 @@ route to a value the package computes another way, or a test input:
 * ``j_recursion``/``primitive_j_layers`` -- the s-expansion of J;
 * ``f2_gradient_closed_form``/``f2_origin_residuals`` -- the F^(2) origin
   data checked without the gradient solve;
-* ``schur_oracle_product`` -- Schubert products through Schur polynomials.
+* ``schur_oracle_product`` -- Schubert products through Schur polynomials;
+* ``galkin_shinder_betti`` -- Betti numbers of the variety of lines of a
+  cubic from those of the cubic.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ciqc.errors import DomainError
 from ciqc.exact import (ONE, QPoly, Rational, TruncSeries, contract,
                         linear_substitute, monomial)
 from ciqc.fano_lines import SchubertVector
-from ciqc.geometry import CIDescriptor
+from ciqc.geometry import CIDescriptor, describe
 from ciqc.reconstruct import F1Jet, F2Jet, _tau_to_t_forms, f1_series
 from ciqc.smallqh import QuantumRingData, _unit_vector
 
@@ -240,3 +242,33 @@ def schur_oracle_product(u: SchubertVector, v: SchubertVector) -> SchubertVector
         if a <= n:
             out._store((a, b), c)
     return out
+
+
+def _poly_mul(u: Sequence[int], v: Sequence[int]) -> List[int]:
+    out = [0] * (len(u) + len(v) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            out[i + j] += a * b
+    return out
+
+
+def galkin_shinder_betti(n: int) -> List[int]:
+    """b_0..b_{4n-8} of the variety of lines F of a smooth cubic n-fold X.
+
+    Galkin--Shinder: [X^[2]] = [P^n][X] + L^2[F] and [X^[2]] = [Sym^2 X] +
+    [X](L + ... + L^{n-1}) in K_0(Var).  On Poincare polynomials (L -> t^2)
+    this gives t^4 P(F) = P(Sym^2 X) - (1 + t^{2n}) P(X), where Sym^2 is
+    taken super-symmetrically: P(Sym^2 X)(t) = (P(t)^2 + sum_i (-1)^i b_i
+    t^{2i}) / 2, so odd classes contribute their exterior square.
+    """
+    px = [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
+    px[n] += describe(n, (3,)).m  # the primitive classes, in the middle degree
+    square = _poly_mul(px, px)
+    for i, b in enumerate(px):
+        square[2 * i] += (-1) ** i * b
+    sym2 = [c // 2 for c in square]
+    rest = _poly_mul(px, [1] + [0] * (2 * n - 1) + [1])
+    diff = [a - b for a, b in zip(sym2, rest)]
+    if any(diff[:4]) or any(diff[4 * n - 3:]):
+        raise ArithmeticError("the Galkin-Shinder difference is not t^4 P(F)")
+    return diff[4:4 * n - 3]

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion at exact equality, one line each."""
 
-from ciqc.acceptance import CRITERIA, run_all
+from ciqc.acceptance import CRITERIA, TOY_MODELS, run_all
+from ciqc.geometry import describe, require_reconstruction_domain
 
 
 def test_acceptance_criteria():
@@ -14,17 +15,32 @@ def test_acceptance_criteria():
     assert not failures, failures
 
 
+def test_every_case_is_a_canonical_in_domain_descriptor():
+    # run_all filters on describe's (n, d), so a case with d unsorted, or
+    # outside the reconstruction domain, could never be selected by verify
+    for name, _, cases in CRITERIA:
+        assert cases, name
+        for case in cases:
+            if case == TOY_MODELS:
+                continue
+            n, d = case[:2]
+            desc = describe(n, d)
+            assert desc.d == d, (name, case)
+            require_reconstruction_domain(desc)
+
+
 def test_run_all_ring_and_origin_counts(monkeypatch):
     # rings are built only by the criteria; each ring memoizes its origin jet
     # and keeps its J-series, which the one-point criterion reads for n <= 5
-    from ciqc import acceptance, genus_one, smallqh
+    # and the genus-one criterion shares for n <= 5
+    from ciqc import acceptance, smallqh
     builds, origins, jets = [], [], []
-    for module in (acceptance, genus_one):
-        def counted(*args, _real=module.build_ring):
-            builds.append(args)
-            return _real(*args)
 
-        monkeypatch.setattr(module, "build_ring", counted)
+    def counted(*args, _real=acceptance.build_ring):
+        builds.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(acceptance, "build_ring", counted)
 
     def counted_j(*args, _real=smallqh.small_j, **kwargs):
         jets.append(args)
@@ -41,6 +57,6 @@ def test_run_all_ring_and_origin_counts(monkeypatch):
     monkeypatch.setattr(smallqh.AmbientOrigin, "__init__", counted_init)
     acceptance._ring.cache_clear()
     assert all(ok for _, ok, _ in run_all())
-    assert len(builds) == 22
+    assert len(builds) == 19
     assert len(origins) <= 11
-    assert len(jets) == 25
+    assert len(jets) == 22

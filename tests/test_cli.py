@@ -1,10 +1,13 @@
 """Command-line surface: exit codes, determinism, round-trips."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ciqc.cli import HIGHERK_KMAX_LIMIT, main
 from ciqc.exact import parse_rat
@@ -202,6 +205,7 @@ GOLDEN_CASES = {
                                    "--load", CUBIC4_DEG4],
     "genus1_n4": ["genus1", "--n", "4"],
     "genus1_n5_d22": ["genus1", "--n", "5", "--d", "2,2"],
+    "fano_lines_n3_all": ["fano-lines", "--n", "3", "--check", "all"],
     "verify": ["verify"],
     "verify_n4_d3": ["verify", "--n", "4", "--d", "3"],
 }
@@ -400,3 +404,64 @@ def test_verify_exceptional_descriptor_is_domain_error(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and "two quadrics" in err
+
+
+def test_verify_filters_on_the_sorted_multidegree(capsys):
+    # --d 3,2 names X_5(2,3), as --d 2,3 does
+    code, out, err = run(capsys, "verify", "--n", "5", "--d", "3,2")
+    assert (code, out, err) == run(capsys, "verify", "--n", "5", "--d", "2,3")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 10 and all(l.startswith("PASS") for l in lines)
+    for number in (1, 4, 6, 10):
+        assert "(5, (2, 3))" in lines[number - 1], lines[number - 1]
+
+
+def test_verify_uncovered_descriptor_is_domain_error(capsys):
+    # X_4(3,3) is in the domain, but no verify case names it
+    code, out, err = run(capsys, "verify", "--n", "4", "--d", "3,3")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "no verify case covers" in err
+
+
+COMMANDS = ("info", "smallqh", "f1", "f2", "higherk", "residual", "fano-lines",
+            "genus1", "verify")
+
+
+@st.composite
+def cli_argv(draw):
+    """An argv of one subcommand with in-range values; --d in any order."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv = [command, "--n", str(draw(st.sampled_from(range(9))))]
+    if command != "fano-lines" and (command != "genus1" or draw(st.booleans())):
+        degrees = draw(st.lists(st.sampled_from([3, 2, 4, 5, 1]), min_size=1,
+                                max_size=3))
+        argv += ["--d", ",".join(map(str, degrees))]
+    if command in ("smallqh", "f1", "f2", "residual") and draw(st.booleans()):
+        argv += ["--q", "1"]
+    if command == "f2":
+        argv += draw(st.sampled_from([[], ["--format", "tsv"], ["--no-header"],
+                                      ["--format", "tsv", "--no-header"]]))
+    if command == "higherk":
+        argv += ["--kmax", str(draw(st.integers(0, HIGHERK_KMAX_LIMIT + 1)))]
+    if command == "residual":
+        argv += ["--load", S_T1]
+    if command == "fano-lines":
+        argv += ["--check", draw(st.sampled_from(
+            ["all", "cubic7", "cubic13", "cubic16", "hilb2"]))]
+    if command == "verify":
+        argv += ["--seed", str(draw(st.integers(0, 9)))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cli_argv())
+def test_cli_exits_with_a_documented_code(argv):
+    # no traceback: an uncaught exception would fail the call itself
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()
+    assert code == 0 or err.getvalue().count("\n") >= 1, argv

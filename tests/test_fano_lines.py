@@ -12,7 +12,7 @@ from ciqc.fano_lines import (SchubertVector, hilb2_check, hilb2_examples,
                              lines_class_primitive, omega_checks,
                              prim_square_class, rank_estimates,
                              schubert_product, sigma1_power)
-from oracles import schur_oracle_product
+from oracles import galkin_shinder_betti, schur_oracle_product
 
 SEED = 20240811
 
@@ -163,6 +163,20 @@ def test_rank_estimates_betti_identity_n4():
     m = 22
     row = next(r for r in report["betti"] if r["degree"] == 2 * 4 - 4)
     assert row["rk_lines_minus_rk_g"] == m + m * (m + 1) // 2 - 1
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_betti_table_matches_galkin_shinder(n):
+    # odd n: products of the odd primitive classes span Lambda^2, not Sym^2
+    table = [row["rk_lines"] for row in rank_estimates(n)["betti"]]
+    assert table == galkin_shinder_betti(n)
+
+
+def test_betti_table_literature_anchors():
+    # the Fano surface of a cubic threefold (b1 = 10, b2 = 45) and the
+    # K3^[2]-type fourfold of lines of a cubic fourfold
+    assert galkin_shinder_betti(3) == [1, 10, 45, 10, 1]
+    assert galkin_shinder_betti(4) == [1, 0, 23, 0, 276, 0, 23, 0, 1]
 
 
 def test_betti_table_low_degrees_match_grassmannian():

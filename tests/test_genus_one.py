@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ciqc.acceptance import _ring
+from ciqc.cli import main
 from ciqc.errors import DomainError
 from ciqc.genus_one import (descendant_chern_sum, f2_from_genus1, h_10,
                             hn_11, psi_top_descendant, two_point_g0)
@@ -68,9 +69,13 @@ def test_h10_cubic_threefold():
     assert h_10(describe(3, (3,))) == Fraction(-1, 2)
 
 
+def genus_one_report(n, d=(3,)):
+    return f2_from_genus1(describe(n, d), _ring(n, d))
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_f2_selection_is_one(n):
-    report = f2_from_genus1(n)
+    report = genus_one_report(n)
     assert report.f2 == 1
     assert report.psi11 == Fraction(1, 2)
     assert not report.experimental
@@ -80,22 +85,27 @@ def test_f2_selection_is_one(n):
 
 def test_f2_always_selects_one_across_range():
     for n in range(3, 8):
-        assert f2_from_genus1(n).f2 == 1
+        assert genus_one_report(n).f2 == 1
 
 
 def test_f2_two_quadrics_experimental():
-    report = f2_from_genus1(3, (2, 2))
+    report = genus_one_report(3, (2, 2))
     assert report.experimental
     assert report.f2 == 1
-    report5 = f2_from_genus1(5, (2, 2))
+    report5 = genus_one_report(5, (2, 2))
     assert report5.f2 == 1
 
 
-def test_f2_rejects_unsupported():
-    with pytest.raises(DomainError):
-        f2_from_genus1(5, (5,))
-    with pytest.raises(DomainError):
-        f2_from_genus1(4, (2, 2))  # exceptional
+def test_f2_rejects_unsupported(capsys):
+    # the genus1 command checks the domain before it builds a ring
+    for argv, message in [(["--n", "5", "--d", "5"], "implemented for d = (3), (2,2)"),
+                          (["--n", "4", "--d", "2,2"], "exceptional: even-dimensional"),
+                          (["--n", "2"], "exceptional: cubic surface"),
+                          (["--n", "1"], "need n >= 3")]:
+        assert main(["genus1", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("domain error: ") and message in err
+        assert err.count("\n") == 1
 
 
 def test_parity_consistency_with_lines_route():
@@ -103,7 +113,7 @@ def test_parity_consistency_with_lines_route():
     # quartic forces, in both parities
     from ciqc.fano_lines import omega_checks
     for n in (3, 4, 5, 6):
-        assert f2_from_genus1(n).f2 == omega_checks(n)["f2_at_zero"]
+        assert genus_one_report(n).f2 == omega_checks(n)["f2_at_zero"]
 
 
 def test_descendant_sum_closed_form_anchor():
@@ -127,18 +137,22 @@ def _count_calls(monkeypatch, name, modules):
     return calls
 
 
-def test_f2_from_genus1_builds_one_ring(monkeypatch):
-    from ciqc import genus_one
-    builds = _count_calls(monkeypatch, "build_ring", [genus_one])
-    assert f2_from_genus1(5).f2 == 1
+def test_f2_from_genus1_builds_one_ring(monkeypatch, capsys):
+    # the genus1 command builds the one ring; f2_from_genus1 builds none
+    from ciqc import smallqh
+    builds = _count_calls(monkeypatch, "build_ring", [smallqh])
+    assert main(["genus1", "--n", "5"]) == 0
+    assert '"f2": "1"' in capsys.readouterr().out
+    assert len(builds) == 1
+    assert genus_one_report(5).f2 == 1
     assert len(builds) == 1
 
 
 @pytest.mark.parametrize("n", [3, 5, 6])
 def test_hn11_reuses_a_passed_ring(monkeypatch, n):
-    from ciqc import genus_one, smallqh
+    from ciqc import smallqh
     desc, ring = describe(n, (3,)), _ring(n, (3,))
-    builds = _count_calls(monkeypatch, "build_ring", [genus_one, smallqh])
+    builds = _count_calls(monkeypatch, "build_ring", [smallqh])
     jets = _count_calls(monkeypatch, "small_j", [smallqh])
     expected = {3: 0, 5: Fraction(-3, 4), 6: Fraction(-15, 2)}[n]
     assert hn_11(desc, ring) == expected

@@ -268,16 +268,6 @@ def test_expand_order_two_is_the_f2_equation():
         assert pure.coefficient({}).is_zero(), root
 
 
-def test_expand_order_refused_in_shallow_odd_mode():
-    # a synthetic shallow odd rank: equations beyond the nilpotency order
-    # are not asserted
-    desc, ring, origin = cubic4_data()
-    f1 = f1_series(desc, ring)
-    f0_tau = origin.jet_series(3)
-    with pytest.raises(DomainError):
-        expand_order_k([f0_tau, f1.tau_jet], 1, ring.ginv, odd_rank=2)
-
-
 # --- brute-force equivalence of full and reduced WDVV ----------------------
 
 
