@@ -6,7 +6,10 @@ The descendant series J(q, z) at the origin is the hypergeometric series
                    / prod_{m=1}^{d} (H + m z)^{n+r+1}
 
 expanded exactly over the classical basis H_0..H_n (for index 1 the series
-is corrected by exp(-ell q / z)).  Everything else is derived from it:
+is corrected by exp(-ell q / z)).  The q^d layer is homogeneous of degree
+-a d, so it is n + 1 numbers (H^h carries z^{-a d - h}), and it is the q^{d-1}
+layer times the new numerator factors and (H + d z)^{-(n+r+1)}: the series
+costs work linear in its q-orders.  Everything else is derived from it:
 
 * quantum multiplication by the degree generator, via the flat-section
   recursion D S_j = sum_c (H~ o H_j)^c S_c with D = z q d/dq + (H cup .),
@@ -101,15 +104,18 @@ class ZJet:
                     row[h] += c
         return out
 
-    def __sub__(self, other: "ZJet") -> "ZJet":
-        return self + other.scale(-1)
-
-    def scale(self, c: Rational, qpow: int = 0) -> "ZJet":
-        """Multiply by c q^qpow."""
-        out = self._like(self.degree + self.a * qpow, self.floor)
-        for z, v in self.coeffs.items():
-            out.coeffs[z] = [x * c for x in v]
-        return out
+    def sub_scaled(self, other: "ZJet", c: Rational, qpow: int) -> None:
+        """In place: subtract c q^qpow times other."""
+        if other.degree + self.a * qpow != self.degree:
+            raise InternalConsistencyError(
+                f"adding jets of degree {self.degree} and "
+                f"{other.degree + self.a * qpow}")
+        self.floor = max(self.floor, other.floor)
+        for z, v in other.coeffs.items():
+            row = self.coeffs.setdefault(z, self._zero_vec())
+            for h, x in enumerate(v):
+                if x:
+                    row[h] -= c * x
 
     def shift_z(self, k: int) -> "ZJet":
         """Multiply by z^k."""
@@ -154,6 +160,15 @@ def small_j(desc: CIDescriptor, zorder: Optional[int] = None) -> ZJet:
     """Hypergeometric small J-series of X at the origin, exact in q down to
     z^{-zorder-1}.
 
+    The q^delta term of I is z T_delta with T_delta = prod_j prod_{m=1}^{d_j
+    delta} (d_j H + m z) / prod_{m=1}^{delta} (H + m z)^{n+r+1}.  T_delta is
+    homogeneous of degree -a delta, so its H^h coefficient carries exactly
+    z^{-a delta - h} and the layer is n + 1 numbers, kept as integers over
+    the common denominator (delta!)^{2n+r+1}.  Each layer comes from the
+    last: T_delta = T_{delta-1} prod_j prod_{m=d_j (delta-1)+1}^{d_j delta}
+    (d_j H + m z) (H + delta z)^{-(n+r+1)}.  For index one J_delta = sum_k
+    (-ell)^k / k! I_{delta-k}, i.e. J = exp(-ell q / z) I.
+
     The coefficient of z^{-k-1} H_{n-i} q^d, multiplied by deg X, is the
     one-point descendant < psi^k H_i >_{0,1,d}.  Quadrics are allowed here;
     the other exceptional families and non-Fano inputs are refused.
@@ -161,62 +176,34 @@ def small_j(desc: CIDescriptor, zorder: Optional[int] = None) -> ZJet:
     require_reconstruction_domain(desc, allow_quadric=True)
     if zorder is None:
         zorder = desc.n + 3
-    n = desc.n
+    n, a = desc.n, desc.a
     zmin = -(zorder + 1)
-    jet = ZJet(n, desc.a, 1, zmin, 1)
-    # J has degree 1 with deg z = deg H = 1 and deg q = a, so the term
-    # z^p H_h q^delta has p = 1 - h - a delta: no delta beyond qtop reaches
-    # the window
-    qtop = (1 - zmin) // desc.a
-
-    for delta in range(qtop + 1):
-        # numerator: prod_j prod_{m=1}^{d_j delta} (d_j H + m z), as a
-        # polynomial in H (truncated at H^n) with integer z-coefficients
-        num = [{0: Fraction(1)}] + [dict() for _ in range(n)]
+    top = n + desc.r + 1
+    # z^{1 - a delta - h} H_h q^delta: no delta beyond qtop reaches the window
+    qtop = (1 - zmin) // a
+    # T_delta = nums[delta] / dens[delta], with dens[delta] = (delta!)^{top+n}
+    nums, dens = [[int(h == 0) for h in range(n + 1)]], [1]
+    for delta in range(1, qtop + 1):
+        t = nums[-1]
         for dj in desc.d:
-            for m in range(1, dj * delta + 1):
-                new = [dict() for _ in range(n + 1)]
-                for h in range(n + 1):
-                    for zp, c in num[h].items():
-                        # (d_j H) part
-                        if h + 1 <= n:
-                            new[h + 1][zp] = new[h + 1].get(zp, Fraction(0)) + dj * c
-                        # (m z) part
-                        new[h][zp + 1] = new[h].get(zp + 1, Fraction(0)) + m * c
-                num = new
-        # denominator factors (H + m z)^{-(n+r+1)} expanded binomially
-        term = num
-        top = n + desc.r + 1
-        for m in range(1, delta + 1):
-            inv = [dict() for _ in range(n + 1)]
-            for j in range(n + 1):
-                c = Fraction((-1) ** j * comb(top - 1 + j, j), m ** (top + j))
-                inv[j][-(top + j)] = c
-            new = [dict() for _ in range(n + 1)]
-            for h1 in range(n + 1):
-                for zp1, c1 in term[h1].items():
-                    for h2 in range(n + 1 - h1):
-                        for zp2, c2 in inv[h2].items():
-                            zp = zp1 + zp2
-                            if zp + 1 >= zmin:  # final multiply by z below
-                                d = new[h1 + h2]
-                                d[zp] = d.get(zp, Fraction(0)) + c1 * c2
-            term = new
-        for h in range(n + 1):
-            for zp, c in term[h].items():
-                if zmin <= zp + 1 <= 1 and c != 0:
-                    jet.set_entry(zp + 1, h, c, delta)
-
-    if desc.a == 1:
-        # J = exp(-ell q / z) * I
-        out = ZJet(n, desc.a, 1, zmin, 1)
-        fact = 1
-        for k in range(qtop + 1):
-            if k:
-                fact *= k
-            out = out + jet.scale(Fraction((-desc.ell) ** k, fact), k).shift_z(-k)
-        out.floor = zmin
-        jet = out
+            for m in range(dj * (delta - 1) + 1, dj * delta + 1):
+                t = [m * t[0]] + [dj * t[h - 1] + m * t[h] for h in range(1, n + 1)]
+        # H^k coefficients of delta^{top+n} (H + delta z)^{-top}
+        inv = [(-1) ** k * comb(top - 1 + k, k) * delta ** (n - k)
+               for k in range(n + 1)]
+        nums.append([sum(t[h - k] * inv[k] for k in range(h + 1))
+                     for h in range(n + 1)])
+        dens.append(dens[-1] * delta ** (top + n))
+    if a == 1:  # J = exp(-ell q / z) I; k! dens[delta - k] divides dens[delta]
+        nums = [[sum((-desc.ell) ** k * nums[delta - k][h]
+                     * (dens[delta] // (factorial(k) * dens[delta - k]))
+                     for k in range(delta + 1)) for h in range(n + 1)]
+                for delta in range(qtop + 1)]
+    jet = ZJet(n, a, 1, zmin, 1)
+    for delta, (num, den) in enumerate(zip(nums, dens)):
+        for h, c in enumerate(num):
+            if c and 1 - a * delta - h >= zmin:
+                jet.set_entry(1 - a * delta - h, h, Fraction(c, den), delta)
     return jet
 
 
@@ -276,16 +263,16 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
     cols: List[List[Rational]] = []
 
     for j in range(n + 1):
-        t = smat[j].q_d_q().shift_z(1) + smat[j].cup_h()
-        col = t.vec(0)
+        nxt = smat[j].q_d_q().shift_z(1) + smat[j].cup_h()
+        floor = nxt.floor
+        col = list(nxt.vec(0))
         cols.append(col)
-        nxt = t
         for c_idx in range(n + 1):
             coeff = col[c_idx] - int(c_idx == j + 1)
             if coeff:
-                nxt = nxt - smat[c_idx].scale(coeff, (j + 1 - c_idx) // a)
+                nxt.sub_scaled(smat[c_idx], coeff, (j + 1 - c_idx) // a)
         if j < n:
-            nxt.floor = t.floor
+            nxt.floor = floor
             smat.append(nxt)
         elif not nxt.is_zero_above(nxt.floor):
             raise InternalConsistencyError(
@@ -297,12 +284,16 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
         for i in range(n + 1):
             mult[i][i] += desc.ell
 
-    # quantum powers: pw[j][i] = coefficient of H_i in H^j, at q^{(j-i)/a}
+    # quantum powers: pw[j][i] = coefficient of H_i in H^j, at q^{(j-i)/a};
+    # H^{j+1} = sum_k pw[j][k] (H~ o H_k) over the nonzero pw[j][k]
+    mult_cols = [_nonzero(col) for col in zip(*mult)]
     pw = [[Fraction(int(i == 0)) for i in range(n + 1)]]
     for _ in range(n + 1):
-        prev = pw[-1]
-        pw.append([sum((mult[i][k] * prev[k] for k in range(n + 1) if prev[k]),
-                       Fraction(0)) for i in range(n + 1)])
+        row = [Fraction(0)] * (n + 1)
+        for k, x in _nonzero(pw[-1]):
+            for i, y in mult_cols[k]:
+                row[i] += x * y
+        pw.append(row)
 
     # ring relation H^{n+1} = b q H^{n+1-a}
     if pw[n + 1] != [desc.b * c for c in pw[n + 1 - a]]:
@@ -312,14 +303,17 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
     # the graded base change: W[i][j] = pw[i][j]; M is its exact inverse
     wmat = pw[: n + 1]
     mmat = _invert_unitriangular(wmat)
-    _check_inverse_rational(wmat, mmat)
+    _check_inverse(wmat, mmat, Fraction(0), "W * M is not the identity")
 
     g, ginv = pairings(desc)
 
-    # the pairing formula must agree with the classical pairing of powers
+    # the pairing formula must agree with the classical pairing of powers:
+    # g_ef = deg sum_i pw[e][i] pw[f][n-i], over the nonzero pw[e][i]
+    pw_rows = [_nonzero(row) for row in wmat]
     for e in range(n + 1):
         for f in range(n + 1):
-            acc = sum((pw[e][i] * pw[f][n - i] for i in range(n + 1)), Fraction(0))
+            acc = sum((x * pw[f][n - i] for i, x in pw_rows[e] if pw[f][n - i]),
+                      Fraction(0))
             if _graded(acc * desc.degree, e + f - n, a) != g[e][f]:
                 raise InternalConsistencyError(
                     f"pairing formula disagrees at ({e},{f})")
@@ -348,25 +342,39 @@ def _mat_vec(mat, vec):
     return out
 
 
+def _nonzero(row):
+    """The nonzero entries of a row, as (column, value) pairs."""
+    return [(k, x) for k, x in enumerate(row) if x != 0]
+
+
 def _invert_unitriangular(w) -> List[List[Rational]]:
-    """Inverse of a lower-unitriangular Rational matrix, by substitution."""
+    """Inverse of a lower-unitriangular Rational matrix, by substitution:
+    row i is e_i - sum_{k<i} w[i][k] (row k) over the nonzero w[i][k]."""
     n = len(w)
     if any(w[i][j] != (1 if i == j else 0) for i in range(n) for j in range(i, n)):
         raise InternalConsistencyError("base change is not unitriangular")
-    out = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    out, out_rows = [], []
     for i in range(n):
-        for j in range(i):
-            out[i][j] = -sum((w[i][k] * out[k][j] for k in range(j, i)), Fraction(0))
+        row = [Fraction(int(i == j)) for j in range(n)]
+        for k, x in _nonzero(w[i][:i]):
+            for j, y in out_rows[k]:
+                row[j] -= x * y
+        out.append(row)
+        out_rows.append(_nonzero(row))
     return out
 
 
-def _check_inverse_rational(wmat, mmat):
-    n = len(wmat)
-    for i in range(n):
-        for j in range(n):
-            acc = sum((wmat[i][k] * mmat[k][j] for k in range(n)), Fraction(0))
-            if acc != (1 if i == j else 0):
-                raise InternalConsistencyError("W * M is not the identity")
+def _check_inverse(left, right, zero, message):
+    """Raise unless left * right is the identity, comparing every entry; a
+    product with a zero factor is exactly zero and is not formed."""
+    right_rows = [_nonzero(row) for row in right]
+    for i, row in enumerate(left):
+        acc = [zero] * len(right[0])
+        for k, x in _nonzero(row):
+            for j, y in right_rows[k]:
+                acc[j] = acc[j] + x * y
+        if any(v != (1 if i == j else 0) for j, v in enumerate(acc)):
+            raise InternalConsistencyError(message)
 
 
 def reduce_power(desc: CIDescriptor, x: int) -> Tuple[int, QPoly]:
@@ -379,26 +387,20 @@ def reduce_power(desc: CIDescriptor, x: int) -> Tuple[int, QPoly]:
 def pairings(desc: CIDescriptor):
     """Pairing g_{ef} of quantum powers and its inverse g^{ef}."""
     n, a, deg = desc.n, desc.a, desc.degree
-    g = [[QPoly.zero() for _ in range(n + 1)] for _ in range(n + 1)]
+    g = [[_pairing(desc, e, f) for f in range(n + 1)] for e in range(n + 1)]
     ginv = [[QPoly.zero() for _ in range(n + 1)] for _ in range(n + 1)]
     for e in range(n + 1):
-        for f in range(n + 1):
-            top, factor = reduce_power(desc, e + f)
-            if top == n:
-                g[e][f] = factor.scale(deg)
-            if e + f == n:
-                ginv[e][f] = QPoly.const(Fraction(1, deg))
-            elif e + f == n - a:
-                ginv[e][f] = QPoly.q_power(1, Fraction(-desc.b, deg))
-    # exact inverse check
-    for e in range(n + 1):
-        for h in range(n + 1):
-            acc = QPoly.zero()
-            for f in range(n + 1):
-                acc = acc + g[e][f] * ginv[f][h]
-            if acc != (1 if e == h else 0):
-                raise InternalConsistencyError("pairing inverse check failed")
+        ginv[e][n - e] = QPoly.const(Fraction(1, deg))
+        if n - a - e >= 0:
+            ginv[e][n - a - e] = QPoly.q_power(1, Fraction(-desc.b, deg))
+    _check_inverse(g, ginv, QPoly.zero(), "pairing inverse check failed")
     return g, ginv
+
+
+def _pairing(desc: CIDescriptor, e: int, f: int) -> QPoly:
+    """< H^e, H^f >: H^{e+f} reduced by H^x = (b q)^k H^{x-ka}, integrated."""
+    top, factor = reduce_power(desc, e + f)
+    return factor.scale(desc.degree) if top == desc.n else QPoly.zero()
 
 
 def quantum_product_qp(desc: CIDescriptor, u, v):
@@ -459,10 +461,6 @@ class AmbientOrigin:
 
     # -- building blocks
 
-    def _three_point(self, a: int, b: int, c: int) -> QPoly:
-        top, factor = reduce_power(self.desc, a + b + c)
-        return factor.scale(self.desc.degree) if top == self.desc.n else QPoly.zero()
-
     def _phi(self, s: int, i: int) -> QPoly:
         """Coefficient of tau^s d/d tau^i in the divisor vector field."""
         key = (s, i)
@@ -513,7 +511,7 @@ class AmbientOrigin:
         if key in self._cache:
             return self._cache[key]
         if len(key) == 3:
-            val = self._three_point(*key)
+            val = _pairing(self.desc, key[0], key[1] + key[2])
         elif key[0] == 0:
             val = QPoly.zero()  # string equation
         elif key[0] == 1:

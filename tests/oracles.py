@@ -11,7 +11,8 @@ route to a value the package computes another way, or a test input:
   data checked without the gradient solve;
 * ``schur_oracle_product`` -- Schubert products through Schur polynomials;
 * ``galkin_shinder_betti`` -- Betti numbers of the variety of lines of a
-  cubic from those of the cubic.
+  cubic from those of the cubic;
+* ``small_j_reference`` -- the J-series expanded afresh at every q-degree.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ciqc.exact import (ONE, QPoly, Rational, TruncSeries, contract,
 from ciqc.fano_lines import SchubertVector
 from ciqc.geometry import CIDescriptor, describe
 from ciqc.reconstruct import F1Jet, F2Jet, _tau_to_t_forms, f1_series
-from ciqc.smallqh import QuantumRingData, _unit_vector
+from ciqc.smallqh import QuantumRingData, ZJet, _unit_vector
 
 
 def reduced_potential(n=4, d=(3,), deg0=5):
@@ -272,3 +273,56 @@ def galkin_shinder_betti(n: int) -> List[int]:
     if any(diff[:4]) or any(diff[4 * n - 3:]):
         raise ArithmeticError("the Galkin-Shinder difference is not t^4 P(F)")
     return diff[4:4 * n - 3]
+
+
+def small_j_reference(desc: CIDescriptor, zorder: int) -> ZJet:
+    """The J-series of ``smallqh.small_j``, without its recurrence in q.
+
+    Each q-degree delta expands prod_j prod_{m=1}^{d_j delta} (d_j H + m z)
+    and prod_{m=1}^{delta} (H + m z)^{-(n+r+1)} from scratch, in {z-power:
+    Fraction} dicts per power of H, and for index one every term of I is
+    moved by each term of exp(-ell q / z) separately.
+    """
+    n = desc.n
+    zmin = -(zorder + 1)
+    jet = ZJet(n, desc.a, 1, zmin, 1)
+    qtop = (1 - zmin) // desc.a
+    for delta in range(qtop + 1):
+        num = [{0: Fraction(1)}] + [dict() for _ in range(n)]
+        for dj in desc.d:
+            for m in range(1, dj * delta + 1):
+                new = [dict() for _ in range(n + 1)]
+                for h in range(n + 1):
+                    for zp, c in num[h].items():
+                        if h + 1 <= n:
+                            new[h + 1][zp] = new[h + 1].get(zp, Fraction(0)) + dj * c
+                        new[h][zp + 1] = new[h].get(zp + 1, Fraction(0)) + m * c
+                num = new
+        term = num
+        top = n + desc.r + 1
+        for m in range(1, delta + 1):
+            inv = [{-(top + j): Fraction((-1) ** j * comb(top - 1 + j, j),
+                                         m ** (top + j))} for j in range(n + 1)]
+            new = [dict() for _ in range(n + 1)]
+            for h1 in range(n + 1):
+                for zp1, c1 in term[h1].items():
+                    for h2 in range(n + 1 - h1):
+                        for zp2, c2 in inv[h2].items():
+                            d = new[h1 + h2]
+                            d[zp1 + zp2] = d.get(zp1 + zp2, Fraction(0)) + c1 * c2
+            term = new
+        for h in range(n + 1):
+            for zp, c in term[h].items():
+                if zmin <= zp + 1 <= 1 and c != 0:
+                    jet.set_entry(zp + 1, h, c, delta)
+    if desc.a != 1:
+        return jet
+    out = ZJet(n, 1, 1, zmin, 1)
+    for zp, row in jet.coeffs.items():
+        for h, c in enumerate(row):
+            for k in range(qtop + 1):
+                if c and zp - k >= zmin:
+                    out.set_entry(zp - k, h, c * Fraction((-desc.ell) ** k,
+                                                          factorial(k)),
+                                  1 - zp - h + k)
+    return out

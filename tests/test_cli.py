@@ -206,6 +206,7 @@ GOLDEN_CASES = {
     "genus1_n4": ["genus1", "--n", "4"],
     "genus1_n5_d22": ["genus1", "--n", "5", "--d", "2,2"],
     "fano_lines_n3_all": ["fano-lines", "--n", "3", "--check", "all"],
+    "fano_lines_n5_all": ["fano-lines", "--n", "5", "--check", "all"],
     "verify": ["verify"],
     "verify_n4_d3": ["verify", "--n", "4", "--d", "3"],
 }
@@ -217,6 +218,13 @@ def test_golden_stdout(capsys, name):
     assert code == 0
     suffix = "txt" if name.startswith("verify") else "json"  # verify prints text
     assert out == (GOLDEN / f"{name}.{suffix}").read_text()
+
+
+def test_fano_lines_n5_golden_has_the_galkin_shinder_betti_number():
+    # b_6 of the variety of lines of a cubic fivefold is 862
+    report = json.loads((GOLDEN / "fano_lines_n5_all.json").read_text())
+    betti = report["checks"]["rank_estimates"]["betti"]
+    assert [row["rk_lines"] for row in betti if row["degree"] == 6] == [862]
 
 
 @pytest.mark.parametrize("argv", [

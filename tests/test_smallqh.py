@@ -5,6 +5,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
+from ciqc import smallqh
 from ciqc.acceptance import RING_DESCRIPTORS, _ring
 from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly
@@ -12,6 +13,14 @@ from ciqc.geometry import describe
 from ciqc.smallqh import (AmbientOrigin, ZJet, build_ring, c_constant,
                           one_point_descendant, pairings, quantum_product_qp,
                           small_j)
+from oracles import small_j_reference
+
+# index one, quadrics, every multidegree of RING_DESCRIPTORS and more
+J_DESCRIPTORS = ([(3, (4,)), (4, (5,)), (6, (7,)), (8, (9,))]
+                 + [(n, (2,)) for n in range(3, 7)] + RING_DESCRIPTORS
+                 + [(n, (3,)) for n in (6, 8, 12)]
+                 + [(4, (3, 3)), (6, (2, 3)), (7, (2, 2)), (3, (2, 2, 2)),
+                    (6, (4,))])
 
 
 def qc(ring, c):
@@ -44,7 +53,7 @@ def test_zjet_enforces_the_grading():
     jet.set_entry(-2, 0, Fraction(5), 1)
     jet.set_entry(-3, 1, Fraction(2), 1)
     assert jet.entry(-2, 0) == QPoly.q_power(1, 5)
-    assert jet.q_d_q().scale(3, 2).entry(-2, 0) == QPoly.q_power(3, 15)
+    assert jet.q_d_q().entry(-3, 1) == QPoly.q_power(1, 2)
     assert jet.cup_h().entry(-3, 2) == QPoly.q_power(1, 2)
     with pytest.raises(InternalConsistencyError):
         jet.set_entry(-2, 0, Fraction(1), 0)  # z^{-2} H_0 carries q^1
@@ -53,11 +62,52 @@ def test_zjet_enforces_the_grading():
     with pytest.raises(InternalConsistencyError):
         jet + jet.shift_z(-1)
     with pytest.raises(InternalConsistencyError):
-        jet - jet.scale(2, 1)
-    # q z^{-3} has degree 0, so the moved jet adds to the original
-    total = jet + jet.scale(1, 1).shift_z(-3)
-    assert total.entry(-2, 0) == QPoly.q_power(1, 5)
+        jet.sub_scaled(jet, 2, 1)  # q times a degree-1 jet has degree 4
+    # q z^{-3} has degree 0, so subtracting -q times the moved jet keeps
+    # the degree
+    total = jet + jet.q_d_q()
+    total.sub_scaled(jet.shift_z(-3), -1, 1)
+    assert total.entry(-2, 0) == QPoly.q_power(1, 10)
     assert total.entry(-5, 0) == QPoly.q_power(2, 5)
+    assert jet.entry(-5, 0).is_zero()  # jet itself is unchanged
+
+
+@pytest.mark.parametrize("n,d", J_DESCRIPTORS)
+def test_small_j_equals_the_expansion_from_scratch(n, d):
+    desc = describe(n, d)
+    for zorder in (4, n + 3, n + 6):
+        jet, ref = small_j(desc, zorder), small_j_reference(desc, zorder)
+        assert (jet.degree, jet.zmin, jet.zmax, jet.floor) == \
+            (ref.degree, ref.zmin, ref.zmax, ref.floor)
+        for zpow in range(jet.zmin, jet.zmax + 1):
+            assert jet.vec(zpow) == ref.vec(zpow), (zorder, zpow)
+
+
+def _perturbed(matrix, i, j, one):
+    out = [list(row) for row in matrix]
+    out[i][j] = out[i][j] + one
+    return out
+
+
+@pytest.mark.parametrize("n,d", [(4, (3,)), (3, (4,))])
+def test_inverse_checks_see_every_entry(monkeypatch, n, d):
+    # the W M = I and g g^{-1} = I checks only multiply nonzero entries;
+    # a +1 at any position of M or of g must still be caught
+    desc = describe(n, d)
+    invert, pairing = smallqh._invert_unitriangular, smallqh._pairing
+    for i, j in product(range(n + 1), repeat=2):
+        monkeypatch.setattr(smallqh, "_invert_unitriangular",
+                            lambda w: _perturbed(invert(w), i, j, 1))
+        with pytest.raises(InternalConsistencyError, match="W \\* M"):
+            build_ring(desc)
+        monkeypatch.setattr(smallqh, "_invert_unitriangular", invert)
+        monkeypatch.setattr(
+            smallqh, "_pairing", lambda desc, e, f: pairing(desc, e, f)
+            + QPoly.const(int((e, f) == (i, j))))
+        with pytest.raises(InternalConsistencyError, match="pairing inverse"):
+            build_ring(desc)
+        monkeypatch.setattr(smallqh, "_pairing", pairing)
+    build_ring(desc)
 
 
 def test_flat_sections_are_graded():
