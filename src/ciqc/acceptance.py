@@ -237,11 +237,9 @@ def check_property_suites(cases, seed: int = 20240811) -> Tuple[bool, str]:
         v = SchubertVector(nn)
         for _ in range(3):
             a = rng.randrange(nn + 1)
-            u = u + SchubertVector(nn, {(a, rng.randrange(a + 1)):
-                                        Fraction(rng.randrange(-3, 4))})
+            u = u + SchubertVector(nn, {(a, rng.randrange(a + 1)): rng.randrange(-3, 4)})
             c = rng.randrange(nn + 1)
-            v = v + SchubertVector(nn, {(c, rng.randrange(c + 1)):
-                                        Fraction(rng.randrange(-3, 4))})
+            v = v + SchubertVector(nn, {(c, rng.randrange(c + 1)): rng.randrange(-3, 4)})
         lhs = schubert_product(schubert_product(sigma1, u), v)
         rhs = schubert_product(sigma1, schubert_product(u, v))
         if lhs != rhs:

@@ -14,34 +14,44 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError, VerificationError
 from .exact import solve_linear
 from .geometry import describe
 
 TwoRowPartition = Tuple[int, int]
+Coeff = Union[int, Fraction]
+
+
+def _exact(c):
+    """``c`` itself if exact (an int or a Fraction); a float or str is refused."""
+    if not isinstance(c, (int, Fraction)):
+        raise DomainError(f"coefficient {c!r} is not an int or a Fraction")
+    return c
 
 
 class SchubertVector:
-    """Finitely supported rational combination of two-row Schubert classes."""
+    """Finitely supported exact combination of two-row Schubert classes: the
+    coefficients stay Python ints until a Fraction enters, and mixed
+    arithmetic keeps them exact."""
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Optional[Dict[TwoRowPartition, Fraction]] = None):
+    def __init__(self, n: int, terms: Optional[Dict[TwoRowPartition, Coeff]] = None):
         self.n = n
-        self.terms: Dict[TwoRowPartition, Fraction] = {}
+        self.terms: Dict[TwoRowPartition, Coeff] = {}
         if terms:
             for key, c in terms.items():
-                self._store(key, Fraction(c))
+                self._store(key, _exact(c))
 
-    def _store(self, key: TwoRowPartition, c: Fraction) -> None:
+    def _store(self, key: TwoRowPartition, c: Coeff) -> None:
         a, b = key
         if not (a >= b >= 0):
             raise DomainError(f"not a partition: {key}")
         if a > self.n or c == 0:
             return  # classes beyond the box vanish
-        cur = self.terms.get((a, b), Fraction(0)) + c
+        cur = self.terms.get((a, b), 0) + c
         if cur == 0:
             self.terms.pop((a, b), None)
         else:
@@ -49,7 +59,7 @@ class SchubertVector:
 
     @staticmethod
     def basis(n: int, a: int, b: int) -> "SchubertVector":
-        return SchubertVector(n, {(a, b): Fraction(1)})
+        return SchubertVector(n, {(a, b): 1})
 
     def __add__(self, other: "SchubertVector") -> "SchubertVector":
         self._check(other)
@@ -59,7 +69,7 @@ class SchubertVector:
         return out
 
     def scale(self, c) -> "SchubertVector":
-        return SchubertVector(self.n, {k: v * Fraction(c) for k, v in self.terms.items()})
+        return SchubertVector(self.n, {k: v * c for k, v in self.terms.items()})
 
     def _check(self, other: "SchubertVector") -> None:
         if self.n != other.n:
@@ -86,9 +96,9 @@ class SchubertVector:
             out._store((a + 1, b + 1), c)
         return out
 
-    def integral(self) -> Fraction:
+    def integral(self) -> Coeff:
         """Integration over G(2, n+2): the {n,n}-coefficient."""
-        return self.terms.get((self.n, self.n), Fraction(0))
+        return self.terms.get((self.n, self.n), 0)
 
     def sorted_terms(self):
         return sorted(self.terms.items())
@@ -150,7 +160,7 @@ def prim_square_class(n: int) -> List[Fraction]:
               for k in range(n0)]
     target = sorted({key for img in images for key in img.terms})
     if target:
-        rows = [[images[k].terms.get(key, Fraction(0)) for k in range(n0)]
+        rows = [[images[k].terms.get(key, 0) for k in range(n0)]
                 for key in target]
         _, kernel, _ = solve_linear(rows, [0] * len(rows))
         if len(kernel) != 1:
@@ -163,11 +173,8 @@ def prim_square_class(n: int) -> List[Fraction]:
         z = [Fraction(1)]
 
     s1pow = sigma1_power(n, n - 2)
-    total = Fraction(0)
-    for k in range(n0):
-        total += z[k] * schubert_product(
-            schubert_product(SchubertVector.basis(n, n - 2 - k, k), s1pow),
-            cls).integral() * 9
+    total = schubert_product(schubert_product(prim_square_vector(n, z), s1pow),
+                             cls).integral() * 9
     if total == 0:
         raise InternalConsistencyError("normalization integral vanished")
     scale = Fraction((-2) ** (n + 3) - 4, 1) / total
@@ -251,7 +258,7 @@ def rank_estimates(n: int) -> dict:
         target = sorted({key for img in images for key in img.terms})
         if not target:
             return len(basis)
-        rows = [[img.terms.get(key, Fraction(0)) for img in images]
+        rows = [[img.terms.get(key, 0) for img in images]
                 for key in target]
         _, kernel, _ = solve_linear(rows, [0] * len(rows))
         return len(kernel)
@@ -298,13 +305,14 @@ def rank_estimates(n: int) -> dict:
 
 
 class LatticeVector:
-    """Element gamma + a * delta of the rank-23 model lattice."""
+    """Element gamma + a * delta of the rank-23 model lattice.  The model's
+    vectors are integral, so the coordinates and forms are Python ints."""
 
     __slots__ = ("gamma", "a")
 
-    def __init__(self, gamma: List[Fraction], a):
-        self.gamma = [Fraction(c) for c in gamma]
-        self.a = Fraction(a)
+    def __init__(self, gamma: List[Coeff], a: Coeff):
+        self.gamma = [_exact(c) for c in gamma]
+        self.a = _exact(a)
 
 
 # Gram data: index 0 is the polarization l with l.l = 14; indices 1..21 are
@@ -313,21 +321,21 @@ class LatticeVector:
 _RANK = 22
 
 
-def _dot(u: List[Fraction], v: List[Fraction]) -> Fraction:
+def _dot(u: List[Coeff], v: List[Coeff]) -> Coeff:
     acc = 14 * u[0] * v[0]
     for i in range(1, _RANK):
         acc += -2 * u[i] * v[i]
     return acc
 
 
-def _b2(v: LatticeVector, w: LatticeVector) -> Fraction:
+def _b2(v: LatticeVector, w: LatticeVector) -> Coeff:
     """(sigma_1, sigma_1, v, w): six times the quadratic lattice form."""
     return 6 * (_dot(v.gamma, w.gamma) - 2 * v.a * w.a)
 
 
-def _b4(v1, v2, v3, v4) -> Fraction:
+def _b4(v1, v2, v3, v4) -> Coeff:
     pairs = [(v1, v2, v3, v4), (v1, v3, v2, v4), (v1, v4, v2, v3)]
-    acc = Fraction(0)
+    acc = 0
     for (x, y, z, w) in pairs:
         acc += _dot(x.gamma, y.gamma) * _dot(z.gamma, w.gamma)
     vs = [v1, v2, v3, v4]
@@ -339,8 +347,8 @@ def _b4(v1, v2, v3, v4) -> Fraction:
     return acc
 
 
-def _unit(i: int) -> List[Fraction]:
-    return [Fraction(1) if j == i else Fraction(0) for j in range(_RANK)]
+def _unit(i: int) -> List[int]:
+    return [int(j == i) for j in range(_RANK)]
 
 
 def _hilb2_basis() -> List[LatticeVector]:
@@ -354,7 +362,7 @@ def _hilb2_basis() -> List[LatticeVector]:
 def _gram_data(basis: List[LatticeVector]) -> Tuple[List[List[int]], List[int]]:
     """The Gram matrix _dot(gamma_i, gamma_j) and the delta coefficients a_i
     of a basis, as Python ints; a non-integral entry is an error."""
-    def as_int(x: Fraction) -> int:
+    def as_int(x: Coeff) -> int:
         if x.denominator != 1:
             raise InternalConsistencyError(f"Gram entry {x} is not integral")
         return x.numerator
@@ -409,7 +417,9 @@ def hilb2_check() -> Fraction:
     if any(row[j] != gram[j][i] for i, row in enumerate(gram) for j in range(i)):
         raise InternalConsistencyError("Gram matrix is not symmetric")
 
-    scalar = None
+    # the first nondegenerate ratio rhs0 / lhs0, compared with each later
+    # one by cross-multiplying (exact, as lhs != 0)
+    rhs0 = lhs0 = None
     for quad in combinations_with_replacement(range(len(basis)), 4):
         lhs, b4 = _quadruple_forms(gram, a, quad)
         rhs = 36 * b4
@@ -417,15 +427,14 @@ def hilb2_check() -> Fraction:
             if rhs != 0:
                 raise VerificationError("inconsistent quadruple")
             continue
-        ratio = Fraction(rhs, lhs)
-        if scalar is None:
-            scalar = ratio
-        elif scalar != ratio:
-            raise VerificationError(
-                f"scalar not constant: {scalar} vs {ratio}")
-    if scalar is None:
+        if lhs0 is None:
+            rhs0, lhs0 = rhs, lhs
+        elif rhs * lhs0 != rhs0 * lhs:
+            raise VerificationError(f"scalar not constant: {Fraction(rhs0, lhs0)} "
+                                    f"vs {Fraction(rhs, lhs)}")
+    if lhs0 is None:
         raise InternalConsistencyError("no nondegenerate quadruple found")
-    return scalar
+    return Fraction(rhs0, lhs0)
 
 
 def hilb2_examples() -> dict:
@@ -433,10 +442,7 @@ def hilb2_examples() -> dict:
     four-point value 12, and the two-point value -12 against an isotropic
     gamma (here l + 2f_1 + f_2 + f_3 + f_4, of square 14 - 14 = 0)."""
     delta = LatticeVector([0] * _RANK, 1)
-    iso = [Fraction(0)] * _RANK
-    iso[0] = Fraction(1)
-    iso[1] = Fraction(2)
-    iso[2] = iso[3] = iso[4] = Fraction(1)
+    iso = [1, 2, 1, 1, 1] + [0] * (_RANK - 5)
     if _dot(iso, iso) != 0:
         raise InternalConsistencyError("isotropic vector is not isotropic")
     gd = LatticeVector(iso, 1)

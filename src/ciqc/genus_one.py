@@ -12,10 +12,9 @@ hypersurfaces it comes out 1 in every dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import DomainError, VerificationError
 from .geometry import CIDescriptor, _chern_numbers, chern_integrals
@@ -145,8 +144,7 @@ def h_10(desc: CIDescriptor) -> Fraction:
     return value
 
 
-@dataclass
-class GenusOneReport:
+class GenusOneReport(NamedTuple):
     n: int
     chi: int
     hn11: Fraction          # <H_n>_{1,1}

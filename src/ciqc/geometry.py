@@ -12,9 +12,8 @@ symplectic away from three exceptional families.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import DomainError
 
@@ -25,8 +24,7 @@ WEYL_D = "WeylD"
 WEYL_E6 = "WeylE6"
 
 
-@dataclass(frozen=True)
-class CIDescriptor:
+class CIDescriptor(NamedTuple):
     n: int
     d: Tuple[int, ...]
     r: int

@@ -12,9 +12,8 @@ intersections of two quadrics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .exact import (QPoly, Rational, TruncSeries, contract, linear_substitute,
@@ -154,8 +153,7 @@ def _poly_gcd_degree(p, q):
 # --- F^(1) ------------------------------------------------------------------
 
 
-@dataclass
-class F1Jet:
+class F1Jet(NamedTuple):
     desc: CIDescriptor
     constant: QPoly                 # -ell q for index 1, else 0
     quad: Dict[Tuple[int, int], QPoly]   # tau-basis second derivatives at 0
@@ -278,14 +276,16 @@ def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-@dataclass
 class F2Jet:
-    desc: CIDescriptor
-    value: QPoly                    # F^(2)(0) with its q-grading
-    tau_grad: List[QPoly]           # d/d tau^b at 0, b = 0..n
-    t_grad: List[QPoly]             # d/d t^b at 0
-    t_jet: TruncSeries              # constant + linear jet in t
-    tau_jet: TruncSeries            # same jet in quantum-power coordinates
+    """The (mutable) origin jet of F^(2): its value F^(2)(0) with the q-grading,
+    the gradients d/d tau^b and d/d t^b at 0 (b = 0..n), and the constant +
+    linear jet in t and in quantum-power coordinates."""
+
+    __slots__ = ("desc", "value", "tau_grad", "t_grad", "t_jet", "tau_jet")
+
+    def __init__(self, desc, value, tau_grad, t_grad, t_jet, tau_jet):
+        self.desc, self.value, self.tau_grad = desc, value, tau_grad
+        self.t_grad, self.t_jet, self.tau_jet = t_grad, t_jet, tau_jet
 
 
 def f2_gradient(desc: CIDescriptor, f2zero: Rational,
@@ -309,8 +309,7 @@ def f2_gradient(desc: CIDescriptor, f2zero: Rational,
 # --- higher-order coefficients ----------------------------------------------
 
 
-@dataclass
-class HigherKRecord:
+class HigherKRecord(NamedTuple):
     order: int              # the derivative F^(order)(0) being determined
     k: int                  # expansion index (order - 1)
     coefficient: Fraction

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from ciqc import fano_lines
-from ciqc.errors import InternalConsistencyError, VerificationError
+from ciqc.errors import DomainError, InternalConsistencyError, VerificationError
 from ciqc.fano_lines import (SchubertVector, hilb2_check, hilb2_examples,
                              lines_class_primitive, omega_checks,
                              prim_square_class, rank_estimates,
@@ -222,6 +222,81 @@ def test_hilb2_covers_the_full_basis(monkeypatch):
     monkeypatch.setattr(fano_lines, "_quadruple_forms", tampered)
     with pytest.raises(VerificationError, match="scalar not constant"):
         hilb2_check()
+
+
+@pytest.mark.parametrize("quad", [(0, 0, 0, 0), (3, 8, 15, 21), (20, 20, 20, 20)])
+def test_hilb2_rejects_a_degenerate_lhs_with_nonzero_rhs(monkeypatch, quad):
+    real = fano_lines._quadruple_forms
+
+    def tampered(gram, a, q):
+        lhs, b4 = real(gram, a, q)
+        return (0, b4 + 1) if q == quad else (lhs, b4)
+
+    monkeypatch.setattr(fano_lines, "_quadruple_forms", tampered)
+    with pytest.raises(VerificationError, match="inconsistent quadruple"):
+        hilb2_check()
+
+
+@pytest.mark.parametrize("quad", [(0, 0, 0, 0), (3, 8, 15, 21), (20, 20, 20, 20)])
+def test_hilb2_compares_ratios_not_raw_values(monkeypatch, quad):
+    # doubling both sides at one multiset (the first one included) keeps
+    # every ratio, so the scalar is still 1
+    real = fano_lines._quadruple_forms
+
+    def doubled(gram, a, q):
+        lhs, b4 = real(gram, a, q)
+        return (2 * lhs, 2 * b4) if q == quad else (lhs, b4)
+
+    monkeypatch.setattr(fano_lines, "_quadruple_forms", doubled)
+    assert hilb2_check() == 1
+
+
+@pytest.mark.parametrize("lhs_factor, b4_factor", [(1, 2), (3, 2), (-1, 1)])
+def test_hilb2_returns_the_common_ratio(monkeypatch, lhs_factor, b4_factor):
+    real = fano_lines._quadruple_forms
+
+    def scaled(gram, a, quad):
+        lhs, b4 = real(gram, a, quad)
+        return lhs_factor * lhs, b4_factor * b4
+
+    monkeypatch.setattr(fano_lines, "_quadruple_forms", scaled)
+    assert hilb2_check() == Fraction(b4_factor, lhs_factor)
+
+
+def test_hilb2_evaluates_every_multiset(monkeypatch):
+    seen = []
+    real = fano_lines._quadruple_forms
+
+    def counted(gram, a, quad):
+        seen.append(quad)
+        return real(gram, a, quad)
+
+    monkeypatch.setattr(fano_lines, "_quadruple_forms", counted)
+    assert hilb2_check() == 1
+    assert len(seen) == 12650  # multisets of size 4 from 22 basis vectors
+    assert seen == list(combinations_with_replacement(range(22), 4))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", "1"])
+def test_inexact_coefficients_are_refused(bad):
+    with pytest.raises(DomainError, match="not an int or a Fraction"):
+        SchubertVector(4, {(1, 0): bad})
+    with pytest.raises(DomainError, match="not an int or a Fraction"):
+        SchubertVector.basis(4, 1, 0).scale(bad)
+    with pytest.raises(DomainError, match="not an int or a Fraction"):
+        fano_lines.LatticeVector([bad] + [0] * 21, 0)
+    with pytest.raises(DomainError, match="not an int or a Fraction"):
+        fano_lines.LatticeVector([0] * 22, bad)
+
+
+def test_integral_classes_have_int_coefficients():
+    # no Fraction is built until a rational coefficient enters
+    for n in range(3, 11):
+        assert all(type(c) is int for c in lines_class_primitive(n).terms.values()), n
+    assert all(type(c) is int for v in fano_lines._hilb2_basis()
+               for c in [*v.gamma, v.a])
+    assert type(SchubertVector.basis(5, 2, 1).scale(Fraction(1, 3))
+                .terms[(2, 1)]) is Fraction
 
 
 def _tampered_dot(extra):
