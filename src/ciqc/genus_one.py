@@ -18,7 +18,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DomainError, VerificationError
 from .geometry import CIDescriptor, _chern_numbers, chern_integrals
-from .smallqh import QuantumRingData, ZJet, one_point_descendant
+from .smallqh import GradedJet, QuantumRingData, one_point_descendant
 
 
 def _seeds(desc: CIDescriptor, ring: QuantumRingData) -> Tuple[Fraction, Fraction]:
@@ -105,7 +105,7 @@ def descendant_chern_sum(desc: CIDescriptor, ring: QuantumRingData) -> Fraction:
     return total
 
 
-def psi_top_descendant(desc: CIDescriptor, jet: ZJet) -> Fraction:
+def psi_top_descendant(desc: CIDescriptor, jet: GradedJet) -> Fraction:
     """<psi^{n-3} H_n>_{0,1,1} from the hypergeometric series ``jet``
     (a ring's ``jfun``)."""
     return one_point_descendant(desc, jet, desc.n - 3, desc.n).coefficient(1)

@@ -43,108 +43,36 @@ def default_qmax(desc: CIDescriptor) -> int:
     return -(-2 * desc.n // desc.a) + 1  # ceil(2n/a) + 1
 
 
-class ZJet:
-    """Graded vector-valued Laurent jet in z: {z-power: vector over H_0..H_n}.
+class GradedJet:
+    """Graded vector-valued jet in z and q, stored by q-order.
 
     With deg z = deg H = 1 and deg q = a the jet has one ``degree`` (the
-    J-series has degree 1), so the coefficient at z^p H_h is a rational c
-    standing for c q^{(degree - h - p)/a}; only c is stored.  ``set_entry``
-    raises on a term off that grading and jets of different degree cannot be
-    added, so every entry is a single q-monomial fixed by its position;
-    ``entry`` attaches the q-power.  ``zmin``/``zmax`` are hard caps;
-    ``floor`` tracks down to which z-power the jet is actually reliable
-    (operations that consume a z-order raise it).
+    J-series has degree 1, the flat section S_j degree j).  ``rows[delta][h]``
+    is the coefficient of q^delta H_h, and the grading puts it at
+    z^{degree - h - a delta}, so only the rational is stored.  The jets are
+    built by z q d/dq, cup with H and multiplication by powers of q, none of
+    which lowers the q-order, so every stored row is exact.  ``entry`` reads
+    zero off the grading and raises beyond the stored q-orders.
     """
 
-    __slots__ = ("n", "a", "degree", "zmin", "zmax", "floor", "coeffs")
+    __slots__ = ("a", "degree", "rows")
 
-    def __init__(self, n: int, a: int, degree: int, zmin: int, zmax: int,
-                 floor: Optional[int] = None):
-        self.n = n
+    def __init__(self, a: int, degree: int, rows: List[List[Rational]]):
         self.a = a
         self.degree = degree
-        self.zmin = zmin
-        self.zmax = zmax
-        self.floor = zmin if floor is None else floor
-        self.coeffs: Dict[int, List[Rational]] = {}
-
-    def _like(self, degree: int, floor: int) -> "ZJet":
-        return ZJet(self.n, self.a, degree, self.zmin, self.zmax, floor)
-
-    def _zero_vec(self) -> List[Rational]:
-        return [Fraction(0)] * (self.n + 1)
-
-    def vec(self, zpow: int) -> List[Rational]:
-        return self.coeffs.get(zpow, self._zero_vec())
-
-    def set_entry(self, zpow: int, h: int, value: Rational, qpow: int) -> None:
-        """Add value q^qpow at z^zpow H_h."""
-        if zpow < self.zmin or zpow > self.zmax:
-            return
-        if zpow + h + self.a * qpow != self.degree:
-            raise InternalConsistencyError(
-                f"term z^{zpow} H_{h} q^{qpow} violates the grading of a "
-                f"degree-{self.degree} jet")
-        row = self.coeffs.setdefault(zpow, self._zero_vec())
-        row[h] += value
+        self.rows = rows
 
     def entry(self, zpow: int, h: int) -> QPoly:
-        return _graded(self.vec(zpow)[h], self.degree - h - zpow, self.a)
-
-    def __add__(self, other: "ZJet") -> "ZJet":
-        if other.degree != self.degree:
+        """The coefficient of z^zpow H_h, a single q-monomial."""
+        qdeg = self.degree - h - zpow
+        if qdeg < 0 or qdeg % self.a:
+            return QPoly.zero()
+        delta = qdeg // self.a
+        if delta >= len(self.rows):
             raise InternalConsistencyError(
-                f"adding jets of degree {self.degree} and {other.degree}")
-        out = self._like(self.degree, max(self.floor, other.floor))
-        out.coeffs = {z: list(v) for z, v in self.coeffs.items()}
-        for z, v in other.coeffs.items():
-            row = out.coeffs.setdefault(z, self._zero_vec())
-            for h, c in enumerate(v):
-                if c:
-                    row[h] += c
-        return out
-
-    def sub_scaled(self, other: "ZJet", c: Rational, qpow: int) -> None:
-        """In place: subtract c q^qpow times other."""
-        if other.degree + self.a * qpow != self.degree:
-            raise InternalConsistencyError(
-                f"adding jets of degree {self.degree} and "
-                f"{other.degree + self.a * qpow}")
-        self.floor = max(self.floor, other.floor)
-        for z, v in other.coeffs.items():
-            row = self.coeffs.setdefault(z, self._zero_vec())
-            for h, x in enumerate(v):
-                if x:
-                    row[h] -= c * x
-
-    def shift_z(self, k: int) -> "ZJet":
-        """Multiply by z^k."""
-        out = self._like(self.degree + k, max(self.floor + k, self.zmin))
-        for z, v in self.coeffs.items():
-            if self.zmin <= z + k <= self.zmax:
-                out.coeffs[z + k] = list(v)
-        return out
-
-    def cup_h(self) -> "ZJet":
-        """Cup product with the hyperplane class: H_i -> H_{i+1}."""
-        out = self._like(self.degree + 1, self.floor)
-        for z, v in self.coeffs.items():
-            out.coeffs[z] = [Fraction(0)] + v[:-1]
-        return out
-
-    def q_d_q(self) -> "ZJet":
-        """Apply q d/dq: each entry times its q-exponent."""
-        out = self._like(self.degree, self.floor)
-        for z, v in self.coeffs.items():
-            out.coeffs[z] = [c * ((self.degree - h - z) // self.a) if c else c
-                             for h, c in enumerate(v)]
-        return out
-
-    def is_zero_above(self, floor: int) -> bool:
-        for z, v in self.coeffs.items():
-            if z >= floor and any(v):
-                return False
-        return True
+                f"q^{delta} lies beyond the jet, which is exact through "
+                f"q^{len(self.rows) - 1}")
+        return QPoly.q_power(delta, self.rows[delta][h])
 
 
 def _graded(c: Rational, qdeg: int, a: int) -> QPoly:
@@ -156,9 +84,9 @@ def _graded(c: Rational, qdeg: int, a: int) -> QPoly:
     return QPoly.q_power(qdeg // a, c)
 
 
-def small_j(desc: CIDescriptor, zorder: Optional[int] = None) -> ZJet:
-    """Hypergeometric small J-series of X at the origin, exact in q down to
-    z^{-zorder-1}.
+def small_j(desc: CIDescriptor, qtop: Optional[int] = None) -> GradedJet:
+    """Hypergeometric small J-series of X at the origin, exact through
+    q^qtop (by default through the last q-order that reaches z^{-n-4}).
 
     The q^delta term of I is z T_delta with T_delta = prod_j prod_{m=1}^{d_j
     delta} (d_j H + m z) / prod_{m=1}^{delta} (H + m z)^{n+r+1}.  T_delta is
@@ -174,13 +102,10 @@ def small_j(desc: CIDescriptor, zorder: Optional[int] = None) -> ZJet:
     the other exceptional families and non-Fano inputs are refused.
     """
     require_reconstruction_domain(desc, allow_quadric=True)
-    if zorder is None:
-        zorder = desc.n + 3
     n, a = desc.n, desc.a
-    zmin = -(zorder + 1)
+    if qtop is None:
+        qtop = (n + 5) // a  # z^{1 - a delta} H_0 q^delta reaches z^{-n-4}
     top = n + desc.r + 1
-    # z^{1 - a delta - h} H_h q^delta: no delta beyond qtop reaches the window
-    qtop = (1 - zmin) // a
     # T_delta = nums[delta] / dens[delta], with dens[delta] = (delta!)^{top+n}
     nums, dens = [[int(h == 0) for h in range(n + 1)]], [1]
     for delta in range(1, qtop + 1):
@@ -199,15 +124,11 @@ def small_j(desc: CIDescriptor, zorder: Optional[int] = None) -> ZJet:
                      * (dens[delta] // (factorial(k) * dens[delta - k]))
                      for k in range(delta + 1)) for h in range(n + 1)]
                 for delta in range(qtop + 1)]
-    jet = ZJet(n, a, 1, zmin, 1)
-    for delta, (num, den) in enumerate(zip(nums, dens)):
-        for h, c in enumerate(num):
-            if c and 1 - a * delta - h >= zmin:
-                jet.set_entry(1 - a * delta - h, h, Fraction(c, den), delta)
-    return jet
+    return GradedJet(a, 1, [[Fraction(c, den) for c in num]
+                            for num, den in zip(nums, dens)])
 
 
-def one_point_descendant(desc: CIDescriptor, jet: ZJet, k: int, i: int) -> QPoly:
+def one_point_descendant(desc: CIDescriptor, jet: GradedJet, k: int, i: int) -> QPoly:
     """< psi^k H_i >_{0,1,*} as a polynomial in q, read off the J-series."""
     if not 0 <= i <= desc.n or k < 0:
         raise DomainError("descendant indices out of range")
@@ -226,8 +147,8 @@ class QuantumRingData:
     ring shares its memo of the F^(0) derivatives.  The grading fixes the
     q-exponent of every entry, so the ring is computed on rationals: M and
     W are Rational, and multH, powers, g and ginv attach their q-power as
-    exact QPoly entries.  ``smat``/``jfun`` are graded ZJets (the flat
-    sections and the J-series).  ``qmax`` is only the q-cap of the series
+    exact QPoly entries.  ``smat``/``jfun`` are GradedJets (the flat
+    sections S_0..S_n and the J-series), exact through the J-series' q-reach.  ``qmax`` is only the q-cap of the series
     built from the ring (``jet_series``, the F^(1)/F^(2) jets).
     """
 
@@ -257,24 +178,31 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
     if qmax is None:
         qmax = default_qmax(desc)
     n, a = desc.n, desc.a
-    jet = small_j(desc, zorder=n + 3)
-    smat = [jet.shift_z(-1)]
+    jet = small_j(desc)
+    smat = [GradedJet(a, 0, jet.rows)]  # S_0 = J / z
     # cols[j][i]: coefficient of H_i in H o H_j, at q^{(j+1-i)/a}
     cols: List[List[Rational]] = []
 
     for j in range(n + 1):
-        nxt = smat[j].q_d_q().shift_z(1) + smat[j].cup_h()
-        floor = nxt.floor
-        col = list(nxt.vec(0))
+        # D S_j, D = z q d/dq + (H cup .), row by row; it has degree j + 1
+        nxt = [[delta * row[0]] + [delta * row[h] + row[h - 1] for h in range(1, n + 1)]
+               for delta, row in enumerate(smat[j].rows)]
+        # its z^0 column: H_h sits at q^{(j+1-h)/a}
+        col = [Fraction(0)] * (n + 1)
+        for h in range((j + 1) % a, min(j + 1, n) + 1, a):
+            col[h] = nxt[(j + 1 - h) // a][h]
         cols.append(col)
-        for c_idx in range(n + 1):
-            coeff = col[c_idx] - int(c_idx == j + 1)
-            if coeff:
-                nxt.sub_scaled(smat[c_idx], coeff, (j + 1 - c_idx) // a)
+        if j < n and col[j + 1] != 1:
+            raise InternalConsistencyError("D S_j does not start at H_(j+1)")
+        # S_{j+1} = D S_j - sum_{c <= j} col[c] q^{(j+1-c)/a} S_c
+        for c_idx, coeff in _nonzero(col[: j + 1]):
+            k = (j + 1 - c_idx) // a
+            for src, dst in zip(smat[c_idx].rows, nxt[k:]):
+                for h, x in _nonzero(src):
+                    dst[h] -= coeff * x
         if j < n:
-            nxt.floor = floor
-            smat.append(nxt)
-        elif not nxt.is_zero_above(nxt.floor):
+            smat.append(GradedJet(a, j + 1, nxt))
+        elif any(any(row) for row in nxt):
             raise InternalConsistencyError(
                 "flat-section recursion failed to close at the top power")
 

@@ -28,7 +28,7 @@ from ciqc.exact import (ONE, QPoly, Rational, TruncSeries, contract,
 from ciqc.fano_lines import SchubertVector
 from ciqc.geometry import CIDescriptor, describe
 from ciqc.reconstruct import F1Jet, F2Jet, _tau_to_t_forms, f1_series
-from ciqc.smallqh import QuantumRingData, ZJet, _unit_vector
+from ciqc.smallqh import QuantumRingData, _unit_vector
 
 
 def reduced_potential(n=4, d=(3,), deg0=5):
@@ -275,18 +275,18 @@ def galkin_shinder_betti(n: int) -> List[int]:
     return diff[4:4 * n - 3]
 
 
-def small_j_reference(desc: CIDescriptor, zorder: int) -> ZJet:
-    """The J-series of ``smallqh.small_j``, without its recurrence in q.
+def small_j_reference(desc: CIDescriptor, qtop: int) -> List[List[Fraction]]:
+    """The rows of ``smallqh.small_j(desc, qtop)``, without its recurrence
+    in q: rows[delta][h] is the coefficient of q^delta H_h.
 
     Each q-degree delta expands prod_j prod_{m=1}^{d_j delta} (d_j H + m z)
     and prod_{m=1}^{delta} (H + m z)^{-(n+r+1)} from scratch, in {z-power:
-    Fraction} dicts per power of H, and for index one every term of I is
-    moved by each term of exp(-ell q / z) separately.
+    Fraction} dicts per power of H, and asserts that every term sits at its
+    graded z-power 1 - a delta - h.  For index one every term of I is moved
+    by each term of exp(-ell q / z) separately.
     """
-    n = desc.n
-    zmin = -(zorder + 1)
-    jet = ZJet(n, desc.a, 1, zmin, 1)
-    qtop = (1 - zmin) // desc.a
+    n, a = desc.n, desc.a
+    rows = [[Fraction(0)] * (n + 1) for _ in range(qtop + 1)]
     for delta in range(qtop + 1):
         num = [{0: Fraction(1)}] + [dict() for _ in range(n)]
         for dj in desc.d:
@@ -313,16 +313,15 @@ def small_j_reference(desc: CIDescriptor, zorder: int) -> ZJet:
             term = new
         for h in range(n + 1):
             for zp, c in term[h].items():
-                if zmin <= zp + 1 <= 1 and c != 0:
-                    jet.set_entry(zp + 1, h, c, delta)
-    if desc.a != 1:
-        return jet
-    out = ZJet(n, 1, 1, zmin, 1)
-    for zp, row in jet.coeffs.items():
+                if c != 0:
+                    assert zp + 1 == 1 - a * delta - h, (delta, h, zp + 1)
+                    rows[delta][h] += c
+    if a != 1:
+        return rows
+    # c q^delta z^{1-delta-h} H_h times (-ell q / z)^k / k! lands in row delta + k
+    out = [[Fraction(0)] * (n + 1) for _ in range(qtop + 1)]
+    for delta, row in enumerate(rows):
         for h, c in enumerate(row):
-            for k in range(qtop + 1):
-                if c and zp - k >= zmin:
-                    out.set_entry(zp - k, h, c * Fraction((-desc.ell) ** k,
-                                                          factorial(k)),
-                                  1 - zp - h + k)
+            for k in range(qtop + 1 - delta):
+                out[delta + k][h] += c * Fraction((-desc.ell) ** k, factorial(k))
     return out

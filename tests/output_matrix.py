@@ -1,0 +1,109 @@
+"""Compare what the ``ciqc`` commands print under two source trees.
+
+    python tests/output_matrix.py PARENT_DIR CHANGE_DIR
+
+Each directory is the root of a checkout, the one holding ``src/ciqc``.
+The script runs one fixed list of commands against each tree as child
+processes (``python -m ciqc.cli ...`` with that tree's ``src`` on
+``PYTHONPATH``), prints every command whose stdout, stderr or exit code
+differs, and exits 1 if any differ, 0 if none do.
+
+The list covers every subcommand on the descriptors below (exceptional,
+non-Fano and index-one ones included), ``--q 1`` wherever a command takes
+it, ``fano-lines`` for n = 3..12 with every ``--check``, ``residual`` on the
+stored potentials under ``tests/golden``, ``genus1``, ``verify`` at two
+seeds and a few usage errors.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+WORKERS = min(4, os.cpu_count() or 1)
+
+DESCRIPTORS = [
+    # cubics, the paper's running family
+    (3, "3"), (4, "3"), (5, "3"), (6, "3"), (8, "3"),
+    # index one
+    (3, "4"), (4, "5"), (6, "7"), (8, "9"),
+    # other hypersurfaces and complete intersections
+    (5, "5"), (6, "4"), (3, "2,2"), (5, "2,2"), (7, "2,2"), (4, "3,3"),
+    (5, "2,3"), (6, "2,3"), (3, "2,2,2"), (6, "2,2,2"),
+    # exceptional
+    (4, "2"), (5, "2"), (4, "2,2"), (2, "3"),
+    # non-Fano, and a dimension below the theory's range
+    (3, "5"), (3, "2,4"), (2, "2,2"),
+]
+
+
+def _per_descriptor(n: int, d: str):
+    base = ["--n", str(n), "--d", d]
+    return [
+        ["info", *base],
+        ["smallqh", *base], ["smallqh", *base, "--q", "1"],
+        ["f1", *base], ["f1", *base, "--q", "1"],
+        ["f2", *base], ["f2", *base, "--q", "1"],
+        ["f2", *base, "--format", "tsv"],
+        ["f2", *base, "--format", "tsv", "--no-header"],
+        ["higherk", *base],
+    ]
+
+
+def _commands():
+    out = [cmd for n, d in DESCRIPTORS for cmd in _per_descriptor(n, d)]
+    out += [["fano-lines", "--n", str(n), "--check", check]
+            for n in range(3, 13)
+            for check in ("all", "cubic7", "cubic13", "cubic16", "hilb2")]
+    for n, d, name in [(3, "3", "s_t1_n3"), (4, "3", "cubic4_deg4")]:
+        load = ["residual", "--n", str(n), "--d", d,
+                "--load", str(GOLDEN / f"{name}.potential.json")]
+        out += [load, load + ["--q", "1"]]
+    out += [["genus1", "--n", str(n)] for n in range(3, 9)]
+    out += [["genus1", "--n", "5", "--d", "2,2"], ["genus1", "--n", "4", "--d", "2,2"]]
+    out += [["verify"], ["verify", "--seed", "7"], ["verify", "--n", "4", "--d", "3"]]
+    out += [[], ["info", "--n", "x", "--d", "3"],
+            ["smallqh", "--n", "4", "--d", "3", "--q", "2"]]
+    return out
+
+
+COMMANDS = _commands()
+
+
+def run(tree: Path, argv):
+    """(exit code, stdout, stderr) of ``ciqc argv`` under the tree's sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    done = subprocess.run([sys.executable, "-m", "ciqc.cli", *argv], cwd=tree,
+                          env=env, capture_output=True, timeout=900)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    trees = [Path(a).resolve() for a in argv]
+    for tree in trees:
+        if not (tree / "src" / "ciqc").is_dir():
+            sys.stderr.write(f"{tree} holds no src/ciqc\n")
+            return 2
+    jobs = [(tree, cmd) for cmd in COMMANDS for tree in trees]
+    with ThreadPoolExecutor(WORKERS) as pool:
+        results = list(pool.map(lambda job: run(*job), jobs))
+    differ = 0
+    for cmd, old, new in zip(COMMANDS, results[::2], results[1::2]):
+        if old != new:
+            differ += 1
+            what = [name for name, a, b in zip(("exit code", "stdout", "stderr"),
+                                               old, new) if a != b]
+            print(f"differs in {', '.join(what)}: ciqc {' '.join(cmd)}")
+    print(f"{differ} of {len(COMMANDS)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -10,7 +10,7 @@ from ciqc.acceptance import RING_DESCRIPTORS, _ring
 from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly
 from ciqc.geometry import describe
-from ciqc.smallqh import (AmbientOrigin, ZJet, build_ring, c_constant,
+from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant,
                           one_point_descendant, pairings, quantum_product_qp,
                           small_j)
 from oracles import small_j_reference
@@ -38,49 +38,23 @@ def test_one_point_descendant_cubics():
 
 def test_small_j_degree_zero_is_classical():
     desc = describe(3, (3,))
-    jet = small_j(desc)
-    for zpow in range(jet.zmin, 2):
-        for h in range(desc.n + 1):
+    qtop = 4
+    jet = small_j(desc, qtop=qtop)
+    for h in range(desc.n + 1):
+        for zpow in range(1 - h - desc.a * qtop, 2):
             c0 = jet.entry(zpow, h).coefficient(0)
             expected = 1 if (zpow == 1 and h == 0) else 0
             assert c0 == expected
-
-
-def test_zjet_enforces_the_grading():
-    # deg z = deg H = 1 and deg q = a = 3: in a degree-1 jet the entry at
-    # z^p H_h stands for c q^{(1 - h - p)/3}
-    jet = ZJet(4, 3, 1, -7, 1)
-    jet.set_entry(-2, 0, Fraction(5), 1)
-    jet.set_entry(-3, 1, Fraction(2), 1)
-    assert jet.entry(-2, 0) == QPoly.q_power(1, 5)
-    assert jet.q_d_q().entry(-3, 1) == QPoly.q_power(1, 2)
-    assert jet.cup_h().entry(-3, 2) == QPoly.q_power(1, 2)
-    with pytest.raises(InternalConsistencyError):
-        jet.set_entry(-2, 0, Fraction(1), 0)  # z^{-2} H_0 carries q^1
-    with pytest.raises(InternalConsistencyError):
-        jet.set_entry(0, 0, Fraction(1), 0)  # q-degree 1 is off the grading
-    with pytest.raises(InternalConsistencyError):
-        jet + jet.shift_z(-1)
-    with pytest.raises(InternalConsistencyError):
-        jet.sub_scaled(jet, 2, 1)  # q times a degree-1 jet has degree 4
-    # q z^{-3} has degree 0, so subtracting -q times the moved jet keeps
-    # the degree
-    total = jet + jet.q_d_q()
-    total.sub_scaled(jet.shift_z(-3), -1, 1)
-    assert total.entry(-2, 0) == QPoly.q_power(1, 10)
-    assert total.entry(-5, 0) == QPoly.q_power(2, 5)
-    assert jet.entry(-5, 0).is_zero()  # jet itself is unchanged
 
 
 @pytest.mark.parametrize("n,d", J_DESCRIPTORS)
 def test_small_j_equals_the_expansion_from_scratch(n, d):
     desc = describe(n, d)
     for zorder in (4, n + 3, n + 6):
-        jet, ref = small_j(desc, zorder), small_j_reference(desc, zorder)
-        assert (jet.degree, jet.zmin, jet.zmax, jet.floor) == \
-            (ref.degree, ref.zmin, ref.zmax, ref.floor)
-        for zpow in range(jet.zmin, jet.zmax + 1):
-            assert jet.vec(zpow) == ref.vec(zpow), (zorder, zpow)
+        qtop = (zorder + 2) // desc.a
+        jet = small_j(desc, qtop)
+        assert jet.degree == 1
+        assert jet.rows == small_j_reference(desc, qtop), qtop
 
 
 def _perturbed(matrix, i, j, one):
@@ -107,6 +81,28 @@ def test_inverse_checks_see_every_entry(monkeypatch, n, d):
         with pytest.raises(InternalConsistencyError, match="pairing inverse"):
             build_ring(desc)
         monkeypatch.setattr(smallqh, "_pairing", pairing)
+    build_ring(desc)
+
+
+@pytest.mark.parametrize("n,d", [(4, (3,)), (3, (4,)), (5, (2, 3)), (3, (2, 2)),
+                                 (5, (5,))])
+def test_flat_section_checks_see_every_j_entry(monkeypatch, n, d):
+    # every stored entry of J is exact, so a +1 at any of them must break
+    # the flat-section recursion or a check downstream of it; at q^0 H_0 the
+    # classical term becomes 2 z H_0, so D S_0 starts at 2 H_1
+    desc = describe(n, d)
+    real = smallqh.small_j
+    rows = real(desc).rows
+    for delta, h in product(range(len(rows)), range(n + 1)):
+        def perturbed(desc, qtop=None, delta=delta, h=h):
+            jet = real(desc, qtop)
+            jet.rows[delta][h] += 1
+            return jet
+        monkeypatch.setattr(smallqh, "small_j", perturbed)
+        match = "does not start at H_" if (delta, h) == (0, 0) else None
+        with pytest.raises(InternalConsistencyError, match=match):
+            build_ring(desc)
+    monkeypatch.setattr(smallqh, "small_j", real)
     build_ring(desc)
 
 
@@ -343,14 +339,24 @@ def test_two_point_consistent_with_divisor(n, d):
 def test_descendant_truncation_stability():
     # deeper caps never change already-computed coefficients
     desc = describe(4, (3,))
-    j1 = small_j(desc, zorder=4)
-    j2 = small_j(desc, zorder=6)
+    j1 = small_j(desc, qtop=2)
+    j2 = small_j(desc, qtop=4)
     for k in range(0, 4):
         for i in range(desc.n + 1):
             a = one_point_descendant(desc, j1, k, i)
             b = one_point_descendant(desc, j2, k, i)
             for qd in range(0, 4):
                 assert a.coefficient(qd) == b.coefficient(qd)
+
+
+def test_descendant_beyond_the_jet_raises():
+    # < psi^10 H_4 > of the cubic fourfold sits at q^4, beyond the default
+    # q-reach of 3: reading it must raise, not return 0
+    desc = describe(4, (3,))
+    with pytest.raises(InternalConsistencyError):
+        one_point_descendant(desc, small_j(desc), 10, 4)
+    assert one_point_descendant(desc, small_j(desc, qtop=4), 10, 4) == \
+        QPoly.q_power(4, Fraction(1925, 256))
 
 
 def test_origin_jet_satisfies_differentiated_wdvv():
