@@ -17,8 +17,7 @@ from typing import Callable, List, Optional, Tuple
 from .errors import DomainError
 from .exact import QPoly, TruncSeries, monomial
 from .geometry import describe
-from .smallqh import (_mat_vec, build_ring, c_constant, one_point_descendant,
-                      small_j)
+from .smallqh import _mat_vec, build_ring, c_constant, one_point_descendant
 
 RING_DESCRIPTORS: List[Tuple[int, tuple]] = [
     (3, (3,)), (4, (3,)), (5, (3,)), (3, (2, 2)), (5, (2, 2)),
@@ -29,15 +28,8 @@ TOY_MODELS = (None, None)  # criterion 10's descriptor-free parts; no filter kee
 
 @functools.cache
 def _ring(n, d):
+    """X_n(d)'s quantum ring, built once; criteria read rings and J-series here."""
     return build_ring(describe(n, d))
-
-
-def _criterion_ring(n, d, jet_only=False):
-    """The quantum ring of X_n(d), or only its J-series: shared through
-    ``_ring`` for RING_DESCRIPTORS, otherwise built afresh and not kept."""
-    if (n, d) in RING_DESCRIPTORS:
-        return _ring(n, d).jfun if jet_only else _ring(n, d)
-    return small_j(describe(n, d)) if jet_only else build_ring(describe(n, d))
 
 
 def _dimensions(cases) -> str:
@@ -67,7 +59,7 @@ def check_c_constant(cases) -> Tuple[bool, str]:
     """2. c(n,(3)) = 2/9 for 3 <= n <= 8, c(5,(5)) = 14712/390625."""
     details = []
     for n, d, expected in cases:
-        val, conj, match = c_constant(describe(n, d), _criterion_ring(n, d))
+        val, conj, match = c_constant(describe(n, d), _ring(n, d))
         if val != expected:
             return False, f"c at {(n, d)} = {val} != {expected}"
         details.append(f"c({n},({','.join(map(str, d))}))={expected} "
@@ -78,7 +70,7 @@ def check_c_constant(cases) -> Tuple[bool, str]:
 def check_one_point_descendant(cases) -> Tuple[bool, str]:
     """3. <psi^{n-3} H_n>_{0,1,1} = 18 for cubics, 3 <= n <= 8."""
     for n, d in cases:
-        jet = _criterion_ring(n, d, jet_only=True)
+        jet = _ring(n, d).jfun
         val = one_point_descendant(describe(n, d), jet, n - 3, n).coefficient(1)
         if val != 18:
             return False, f"n = {n}: {val} != 18"
@@ -132,7 +124,7 @@ def check_f2_roots(cases) -> Tuple[bool, str]:
     from .reconstruct import f1_series, f2_at_zero
     listed, gcd_cases = [], []
     for n, d, expected, gcd_filtered in cases:
-        desc, ring = describe(n, d), _criterion_ring(n, d)
+        desc, ring = describe(n, d), _ring(n, d)
         if gcd_filtered and math.gcd(desc.n - 2, desc.a) == 1:
             return False, f"{(n, d)} is not a gcd-filtered case"
         roots = f2_at_zero(desc, ring, f1_series(desc, ring))
@@ -149,7 +141,7 @@ def check_genus_one(cases) -> Tuple[bool, str]:
     pinned = {3: Fraction(0), 4: Fraction(-9, 4)}
     selected = []
     for n, d in cases:
-        desc, ring = describe(n, d), _criterion_ring(n, d)
+        desc, ring = describe(n, d), _ring(n, d)
         if n <= 5:
             report = f2_from_genus1(desc, ring)
             if report.f2 != 1:

@@ -164,9 +164,8 @@ def describe(n: int, d) -> CIDescriptor:
     return desc
 
 
-def require_reconstruction_domain(desc: CIDescriptor, allow_quadric=False) -> None:
-    """Common hypothesis of the reconstruction theory: Fano, dim >= 3,
-    non-exceptional (optionally allowing quadrics for the J-series)."""
+def require_reconstruction_domain(desc: CIDescriptor) -> None:
+    """Common hypothesis of the reconstruction theory: Fano, dim >= 3, non-exceptional."""
     if desc.n < 3:
         raise DomainError(
             f"dimension {desc.n} < 3: primitive-class data reduces to the "
@@ -175,5 +174,5 @@ def require_reconstruction_domain(desc: CIDescriptor, allow_quadric=False) -> No
         raise DomainError(
             "non-Fano: all reconstruction trivial (index "
             f"a = {desc.a} <= 0)")
-    if desc.exceptional and not (allow_quadric and desc.d == (2,)):
+    if desc.exceptional:
         raise DomainError(f"exceptional complete intersection: {desc.exceptional_case}")

@@ -84,9 +84,10 @@ def _graded(c: Rational, qdeg: int, a: int) -> QPoly:
     return QPoly.q_power(qdeg // a, c)
 
 
-def small_j(desc: CIDescriptor, qtop: Optional[int] = None) -> GradedJet:
-    """Hypergeometric small J-series of X at the origin, exact through
-    q^qtop (by default through the last q-order that reaches z^{-n-4}).
+def small_j(desc: CIDescriptor) -> GradedJet:
+    """Hypergeometric small J-series of X at the origin, exact through q^R,
+    R = (n + 1) // a: ``build_ring`` reads its z^0 columns at q^{(j+1-h)/a},
+    j <= n, and ``two_point(i, j)`` at q^{(i+j+1-n)/a}, so none reads deeper.
 
     The q^delta term of I is z T_delta with T_delta = prod_j prod_{m=1}^{d_j
     delta} (d_j H + m z) / prod_{m=1}^{delta} (H + m z)^{n+r+1}.  T_delta is
@@ -98,17 +99,14 @@ def small_j(desc: CIDescriptor, qtop: Optional[int] = None) -> GradedJet:
     (-ell)^k / k! I_{delta-k}, i.e. J = exp(-ell q / z) I.
 
     The coefficient of z^{-k-1} H_{n-i} q^d, multiplied by deg X, is the
-    one-point descendant < psi^k H_i >_{0,1,d}.  Quadrics are allowed here;
-    the other exceptional families and non-Fano inputs are refused.
+    one-point descendant < psi^k H_i >_{0,1,d}.
     """
-    require_reconstruction_domain(desc, allow_quadric=True)
+    require_reconstruction_domain(desc)
     n, a = desc.n, desc.a
-    if qtop is None:
-        qtop = (n + 5) // a  # z^{1 - a delta} H_0 q^delta reaches z^{-n-4}
     top = n + desc.r + 1
     # T_delta = nums[delta] / dens[delta], with dens[delta] = (delta!)^{top+n}
     nums, dens = [[int(h == 0) for h in range(n + 1)]], [1]
-    for delta in range(1, qtop + 1):
+    for delta in range(1, (n + 1) // a + 1):
         t = nums[-1]
         for dj in desc.d:
             for m in range(dj * (delta - 1) + 1, dj * delta + 1):
@@ -123,7 +121,7 @@ def small_j(desc: CIDescriptor, qtop: Optional[int] = None) -> GradedJet:
         nums = [[sum((-desc.ell) ** k * nums[delta - k][h]
                      * (dens[delta] // (factorial(k) * dens[delta - k]))
                      for k in range(delta + 1)) for h in range(n + 1)]
-                for delta in range(qtop + 1)]
+                for delta in range(len(nums))]
     return GradedJet(a, 1, [[Fraction(c, den) for c in num]
                             for num, den in zip(nums, dens)])
 
@@ -147,9 +145,9 @@ class QuantumRingData:
     ring shares its memo of the F^(0) derivatives.  The grading fixes the
     q-exponent of every entry, so the ring is computed on rationals: M and
     W are Rational, and multH, powers, g and ginv attach their q-power as
-    exact QPoly entries.  ``smat``/``jfun`` are GradedJets (the flat
-    sections S_0..S_n and the J-series), exact through the J-series' q-reach.  ``qmax`` is only the q-cap of the series
-    built from the ring (``jet_series``, the F^(1)/F^(2) jets).
+    exact QPoly entries.  ``smat``/``jfun`` are GradedJets, the flat sections
+    S_0..S_n and the J-series, exact through q^{(n+1)//a}, ``small_j``'s reach.
+    ``qmax`` only caps the series built from the ring (F^(0..2) jets).
     """
 
     def __init__(self, desc, qmax, multh, powers, mmat, wmat, g, ginv, smat, jfun):
@@ -174,6 +172,8 @@ class QuantumRingData:
 
 
 def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingData:
+    """The small quantum ring of X from ``small_j``, every identity checked
+    exactly; ``qmax`` (default ``default_qmax``) caps only derived series."""
     require_reconstruction_domain(desc)
     if qmax is None:
         qmax = default_qmax(desc)

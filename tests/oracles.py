@@ -276,8 +276,9 @@ def galkin_shinder_betti(n: int) -> List[int]:
 
 
 def small_j_reference(desc: CIDescriptor, qtop: int) -> List[List[Fraction]]:
-    """The rows of ``smallqh.small_j(desc, qtop)``, without its recurrence
-    in q: rows[delta][h] is the coefficient of q^delta H_h.
+    """The J-series' rows through q^qtop (``smallqh.small_j`` stores them
+    through q^((n+1)//a)), without its recurrence in q: rows[delta][h] is
+    the coefficient of q^delta H_h.
 
     Each q-degree delta expands prod_j prod_{m=1}^{d_j delta} (d_j H + m z)
     and prod_{m=1}^{delta} (H + m z)^{-(n+r+1)} from scratch, in {z-power:

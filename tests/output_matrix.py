@@ -12,7 +12,8 @@ The list covers every subcommand on the descriptors below (exceptional,
 non-Fano and index-one ones included), ``--q 1`` wherever a command takes
 it, ``fano-lines`` for n = 3..12 with every ``--check``, ``residual`` on the
 stored potentials under ``tests/golden``, ``genus1``, ``verify`` at two
-seeds and a few usage errors.  pytest does not collect this file.
+seeds and on eight descriptors, and a few usage errors.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ DESCRIPTORS = [
     (3, "5"), (3, "2,4"), (2, "2,2"),
 ]
 
+# verify --n --d: the cubic fourfold, cubics outside RING_DESCRIPTORS (n = 6,
+# 8, 12), an index-two quintic and the gcd-filtered complete intersections
+VERIFY_DESCRIPTORS = [(4, "3"), (3, "3"), (6, "3"), (8, "3"), (12, "3"),
+                      (5, "5"), (6, "2,3"), (4, "2,2,2")]
+
 
 def _per_descriptor(n: int, d: str):
     base = ["--n", str(n), "--d", d]
@@ -65,7 +71,8 @@ def _commands():
         out += [load, load + ["--q", "1"]]
     out += [["genus1", "--n", str(n)] for n in range(3, 9)]
     out += [["genus1", "--n", "5", "--d", "2,2"], ["genus1", "--n", "4", "--d", "2,2"]]
-    out += [["verify"], ["verify", "--seed", "7"], ["verify", "--n", "4", "--d", "3"]]
+    out += [["verify"], ["verify", "--seed", "7"]]
+    out += [["verify", "--n", str(n), "--d", d] for n, d in VERIFY_DESCRIPTORS]
     out += [[], ["info", "--n", "x", "--d", "3"],
             ["smallqh", "--n", "4", "--d", "3", "--q", "2"]]
     return out

@@ -9,18 +9,20 @@ from ciqc import smallqh
 from ciqc.acceptance import RING_DESCRIPTORS, _ring
 from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly
-from ciqc.geometry import describe
+from ciqc.geometry import describe, require_reconstruction_domain
 from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant,
                           one_point_descendant, pairings, quantum_product_qp,
                           small_j)
 from oracles import small_j_reference
 
-# index one, quadrics, every multidegree of RING_DESCRIPTORS and more
+# index one, hypersurfaces and complete intersections (X_10(11) reaches
+# q^11), every multidegree of RING_DESCRIPTORS and more
 J_DESCRIPTORS = ([(3, (4,)), (4, (5,)), (6, (7,)), (8, (9,))]
-                 + [(n, (2,)) for n in range(3, 7)] + RING_DESCRIPTORS
+                 + [(3, (2, 3)), (4, (2, 4)), (5, (3, 4)), (6, (2, 2, 5))]
+                 + RING_DESCRIPTORS
                  + [(n, (3,)) for n in (6, 8, 12)]
                  + [(4, (3, 3)), (6, (2, 3)), (7, (2, 2)), (3, (2, 2, 2)),
-                    (6, (4,))])
+                    (6, (4,)), (10, (11,))])
 
 
 def qc(ring, c):
@@ -38,10 +40,9 @@ def test_one_point_descendant_cubics():
 
 def test_small_j_degree_zero_is_classical():
     desc = describe(3, (3,))
-    qtop = 4
-    jet = small_j(desc, qtop=qtop)
+    jet = small_j(desc)
     for h in range(desc.n + 1):
-        for zpow in range(1 - h - desc.a * qtop, 2):
+        for zpow in range(1 - h - desc.a * (len(jet.rows) - 1), 2):
             c0 = jet.entry(zpow, h).coefficient(0)
             expected = 1 if (zpow == 1 and h == 0) else 0
             assert c0 == expected
@@ -50,11 +51,9 @@ def test_small_j_degree_zero_is_classical():
 @pytest.mark.parametrize("n,d", J_DESCRIPTORS)
 def test_small_j_equals_the_expansion_from_scratch(n, d):
     desc = describe(n, d)
-    for zorder in (4, n + 3, n + 6):
-        qtop = (zorder + 2) // desc.a
-        jet = small_j(desc, qtop)
-        assert jet.degree == 1
-        assert jet.rows == small_j_reference(desc, qtop), qtop
+    jet = small_j(desc)
+    assert jet.degree == 1
+    assert jet.rows == small_j_reference(desc, (n + 1) // desc.a)
 
 
 def _perturbed(matrix, i, j, one):
@@ -94,8 +93,8 @@ def test_flat_section_checks_see_every_j_entry(monkeypatch, n, d):
     real = smallqh.small_j
     rows = real(desc).rows
     for delta, h in product(range(len(rows)), range(n + 1)):
-        def perturbed(desc, qtop=None, delta=delta, h=h):
-            jet = real(desc, qtop)
+        def perturbed(desc, delta=delta, h=h):
+            jet = real(desc)
             jet.rows[delta][h] += 1
             return jet
         monkeypatch.setattr(smallqh, "small_j", perturbed)
@@ -119,7 +118,8 @@ def test_small_j_refuses_non_fano_and_exceptional():
         small_j(describe(3, (2, 4)))  # index 0, Calabi-Yau
     with pytest.raises(DomainError):
         small_j(describe(4, (2, 2)))  # exceptional
-    small_j(describe(4, (2,)))  # quadrics are allowed here
+    with pytest.raises(DomainError):
+        small_j(describe(4, (2,)))  # quadrics, as build_ring refuses them
 
 
 @pytest.mark.parametrize("n,d", RING_DESCRIPTORS)
@@ -336,27 +336,47 @@ def test_two_point_consistent_with_divisor(n, d):
                 assert lhs == col * deg, (j, e)
 
 
-def test_descendant_truncation_stability():
-    # deeper caps never change already-computed coefficients
-    desc = describe(4, (3,))
-    j1 = small_j(desc, qtop=2)
-    j2 = small_j(desc, qtop=4)
-    for k in range(0, 4):
-        for i in range(desc.n + 1):
-            a = one_point_descendant(desc, j1, k, i)
-            b = one_point_descendant(desc, j2, k, i)
-            for qd in range(0, 4):
-                assert a.coefficient(qd) == b.coefficient(qd)
+def _in_domain(nmax):
+    """Every (n, d) with n <= nmax, entries >= 2 and d sorted, that
+    require_reconstruction_domain accepts (it refuses n < 3)."""
+    out = []
+    for n in range(3, nmax + 1):
+        for r in range(1, n + 1):  # sum(d_j - 1) <= n, so r <= n
+            for d in combinations_with_replacement(range(2, n + 2), r):
+                if sum(dj - 1 for dj in d) > n:
+                    continue
+                try:
+                    require_reconstruction_domain(describe(n, d))
+                except DomainError:
+                    continue
+                out.append((n, d))
+    return out
+
+
+def test_every_reader_stays_inside_the_reach():
+    # small_j stores q^0..q^R, R = (n + 1) // a; build_ring's columns, every
+    # two-point invariant and the criterion-3 descendant read inside it, and
+    # the first q-order beyond it raises
+    cases = _in_domain(6)
+    assert len(cases) == 58
+    for n, d in cases:
+        desc = describe(n, d)
+        ring = build_ring(desc)
+        reach = (n + 1) // desc.a
+        assert len(ring.jfun.rows) == reach + 1, (n, d)
+        for i, j in product(range(n + 1), repeat=2):
+            ring.two_point(i, j)
+        one_point_descendant(desc, ring.jfun, n - 3, n)
+        with pytest.raises(InternalConsistencyError):
+            ring.jfun.entry(1 - desc.a * (reach + 1), 0)
 
 
 def test_descendant_beyond_the_jet_raises():
-    # < psi^10 H_4 > of the cubic fourfold sits at q^4, beyond the default
-    # q-reach of 3: reading it must raise, not return 0
+    # < psi^10 H_4 > of the cubic fourfold sits at q^4, beyond the q-reach
+    # (n + 1) // a = 1: reading it must raise, not return 0
     desc = describe(4, (3,))
     with pytest.raises(InternalConsistencyError):
         one_point_descendant(desc, small_j(desc), 10, 4)
-    assert one_point_descendant(desc, small_j(desc, qtop=4), 10, 4) == \
-        QPoly.q_power(4, Fraction(1925, 256))
 
 
 def test_origin_jet_satisfies_differentiated_wdvv():
