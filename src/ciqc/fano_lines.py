@@ -140,6 +140,17 @@ def lines_class_primitive(n: int) -> SchubertVector:
     return t1 + t2 + t3
 
 
+def _kernel(images: List[SchubertVector]) -> List[List[Fraction]]:
+    """A basis of the kernel of z -> sum_k z_k images[k]: ``solve_linear``'s,
+    or the unit basis when every image is zero (an empty one for no images)."""
+    target = sorted({key for img in images for key in img.terms})
+    if not target:
+        return [[Fraction(int(j == k)) for j in range(len(images))]
+                for k in range(len(images))]
+    rows = [[img.terms.get(key, 0) for img in images] for key in target]
+    return solve_linear(rows, [0] * len(rows))[1]
+
+
 def prim_square_class(n: int) -> List[Fraction]:
     """Coefficients z_k of the contracted primitive square
     sum beta_i g^{ij} beta_j = sum_k z_k {n-2-k, k}.
@@ -156,21 +167,12 @@ def prim_square_class(n: int) -> List[Fraction]:
     e2cls = schubert_product(cls, SchubertVector.basis(n, 1, 1))
 
     # kernel of z -> sum z_k {n-2-k,k} * cls * {1,1}
-    images = [schubert_product(SchubertVector.basis(n, n - 2 - k, k), e2cls)
-              for k in range(n0)]
-    target = sorted({key for img in images for key in img.terms})
-    if target:
-        rows = [[images[k].terms.get(key, 0) for k in range(n0)]
-                for key in target]
-        _, kernel, _ = solve_linear(rows, [0] * len(rows))
-        if len(kernel) != 1:
-            raise InternalConsistencyError(
-                f"kernel dimension {len(kernel)} != 1 at n = {n}")
-        z = kernel[0]
-    else:
-        if n0 != 1:
-            raise InternalConsistencyError("empty system only occurs at n = 3")
-        z = [Fraction(1)]
+    kernel = _kernel([schubert_product(SchubertVector.basis(n, n - 2 - k, k),
+                                       e2cls) for k in range(n0)])
+    if len(kernel) != 1:
+        raise InternalConsistencyError(
+            f"kernel dimension {len(kernel)} != 1 at n = {n}")
+    z = kernel[0]
 
     s1pow = sigma1_power(n, n - 2)
     total = schubert_product(schubert_product(prim_square_vector(n, z), s1pow),
@@ -249,19 +251,8 @@ def rank_estimates(n: int) -> dict:
     cls = lines_class_primitive(n)
 
     def kernel_dim(i):
-        basis = [(a, i - a) for a in range((i + 1) // 2, min(i, n) + 1)
-                 if 0 <= i - a <= a]
-        if not basis:
-            return 0
-        images = [schubert_product(SchubertVector.basis(n, a, b), cls)
-                  for (a, b) in basis]
-        target = sorted({key for img in images for key in img.terms})
-        if not target:
-            return len(basis)
-        rows = [[img.terms.get(key, 0) for img in images]
-                for key in target]
-        _, kernel, _ = solve_linear(rows, [0] * len(rows))
-        return len(kernel)
+        return len(_kernel([schubert_product(SchubertVector.basis(n, a, i - a), cls)
+                            for a in range((i + 1) // 2, min(i, n) + 1)]))
 
     bands = {}
     bands[2 * n - 4] = kernel_dim(n - 2)

@@ -26,13 +26,16 @@ from .exact import ONE, QPoly, TruncSeries, contract, monomial, substitute
 from .geometry import CIDescriptor
 
 
-def classical_pairing_inverse(desc: CIDescriptor):
-    """Inverse ambient Poincare pairing in the classical basis H_0..H_n."""
-    n = desc.n
-    inv = Fraction(1, desc.degree)
-    g = [[QPoly.zero() for _ in range(n + 1)] for _ in range(n + 1)]
+def pairing_inverse(n: int, deg, m: int):
+    """Inverse Poincare pairing on t^0..t^n, u^1..u^m: the ambient block in
+    the classical basis H_0..H_n is anti-diagonal with entries 1/deg, the
+    primitive block (even orthonormal mode) the m x m identity."""
+    nt = n + 1 + m
+    g = [[QPoly.zero() for _ in range(nt)] for _ in range(nt)]
     for e in range(n + 1):
-        g[e][n - e] = QPoly.const(inv)
+        g[e][n - e] = QPoly.const(Fraction(1, deg))
+    for mu in range(n + 1, nt):
+        g[mu][mu] = QPoly.const(1)
     return g
 
 
@@ -49,7 +52,7 @@ class ReducedPotential:
             if F.s_cap is None or F.s_cap > cap:
                 F = F.recap(F.degree_cap, cap)
         self.F = F
-        self.ginv = classical_pairing_inverse(desc)
+        self.ginv = pairing_inverse(desc.n, desc.degree, 0)
 
     @property
     def s_cutoff(self) -> Optional[int]:
@@ -67,10 +70,18 @@ class ReducedPotential:
         return {"ambient": cap - 3, "eq_mixed": cap - 3, "eq_pure": cap - 2}
 
 
-def _wdvv(F: TruncSeries, ginv, quads, cap=None) -> Dict[tuple, TruncSeries]:
-    """F_{abe} g^{ef} F_{cdf} - F_{ace} g^{ef} F_{bdf} for each (a,b,c,d) in
-    ``quads``, from one memo of the third derivatives of F, each cut to
-    total degree ``cap`` (when given) before any product is formed."""
+def _wdvv(F: TruncSeries, ginv, cap=None) -> Dict[tuple, TruncSeries]:
+    """The WDVV residuals R(a,b,c,d) = F_{abe} g^{ef} F_{cdf} - F_{ace}
+    g^{ef} F_{bdf} for a <= b <= c and every d, from one memo of the third
+    derivatives of F, each cut to total degree ``cap`` (when given) before
+    any product is formed.
+
+    These keys hold every relation up to sign.  R(a,b,c,d) is T(ab|cd) -
+    T(ac|bd), where T(ab|cd) = F_{abe} g^{ef} F_{cdf} is symmetric within
+    and (g being symmetric) between its pairs, so a relation is fixed up to
+    sign by its indices and the pairing it leaves out, {ad|bc}: put the
+    least index first, its partner last and the other pair sorted.  Sorting
+    all four indices would miss relations such as R(1,1,2,0)."""
     third: Dict[tuple, TruncSeries] = {}
 
     def row(a, b):
@@ -84,7 +95,9 @@ def _wdvv(F: TruncSeries, ginv, quads, cap=None) -> Dict[tuple, TruncSeries]:
         return out
 
     return {(a, b, c, d): contract(ginv, row(a, b), row(c, d))
-            - contract(ginv, row(a, c), row(b, d)) for a, b, c, d in quads}
+            - contract(ginv, row(a, c), row(b, d))
+            for a, b, c in combinations_with_replacement(range(F.nt), 3)
+            for d in range(F.nt)}
 
 
 def _reduced(F: TruncSeries, ginv, mixed_cap: int, pure_cap: int,
@@ -129,17 +142,15 @@ def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
 
     Keys: 'eq_mixed' maps (a,b) to the residual of the first reduced
     equation, 'eq_pure' is the residual of the second, 'ambient' maps
-    (a,b,c,d) to the ambient WDVV residual of F at s = 0.  In odd mode the
+    (a,b,c,d), a <= b <= c and d free (every relation up to sign, see
+    ``_wdvv``), to the ambient WDVV residual of F at s = 0.  In odd mode the
     first two are truncated below s^{m/2}.
     """
     window = pot.window
     s_cap = None if pot.s_cutoff is None else pot.s_cutoff - 1
     mixed, pure = _reduced(pot.F, pot.ginv, window["eq_mixed"],
                            window["eq_pure"], s_cap)
-    ambient = _wdvv(pot.F.s_slice(0), pot.ginv,
-                    [(a, b, c, d) for a, b, c in combinations_with_replacement(
-                        range(pot.F.nt), 3) for d in range(pot.F.nt)],
-                    window["ambient"])
+    ambient = _wdvv(pot.F.s_slice(0), pot.ginv, window["ambient"])
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
 
 
@@ -195,15 +206,8 @@ def expand_to_full(F_red: TruncSeries, n: int, m: int) -> TruncSeries:
 
 
 def full_wdvv_residuals(F: TruncSeries, n: int, m: int, deg: Fraction):
-    """All WDVV residuals of a polynomial potential in full even-mode
-    variables: ambient pairing anti-diagonal with weight ``deg``, primitive
-    pairing the identity."""
-    nt = n + 1 + m
-    ginv = [[QPoly.zero() for _ in range(nt)] for _ in range(nt)]
-    for e in range(n + 1):
-        ginv[e][n - e] = QPoly.const(Fraction(1, deg))
-    for mu in range(m):
-        ginv[n + 1 + mu][n + 1 + mu] = QPoly.const(1)
-
-    residuals = _wdvv(F, ginv, combinations_with_replacement(range(nt), 4))
+    """The nonzero WDVV residuals of a polynomial potential in full even-mode
+    variables t^0..t^n, u^1..u^m, keyed as in ``_wdvv`` (every relation up
+    to sign) under ``pairing_inverse(n, deg, m)``."""
+    residuals = _wdvv(F, pairing_inverse(n, deg, m))
     return {key: res for key, res in residuals.items() if not res.is_zero()}

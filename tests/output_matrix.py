@@ -65,7 +65,8 @@ def _commands():
     out += [["fano-lines", "--n", str(n), "--check", check]
             for n in range(3, 13)
             for check in ("all", "cubic7", "cubic13", "cubic16", "hilb2")]
-    for n, d, name in [(3, "3", "s_t1_n3"), (4, "3", "cubic4_deg4")]:
+    for n, d, name in [(3, "3", "s_t1_n3"), (4, "3", "cubic4_deg4"),
+                       (4, "3", "cubic4_deg4_f0_bumped")]:
         load = ["residual", "--n", str(n), "--d", d,
                 "--load", str(GOLDEN / f"{name}.potential.json")]
         out += [load, load + ["--q", "1"]]

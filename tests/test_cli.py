@@ -191,6 +191,9 @@ S_T1 = str(GOLDEN / "s_t1_n3.potential.json")  # F = s t^1 on (3,(3))
 # jet stored under cap 4, leaves (the q-cap of products is pinned by
 # tests/test_exact.py::test_products_equal_the_pairwise_reference)
 CUBIC4_DEG4 = str(GOLDEN / "cubic4_deg4.potential.json")
+# the same file with the q^1 coefficient of t^1 t^2 t^4 in F^(0) raised from
+# 18 to 19: its report holds 23 nonzero ambient residuals
+BUMPED = str(GOLDEN / "cubic4_deg4_f0_bumped.potential.json")
 GOLDEN_CASES = {
     "f2_n4_d3": ["f2", "--n", "4", "--d", "3"],
     "smallqh_n4_d3": ["smallqh", "--n", "4", "--d", "3"],
@@ -203,6 +206,10 @@ GOLDEN_CASES = {
                                "--load", S_T1, "--q", "1"],
     "residual_n4_d3_cubic4_deg4": ["residual", "--n", "4", "--d", "3",
                                    "--load", CUBIC4_DEG4],
+    "residual_n4_d3_cubic4_deg4_f0_bumped": ["residual", "--n", "4", "--d", "3",
+                                             "--load", BUMPED],
+    "residual_n4_d3_cubic4_deg4_f0_bumped_q1": ["residual", "--n", "4", "--d", "3",
+                                                "--load", BUMPED, "--q", "1"],
     "genus1_n4": ["genus1", "--n", "4"],
     "genus1_n5_d22": ["genus1", "--n", "5", "--d", "2,2"],
     "fano_lines_n3_all": ["fano-lines", "--n", "3", "--check", "all"],

@@ -3,7 +3,7 @@ brute-force equivalence oracle, and the J-function recursion oracles."""
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial
 
 import pytest
@@ -88,8 +88,8 @@ def test_reduced_residuals_detect_perturbation():
 
 def test_full_wdvv_matches_ambient_residuals():
     # with no primitive variables the full-variable oracle is the ambient
-    # WDVV of F^(0): it reports the nonzero residuals with a <= b <= c <= d;
-    # F^(0) is perturbed at t^1 t^2 t^4, so both are nonzero in the window
+    # WDVV of F^(0), over the same keys; F^(0) is perturbed at t^1 t^2 t^4,
+    # so both are nonzero in the window
     desc, ring, F, f0_t = reduced_potential()
     bump = monomial(desc.n + 1, (1, 2, 4))
     pot = ReducedPotential(desc, F.add_term(bump, QPoly.q_power(1, 1)))
@@ -97,23 +97,68 @@ def test_full_wdvv_matches_ambient_residuals():
     ambient = wdvv_residuals(pot)["ambient"]
     full = full_wdvv_residuals(f0_t.add_term(bump, QPoly.q_power(1, 1)),
                                desc.n, 0, desc.degree)
-    shared = {key: res for key, res in ambient.items() if key[2] <= key[3]}
-    assert len(shared) == 70
     inside = {key: res.truncate_degree(window) for key, res in full.items()}
     inside = {key: res for key, res in inside.items() if not res.is_zero()}
-    assert inside and inside == {key: res for key, res in shared.items()
+    assert inside and inside == {key: res for key, res in ambient.items()
                                  if not res.is_zero()}
+
+
+def test_full_wdvv_reports_relations_off_the_sorted_quadruples():
+    # F = t0^3/6 + t0^2 t2/2 + t0 t1^2/2 + t2^3/6 under the identity pairing:
+    # (e1 e1) e2 = e2 but e1 (e1 e2) = 0; no sorted a <= b <= c <= d sees it
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+    F = TruncSeries(4, 3, 0, terms={
+        monomial(4, (0, 0, 0)): sixth, monomial(4, (0, 0, 2)): half,
+        monomial(4, (0, 1, 1)): half, monomial(4, (2, 2, 2)): sixth})
+    res = full_wdvv_residuals(F, 0, 3, Fraction(1))
+    assert res == {(0, 1, 2, 1): F.like({monomial(4): -1}),
+                   (1, 1, 2, 0): F.like({monomial(4): 1})}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_full_wdvv_reports_every_relation_up_to_sign(n):
+    # each of the (n+1)^4 relations of a random degree-4 potential, evaluated
+    # directly under the anti-diagonal pairing 1/3, is 0 or +- a reported one
+    nt = n + 1
+    rng = random.Random(SEED + n)
+    F = TruncSeries(nt, 4, 0, terms={
+        monomial(nt, idx): rng.randint(-3, 3)
+        for deg in (3, 4) for idx in combinations_with_replacement(range(nt), deg)})
+    third, pairs = {}, {}
+
+    def d3(*idx):
+        key = tuple(sorted(idx))
+        if key not in third:
+            third[key] = F.diff_t(key[0]).diff_t(key[1]).diff_t(key[2])
+        return third[key]
+
+    def T(a, b, c, d):  # F_{abe} g^{ef} F_{cdf}
+        key = (tuple(sorted((a, b))), tuple(sorted((c, d))))
+        if key not in pairs:
+            acc = F.like()
+            for e in range(nt):
+                acc = acc + d3(a, b, e) * d3(c, d, n - e)
+            pairs[key] = acc.scale(Fraction(1, 3))
+        return pairs[key]
+
+    def form(series):
+        return frozenset(series.terms.items())
+
+    reported = set()
+    for series in full_wdvv_residuals(F, n, 0, Fraction(3)).values():
+        reported |= {form(series), form(series.scale(-1))}
+    for a, b, c, d in product(range(nt), repeat=4):
+        rel = T(a, b, c, d) - T(a, c, b, d)
+        assert rel.is_zero() or form(rel) in reported
 
 
 def _unwindowed(pot):
     """``wdvv_residuals`` with every product kept up to the potential's own
     degree cap, as the checker computed before it had a window."""
-    cap, nt = pot.F.degree_cap, pot.F.nt
+    cap = pot.F.degree_cap
     s_cap = None if pot.s_cutoff is None else pot.s_cutoff - 1
     mixed, pure = _reduced(pot.F, pot.ginv, cap, cap, s_cap)
-    ambient = _wdvv(pot.F.s_slice(0), pot.ginv, [
-        (a, b, c, d) for a, b, c in combinations_with_replacement(range(nt), 3)
-        for d in range(nt)])
+    ambient = _wdvv(pot.F.s_slice(0), pot.ginv)
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
 
 
