@@ -26,9 +26,17 @@ RING_DESCRIPTORS: List[Tuple[int, tuple]] = [
 
 TOY_MODELS = (None, None)  # criterion 10's descriptor-free parts; no filter keeps it
 
-@functools.cache
 def _ring(n, d):
-    """X_n(d)'s quantum ring, built once; criteria read rings and J-series here."""
+    """X_n(d)'s quantum ring; criteria read rings and J-series here.  Only a
+    ring read by more than one criterion (one whose code calls _ring) is kept."""
+    readers = [cases for _, check, cases in CRITERIA if "_ring" in check.__code__.co_names]
+    if sum(any(case[:2] == (n, d) for case in cases) for cases in readers) > 1:
+        return _kept_ring(n, d)
+    return build_ring(describe(n, d))
+
+
+@functools.cache
+def _kept_ring(n, d):
     return build_ring(describe(n, d))
 
 

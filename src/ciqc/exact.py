@@ -9,7 +9,9 @@ Every number in the package is a ``fractions.Fraction`` (re-exported here as
   dimensions) by an s-cap; it is the only place q is truncated,
 * ``substitute`` -- replacing each variable of a series by a series (the
   flat change of basis, and s = sum u^2/2 in the equivalence oracle),
-* ``contract`` -- the contraction of two rows through an inverse pairing,
+* ``contract`` -- the contraction of two rows through an inverse pairing;
+  series products flatten each operand once over one denominator, then
+  accumulate integers, and a caller with many sums flattens once for all,
 * ``solve_linear`` -- exact row reduction with kernel basis.
 """
 
@@ -445,50 +447,51 @@ def linear_substitute(series: TruncSeries, forms) -> TruncSeries:
     return substitute(series, images + [series.like({monomial(nt, s=1): ONE})])
 
 
-def _flatten(series: TruncSeries, den: int, base: int, q_unit: int) -> list:
-    """The terms of ``series`` as rows (degree, s, packed, q, numerator),
-    sorted by total degree: ``packed`` holds e_0..e_{nt-1}, e_s and the
-    q-exponent as the digits of one int in ``base`` (q at ``q_unit``), and
-    ``numerator`` is the coefficient of q^q times ``den``."""
-    rows = []
-    for key, coeff in series.terms.items():
-        packed = 0
-        for e in reversed(key):
-            packed = packed * base + e
-        degree, s = sum(key), key[-1]
-        for q, c in coeff.coeffs.items():
-            rows.append((degree, s, packed + q * q_unit, q,
-                         c.numerator * (den // c.denominator)))
-    rows.sort(key=lambda row: row[0])
-    return rows
-
-
-def _sum_of_products(like: TruncSeries, triples) -> TruncSeries:
-    """sum left * g * right over the (left, g, right) ``triples`` under the
-    caps of ``like``, where g is a QPoly or None for 1.
-
-    Every series operand is flattened once over one common denominator D
-    and every g over G, so the products accumulate as exact integers over
-    D^2 G and each output coefficient becomes one Fraction.  A product key
-    is one addition of packed keys; no digit carries, because the degree,
-    s- and q-caps are checked on the small ints first.
-    """
-    nt, cap, qmax = like.nt, like.degree_cap, like.qmax
-    s_cap = cap if like.s_cap is None else like.s_cap
-    base = max(cap, qmax, 0) + 1
-    q_unit = base ** (nt + 1)
-    operands = {}
-    for left, _, right in triples:
-        operands[id(left)] = left
-        operands[id(right)] = right
-    for series in operands.values():
+def _flatten_all(like: TruncSeries, operands):
+    """(D, rows by id): each distinct series of ``operands``, checked against
+    the caps of ``like``, flattened once over one common denominator D.  A
+    series' rows (degree, s, packed, q, numerator) are sorted by total
+    degree; ``packed`` holds q, e_0..e_{nt-1} and e_s as the digits (lowest
+    first) of one int in base max(degree cap, qmax) + 1, and ``numerator``
+    is the coefficient of q^q times D."""
+    operands = {id(series): series for series in operands}
+    den = _common_denominator(c for series in operands.values() for c in series.terms.values())
+    base = max(like.degree_cap, like.qmax, 0) + 1
+    flat = {}
+    for i, series in operands.items():
         like._check(series)
-    den = lcm(*(c.denominator for series in operands.values()
-                for coeff in series.terms.values() for c in coeff.coeffs.values()))
-    g_den = lcm(*(c.denominator for _, g, _ in triples if g is not None
-                  for c in g.coeffs.values()))
-    flat = {i: _flatten(series, den, base, q_unit) for i, series in operands.items()}
+        rows = flat[i] = []
+        for key, coeff in series.terms.items():
+            packed = 0
+            for e in reversed(key):
+                packed = packed * base + e
+            degree, s = sum(key), key[-1]
+            for q, c in coeff.coeffs.items():
+                rows.append((degree, s, packed * base + q, q,
+                             c.numerator * (den // c.denominator)))
+        rows.sort(key=lambda row: row[0])
+    return den, flat
 
+
+def _common_denominator(polys) -> int:
+    """The least common denominator of the coefficients of the QPolys."""
+    return lcm(*(c.denominator for poly in polys for c in poly.coeffs.values()))
+
+
+def _contraction(ginv, left, right) -> list:
+    """The triples (left[e], g^{ef}, right[f]) with three nonzero factors."""
+    return [(le, g, right[f]) for e, le in enumerate(left) if not le.is_zero()
+            for f, g in enumerate(ginv[e]) if not g.is_zero() and not right[f].is_zero()]
+
+
+def _accumulate(like: TruncSeries, flat: dict, triples, g_den: int) -> dict:
+    """sum left * g * right over ``triples`` of series flattened in ``flat``
+    (over D) and QPolys g (None for 1) under the caps of ``like``, as packed
+    key -> integer numerator over D^2 ``g_den``.  A product key is one sum
+    of packed keys; no digit carries, because the degree, s- and q-caps are
+    checked on the small ints first."""
+    cap, qmax = like.degree_cap, like.qmax
+    s_cap = cap if like.s_cap is None else like.s_cap
     acc = {}
     for left, g, right in triples:
         g_rows = [(0, g_den)] if g is None else [
@@ -497,28 +500,43 @@ def _sum_of_products(like: TruncSeries, triples) -> TruncSeries:
         for gq, gn in g_rows:
             for d1, s1, k1, q1, n1 in flat[id(left)]:
                 room, s_room, q_room = cap - d1, s_cap - s1, qmax - q1 - gq
-                k1, n1 = k1 + gq * q_unit, n1 * gn
+                k1, n1 = k1 + gq, n1 * gn
                 for d2, s2, k2, q2, n2 in right_rows:
                     if d2 > room:
                         break
                     if s2 <= s_room and q2 <= q_room:
                         key = k1 + k2
                         acc[key] = acc.get(key, 0) + n1 * n2
+    return acc
 
-    den = den * den * g_den
+
+def _collect(like: TruncSeries, acc: dict, den: int) -> TruncSeries:
+    """The series under the caps of ``like`` with coefficient acc[key] / den
+    at each packed key; one Fraction per nonzero entry."""
+    base = max(like.degree_cap, like.qmax, 0) + 1
     grouped = {}
     for packed, num in acc.items():
         if num:
-            q, mono = divmod(packed, q_unit)
+            mono, q = divmod(packed, base)
             grouped.setdefault(mono, {})[q] = Fraction(num, den)
     out = like.like()
     for mono, coeffs in grouped.items():
         key = []
-        for _ in range(nt + 1):
+        for _ in range(like.nt + 1):
             mono, e = divmod(mono, base)
             key.append(e)
         out.terms[tuple(key)] = QPoly(coeffs)
     return out
+
+
+def _sum_of_products(like: TruncSeries, triples) -> TruncSeries:
+    """sum left * g * right over the (left, g, right) ``triples`` under the
+    caps of ``like``, g a QPoly or None for 1: the kernel's two steps, each
+    run once, flatten the operands over D and accumulate over D^2 G."""
+    den, flat = _flatten_all(like, [s for left, _, right in triples
+                                    for s in (left, right)])
+    g_den = _common_denominator(g for _, g, _ in triples if g is not None)
+    return _collect(like, _accumulate(like, flat, triples, g_den), den * den * g_den)
 
 
 def contract(ginv, left, right):
@@ -529,18 +547,11 @@ def contract(ginv, left, right):
     through one product accumulator.
     """
     if isinstance(left[0], TruncSeries):
-        return _sum_of_products(left[0], [
-            (le, gef, right[f]) for e, le in enumerate(left) if not le.is_zero()
-            for f, gef in enumerate(ginv[e])
-            if not gef.is_zero() and not right[f].is_zero()])
+        return _sum_of_products(left[0], _contraction(ginv, left, right))
     acc = None
-    for e, le in enumerate(left):
-        if le.is_zero():
-            continue
-        for f, gef in enumerate(ginv[e]):
-            if not gef.is_zero() and not right[f].is_zero():
-                term = (le * right[f]).scale(gef)
-                acc = term if acc is None else acc + term
+    for le, gef, rf in _contraction(ginv, left, right):
+        term = (le * rf).scale(gef)
+        acc = term if acc is None else acc + term
     return left[0].scale(ZERO) if acc is None else acc
 
 

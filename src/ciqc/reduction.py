@@ -21,8 +21,10 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Dict, Optional, Sequence
 
-from .errors import DomainError
-from .exact import ONE, QPoly, TruncSeries, contract, monomial, substitute
+from .errors import DomainError, InternalConsistencyError
+from .exact import (ONE, QPoly, TruncSeries, _accumulate, _collect,
+                    _common_denominator, _contraction, _flatten_all, contract,
+                    monomial, substitute)
 from .geometry import CIDescriptor
 
 
@@ -72,32 +74,50 @@ class ReducedPotential:
 
 def _wdvv(F: TruncSeries, ginv, cap=None) -> Dict[tuple, TruncSeries]:
     """The WDVV residuals R(a,b,c,d) = F_{abe} g^{ef} F_{cdf} - F_{ace}
-    g^{ef} F_{bdf} for a <= b <= c and every d, from one memo of the third
-    derivatives of F, each cut to total degree ``cap`` (when given) before
-    any product is formed.
+    g^{ef} F_{bdf} for a <= b <= c and every d, from the third derivatives
+    of F, each cut to total degree ``cap`` (when given) and flattened once.
 
     These keys hold every relation up to sign.  R(a,b,c,d) is T(ab|cd) -
     T(ac|bd), where T(ab|cd) = F_{abe} g^{ef} F_{cdf} is symmetric within
     and (g being symmetric) between its pairs, so a relation is fixed up to
     sign by its indices and the pairing it leaves out, {ad|bc}: put the
     least index first, its partner last and the other pair sorted.  Sorting
-    all four indices would miss relations such as R(1,1,2,0)."""
-    third: Dict[tuple, TruncSeries] = {}
+    all four indices would miss relations such as R(1,1,2,0).
 
-    def row(a, b):
-        out = []
-        for e in range(F.nt):
-            key = tuple(sorted((a, b, e)))
-            if key not in third:
-                series = F.diff_t(key[0]).diff_t(key[1]).diff_t(key[2])
-                third[key] = series if cap is None else series.truncate_degree(cap)
-            out.append(third[key])
-        return out
+    So each T is accumulated once, as integers keyed on its unordered pair of
+    pairs, and R by subtracting two: keys of one relation share their T, and
+    a key whose sides are one T (b = c, or d = a) is identically zero and
+    forms no product.  Raises InternalConsistencyError if g is asymmetric."""
+    nt, cap = F.nt, F.degree_cap if cap is None else cap
+    if any(ginv[e][f] != ginv[f][e] for e in range(nt) for f in range(e)):
+        raise InternalConsistencyError("the inverse pairing is not symmetric")
+    third = _third_derivatives(F, lambda series: series.truncate_degree(cap))
+    like, g_den = third[0, 0][0], _common_denominator(g for row in ginv for g in row)
+    den, flat = _flatten_all(like, [s for row in third.values() for s in row])
+    memo, out = {}, {}
+    for a, b, c in combinations_with_replacement(range(nt), 3):
+        for d in range(nt):
+            sides = [tuple(sorted(((a, x), tuple(sorted((y, d))))))
+                     for x, y in ((b, c), (c, b))]
+            acc = {}
+            for sign, key in zip((1, -1), sides) if sides[0] != sides[1] else ():
+                if key not in memo:
+                    memo[key] = _accumulate(like, flat, _contraction(
+                        ginv, third[key[0]], third[key[1]]), g_den)
+                for packed, num in memo[key].items():
+                    acc[packed] = acc.get(packed, 0) + sign * num
+            out[a, b, c, d] = _collect(like, acc, den * den * g_den)
+    return out
 
-    return {(a, b, c, d): contract(ginv, row(a, b), row(c, d))
-            - contract(ginv, row(a, c), row(b, d))
-            for a, b, c in combinations_with_replacement(range(F.nt), 3)
-            for d in range(F.nt)}
+
+def _third_derivatives(F: TruncSeries, cut):
+    """third[(a, b)][e] = F_{abe} passed through ``cut`` for a <= b; each
+    F_{abe} is formed once, from one memo of the second derivatives."""
+    second = {(a, b): F.diff_t(a).diff_t(b)
+              for a, b in combinations_with_replacement(range(F.nt), 2)}
+    memo = {(a, b, e): cut(second[a, b].diff_t(e))
+            for a, b, e in combinations_with_replacement(range(F.nt), 3)}
+    return {pair: [memo[tuple(sorted(pair + (e,)))] for e in range(F.nt)] for pair in second}
 
 
 def _reduced(F: TruncSeries, ginv, mixed_cap: int, pure_cap: int,
@@ -107,7 +127,8 @@ def _reduced(F: TruncSeries, ginv, mixed_cap: int, pure_cap: int,
     degree ``mixed_cap``, and ``pure`` the second, through ``pure_cap``;
     both through s-degree ``s_cap`` unless it is None.  Every factor is cut
     to those caps before any product is formed; no exponent is negative,
-    so the products inside the caps are exact."""
+    so the products inside the caps are exact.  The cut F_{sa} and third
+    derivatives are flattened once for all the mixed contractions."""
     n = F.nt - 1
     Fs = F.diff_s()
     Fss = Fs.diff_s()
@@ -119,15 +140,15 @@ def _reduced(F: TruncSeries, ginv, mixed_cap: int, pure_cap: int,
 
     s_m, Fss_m = cut(s_series, mixed_cap), cut(Fss, mixed_cap)
     ds1_m = [cut(series, mixed_cap) for series in ds1]
+    third = _third_derivatives(F, lambda series: cut(series, mixed_cap))
+    den, flat = _flatten_all(s_m, [*ds1_m, *(s for row in third.values() for s in row)])
+    g_den = _common_denominator(g for row in ginv for g in row)
     mixed = {}
-    for a in range(n + 1):
-        da = F.diff_t(a)
-        for b in range(a, n + 1):
-            dab = da.diff_t(b)
-            third = [cut(dab.diff_t(e), mixed_cap) for e in range(n + 1)]
-            res = contract(ginv, third, ds1_m)
-            res = res + (s_m * cut(dab.diff_s(), mixed_cap) * Fss_m).scale(2)
-            mixed[(a, b)] = res - ds1_m[a] * ds1_m[b]
+    for a, b in third:
+        acc = _accumulate(s_m, flat, _contraction(ginv, third[a, b], ds1_m), g_den)
+        res = _collect(s_m, acc, den * den * g_den)
+        res = res + (s_m * cut(ds1[a].diff_t(b), mixed_cap) * Fss_m).scale(2)
+        mixed[(a, b)] = res - ds1_m[a] * ds1_m[b]
 
     s_p, Fss_p = cut(s_series, pure_cap), cut(Fss, pure_cap)
     ds1_p = [cut(series, pure_cap) for series in ds1]

@@ -12,14 +12,17 @@ route to a value the package computes another way, or a test input:
 * ``schur_oracle_product`` -- Schubert products through Schur polynomials;
 * ``galkin_shinder_betti`` -- Betti numbers of the variety of lines of a
   cubic from those of the cubic;
-* ``small_j_reference`` -- the J-series expanded afresh at every q-degree.
+* ``small_j_reference`` -- the J-series expanded afresh at every q-degree;
+* ``wdvv_reference``/``reduced_reference`` -- the ambient WDVV and the
+  reduced residuals by their definitions, one ``contract`` per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb, factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ciqc.acceptance import _ring
 from ciqc.errors import DomainError
@@ -326,3 +329,52 @@ def small_j_reference(desc: CIDescriptor, qtop: int) -> List[List[Fraction]]:
             for k in range(qtop + 1 - delta):
                 out[delta + k][h] += c * Fraction((-desc.ell) ** k, factorial(k))
     return out
+
+
+def _third_rows(F: TruncSeries, cut):
+    """row(a, b) = [F_{abe} for every e], each passed through ``cut``."""
+    memo = {}
+
+    def row(a, b):
+        for e in range(F.nt):
+            key = tuple(sorted((a, b, e)))
+            if key not in memo:
+                memo[key] = cut(F.diff_t(key[0]).diff_t(key[1]).diff_t(key[2]))
+        return [memo[tuple(sorted((a, b, e)))] for e in range(F.nt)]
+    return row
+
+
+def wdvv_reference(F: TruncSeries, ginv, cap=None) -> Dict[tuple, TruncSeries]:
+    """R(a,b,c,d) = F_{abe} g^{ef} F_{cdf} - F_{ace} g^{ef} F_{bdf} on the
+    keys a <= b <= c, d free, by the definition: two ``contract`` calls per
+    key, over the third derivatives cut to total degree ``cap`` if given."""
+    row = _third_rows(F, lambda s: s if cap is None else s.truncate_degree(cap))
+    return {(a, b, c, d): contract(ginv, row(a, b), row(c, d))
+            - contract(ginv, row(a, c), row(b, d))
+            for a, b, c in combinations_with_replacement(range(F.nt), 3)
+            for d in range(F.nt)}
+
+
+def reduced_reference(F: TruncSeries, ginv, mixed_cap: int, pure_cap: int,
+                      s_cap: Optional[int]):
+    """(mixed, pure) of the two reduced equations, F_{abe} g^{ef} F_{sf} +
+    2 s F_{sab} F_{ss} - F_{sa} F_{sb} and F_{se} g^{ef} F_{sf} + 2 s
+    F_{ss}^2, term by term: one ``contract`` per residual and series
+    products for the rest, every factor cut to its equation's caps."""
+    n = F.nt - 1
+    s = F.like({monomial(F.nt, s=1): ONE})
+
+    def cut(series, cap):
+        return series.recap(cap, s_cap)
+
+    Fs, Fss = F.diff_s(), F.diff_s().diff_s()
+    ds1 = [cut(Fs.diff_t(i), mixed_cap) for i in range(n + 1)]
+    row = _third_rows(F, lambda series: cut(series, mixed_cap))
+    mixed = {(a, b): contract(ginv, row(a, b), ds1)
+             + (cut(s, mixed_cap) * cut(Fs.diff_t(a).diff_t(b), mixed_cap)
+                * cut(Fss, mixed_cap)).scale(2) - ds1[a] * ds1[b]
+             for a, b in combinations_with_replacement(range(n + 1), 2)}
+    ds1_p = [cut(Fs.diff_t(i), pure_cap) for i in range(n + 1)]
+    pure = contract(ginv, ds1_p, ds1_p) + (cut(s, pure_cap) * cut(Fss, pure_cap)
+                                           * cut(Fss, pure_cap)).scale(2)
+    return mixed, pure

@@ -11,13 +11,14 @@ differs, and exits 1 if any differ, 0 if none do.
 The list covers every subcommand on the descriptors below (exceptional,
 non-Fano and index-one ones included), ``--q 1`` wherever a command takes
 it, ``fano-lines`` for n = 3..12 with every ``--check``, ``residual`` on the
-stored potentials under ``tests/golden``, ``genus1``, ``verify`` at two
-seeds and on eight descriptors, and a few usage errors.  pytest does not
-collect this file.
+stored potentials under ``tests/golden`` and ``perfbench/data`` (read, never
+written), ``genus1``, ``verify`` at two seeds and on eight descriptors, and
+a few usage errors.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 WORKERS = min(4, os.cpu_count() or 1)
 
 DESCRIPTORS = [
@@ -70,6 +72,12 @@ def _commands():
         load = ["residual", "--n", str(n), "--d", d,
                 "--load", str(GOLDEN / f"{name}.potential.json")]
         out += [load, load + ["--q", "1"]]
+    with open(PERFBENCH_DATA / "manifest.json") as handle:
+        for entry in json.load(handle):
+            load = ["residual", "--n", str(entry["n"]),
+                    "--d", ",".join(map(str, entry["d"])),
+                    "--load", str(PERFBENCH_DATA / entry["file"])]
+            out += [load, load + ["--q", "1"]]
     out += [["genus1", "--n", str(n)] for n in range(3, 9)]
     out += [["genus1", "--n", "5", "--d", "2,2"], ["genus1", "--n", "4", "--d", "2,2"]]
     out += [["verify"], ["verify", "--seed", "7"]]

@@ -54,8 +54,12 @@ def test_run_all_ring_and_origin_counts(monkeypatch):
         real_init(self, *args)
 
     monkeypatch.setattr(smallqh.AmbientOrigin, "__init__", counted_init)
-    acceptance._ring.cache_clear()
+    acceptance._kept_ring.cache_clear()
     assert all(ok for _, ok, _ in run_all())
     assert len(builds) == 16
     assert len(origins) <= 11
     assert len(jets) == 16
+    # kept: the 10 rings two criteria read, not the cubics n = 9..12 (only
+    # criterion 7 reads them; criterion 8 reads no ring) or (6,(2,3)) and
+    # (4,(2,2,2)) (criterion 6 alone)
+    assert acceptance._kept_ring.cache_info().currsize == 10

@@ -4,20 +4,22 @@ brute-force equivalence oracle, and the J-function recursion oracles."""
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
+from ciqc import reduction
 from ciqc.acceptance import _ring
-from ciqc.errors import DomainError
+from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly, TruncSeries, monomial
 from ciqc.geometry import describe
 from ciqc.reconstruct import f1_series, f2_at_zero, f2_gradient
 from ciqc.reduction import (ReducedPotential, _reduced, _wdvv, euler_beta,
                             expand_order_k, expand_to_full,
-                            full_wdvv_residuals, wdvv_residuals)
+                            full_wdvv_residuals, pairing_inverse,
+                            wdvv_residuals)
 from oracles import (j_recursion, low_point_terms, pack_s, primitive_j_layers,
-                     reduced_potential)
+                     reduced_potential, reduced_reference, wdvv_reference)
 
 SEED = 20240811
 
@@ -150,6 +152,113 @@ def test_full_wdvv_reports_every_relation_up_to_sign(n):
     for a, b, c, d in product(range(nt), repeat=4):
         rel = T(a, b, c, d) - T(a, c, b, d)
         assert rel.is_zero() or form(rel) in reported
+
+
+def _seeded_series(rng, nt, cap, qmax, terms, s_cap=None, s_max=0):
+    """A series with ``terms`` random monomials of degree 3..cap (s-power at
+    most ``s_max``) whose coefficients mix q-powers 0..qmax and several
+    denominators, so products exercise the packed q digit and the common
+    denominator."""
+    out = {}
+    while len(out) < terms:
+        s = rng.randint(0, s_max)
+        idx = [rng.randrange(nt) for _ in range(rng.randint(max(3 - s, 0), cap - s))]
+        out[monomial(nt, idx, s)] = QPoly({q: Fraction(rng.randint(-9, 9),
+                                                       rng.choice((1, 2, 3, 5, 7)))
+                                           for q in rng.sample(range(qmax + 1), 2)})
+    return TruncSeries(nt, cap, qmax, s_cap, out)
+
+
+def _seeded_pairing(rng, nt):
+    """A symmetric inverse pairing with q-dependent, fractional and zero
+    entries."""
+    g = [[QPoly.zero() for _ in range(nt)] for _ in range(nt)]
+    for e in range(nt):
+        for f in range(e, nt):
+            if e + f == nt - 1 or rng.random() < 0.3:
+                g[e][f] = g[f][e] = QPoly({rng.randint(0, 1): Fraction(
+                    rng.choice((-2, 1, 3)), rng.choice((1, 2, 3)))})
+    return g
+
+
+def _same(result, reference):
+    assert result.keys() == reference.keys()
+    for key, series in result.items():
+        assert series.to_json() == reference[key].to_json(), key
+
+
+@pytest.mark.parametrize("nt", [3, 4, 5, 6, 7])
+def test_wdvv_matches_two_contractions_per_key(nt):
+    # the anti-diagonal 1/3 at odd nt, a q-dependent pairing at even nt
+    rng = random.Random(SEED + nt)
+    F = _seeded_series(rng, nt, 5, 2, 24)
+    ginv = pairing_inverse(nt - 1, 3, 0) if nt % 2 else _seeded_pairing(rng, nt)
+    for cap in (None, 1):
+        _same(_wdvv(F, ginv, cap), wdvv_reference(F, ginv, cap))
+
+
+def test_full_wdvv_matches_two_contractions_per_key():
+    # m = 3 primitive variables beside t^0..t^2, from a seeded reduced potential
+    n, m = 2, 3
+    rng = random.Random(SEED)
+    F = expand_to_full(classical_toy_cubic(n + 1, 4)
+                       + random_reduced_poly(rng, n + 1, 4, 3), n, m)
+    ref = wdvv_reference(F, pairing_inverse(n, Fraction(1), m))
+    res = full_wdvv_residuals(F, n, m, Fraction(1))
+    assert res
+    _same(res, {key: series for key, series in ref.items() if not series.is_zero()})
+
+
+@pytest.mark.parametrize("nt,s_cap", [(3, None), (4, 1), (4, None), (5, 2)])
+def test_reduced_matches_one_contraction_per_key(nt, s_cap):
+    rng = random.Random(SEED + 10 * nt)
+    F = _seeded_series(rng, nt, 6, 2, 40, s_cap=s_cap, s_max=2)
+    ginv = pairing_inverse(nt - 1, 3, 0) if nt % 2 else _seeded_pairing(rng, nt)
+    for caps in ((3, 4), (6, 6)):
+        mixed, pure = _reduced(F, ginv, *caps, s_cap)
+        ref_mixed, ref_pure = reduced_reference(F, ginv, *caps, s_cap)
+        _same(mixed, ref_mixed)
+        assert pure.to_json() == ref_pure.to_json()
+
+
+def test_wdvv_refuses_an_asymmetric_pairing():
+    F = _seeded_series(random.Random(SEED), 3, 5, 1, 10)
+    ginv = pairing_inverse(2, 3, 0)
+    ginv[0][1] = QPoly.q_power(1)
+    with pytest.raises(InternalConsistencyError, match="not symmetric"):
+        _wdvv(F, ginv)
+
+
+@pytest.mark.parametrize("nt,products", [(5, 95), (7, 357)])
+def test_wdvv_forms_each_pair_product_once(monkeypatch, nt, products):
+    # T(ab|cd) = F_{abe} g^{ef} F_{cdf} has 120 (nt = 5) and 406 (nt = 7)
+    # distinct unordered pairs of pairs; the 25 and 49 of them that only
+    # identically zero relations (b = c, d = a) read are never formed
+    accumulated, flattened = [], []
+
+    def accumulate(*args, _real=reduction._accumulate):
+        accumulated.append(args)
+        return _real(*args)
+
+    def flatten_all(like, operands, _real=reduction._flatten_all):
+        flattened.append(operands)
+        return _real(like, operands)
+
+    monkeypatch.setattr(reduction, "_accumulate", accumulate)
+    monkeypatch.setattr(reduction, "_flatten_all", flatten_all)
+    F = _seeded_series(random.Random(SEED), nt, 5, 1, 30)
+    _wdvv(F, pairing_inverse(nt - 1, 3, 0), 2)
+
+    def side(a, b, c, d):
+        return tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
+
+    read = {side(*p) for a, b, c in combinations_with_replacement(range(nt), 3)
+            for d in range(nt) if side(a, b, c, d) != side(a, c, b, d)
+            for p in ((a, b, c, d), (a, c, b, d))}
+    assert len(accumulated) == len(read) == products
+    # one flattening per call, holding each third derivative once
+    assert len(flattened) == 1
+    assert len({id(series) for series in flattened[0]}) == comb(nt + 2, 3)
 
 
 def _unwindowed(pot):
