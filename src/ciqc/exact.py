@@ -130,10 +130,6 @@ class QPoly:
         c = rat(c)
         return QPoly({k: v * c for k, v in self.coeffs.items()})
 
-    def q_d_q(self) -> "QPoly":
-        """Apply the derivation q d/dq."""
-        return QPoly({k: k * c for k, c in self.coeffs.items()})
-
     def eval_q1(self) -> Fraction:
         """Substitute q = 1 (output-side specialization only)."""
         return sum(self.coeffs.values(), ZERO)

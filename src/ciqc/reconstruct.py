@@ -195,7 +195,7 @@ def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
         for j in range(i, n + 1):
             # index 1: the divisor vector field; otherwise the contracted
             # fourth derivatives F^(1)_{ij}(0) = - sum_e F_{1,i-1,j,e}(0) g^{e0}
-            quad[(i, j)] = (origin._phi(j, 0) if i == 1
+            quad[(i, j)] = (QPoly.q_power(j // a, origin._phi.get((j, 0), 0)) if i == 1
                             else -origin.contract0((1, i - 1, j)))
 
     constant = QPoly.q_power(1, -desc.ell) if a == 1 else QPoly.zero()

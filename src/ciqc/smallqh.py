@@ -38,8 +38,9 @@ from .geometry import CIDescriptor, require_reconstruction_domain
 
 
 def default_qmax(desc: CIDescriptor) -> int:
-    """The q-cap of the series built from a ring: enough q-orders for every
-    origin formula used downstream."""
+    """The ring's q-cap ``qmax``, ceil(2n/a) + 1: the cap of the F^(1) and
+    F^(2) jets; ``jet_series`` stores F^(0) at the larger of it and the
+    jet's own grading bound."""
     return -(-2 * desc.n // desc.a) + 1  # ceil(2n/a) + 1
 
 
@@ -147,7 +148,7 @@ class QuantumRingData:
     W are Rational, and multH, powers, g and ginv attach their q-power as
     exact QPoly entries.  ``smat``/``jfun`` are GradedJets, the flat sections
     S_0..S_n and the J-series, exact through q^{(n+1)//a}, ``small_j``'s reach.
-    ``qmax`` only caps the series built from the ring (F^(0..2) jets).
+    ``qmax`` only caps the series built from the ring (see ``default_qmax``).
     """
 
     def __init__(self, desc, qmax, multh, powers, mmat, wmat, g, ginv, smat, jfun):
@@ -305,11 +306,11 @@ def _check_inverse(left, right, zero, message):
             raise InternalConsistencyError(message)
 
 
-def reduce_power(desc: CIDescriptor, x: int) -> Tuple[int, QPoly]:
+def reduce_power(desc: CIDescriptor, x: int) -> Tuple[int, int]:
     """The power-basis rule H^x = (b q)^k H^{x-ka}, with x - ka in [0, n]:
-    returns (x - ka, (b q)^k)."""
+    returns (x - ka, k)."""
     k = max(0, -(-(x - desc.n) // desc.a))
-    return x - k * desc.a, QPoly.q_power(k, Fraction(desc.b) ** k)
+    return x - k * desc.a, k
 
 
 def pairings(desc: CIDescriptor):
@@ -327,8 +328,8 @@ def pairings(desc: CIDescriptor):
 
 def _pairing(desc: CIDescriptor, e: int, f: int) -> QPoly:
     """< H^e, H^f >: H^{e+f} reduced by H^x = (b q)^k H^{x-ka}, integrated."""
-    top, factor = reduce_power(desc, e + f)
-    return factor.scale(desc.degree) if top == desc.n else QPoly.zero()
+    top, k = reduce_power(desc, e + f)
+    return QPoly.q_power(k, desc.degree * desc.b ** k) if top == desc.n else QPoly.zero()
 
 
 def quantum_product_qp(desc: CIDescriptor, u, v):
@@ -341,8 +342,8 @@ def quantum_product_qp(desc: CIDescriptor, u, v):
         for f in range(n + 1):
             if v[f].is_zero():
                 continue
-            c, w = reduce_power(desc, e + f)
-            out[c] = out[c] + u[e] * v[f] * w
+            c, k = reduce_power(desc, e + f)
+            out[c] = out[c] + u[e] * v[f] * QPoly.q_power(k, desc.b ** k)
     return out
 
 
@@ -374,137 +375,127 @@ def c_constant(desc: CIDescriptor, ring: QuantumRingData):
 class AmbientOrigin:
     """All partial derivatives of F^(0) at the origin, quantum-power basis.
 
-    Third derivatives come from the ring structure; an index containing 0 is
-    handled by the string equation; an index 1 is removed by the divisor
-    equation in the twisted coordinates; the remaining cases are raised from
-    lower minimal index through the once-differentiated associativity
-    constraint.  All values are exact polynomials in q.
+    The grading puts F_key(0) at q^beta, beta = (sum(key) - n + 3 -
+    len(key))/a, and makes it zero unless beta is a non-negative integer.
+    So the memo maps a sorted key to one rational and holds no key off the
+    grading, and q^beta is attached only to what ``partial``, ``contract0``
+    and ``jet_series`` return.  Third derivatives are deg X b^beta (the
+    pairing); an index 0 gives zero (string equation); an index 1 is removed
+    by the divisor equation in the twisted coordinates; the remaining cases
+    are raised from lower minimal index through the once-differentiated
+    associativity constraint.
     """
 
     def __init__(self, desc: CIDescriptor, ring: QuantumRingData):
         self.desc = desc
         self.ring = ring
-        self._cache: Dict[Tuple[int, ...], QPoly] = {}
-        self._phi_cache: Dict[Tuple[int, int], QPoly] = {}
+        self._cache: Dict[Tuple[int, ...], Rational] = {}
+        n, a, M, W = desc.n, desc.a, ring.M, ring.W
+        # the divisor vector field: the coefficient of tau^s d/d tau^i, at q^{(s-i)/a}
+        self._phi = {(s, i): sum((k * M[i + k * a][i] * W[s][i + k * a]
+                                  for k in range(1, (s - i) // a + 1)), Fraction(0))
+                     for s in range(n + 1) for i in range(s % a, s, a)}
 
-    # -- building blocks
-
-    def _phi(self, s: int, i: int) -> QPoly:
-        """Coefficient of tau^s d/d tau^i in the divisor vector field."""
-        key = (s, i)
-        if key in self._phi_cache:
-            return self._phi_cache[key]
+    # Kept lazy: F_{f,right} is evaluated only where F_{left,e} is nonzero.
+    def _pair_contract(self, left: Tuple[int, ...], right: Tuple[int, ...]) -> Rational:
+        """sum_{e,f} F_{left,e} g^{ef} F_{f,right}: g^{ef} is 1/deg on e + f = n
+        and -b q/deg on e + f = n - a, the q being the grading's."""
         n, a = self.desc.n, self.desc.a
-        out = QPoly.zero()
-        if s > i and (s - i) % a == 0:
-            kl = (s - i) // a
-            coeff = Fraction(0)
-            for k in range(1, kl + 1):
-                if i + k * a <= n:
-                    coeff += k * self.ring.M[i + k * a][i] * self.ring.W[s][i + k * a]
-            out = QPoly.q_power(kl, coeff)
-        self._phi_cache[key] = out
-        return out
-
-    # Kept lazy: eager exact.contract rows evaluate 295 partials, not 193, on (8,(9)).
-    def _pair_contract(self, left: Tuple[int, ...], right: Tuple[int, ...]) -> QPoly:
-        """sum_{e,f} F_{left,e} g^{ef} F_{f,right} using the inverse pairing."""
-        acc = QPoly.zero()
-        for e, row in enumerate(self.ring.ginv):
-            le = self.partial(left + (e,))
-            if le.is_zero():
-                continue
-            for f, gef in enumerate(row):
-                if not gef.is_zero():
-                    acc = acc + le * gef * self.partial(right + (f,))
-        return acc
+        acc = Fraction(0)
+        for e in range(n + 1):
+            le = self._f(left + (e,))
+            if le:
+                acc += le * self._f(right + (n - e,))
+                if e <= n - a:
+                    acc -= self.desc.b * le * self._f(right + (n - a - e,))
+        return acc / self.desc.degree
 
     def contract0(self, key: Tuple[int, ...]) -> QPoly:
-        """sum_e F_{key,e}(0) g^{e0}: a derivative contracted with the unit."""
-        acc = QPoly.zero()
-        for e, row in enumerate(self.ring.ginv):
-            if not row[0].is_zero():
-                acc = acc + self.partial(key + (e,)) * row[0]
-        return acc
-
-    # -- the jet itself
+        """sum_e F_{key,e}(0) g^{e0} = (F_{key,n} - b q F_{key,n-a}) / deg:
+        a derivative contracted with the unit."""
+        n, a, b = self.desc.n, self.desc.a, self.desc.b
+        top = self.partial(key + (n,)) - self.partial(key + (n - a,)) * QPoly.q_power(1, b)
+        return top.scale(Fraction(1, self.desc.degree))
 
     def partial(self, indices) -> QPoly:
-        """F^(0) partial derivative at 0 w.r.t. the given tau indices."""
+        """F^(0) partial derivative at 0 w.r.t. the given tau indices: the
+        memo's rational times q^beta, or zero off the grading.  Indices are
+        range-checked here, once; the recursion sorts only graded keys."""
         key = tuple(sorted(int(i) for i in indices))
         if any(i < 0 or i > self.desc.n for i in key):
             raise DomainError("tau index out of range")
         if len(key) < 3:
             raise DomainError("only derivatives of order >= 3 are defined")
-        if key in self._cache:
-            return self._cache[key]
-        if len(key) == 3:
-            val = _pairing(self.desc, key[0], key[1] + key[2])
-        elif key[0] == 0:
-            val = QPoly.zero()  # string equation
-        elif key[0] == 1:
-            val = self._divisor_step(key)
-        else:
-            val = self._raise_step(key)
-        self._cache[key] = val
+        return self._qpoly(key, self._f(key))
+
+    def _qpoly(self, key: Tuple[int, ...], val: Rational) -> QPoly:
+        """F_key(0) = val q^beta as a QPoly."""
+        return _graded(val, sum(key) - self.desc.n + 3 - len(key), self.desc.a)
+
+    def _f(self, key: Tuple[int, ...]) -> Rational:
+        """The rational of F_key(0), for an in-range key in any order."""
+        qdeg = sum(key) - self.desc.n + 3 - len(key)
+        if qdeg < 0 or qdeg % self.desc.a:
+            return Fraction(0)
+        key = tuple(sorted(key))
+        val = self._cache.get(key)
+        if val is None:
+            if len(key) == 3:
+                val = self.desc.degree * Fraction(self.desc.b) ** (qdeg // self.desc.a)
+            elif key[0] == 0:
+                val = Fraction(0)  # string equation
+            elif key[0] == 1:
+                val = self._divisor_step(key, qdeg // self.desc.a)
+            else:
+                val = self._raise_step(key)
+            self._cache[key] = val
         return val
 
-    def _divisor_step(self, key: Tuple[int, ...]) -> QPoly:
+    def _divisor_step(self, key: Tuple[int, ...], beta: int) -> Rational:
+        # q d/dq F_rest is beta F_rest: dropping the index 1 keeps q^beta
         rest = key[1:]
-        val = self.partial(rest).q_d_q()
+        val = beta * self._f(rest)
         for pos, s in enumerate(rest):
             reduced = rest[:pos] + rest[pos + 1:]
             for i in range(s % self.desc.a, s, self.desc.a):
-                phi = self._phi(s, i)
-                if not phi.is_zero():
-                    val = val + phi * self.partial(tuple(sorted(reduced + (i,))))
+                phi = self._phi[s, i]
+                if phi:
+                    val += phi * self._f(reduced + (i,))
         return val
 
-    def _raise_step(self, key: Tuple[int, ...]) -> QPoly:
+    def _raise_step(self, key: Tuple[int, ...]) -> Rational:
         # key sorted ascending, min >= 2; lower the minimum through the
         # differentiated associativity identity
-        amin = key[0]
-        rest = list(key[1:])
-        C, D = rest[0], rest[1]
-        P = tuple(rest[2:])
-        A = amin - 1
+        A, C, D, P = key[0] - 1, key[1], key[2], key[3:]
 
-        def ext(x: int, tail: Tuple[int, ...]) -> QPoly:
-            x0, factor = reduce_power(self.desc, x)
-            return factor * self.partial(tail + (x0,))
+        def ext(x: int, tail: Tuple[int, ...]) -> Rational:
+            x0, k = reduce_power(self.desc, x)  # H^x = (b q)^k H^x0
+            return self.desc.b ** k * self._f(tail + (x0,))
 
-        val = ext(A + C, (1, D) + P)
-        val = val + ext(1 + D, (A, C) + P)
-        val = val - ext(C + D, (A, 1) + P)
+        val = ext(A + C, (1, D) + P) + ext(1 + D, (A, C) + P) - ext(C + D, (A, 1) + P)
         # middle splits of P (both parts proper)
-        if P:
-            idx = range(len(P))
-            for rsize in range(1, len(P)):
-                for subset in combinations(idx, rsize):
-                    p1 = tuple(P[i] for i in subset)
-                    p2 = tuple(P[i] for i in idx if i not in subset)
-                    val = val + self._pair_contract((A, C) + p1, (1, D) + p2)
-                    val = val - self._pair_contract((A, 1) + p1, (C, D) + p2)
+        idx = range(len(P))
+        for rsize in range(1, len(P)):
+            for subset in combinations(idx, rsize):
+                p1 = tuple(P[i] for i in subset)
+                p2 = tuple(P[i] for i in idx if i not in subset)
+                val += self._pair_contract((A, C) + p1, (1, D) + p2)
+                val -= self._pair_contract((A, 1) + p1, (C, D) + p2)
         return val
 
     def jet_series(self, degree: int) -> TruncSeries:
-        """Assemble the tau-coordinate jet of F^(0) as a TruncSeries.
-
-        Only terms of total degree 3..degree are included (the classical
-        quadratic part plays no role in any differential equation used here).
-        The series is stored at the ring's q-cap.
+        """The tau-coordinate jet of F^(0), terms of total degree 3..degree
+        (the classical quadratic part enters no equation used here), stored
+        at q-cap max(ring.qmax, (3 - n + degree (n - 1)) // a).  The second
+        is the largest beta of a key of that size, so no partial is dropped.
         """
         n = self.desc.n
         terms = {}
-        for key in _multisets(n, 3, degree):
-            val = self.partial(key)
-            if not val.is_zero():
-                expo = monomial(n + 1, key)
-                terms[expo] = val.scale(Fraction(1, prod(map(factorial, expo))))
-        return TruncSeries(n + 1, degree, self.ring.qmax, terms=terms)
-
-
-def _multisets(n: int, dmin: int, dmax: int):
-    """All ascending index multisets over 0..n of sizes dmin..dmax."""
-    return [key for size in range(dmin, dmax + 1)
-            for key in combinations_with_replacement(range(n + 1), size)]
+        for size in range(3, degree + 1):
+            for key in combinations_with_replacement(range(n + 1), size):
+                val = self._f(key)
+                if val:
+                    expo = monomial(n + 1, key)
+                    terms[expo] = self._qpoly(key, val / prod(map(factorial, expo)))
+        qmax = max(self.ring.qmax, (3 - n + degree * (n - 1)) // self.desc.a)
+        return TruncSeries(n + 1, degree, qmax, terms=terms)

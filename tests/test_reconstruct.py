@@ -6,7 +6,7 @@ import pytest
 
 from ciqc.acceptance import RING_DESCRIPTORS, _expected_f1_t_jet, _ring
 from ciqc.errors import DomainError
-from ciqc.exact import QPoly, TruncSeries, linear_substitute
+from ciqc.exact import QPoly, linear_substitute
 from ciqc.geometry import describe
 from ciqc.reconstruct import (_tau_to_t_forms, artin_iso, f1_series, f2_at_zero, f2_gradient,
                               gamma_vector, higher_k_coeffs)
@@ -292,8 +292,8 @@ def test_tau_to_t_substitution_round_trip(n, d):
                 for j in range(n + 1)]
     # F^(0) + s F^(1): the s variable passes through unchanged
     f1 = f1_series(ring.desc, ring).tau_jet
-    tau_jet = ring.origin.jet_series(5) + TruncSeries(
-        n + 1, 5, ring.qmax, terms={key[:-1] + (1,): c for key, c in f1.terms.items()})
+    f0 = ring.origin.jet_series(5)
+    tau_jet = f0 + f0.like({key[:-1] + (1,): c for key, c in f1.terms.items()})
     t_jet = linear_substitute(tau_jet, _tau_to_t_forms(ring))
     assert t_jet != tau_jet
     assert linear_substitute(t_jet, t_to_tau) == tau_jet

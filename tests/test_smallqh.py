@@ -1,14 +1,15 @@
 """Small quantum cohomology: descendants, ring structure, pairings, c(n,d)."""
 
 from fractions import Fraction
+from hashlib import sha256
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from ciqc import smallqh
+from ciqc import acceptance, smallqh
 from ciqc.acceptance import RING_DESCRIPTORS, _ring
 from ciqc.errors import DomainError, InternalConsistencyError
-from ciqc.exact import QPoly
+from ciqc.exact import QPoly, rat_str
 from ciqc.geometry import describe, require_reconstruction_domain
 from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant,
                           one_point_descendant, pairings, quantum_product_qp,
@@ -290,6 +291,64 @@ def test_ambient_origin_symmetric_and_string():
     v1 = origin.partial((2, 2, 3, 4, 4))
     v2 = origin.partial((4, 2, 3, 2, 4))
     assert v1 == v2
+
+
+def _nonzero_partials(origin, degree):
+    """{key: F_key(0)} over the nonzero partials of sizes 3..degree."""
+    keys = (key for size in range(3, degree + 1)
+            for key in combinations_with_replacement(range(origin.desc.n + 1), size))
+    return {key: val for key in keys if not (val := origin.partial(key)).is_zero()}
+
+
+def test_jet_series_holds_every_nonzero_partial():
+    # the jet is stored at the grading bound, not cut at ring.qmax: on X_4(3)
+    # 26 of the 154 terms through degree 8 sit above q^4, and on X_8(9) 18 of
+    # the 312 degree-4 terms above q^17
+    assert len(_ring(4, (3,)).origin.jet_series(8).terms) == 154
+    origin = _ring(8, (9,)).origin
+    partials = _nonzero_partials(origin, 4)
+    assert sum(len(key) == 4 for key in partials) == 312
+    assert len(origin.jet_series(4).terms) == len(partials)
+
+
+def test_criterion_jets_lose_no_term():
+    # through degree 6 (5 from n = 9) on every descriptor verify reads
+    cases = sorted({case[:2] for _, _, cases in acceptance.CRITERIA
+                    for case in cases if case[0] is not None})
+    for n, d in cases:
+        origin = _ring(n, d).origin
+        degree = 6 if n < 9 else 5
+        jet = origin.jet_series(degree)
+        assert len(jet.terms) == len(_nonzero_partials(origin, degree)), (n, d)
+
+
+@pytest.mark.parametrize("n,d,count,digest", [
+    (4, (3,), 63, "f9ddea3b339d4b44787f0ae8356ceee97730a62100b44c858dab7aed83f8e2eb"),
+    (5, (3,), 111, "061d8872133739ab08b2e21806f53fe934f977434afc7f7df94ad5cc61896cdf"),
+    (3, (2, 2), 43, "f16b22d3f8ef246d8376062ee2955f216d5b7c0d23dccf5a9baf8b5bc290c984"),
+    (5, (5,), 229, "840f1ff73498945e1adacd2ab1f201ec0907dc753023b931c7773227899f4f73"),
+    (5, (2, 3), 143, "e6e264db689db28bde06f630048f27a861d698f086161597410d9f8f63e3c01e"),
+    (6, (7,), 887, "e4c5701ed2043c941d74993c5d0836d1dca2c93eb7e3ffae64aed89e00d2fb1e"),
+])
+def test_origin_partials_match_pinned_digest(n, d, count, digest):
+    # sha256 of every nonzero (key, beta, coefficient) through degree 6:
+    # any change to an origin value, or to where it sits in q, changes it
+    partials = _nonzero_partials(_ring(n, d).origin, 6)
+    lines = [f"{key} {beta} {rat_str(c)}\n"
+             for key, val in partials.items() for beta, c in val.items()]
+    assert len(lines) == count
+    assert sha256("".join(lines).encode()).hexdigest() == digest
+
+
+def test_origin_memo_holds_only_graded_keys():
+    # a key whose beta is negative or fractional is zero by grading and is
+    # neither recursed on nor stored
+    desc = describe(5, (3,))
+    origin = AmbientOrigin(desc, _ring(5, (3,)))
+    origin.jet_series(8)
+    qdegs = [sum(key) - desc.n + 3 - len(key) for key in origin._cache]
+    assert all(qdeg >= 0 and qdeg % desc.a == 0 for qdeg in qdegs)
+    assert len(qdegs) == 716
 
 
 def test_index_one_shifted_ring():
