@@ -9,9 +9,12 @@ Every number in the package is a ``fractions.Fraction`` (re-exported here as
   dimensions) by an s-cap; it is the only place q is truncated,
 * ``substitute`` -- replacing each variable of a series by a series (the
   flat change of basis, and s = sum u^2/2 in the equivalence oracle),
-* ``contract`` -- the contraction of two rows through an inverse pairing;
-  series products flatten each operand once over one denominator, then
-  accumulate integers, and a caller with many sums flattens once for all,
+* ``contract`` -- the contraction of two QPoly rows through an inverse
+  pairing,
+* series products -- each operand flattened once into packed-integer rows
+  over one denominator, then integer accumulation; the residual checker
+  builds such rows for its derivatives directly and sums whole residuals
+  in one accumulator,
 * ``solve_linear`` -- exact row reduction with kernel basis.
 """
 
@@ -177,6 +180,7 @@ class TruncSeries:
     """
 
     __slots__ = ("nt", "degree_cap", "s_cap", "qmax", "terms")
+    _ONE = QPoly.const(1)  # the g of a plain product
 
     def __init__(self, nt: int, degree_cap: int, qmax: int,
                  s_cap: Optional[int] = None, terms: Optional[dict] = None):
@@ -248,47 +252,14 @@ class TruncSeries:
             out._store(key, c)
         return out
 
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._check(other)
-        out = self.copy()
-        for key, c in other.terms.items():
-            out._store(key, -c)
-        return out
-
     def scale(self, c) -> "TruncSeries":
-        out = self.like()
-        if isinstance(c, QPoly):
-            for key, v in self.terms.items():
-                out._store(key, v * c)
-        else:
-            c = rat(c)
-            for key, v in self.terms.items():
-                out._store(key, v.scale(c))
-        return out
+        return self.like({key: v.scale(c) for key, v in self.terms.items()})
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        return _sum_of_products(self, [(self, None, other)])
-
-    def diff_t(self, i: int) -> "TruncSeries":
-        """Partial derivative with respect to t^i."""
-        if not 0 <= i < self.nt:
-            raise DomainError(f"no t-variable of index {i}")
-        out = self.like()
-        for key, c in self.terms.items():
-            if key[i] > 0:
-                nk = list(key)
-                nk[i] -= 1
-                out._store(tuple(nk), c.scale(key[i]))
-        return out
-
-    def diff_s(self) -> "TruncSeries":
-        out = self.like()
-        for key, c in self.terms.items():
-            if key[-1] > 0:
-                nk = list(key)
-                nk[-1] -= 1
-                out._store(tuple(nk), c.scale(key[-1]))
-        return out
+        """The product under the caps of self, on the integer kernel."""
+        den, flat = _flatten_all(self, [self, other])
+        acc = _accumulate(self, [(flat[id(self)], self._ONE, flat[id(other)])], 1)
+        return _collect(self, acc, den * den, _base(self))
 
     def coefficient(self, t_exps: dict, s_exp: int = 0) -> QPoly:
         key = monomial(self.nt, Counter(t_exps).elements(), s_exp)
@@ -443,16 +414,22 @@ def linear_substitute(series: TruncSeries, forms) -> TruncSeries:
     return substitute(series, images + [series.like({monomial(nt, s=1): ONE})])
 
 
+def _base(like: TruncSeries) -> int:
+    """The radix of packed keys under the caps of ``like``: a key holds q,
+    e_0..e_{nt-1} and e_s as its digits, lowest first, and a sum of keys
+    inside the caps carries no digit."""
+    return max(like.degree_cap, like.qmax, 0) + 1
+
+
 def _flatten_all(like: TruncSeries, operands):
     """(D, rows by id): each distinct series of ``operands``, checked against
     the caps of ``like``, flattened once over one common denominator D.  A
     series' rows (degree, s, packed, q, numerator) are sorted by total
-    degree; ``packed`` holds q, e_0..e_{nt-1} and e_s as the digits (lowest
-    first) of one int in base max(degree cap, qmax) + 1, and ``numerator``
-    is the coefficient of q^q times D."""
+    degree; ``packed`` is the key and q in base ``_base(like)``, and
+    ``numerator`` is the coefficient of q^q times D."""
     operands = {id(series): series for series in operands}
     den = _common_denominator(c for series in operands.values() for c in series.terms.values())
-    base = max(like.degree_cap, like.qmax, 0) + 1
+    base = _base(like)
     flat = {}
     for i, series in operands.items():
         like._check(series)
@@ -474,30 +451,21 @@ def _common_denominator(polys) -> int:
     return lcm(*(c.denominator for poly in polys for c in poly.coeffs.values()))
 
 
-def _contraction(ginv, left, right) -> list:
-    """The triples (left[e], g^{ef}, right[f]) with three nonzero factors."""
-    return [(le, g, right[f]) for e, le in enumerate(left) if not le.is_zero()
-            for f, g in enumerate(ginv[e]) if not g.is_zero() and not right[f].is_zero()]
-
-
-def _accumulate(like: TruncSeries, flat: dict, triples, g_den: int) -> dict:
-    """sum left * g * right over ``triples`` of series flattened in ``flat``
-    (over D) and QPolys g (None for 1) under the caps of ``like``, as packed
-    key -> integer numerator over D^2 ``g_den``.  A product key is one sum
-    of packed keys; no digit carries, because the degree, s- and q-caps are
-    checked on the small ints first."""
+def _accumulate(like: TruncSeries, triples, g_den: int) -> dict:
+    """sum left * g * right over ``triples`` of flattened rows (over D) and
+    QPolys g under the caps of ``like``, as packed key -> integer numerator
+    over D^2 ``g_den``.  A product key is one sum of packed keys; the right
+    rows are sorted by degree."""
     cap, qmax = like.degree_cap, like.qmax
     s_cap = cap if like.s_cap is None else like.s_cap
     acc = {}
     for left, g, right in triples:
-        g_rows = [(0, g_den)] if g is None else [
-            (q, c.numerator * (g_den // c.denominator)) for q, c in g.coeffs.items()]
-        right_rows = flat[id(right)]
-        for gq, gn in g_rows:
-            for d1, s1, k1, q1, n1 in flat[id(left)]:
+        for gq, c in g.coeffs.items():
+            gn = c.numerator * (g_den // c.denominator)
+            for d1, s1, k1, q1, n1 in left:
                 room, s_room, q_room = cap - d1, s_cap - s1, qmax - q1 - gq
                 k1, n1 = k1 + gq, n1 * gn
-                for d2, s2, k2, q2, n2 in right_rows:
+                for d2, s2, k2, q2, n2 in right:
                     if d2 > room:
                         break
                     if s2 <= s_room and q2 <= q_room:
@@ -506,10 +474,9 @@ def _accumulate(like: TruncSeries, flat: dict, triples, g_den: int) -> dict:
     return acc
 
 
-def _collect(like: TruncSeries, acc: dict, den: int) -> TruncSeries:
+def _collect(like: TruncSeries, acc: dict, den: int, base: int) -> TruncSeries:
     """The series under the caps of ``like`` with coefficient acc[key] / den
-    at each packed key; one Fraction per nonzero entry."""
-    base = max(like.degree_cap, like.qmax, 0) + 1
+    at each key packed in ``base``; one Fraction per nonzero entry."""
     grouped = {}
     for packed, num in acc.items():
         if num:
@@ -525,30 +492,16 @@ def _collect(like: TruncSeries, acc: dict, den: int) -> TruncSeries:
     return out
 
 
-def _sum_of_products(like: TruncSeries, triples) -> TruncSeries:
-    """sum left * g * right over the (left, g, right) ``triples`` under the
-    caps of ``like``, g a QPoly or None for 1: the kernel's two steps, each
-    run once, flatten the operands over D and accumulate over D^2 G."""
-    den, flat = _flatten_all(like, [s for left, _, right in triples
-                                    for s in (left, right)])
-    g_den = _common_denominator(g for _, g, _ in triples if g is not None)
-    return _collect(like, _accumulate(like, flat, triples, g_den), den * den * g_den)
-
-
-def contract(ginv, left, right):
-    """sum_{e,f} left[e] g^{ef} right[f] through the inverse pairing ``ginv``.
-
-    The rows hold QPoly or TruncSeries entries; a product is formed only
-    when left[e], g^{ef} and right[f] are all nonzero.  Series rows go
-    through one product accumulator.
-    """
-    if isinstance(left[0], TruncSeries):
-        return _sum_of_products(left[0], _contraction(ginv, left, right))
-    acc = None
-    for le, gef, rf in _contraction(ginv, left, right):
-        term = (le * rf).scale(gef)
-        acc = term if acc is None else acc + term
-    return left[0].scale(ZERO) if acc is None else acc
+def contract(ginv, left, right) -> QPoly:
+    """sum_{e,f} left[e] g^{ef} right[f] over rows of QPolys through the
+    inverse pairing ``ginv``; a product is formed only where g^{ef} is
+    nonzero."""
+    acc = QPoly.zero()
+    for e, le in enumerate(left):
+        for f, g in enumerate(ginv[e]):
+            if not g.is_zero():
+                acc = acc + (le * right[f]).scale(g)
+    return acc
 
 
 def solve_linear(matrix, rhs):

@@ -6,10 +6,11 @@ genus-zero potential F(t^0..t^n, s) satisfies
     F_{abe} g^{ef} F_{sf} + 2 s F_{sab} F_{ss} = F_{sa} F_{sb},
     F_{se} g^{ef} F_{sf} + 2 s F_{ss}^2 = 0,
 
-both read modulo s^{m/2} in odd dimensions.  This module evaluates
-residuals of these equations exactly (their order-by-order s-expansions are
-s-slices of the same residuals); it never solves them -- the
-reconstruction module drives solving, this one is the trusted checker.
+both read modulo s^{m/2} in odd dimensions.  This module evaluates the
+residuals of these equations and of the ambient WDVV exactly, as integer
+sums over one table of F's derivatives; it never solves them (their
+s-expansions are s-slices of the same residuals) -- the reconstruction
+module drives solving, this one is the trusted checker.
 The Euler field E F = (3-n) F + a(n,d) d/dt^1 (classical cubic form)
 enters only through ``euler_beta``, the degree it forces on F^(k)(0).
 """
@@ -17,15 +18,16 @@ enters only through ``euler_beta``, the degree it forces on F^(k)(0).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial
-from typing import Dict, Optional, Sequence
+from itertools import combinations, combinations_with_replacement
+from math import factorial, perm
+from typing import Dict, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, InternalConsistencyError
 from .exact import (ONE, QPoly, TruncSeries, _accumulate, _collect,
-                    _common_denominator, _contraction, _flatten_all, contract,
-                    monomial, substitute)
+                    _base, _common_denominator, monomial, substitute)
 from .geometry import CIDescriptor
+
+TWO, MINUS_ONE = QPoly.const(2), QPoly.const(-1)
 
 
 def pairing_inverse(n: int, deg, m: int):
@@ -72,10 +74,57 @@ class ReducedPotential:
         return {"ambient": cap - 3, "eq_mixed": cap - 3, "eq_pure": cap - 2}
 
 
-def _wdvv(F: TruncSeries, ginv, cap=None) -> Dict[tuple, TruncSeries]:
+class _Table(NamedTuple):
+    """The derivatives of F that the residuals read (``_derivative_table``),
+    numerators over ``den`` and keys packed in the one radix of F's caps."""
+    F: TruncSeries
+    den: int
+    rows: dict
+
+
+def _derivative_table(F: TruncSeries) -> _Table:
+    """F_{abe}, F_{sa}, F_{ss}, s F_{sab} and s F_{ss}, formed in one pass
+    over F's terms: ``rows[idx, shift]`` is s^shift times the derivative in
+    the sorted variables ``idx`` (index nt standing for s) as rows in the
+    layout of ``exact._flatten_all``, an empty list for a zero derivative.
+    A term's derivative multiplies it by the falling factorial of each
+    differentiated exponent and moves its packed key down by the matching
+    units (up one s-unit for the s-shift).  Nothing is cut: the residuals'
+    windows are applied by ``_accumulate``."""
+    nt, base = F.nt, _base(F)
+    units = [base ** (v + 1) for v in range(nt + 1)]  # e_v's digit; q is digit 0
+    t3, t2 = (combinations_with_replacement(range(nt), k) for k in (3, 2))
+    rows = {spec: [] for spec in [*((idx, 0) for idx in t3), *((idx + (nt,), 1) for idx in t2),
+                                  *(((a, nt), 0) for a in range(nt + 1)), ((nt, nt), 1)]}
+    den = _common_denominator(F.terms.values())
+    for key, coeff in F.terms.items():
+        packed, degree = sum(e * unit for e, unit in zip(key, units)), sum(key)
+        nums = [(q, c.numerator * (den // c.denominator)) for q, c in coeff.coeffs.items()]
+        variables = [v for v, e in enumerate(key) for _ in range(e)]
+        specs = {(idx, shift) for size in (2, 3)
+                 for idx in combinations(variables, size) for shift in (0, 1)}
+        for idx, shift in specs & rows.keys():
+            factor, k = 1, packed + shift * units[nt]
+            for v in set(idx):
+                factor *= perm(key[v], idx.count(v))
+                k -= idx.count(v) * units[v]
+            d, s = degree - len(idx) + shift, key[nt] - idx.count(nt) + shift
+            rows[idx, shift].extend((d, s, k + q, q, num * factor) for q, num in nums)
+    for out in rows.values():
+        out.sort(key=lambda row: row[0])
+    return _Table(F, den, rows)
+
+
+def _contraction(ginv, left, right) -> list:
+    """The triples (left[e], g^{ef}, right[f]) of three nonzero factors."""
+    return [(le, g, right[f]) for e, le in enumerate(left) if le
+            for f, g in enumerate(ginv[e]) if right[f] and not g.is_zero()]
+
+
+def _wdvv(table: _Table, ginv, cap: int) -> Dict[tuple, TruncSeries]:
     """The WDVV residuals R(a,b,c,d) = F_{abe} g^{ef} F_{cdf} - F_{ace}
-    g^{ef} F_{bdf} for a <= b <= c and every d, from the third derivatives
-    of F, each cut to total degree ``cap`` (when given) and flattened once.
+    g^{ef} F_{bdf} of the s^0 slice of the tabled F, for a <= b <= c and
+    every d, through total degree ``cap``.
 
     These keys hold every relation up to sign.  R(a,b,c,d) is T(ab|cd) -
     T(ac|bd), where T(ab|cd) = F_{abe} g^{ef} F_{cdf} is symmetric within
@@ -88,12 +137,17 @@ def _wdvv(F: TruncSeries, ginv, cap=None) -> Dict[tuple, TruncSeries]:
     pairs, and R by subtracting two: keys of one relation share their T, and
     a key whose sides are one T (b = c, or d = a) is identically zero and
     forms no product.  Raises InternalConsistencyError if g is asymmetric."""
-    nt, cap = F.nt, F.degree_cap if cap is None else cap
+    nt = table.F.nt
     if any(ginv[e][f] != ginv[f][e] for e in range(nt) for f in range(e)):
         raise InternalConsistencyError("the inverse pairing is not symmetric")
-    third = _third_derivatives(F, lambda series: series.truncate_degree(cap))
-    like, g_den = third[0, 0][0], _common_denominator(g for row in ginv for g in row)
-    den, flat = _flatten_all(like, [s for row in third.values() for s in row])
+    third = {idx: [row for row in rows if row[1] == 0]
+             for (idx, shift), rows in table.rows.items() if len(idx) == 3 and not shift}
+    like, g_den = TruncSeries(nt, cap, table.F.qmax), _common_denominator(
+        g for row in ginv for g in row)
+
+    def row(a, b):
+        return [third[tuple(sorted((a, b, e)))] for e in range(nt)]
+
     memo, out = {}, {}
     for a, b, c in combinations_with_replacement(range(nt), 3):
         for d in range(nt):
@@ -102,64 +156,45 @@ def _wdvv(F: TruncSeries, ginv, cap=None) -> Dict[tuple, TruncSeries]:
             acc = {}
             for sign, key in zip((1, -1), sides) if sides[0] != sides[1] else ():
                 if key not in memo:
-                    memo[key] = _accumulate(like, flat, _contraction(
-                        ginv, third[key[0]], third[key[1]]), g_den)
+                    memo[key] = _accumulate(like, _contraction(
+                        ginv, row(*key[0]), row(*key[1])), g_den)
                 for packed, num in memo[key].items():
                     acc[packed] = acc.get(packed, 0) + sign * num
-            out[a, b, c, d] = _collect(like, acc, den * den * g_den)
+            out[a, b, c, d] = _collect(like, acc, table.den ** 2 * g_den, _base(table.F))
     return out
 
 
-def _third_derivatives(F: TruncSeries, cut):
-    """third[(a, b)][e] = F_{abe} passed through ``cut`` for a <= b; each
-    F_{abe} is formed once, from one memo of the second derivatives."""
-    second = {(a, b): F.diff_t(a).diff_t(b)
-              for a, b in combinations_with_replacement(range(F.nt), 2)}
-    memo = {(a, b, e): cut(second[a, b].diff_t(e))
-            for a, b, e in combinations_with_replacement(range(F.nt), 3)}
-    return {pair: [memo[tuple(sorted(pair + (e,)))] for e in range(F.nt)] for pair in second}
-
-
-def _reduced(F: TruncSeries, ginv, mixed_cap: int, pure_cap: int,
+def _reduced(table: _Table, ginv, mixed_cap: int, pure_cap: int,
              s_cap: Optional[int]):
-    """Residuals (mixed, pure) of the two reduced equations on F(t, s):
-    ``mixed[(a,b)]`` for 0 <= a <= b <= n is the first, through total
-    degree ``mixed_cap``, and ``pure`` the second, through ``pure_cap``;
-    both through s-degree ``s_cap`` unless it is None.  Every factor is cut
-    to those caps before any product is formed; no exponent is negative,
-    so the products inside the caps are exact.  The cut F_{sa} and third
-    derivatives are flattened once for all the mixed contractions."""
-    n = F.nt - 1
-    Fs = F.diff_s()
-    Fss = Fs.diff_s()
-    ds1 = [Fs.diff_t(i) for i in range(n + 1)]
-    s_series = F.like({monomial(F.nt, s=1): ONE})
-
-    def cut(series, cap):
-        return series.recap(cap, s_cap)
-
-    s_m, Fss_m = cut(s_series, mixed_cap), cut(Fss, mixed_cap)
-    ds1_m = [cut(series, mixed_cap) for series in ds1]
-    third = _third_derivatives(F, lambda series: cut(series, mixed_cap))
-    den, flat = _flatten_all(s_m, [*ds1_m, *(s for row in third.values() for s in row)])
+    """Residuals (mixed, pure) of the two reduced equations on the tabled
+    F(t, s): ``mixed[(a,b)]`` for 0 <= a <= b <= n is the first, through
+    total degree ``mixed_cap``, and ``pure`` the second, through
+    ``pure_cap``; both through s-degree ``s_cap`` unless it is None.  Each
+    residual is one integer accumulation of its products (g-contraction,
+    2 (s F_{sab}) F_{ss} and -F_{sa} F_{sb}), each formed only inside the
+    caps; no exponent is negative, so the products inside the caps are
+    exact."""
+    rows, s = table.rows, table.F.nt  # s: the index of s in rows
     g_den = _common_denominator(g for row in ginv for g in row)
-    mixed = {}
-    for a, b in third:
-        acc = _accumulate(s_m, flat, _contraction(ginv, third[a, b], ds1_m), g_den)
-        res = _collect(s_m, acc, den * den * g_den)
-        res = res + (s_m * cut(ds1[a].diff_t(b), mixed_cap) * Fss_m).scale(2)
-        mixed[(a, b)] = res - ds1_m[a] * ds1_m[b]
+    den = table.den ** 2 * g_den
+    Fs, Fss = [rows[(a, s), 0] for a in range(s)], rows[(s, s), 0]
 
-    s_p, Fss_p = cut(s_series, pure_cap), cut(Fss, pure_cap)
-    ds1_p = [cut(series, pure_cap) for series in ds1]
-    pure = contract(ginv, ds1_p, ds1_p) + (s_p * Fss_p * Fss_p).scale(2)
+    def residual(cap, triples):
+        like = TruncSeries(s, cap, table.F.qmax, s_cap)
+        return _collect(like, _accumulate(like, triples, g_den), den, _base(table.F))
+
+    mixed = {(a, b): residual(mixed_cap, _contraction(
+        ginv, [rows[tuple(sorted((a, b, e))), 0] for e in range(s)], Fs)
+        + [(rows[(a, b, s), 1], TWO, Fss), (Fs[a], MINUS_ONE, Fs[b])])
+        for a, b in combinations_with_replacement(range(s), 2)}
+    pure = residual(pure_cap, _contraction(ginv, Fs, Fs) + [(rows[(s, s), 1], TWO, Fss)])
     return mixed, pure
 
 
 def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
     """Residuals of the reduced system and of the ambient WDVV of F^(0),
     each through the total degree ``pot.window`` gives it; no term above
-    that degree is formed.
+    that degree is formed, and F is differentiated once, into one table.
 
     Keys: 'eq_mixed' maps (a,b) to the residual of the first reduced
     equation, 'eq_pure' is the residual of the second, 'ambient' maps
@@ -169,9 +204,10 @@ def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
     """
     window = pot.window
     s_cap = None if pot.s_cutoff is None else pot.s_cutoff - 1
-    mixed, pure = _reduced(pot.F, pot.ginv, window["eq_mixed"],
+    table = _derivative_table(pot.F)
+    mixed, pure = _reduced(table, pot.ginv, window["eq_mixed"],
                            window["eq_pure"], s_cap)
-    ambient = _wdvv(pot.F.s_slice(0), pot.ginv, window["ambient"])
+    ambient = _wdvv(table, pot.ginv, window["ambient"])
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
 
 
@@ -206,7 +242,7 @@ def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv):
     F = TruncSeries(jets[0].nt, cap + k, jets[0].qmax, terms={
         key[:-1] + (i,): c.scale(Fraction(1, factorial(i)))
         for i, jet in enumerate(jets[:k + 1]) for key, c in jet.terms.items()})
-    mixed, pure = _reduced(F, ginv, cap + k - 1, cap + k - 1, k - 1)
+    mixed, pure = _reduced(_derivative_table(F), ginv, cap + k - 1, cap + k - 1, k - 1)
     return ({key: res.s_slice(k - 1).truncate_degree(cap)
              for key, res in mixed.items()},
             pure.s_slice(k - 1).truncate_degree(cap))
@@ -230,5 +266,5 @@ def full_wdvv_residuals(F: TruncSeries, n: int, m: int, deg: Fraction):
     """The nonzero WDVV residuals of a polynomial potential in full even-mode
     variables t^0..t^n, u^1..u^m, keyed as in ``_wdvv`` (every relation up
     to sign) under ``pairing_inverse(n, deg, m)``."""
-    residuals = _wdvv(F, pairing_inverse(n, deg, m))
+    residuals = _wdvv(_derivative_table(F), pairing_inverse(n, deg, m), F.degree_cap)
     return {key: res for key, res in residuals.items() if not res.is_zero()}

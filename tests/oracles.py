@@ -13,8 +13,10 @@ route to a value the package computes another way, or a test input:
 * ``galkin_shinder_betti`` -- Betti numbers of the variety of lines of a
   cubic from those of the cubic;
 * ``small_j_reference`` -- the J-series expanded afresh at every q-degree;
+* ``diff``/``contract_series``/``minus`` -- term-by-term differentiation,
+  the contraction of series rows by its definition, and subtraction;
 * ``wdvv_reference``/``reduced_reference`` -- the ambient WDVV and the
-  reduced residuals by their definitions, one ``contract`` per term.
+  reduced residuals by their definitions, one contraction per term.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ciqc.acceptance import _ring
 from ciqc.errors import DomainError
-from ciqc.exact import (ONE, QPoly, Rational, TruncSeries, contract,
+from ciqc.exact import (ONE, QPoly, Rational, TruncSeries, _accumulate, _base,
+                        _collect, _common_denominator, _flatten_all, contract,
                         linear_substitute, monomial)
 from ciqc.fano_lines import SchubertVector
 from ciqc.geometry import CIDescriptor, describe
@@ -37,7 +40,8 @@ from ciqc.smallqh import QuantumRingData, _unit_vector
 def reduced_potential(n=4, d=(3,), deg0=5):
     """F = F^(0) + s F^(1) in classical coordinates, from the degree-``deg0``
     jet of F^(0) and the degree-2 jet of F^(1), stored under degree cap
-    max(deg0, 3); by default for the cubic fourfold.
+    max(deg0, 3) and the q-cap of the F^(0) jet, so no term of either is
+    dropped; by default for the cubic fourfold.
 
     Returns (desc, ring, F, f0_t) with f0_t the F^(0) jet alone."""
     ring = _ring(n, d)
@@ -45,7 +49,7 @@ def reduced_potential(n=4, d=(3,), deg0=5):
     f1 = f1_series(ring.desc, ring)
     terms = dict(f0_t.terms)
     terms.update({key[:-1] + (1,): c for key, c in f1.t_jet.terms.items()})
-    F = TruncSeries(n + 1, max(deg0, 3), ring.qmax, terms=terms)
+    F = TruncSeries(n + 1, max(deg0, 3), f0_t.qmax, terms=terms)
     return ring.desc, ring, F, f0_t
 
 
@@ -103,7 +107,7 @@ def j_recursion(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
     cap = max([j.degree_cap for j in f_jets] + [s.degree_cap for s in j0.values()])
     f_jets = [j.recap(cap) for j in f_jets]
     j0 = {zp: s.recap(cap) for zp, s in j0.items()}
-    grads = [[jet.diff_t(i) for i in range(n + 1)] for jet in f_jets]
+    grads = [[diff(jet, i) for i in range(n + 1)] for jet in f_jets]
     layers = [dict(j0)]
     for k in range(0, kmax):
         new: Dict[int, TruncSeries] = {}
@@ -116,8 +120,8 @@ def j_recursion(desc: CIDescriptor, f_jets: Sequence[TruncSeries],
         for i in range(0, k + 1):
             cki = comb(k, i)
             for zp, series in layers[k - i].items():
-                dseries = [series.diff_t(c) for c in range(n + 1)]
-                add(zp - 1, contract(ginv, grads[i + 1], dseries).scale(cki))
+                dseries = [diff(series, c) for c in range(n + 1)]
+                add(zp - 1, contract_series(ginv, grads[i + 1], dseries).scale(cki))
         if k >= 1:
             for i in range(0, k):
                 c2 = 2 * k * comb(k - 1, i)
@@ -331,6 +335,33 @@ def small_j_reference(desc: CIDescriptor, qtop: int) -> List[List[Fraction]]:
     return out
 
 
+def diff(series: TruncSeries, *variables) -> TruncSeries:
+    """The partial derivative of ``series`` in each of ``variables`` in turn
+    (index nt standing for s), term by term: x^e goes to e x^(e-1)."""
+    for v in variables:
+        series = series.like({key[:v] + (key[v] - 1,) + key[v + 1:]: c.scale(key[v])
+                              for key, c in series.terms.items() if key[v]})
+    return series
+
+
+def contract_series(ginv, left, right) -> TruncSeries:
+    """sum_{e,f} left[e] g^{ef} right[f] over rows of series with the caps
+    of left[0], by definition: every (e, f) with g^{ef} nonzero, summed in
+    one run of the series product kernel of ``TruncSeries.__mul__``."""
+    like = left[0]
+    den, flat = _flatten_all(like, [*left, *right])
+    triples = [(flat[id(le)], g, flat[id(right[f])]) for e, le in enumerate(left)
+               for f, g in enumerate(ginv[e]) if not g.is_zero()]
+    g_den = _common_denominator(g for _, g, _ in triples)
+    acc = _accumulate(like, triples, g_den)
+    return _collect(like, acc, den * den * g_den, _base(like))
+
+
+def minus(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a - b (``TruncSeries`` has no subtraction)."""
+    return a + b.scale(-1)
+
+
 def _third_rows(F: TruncSeries, cut):
     """row(a, b) = [F_{abe} for every e], each passed through ``cut``."""
     memo = {}
@@ -339,18 +370,18 @@ def _third_rows(F: TruncSeries, cut):
         for e in range(F.nt):
             key = tuple(sorted((a, b, e)))
             if key not in memo:
-                memo[key] = cut(F.diff_t(key[0]).diff_t(key[1]).diff_t(key[2]))
+                memo[key] = cut(diff(F, *key))
         return [memo[tuple(sorted((a, b, e)))] for e in range(F.nt)]
     return row
 
 
 def wdvv_reference(F: TruncSeries, ginv, cap=None) -> Dict[tuple, TruncSeries]:
     """R(a,b,c,d) = F_{abe} g^{ef} F_{cdf} - F_{ace} g^{ef} F_{bdf} on the
-    keys a <= b <= c, d free, by the definition: two ``contract`` calls per
-    key, over the third derivatives cut to total degree ``cap`` if given."""
+    keys a <= b <= c, d free, by the definition: two contractions per key,
+    over the third derivatives cut to total degree ``cap`` if given."""
     row = _third_rows(F, lambda s: s if cap is None else s.truncate_degree(cap))
-    return {(a, b, c, d): contract(ginv, row(a, b), row(c, d))
-            - contract(ginv, row(a, c), row(b, d))
+    return {(a, b, c, d): minus(contract_series(ginv, row(a, b), row(c, d)),
+                                contract_series(ginv, row(a, c), row(b, d)))
             for a, b, c in combinations_with_replacement(range(F.nt), 3)
             for d in range(F.nt)}
 
@@ -359,22 +390,22 @@ def reduced_reference(F: TruncSeries, ginv, mixed_cap: int, pure_cap: int,
                       s_cap: Optional[int]):
     """(mixed, pure) of the two reduced equations, F_{abe} g^{ef} F_{sf} +
     2 s F_{sab} F_{ss} - F_{sa} F_{sb} and F_{se} g^{ef} F_{sf} + 2 s
-    F_{ss}^2, term by term: one ``contract`` per residual and series
+    F_{ss}^2, term by term: one contraction per residual and series
     products for the rest, every factor cut to its equation's caps."""
-    n = F.nt - 1
+    n, s_var = F.nt - 1, F.nt
     s = F.like({monomial(F.nt, s=1): ONE})
 
     def cut(series, cap):
         return series.recap(cap, s_cap)
 
-    Fs, Fss = F.diff_s(), F.diff_s().diff_s()
-    ds1 = [cut(Fs.diff_t(i), mixed_cap) for i in range(n + 1)]
+    Fss = diff(F, s_var, s_var)
+    ds1 = [cut(diff(F, s_var, i), mixed_cap) for i in range(n + 1)]
     row = _third_rows(F, lambda series: cut(series, mixed_cap))
-    mixed = {(a, b): contract(ginv, row(a, b), ds1)
-             + (cut(s, mixed_cap) * cut(Fs.diff_t(a).diff_t(b), mixed_cap)
-                * cut(Fss, mixed_cap)).scale(2) - ds1[a] * ds1[b]
+    mixed = {(a, b): minus(contract_series(ginv, row(a, b), ds1)
+                           + (cut(s, mixed_cap) * cut(diff(F, s_var, a, b), mixed_cap)
+                              * cut(Fss, mixed_cap)).scale(2), ds1[a] * ds1[b])
              for a, b in combinations_with_replacement(range(n + 1), 2)}
-    ds1_p = [cut(Fs.diff_t(i), pure_cap) for i in range(n + 1)]
-    pure = contract(ginv, ds1_p, ds1_p) + (cut(s, pure_cap) * cut(Fss, pure_cap)
-                                           * cut(Fss, pure_cap)).scale(2)
+    ds1_p = [cut(diff(F, s_var, i), pure_cap) for i in range(n + 1)]
+    pure = contract_series(ginv, ds1_p, ds1_p) + (cut(s, pure_cap) * cut(Fss, pure_cap)
+                                                  * cut(Fss, pure_cap)).scale(2)
     return mixed, pure

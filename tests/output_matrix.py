@@ -12,22 +12,28 @@ The list covers every subcommand on the descriptors below (exceptional,
 non-Fano and index-one ones included), ``--q 1`` wherever a command takes
 it, ``fano-lines`` for n = 3..12 with every ``--check``, ``residual`` on the
 stored potentials under ``tests/golden`` and ``perfbench/data`` (read, never
-written), ``genus1``, ``verify`` at two seeds and on eight descriptors, and
-a few usage errors.  pytest does not collect this file.
+written) and on three seeded tampers of ``perfbench/data/cubic4_deg5.json``
+made by the benchmark's own ``tamper`` (off-grading inputs that must still
+load; written to a temporary directory that both trees read), ``genus1``,
+``verify`` at two seeds and on eight descriptors, and a few usage errors.
+pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 WORKERS = min(4, os.cpu_count() or 1)
+TAMPER_SOURCE, TAMPER_SEEDS = "cubic4_deg5.json", (1, 2, 3)
 
 DESCRIPTORS = [
     # cubics, the paper's running family
@@ -90,6 +96,25 @@ def _commands():
 COMMANDS = _commands()
 
 
+def _tamper_commands(workdir: Path):
+    """``residual`` on each seeded tamper of TAMPER_SOURCE, written to
+    ``workdir`` by ``perfbench/workloads.py``'s ``tamper``."""
+    sys.path.insert(0, str(PERFBENCH_DATA.parent))
+    from workloads import tamper
+
+    with open(PERFBENCH_DATA / "manifest.json") as handle:
+        entry = next(e for e in json.load(handle) if e["file"] == TAMPER_SOURCE)
+    out = []
+    for seed in TAMPER_SEEDS:
+        potential = json.loads((PERFBENCH_DATA / TAMPER_SOURCE).read_text())
+        tamper(potential, entry["n"], random.Random(seed))
+        path = workdir / f"tampered{seed}_{TAMPER_SOURCE}"
+        path.write_text(json.dumps(potential))
+        out.append(["residual", "--n", str(entry["n"]),
+                    "--d", ",".join(map(str, entry["d"])), "--load", str(path)])
+    return out
+
+
 def run(tree: Path, argv):
     """(exit code, stdout, stderr) of ``ciqc argv`` under the tree's sources."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
@@ -107,17 +132,19 @@ def main(argv) -> int:
         if not (tree / "src" / "ciqc").is_dir():
             sys.stderr.write(f"{tree} holds no src/ciqc\n")
             return 2
-    jobs = [(tree, cmd) for cmd in COMMANDS for tree in trees]
-    with ThreadPoolExecutor(WORKERS) as pool:
-        results = list(pool.map(lambda job: run(*job), jobs))
+    with tempfile.TemporaryDirectory() as workdir:
+        commands = COMMANDS + _tamper_commands(Path(workdir))
+        jobs = [(tree, cmd) for cmd in commands for tree in trees]
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = list(pool.map(lambda job: run(*job), jobs))
     differ = 0
-    for cmd, old, new in zip(COMMANDS, results[::2], results[1::2]):
+    for cmd, old, new in zip(commands, results[::2], results[1::2]):
         if old != new:
             differ += 1
             what = [name for name, a, b in zip(("exit code", "stdout", "stderr"),
                                                old, new) if a != b]
             print(f"differs in {', '.join(what)}: ciqc {' '.join(cmd)}")
-    print(f"{differ} of {len(COMMANDS)} commands differ")
+    print(f"{differ} of {len(commands)} commands differ")
     return 1 if differ else 0
 
 

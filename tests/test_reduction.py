@@ -14,12 +14,13 @@ from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly, TruncSeries, monomial
 from ciqc.geometry import describe
 from ciqc.reconstruct import f1_series, f2_at_zero, f2_gradient
-from ciqc.reduction import (ReducedPotential, _reduced, _wdvv, euler_beta,
-                            expand_order_k, expand_to_full,
+from ciqc.reduction import (ReducedPotential, _derivative_table, _reduced,
+                            _wdvv, euler_beta, expand_order_k, expand_to_full,
                             full_wdvv_residuals, pairing_inverse,
                             wdvv_residuals)
-from oracles import (j_recursion, low_point_terms, pack_s, primitive_j_layers,
-                     reduced_potential, reduced_reference, wdvv_reference)
+from oracles import (diff, j_recursion, low_point_terms, minus, pack_s,
+                     primitive_j_layers, reduced_potential, reduced_reference,
+                     wdvv_reference)
 
 SEED = 20240811
 
@@ -131,7 +132,7 @@ def test_full_wdvv_reports_every_relation_up_to_sign(n):
     def d3(*idx):
         key = tuple(sorted(idx))
         if key not in third:
-            third[key] = F.diff_t(key[0]).diff_t(key[1]).diff_t(key[2])
+            third[key] = diff(F, *key)
         return third[key]
 
     def T(a, b, c, d):  # F_{abe} g^{ef} F_{cdf}
@@ -150,7 +151,7 @@ def test_full_wdvv_reports_every_relation_up_to_sign(n):
     for series in full_wdvv_residuals(F, n, 0, Fraction(3)).values():
         reported |= {form(series), form(series.scale(-1))}
     for a, b, c, d in product(range(nt), repeat=4):
-        rel = T(a, b, c, d) - T(a, c, b, d)
+        rel = minus(T(a, b, c, d), T(a, c, b, d))
         assert rel.is_zero() or form(rel) in reported
 
 
@@ -193,8 +194,8 @@ def test_wdvv_matches_two_contractions_per_key(nt):
     rng = random.Random(SEED + nt)
     F = _seeded_series(rng, nt, 5, 2, 24)
     ginv = pairing_inverse(nt - 1, 3, 0) if nt % 2 else _seeded_pairing(rng, nt)
-    for cap in (None, 1):
-        _same(_wdvv(F, ginv, cap), wdvv_reference(F, ginv, cap))
+    for cap in (F.degree_cap, 1):
+        _same(_wdvv(_derivative_table(F), ginv, cap), wdvv_reference(F, ginv, cap))
 
 
 def test_full_wdvv_matches_two_contractions_per_key():
@@ -215,7 +216,7 @@ def test_reduced_matches_one_contraction_per_key(nt, s_cap):
     F = _seeded_series(rng, nt, 6, 2, 40, s_cap=s_cap, s_max=2)
     ginv = pairing_inverse(nt - 1, 3, 0) if nt % 2 else _seeded_pairing(rng, nt)
     for caps in ((3, 4), (6, 6)):
-        mixed, pure = _reduced(F, ginv, *caps, s_cap)
+        mixed, pure = _reduced(_derivative_table(F), ginv, *caps, s_cap)
         ref_mixed, ref_pure = reduced_reference(F, ginv, *caps, s_cap)
         _same(mixed, ref_mixed)
         assert pure.to_json() == ref_pure.to_json()
@@ -226,7 +227,7 @@ def test_wdvv_refuses_an_asymmetric_pairing():
     ginv = pairing_inverse(2, 3, 0)
     ginv[0][1] = QPoly.q_power(1)
     with pytest.raises(InternalConsistencyError, match="not symmetric"):
-        _wdvv(F, ginv)
+        _wdvv(_derivative_table(F), ginv, F.degree_cap)
 
 
 @pytest.mark.parametrize("nt,products", [(5, 95), (7, 357)])
@@ -234,20 +235,20 @@ def test_wdvv_forms_each_pair_product_once(monkeypatch, nt, products):
     # T(ab|cd) = F_{abe} g^{ef} F_{cdf} has 120 (nt = 5) and 406 (nt = 7)
     # distinct unordered pairs of pairs; the 25 and 49 of them that only
     # identically zero relations (b = c, d = a) read are never formed
-    accumulated, flattened = [], []
+    accumulated, tables = [], []
 
     def accumulate(*args, _real=reduction._accumulate):
         accumulated.append(args)
         return _real(*args)
 
-    def flatten_all(like, operands, _real=reduction._flatten_all):
-        flattened.append(operands)
-        return _real(like, operands)
+    def derivative_table(F, _real=reduction._derivative_table):
+        tables.append(_real(F))
+        return tables[-1]
 
     monkeypatch.setattr(reduction, "_accumulate", accumulate)
-    monkeypatch.setattr(reduction, "_flatten_all", flatten_all)
+    monkeypatch.setattr(reduction, "_derivative_table", derivative_table)
     F = _seeded_series(random.Random(SEED), nt, 5, 1, 30)
-    _wdvv(F, pairing_inverse(nt - 1, 3, 0), 2)
+    full_wdvv_residuals(F, nt - 1, 0, 3)
 
     def side(a, b, c, d):
         return tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
@@ -256,9 +257,114 @@ def test_wdvv_forms_each_pair_product_once(monkeypatch, nt, products):
             for d in range(nt) if side(a, b, c, d) != side(a, c, b, d)
             for p in ((a, b, c, d), (a, c, b, d))}
     assert len(accumulated) == len(read) == products
-    # one flattening per call, holding each third derivative once
-    assert len(flattened) == 1
-    assert len({id(series) for series in flattened[0]}) == comb(nt + 2, 3)
+    # one table per call, holding each third derivative once
+    assert len(tables) == 1
+    third = [idx for idx, shift in tables[0].rows if len(idx) == 3 and not shift]
+    assert sorted(third) == list(combinations_with_replacement(range(nt), 3))
+    assert len(third) == comb(nt + 2, 3)
+
+
+def test_reduced_potential_keeps_every_jet_term():
+    # F = F^(0) + s F^(1) is stored at the q-cap of the uncut F^(0) jet, so
+    # F^(0)'s top q-terms stay (a store at ring.qmax = 4 kept 30 and 65)
+    for args, count in (((3, (2, 2), 5), 31), ((4, (3,), 6), 67)):
+        _, ring, F, f0_t = reduced_potential(*args)
+        assert F.qmax == f0_t.qmax == 5 > ring.qmax
+        assert len(F.terms) == count, args
+        assert all(F.terms[key] == c for key, c in f0_t.terms.items())
+
+
+def _read(table, rows, cap, s_cap):
+    """Table rows as a series under the caps (cap, s_cap), read through
+    the accumulator the residuals use, as a product with 1."""
+    like = TruncSeries(table.F.nt, cap, table.F.qmax, s_cap)
+    acc = reduction._accumulate(like, [(rows, QPoly.const(1), [(0, 0, 0, 0, 1)])], 1)
+    return reduction._collect(like, acc, table.den, reduction._base(table.F))
+
+
+@pytest.mark.parametrize("nt,s_cap", [(3, None), (4, 2), (5, None)])
+def test_derivative_table_matches_term_by_term_reference(nt, s_cap):
+    # every tabled derivative, t- and s-slots and the s-shifted rows, equals
+    # the term-by-term derivative under both windows and with an s-cap
+    rng = random.Random(SEED + 20 * nt)
+    F = _seeded_series(rng, nt, 6, 2, 40, s_cap=s_cap, s_max=3)
+    s_var, s_series = nt, F.like({monomial(nt, s=1): QPoly.const(1)})
+    table = _derivative_table(F)
+    pairs = list(combinations_with_replacement(range(nt), 2))
+    assert set(table.rows) == {
+        *((idx, 0) for idx in combinations_with_replacement(range(nt), 3)),
+        *(((a, s_var), 0) for a in range(nt)), ((s_var, s_var), 0),
+        *(((a, b, s_var), 1) for a, b in pairs), ((s_var, s_var), 1)}
+    assert table.rows[(s_var, s_var), 1] and table.rows[(0, 1, s_var), 1]
+    for (idx, shift), rows in table.rows.items():
+        ref = diff(F, *idx)
+        if shift:
+            ref = s_series * ref
+        for cap in (F.degree_cap - 3, F.degree_cap - 2):
+            for read_s_cap in (None, 1):
+                expect = TruncSeries(nt, cap, F.qmax, read_s_cap, ref.terms)
+                got = _read(table, rows, cap, read_s_cap)
+                assert got.to_json() == expect.to_json(), (idx, shift, cap, read_s_cap)
+
+
+def test_derivative_table_by_hand():
+    # F = 6 t0^2 t1 + 4 s^2 + t0 t1 s: F_{001} = 12, F_{s0} = t1, F_{s1} = t0,
+    # F_{ss} = 8, s F_{s01} = s, s F_{ss} = 8 s
+    F = TruncSeries(2, 3, 0, terms={(2, 1, 0): 6, (0, 0, 2): 4, (1, 1, 1): 1})
+    table = _derivative_table(F)
+
+    def read(spec):
+        return {key: c.coefficient(0)
+                for key, c in _read(table, table.rows[spec], 3, None).terms.items()}
+
+    assert read(((0, 0, 1), 0)) == {(0, 0, 0): 12}
+    assert read(((0, 0, 0), 0)) == read(((1, 1, 1), 0)) == {}
+    assert read(((0, 2), 0)) == {(0, 1, 0): 1}
+    assert read(((1, 2), 0)) == {(1, 0, 0): 1}
+    assert read(((2, 2), 0)) == {(0, 0, 0): 8}
+    assert read(((0, 1, 2), 1)) == {(0, 0, 1): 1}
+    assert read(((2, 2), 1)) == {(0, 0, 1): 8}
+
+
+@pytest.mark.parametrize("n,d", [(4, (3,)), (3, (2, 2))])
+def test_wdvv_residuals_builds_one_table_and_stores_nothing(monkeypatch, n, d):
+    # F is differentiated once, into one table, and no intermediate series
+    # is stored: every residual goes from integers to its Fractions directly
+    desc, _, F, _ = reduced_potential(n, d, 5)
+    pot = ReducedPotential(desc, F)
+    tables = []
+
+    def derivative_table(F, _real=reduction._derivative_table):
+        tables.append(_real(F))
+        return tables[-1]
+
+    def store(*args):
+        raise AssertionError("TruncSeries._store entered")
+
+    monkeypatch.setattr(reduction, "_derivative_table", derivative_table)
+    monkeypatch.setattr(TruncSeries, "_store", store)
+    res = wdvv_residuals(pot)
+    assert len(tables) == 1 and tables[0].F is pot.F
+    assert len(res["eq_mixed"]) == comb(n + 2, 2) and res["ambient"]
+
+
+@pytest.mark.parametrize("n,d", [(4, (3,)), (3, (2, 2))])
+def test_wdvv_residuals_match_the_references(n, d):
+    # a seeded potential with s-terms through s^3 at every t-degree, so the
+    # ambient residual must read the s^0 slice only, and a q-cap below the
+    # windows, so every window reads the table in the potential's own radix
+    desc = describe(n, d)
+    F = _seeded_series(random.Random(SEED + n), n + 1, 6, 2, 30, s_max=3)
+    pot = ReducedPotential(desc, F)
+    window = pot.window
+    s_cap = None if pot.s_cutoff is None else pot.s_cutoff - 1
+    res = wdvv_residuals(pot)
+    mixed, pure = reduced_reference(pot.F, pot.ginv, window["eq_mixed"],
+                                    window["eq_pure"], s_cap)
+    _same(res["eq_mixed"], mixed)
+    assert res["eq_pure"].to_json() == pure.to_json()
+    _same(res["ambient"], wdvv_reference(pot.F.s_slice(0), pot.ginv, window["ambient"]))
+    assert any(not series.is_zero() for series in res["ambient"].values())
 
 
 def _unwindowed(pot):
@@ -266,8 +372,9 @@ def _unwindowed(pot):
     degree cap, as the checker computed before it had a window."""
     cap = pot.F.degree_cap
     s_cap = None if pot.s_cutoff is None else pot.s_cutoff - 1
-    mixed, pure = _reduced(pot.F, pot.ginv, cap, cap, s_cap)
-    ambient = _wdvv(pot.F.s_slice(0), pot.ginv)
+    table = _derivative_table(pot.F)
+    mixed, pure = _reduced(table, pot.ginv, cap, cap, s_cap)
+    ambient = _wdvv(table, pot.ginv, cap)
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
 
 
@@ -277,13 +384,13 @@ def _residual_degrees(res, base):
     lowest = {}
     for name in ("eq_mixed", "ambient"):
         for key, series in res[name].items():
-            diff = series - base[name][key]
-            if not diff.is_zero():
-                low = min(sum(k) for k in diff.terms)
+            delta = minus(series, base[name][key])
+            if not delta.is_zero():
+                low = min(sum(k) for k in delta.terms)
                 lowest[name] = min(lowest.get(name, low), low)
-    diff = res["eq_pure"] - base["eq_pure"]
-    if not diff.is_zero():
-        lowest["eq_pure"] = min(sum(k) for k in diff.terms)
+    delta = minus(res["eq_pure"], base["eq_pure"])
+    if not delta.is_zero():
+        lowest["eq_pure"] = min(sum(k) for k in delta.terms)
     return lowest
 
 
@@ -338,11 +445,11 @@ def euler_operator(pot, cubic):
         return F.like().add_term(
             tuple(int(k == i) for k in range(n + 2)), QPoly.const(1))
 
-    acc = (var(n + 1) * F.diff_s()).scale(2 - n)
+    acc = (var(n + 1) * diff(F, n + 1)).scale(2 - n)
     for i in range(n + 1):
-        acc = acc + (var(i) * F.diff_t(i)).scale(1 - i)
-    return (acc + F.diff_t(1).scale(a) - F.scale(3 - n)
-            - cubic.diff_t(1).scale(a))
+        acc = acc + (var(i) * diff(F, i)).scale(1 - i)
+    return (acc + diff(F, 1).scale(a) + F.scale(n - 3)
+            + diff(cubic, 1).scale(-a))
 
 
 def test_euler_residual_vanishes_and_detects():
@@ -453,24 +560,24 @@ def reduced_residuals_zero(desc_n, F, deg):
     for e in range(nt):
         ginv[e][desc_n - e] = QPoly.const(1)
 
-    Fs = F.diff_s()
-    Fss = Fs.diff_s()
+    Fs = diff(F, nt)
+    Fss = diff(Fs, nt)
     skey = (0,) * nt + (1,)
     s_series = F.like().add_term(skey, QPoly.const(1))
     ok = True
     for a in range(nt):
         for b in range(a, nt):
-            dab = F.diff_t(a).diff_t(b)
-            third = [dab.diff_t(e) for e in range(nt)]
+            dab = diff(F, a, b)
+            third = [diff(dab, e) for e in range(nt)]
             acc = dab.like()
             for e in range(nt):
-                acc = acc + third[e] * Fs.diff_t(desc_n - e)
-            acc = acc + (s_series * dab.diff_s() * Fss).scale(2)
-            acc = acc - Fs.diff_t(a) * Fs.diff_t(b)
+                acc = acc + third[e] * diff(Fs, desc_n - e)
+            acc = acc + (s_series * diff(dab, nt) * Fss).scale(2)
+            acc = minus(acc, diff(Fs, a) * diff(Fs, b))
             ok = ok and acc.truncate_degree(deg).is_zero()
     acc = F.like()
     for e in range(nt):
-        acc = acc + Fs.diff_t(e) * Fs.diff_t(desc_n - e)
+        acc = acc + diff(Fs, e) * diff(Fs, desc_n - e)
     acc = acc + (s_series * Fss * Fss).scale(2)
     ok = ok and acc.truncate_degree(deg).is_zero()
 
@@ -483,11 +590,9 @@ def reduced_residuals_zero(desc_n, F, deg):
                     lhs = F.like()
                     rhs = F.like()
                     for e in range(nt):
-                        lhs = lhs + f0.diff_t(a).diff_t(b).diff_t(e) * \
-                            f0.diff_t(desc_n - e).diff_t(c).diff_t(d)
-                        rhs = rhs + f0.diff_t(a).diff_t(c).diff_t(e) * \
-                            f0.diff_t(desc_n - e).diff_t(b).diff_t(d)
-                    ok = ok and (lhs - rhs).truncate_degree(deg).is_zero()
+                        lhs = lhs + diff(f0, a, b, e) * diff(f0, desc_n - e, c, d)
+                        rhs = rhs + diff(f0, a, c, e) * diff(f0, desc_n - e, b, d)
+                    ok = ok and minus(lhs, rhs).truncate_degree(deg).is_zero()
     return ok
 
 
@@ -595,7 +700,7 @@ def test_j_recursion_layers_consistency():
         for c in range(n + 1):
             if ring.ginv[bb][c].is_zero():
                 continue
-            expect = expect + (f1r.diff_t(bb) * seed.diff_t(c)).scale(
+            expect = expect + (diff(f1r, bb) * diff(seed, c)).scale(
                 ring.ginv[bb][c])
     assert out[-1] == expect
 
