@@ -200,14 +200,14 @@ def cmd_fano_lines(args) -> int:
     n = args.n
     payload = {"n": n, "checks": {}}
     which = args.check
+    report = omega_checks(n) if which in ("all", "cubic13", "cubic16") else None
     if which in ("all", "cubic7"):
-        z = prim_square_class(n)
+        z = report["z"] if report else prim_square_class(n)
         payload["checks"]["primitive_square_class"] = {
             "z": [rat_str(v) for v in z],
             "matches_closed_form": True,  # enforced inside the computation
         }
-    if which in ("all", "cubic13", "cubic16"):
-        report = omega_checks(n)
+    if report:
         payload["checks"]["normalization"] = {
             "value": rat_str(report["normalization"]),
             "expected": rat_str(report["normalization_expected"]),

@@ -243,53 +243,43 @@ def omega_checks(n: int) -> dict:
 
 
 def rank_estimates(n: int) -> dict:
-    """Kernel dimensions of multiplication by the lines class per degree
-    band, and the betti comparison table of the variety of lines."""
+    """The Betti table of the variety of lines F, derived from kernel[j], the
+    kernel dimension of .[F] on H^{2j}(G(2, n+2)), j = 0..2n-4.  b_k(F) is
+      rk_g(k) - kernel[k/2] for even k (the image of H^k(G); rk_g(k) counts
+        the classes {a, k/2 - a} of the n-box and is 0 for odd k),
+      + m on the hard-Lefschetz string n - 2 <= k <= 3n - 6, k = n (mod 2),
+      + P - 1 at k = 2n - 4: the products of the m primitive classes, Sym^2
+        (n even) or Lambda^2 (n odd, the classes are odd), less the
+        contracted primitive square, which lies in the image.
+    ``kernel_by_degree`` maps 2j to kernel[j] for j >= n - 2 (zero below).
+    """
     if n < 3:
         raise DomainError("need n >= 3")
-    desc = describe(n, (3,))
+    m = describe(n, (3,)).m
     cls = lines_class_primitive(n)
 
-    def kernel_dim(i):
-        return len(_kernel([schubert_product(SchubertVector.basis(n, a, i - a), cls)
-                            for a in range((i + 1) // 2, min(i, n) + 1)]))
+    def classes(j):
+        return [(a, j - a) for a in range((j + 1) // 2, min(j, n) + 1)]
 
-    bands = {}
-    bands[2 * n - 4] = kernel_dim(n - 2)
-    bands[2 * n - 2] = kernel_dim(n - 1)
-    for i in range(n, 2 * n - 3):
-        bands[2 * i] = kernel_dim(i)
+    def rk_g(k):
+        return 0 if k % 2 else len(classes(k // 2))
 
-    def rk_g(i):
-        if i % 2:
-            return 0
-        j = i // 2
-        if j < 0 or j > 2 * n:
-            return 0
-        return j // 2 + 1 if j <= n else n + 1 - (j + 1) // 2
-
-    # primitive products span Sym^2, or Lambda^2 when n is odd (odd classes)
-    m = desc.m
+    kernel = [len(_kernel([schubert_product(SchubertVector.basis(n, a, b), cls)
+                           for a, b in classes(j)]))
+              for j in range(2 * n - 3)]
     pair_rank = m * (m + 1) // 2 if n % 2 == 0 else m * (m - 1) // 2
     betti = []
-    for i in range(0, 4 * n - 7):
-        prim = m if (i - n) % 2 == 0 else 0
-        if i < n - 2:
-            diff = 0
-        elif i < 2 * n - 4:
-            diff = prim
-        elif i == 2 * n - 4:
-            diff = prim + pair_rank - 1
-        elif i <= 2 * n - 2:
-            diff = prim - (1 if i % 2 == 0 else 0)
-        elif i <= 3 * n - 6:
-            diff = prim - (2 if i % 2 == 0 else 0)
-        else:
-            diff = -(2 if i % 2 == 0 else 0)
-        betti.append({"degree": i, "rk_lines_minus_rk_g": diff,
-                      "rk_g": rk_g(i), "rk_lines": rk_g(i) + diff})
-    return {"n": n, "kernel_by_degree": bands, "betti": betti,
-            "expected_kernels": {2 * n - 4: 0, 2 * n - 2: 1}}
+    for k in range(4 * n - 7):
+        b = 0 if k % 2 else rk_g(k) - kernel[k // 2]
+        if n - 2 <= k <= 3 * n - 6 and (k - n) % 2 == 0:
+            b += m
+        if k == 2 * n - 4:
+            b += pair_rank - 1
+        betti.append({"degree": k, "rk_lines_minus_rk_g": b - rk_g(k),
+                      "rk_g": rk_g(k), "rk_lines": b})
+    return {"n": n,
+            "kernel_by_degree": {2 * j: kernel[j] for j in range(n - 2, 2 * n - 3)},
+            "betti": betti, "expected_kernels": {2 * n - 4: 0, 2 * n - 2: 1}}
 
 
 # --- the hyperkaehler fourfold cross-check ---------------------------------

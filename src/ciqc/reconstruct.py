@@ -212,6 +212,15 @@ def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
 # --- F^(2) ------------------------------------------------------------------
 
 
+def euler_beta(desc: CIDescriptor, k: int) -> Optional[int]:
+    """Degree beta = (k(n-2)-(n-3))/a forced on F^(k)(0); None when it is
+    not a positive integer (so F^(k)(0) = 0 by the dimension filter)."""
+    num = k * (desc.n - 2) - (desc.n - 3)
+    if num <= 0 or num % desc.a != 0:
+        return None
+    return num // desc.a
+
+
 def _f2_gradient_parts(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet):
     """The tau-gradient of F^(2) at 0 as (const, slope), affine in
     F2 = F^(2)(0): F2_b = const_b + slope_b F2, read off the order-2
@@ -240,15 +249,14 @@ def _f2_roots(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet,
     The pure order-2 equation F2^2 + g^{0f} F2_f = 0 reads F2^2 + A F2 + B
     = 0, with A and B the g^{0f}-contractions of the gradient's slope and
     constant part.  Returns the root list sorted ascending, {0} when the
-    admissibility degree (n-1)/a is not a positive integer (without reading
-    the parts) or when the quadratic degenerates to F^2 = 0.
+    admissibility degree (n-1)/a = ``euler_beta(desc, 2)`` is None (without
+    reading the parts) or when the quadratic degenerates to F^2 = 0.
     """
-    n, a = desc.n, desc.a
-    if (n - 1) % a != 0:
+    beta = euler_beta(desc, 2)
+    if beta is None:
         return [Fraction(0)]
     const, slope = parts or _f2_gradient_parts(desc, ring, f1)
-    beta = (n - 1) // a
-    unit = _unit_vector(n, 0)
+    unit = _unit_vector(desc.n, 0)
     A = contract(ring.ginv, unit, slope)
     B = contract(ring.ginv, unit, const)
     a_coeff = A.coefficient(beta)
@@ -296,8 +304,8 @@ def f2_gradient(desc: CIDescriptor, f2zero: Rational,
     f2zero = Fraction(f2zero)
     if f2zero not in roots:
         raise DomainError(f"{f2zero} is not a root of the F^(2)(0) quadratic {roots}")
-    n, a = desc.n, desc.a
-    value = QPoly.q_power((n - 1) // a, f2zero)  # zero unless a | n - 1
+    n, beta = desc.n, euler_beta(desc, 2)
+    value = QPoly.zero() if beta is None else QPoly.q_power(beta, f2zero)
     tau_grad = [c + s * value for c, s in zip(const, slope)]
     terms = {monomial(n + 1, (i,)): g for i, g in enumerate(tau_grad)}
     tau_jet = TruncSeries(n + 1, 1, ring.qmax, terms={monomial(n + 1): value, **terms})
@@ -326,7 +334,6 @@ def higher_k_coeffs(desc: CIDescriptor, kmax: int) -> List[HigherKRecord]:
     4(k-1)/(n-1), never zero in range.
     """
     require_reconstruction_domain(desc)
-    from .reduction import euler_beta
     if desc.d not in ((3,), (2, 2)):
         raise DomainError("closed recursion only available for d = (3) or (2,2)")
     out = []

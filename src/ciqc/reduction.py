@@ -12,7 +12,8 @@ sums over one table of F's derivatives; it never solves them (their
 s-expansions are s-slices of the same residuals) -- the reconstruction
 module drives solving, this one is the trusted checker.
 The Euler field E F = (3-n) F + a(n,d) d/dt^1 (classical cubic form)
-enters only through ``euler_beta``, the degree it forces on F^(k)(0).
+does not enter here: the degree it forces on F^(k)(0) is
+``reconstruct.euler_beta``.
 """
 
 from __future__ import annotations
@@ -209,15 +210,6 @@ def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
                            window["eq_pure"], s_cap)
     ambient = _wdvv(table, pot.ginv, window["ambient"])
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
-
-
-def euler_beta(desc: CIDescriptor, k: int) -> Optional[Fraction]:
-    """Degree beta = (k(n-2)-(n-3))/a forced on F^(k)(0); None when it is
-    not a positive integer (so F^(k)(0) = 0 by the dimension filter)."""
-    num = k * (desc.n - 2) - (desc.n - 3)
-    if num <= 0 or num % desc.a != 0:
-        return None
-    return Fraction(num, desc.a)
 
 
 def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv):

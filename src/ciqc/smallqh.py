@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
 from typing import Dict, List, Optional, Tuple
 
@@ -473,14 +473,18 @@ class AmbientOrigin:
             return self.desc.b ** k * self._f(tail + (x0,))
 
         val = ext(A + C, (1, D) + P) + ext(1 + D, (A, C) + P) - ext(C + D, (A, 1) + P)
-        # middle splits of P (both parts proper)
-        idx = range(len(P))
-        for rsize in range(1, len(P)):
-            for subset in combinations(idx, rsize):
-                p1 = tuple(P[i] for i in subset)
-                p2 = tuple(P[i] for i in idx if i not in subset)
-                val += self._pair_contract((A, C) + p1, (1, D) + p2)
-                val -= self._pair_contract((A, 1) + p1, (C, D) + p2)
+        # middle splits of P (both parts proper), each distinct one once,
+        # weighted by the number of position subsets that give it
+        if len(P) > 1:
+            values = sorted(set(P))
+            counts = [P.count(v) for v in values]
+            for take in product(*(range(c + 1) for c in counts)):
+                if 0 < sum(take) < len(P):
+                    p1 = sum(((v,) * k for v, k in zip(values, take)), ())
+                    p2 = sum(((v,) * (c - k) for v, c, k in zip(values, counts, take)), ())
+                    val += prod(map(comb, counts, take)) * (
+                        self._pair_contract((A, C) + p1, (1, D) + p2)
+                        - self._pair_contract((A, 1) + p1, (C, D) + p2))
         return val
 
     def jet_series(self, degree: int) -> TruncSeries:

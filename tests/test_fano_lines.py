@@ -165,11 +165,22 @@ def test_rank_estimates_betti_identity_n4():
     assert row["rk_lines_minus_rk_g"] == m + m * (m + 1) // 2 - 1
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", range(3, 15))
 def test_betti_table_matches_galkin_shinder(n):
     # odd n: products of the odd primitive classes span Lambda^2, not Sym^2
     table = [row["rk_lines"] for row in rank_estimates(n)["betti"]]
     assert table == galkin_shinder_betti(n)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_lines_class_is_injective_below_degree_n_minus_2(n):
+    # kernel_by_degree starts at j = n - 2 because .[F] has no kernel on
+    # H^{2j}(G(2, n+2)) below it
+    cls = lines_class_primitive(n)
+    for j in range(n - 2):
+        images = [schubert_product(SchubertVector.basis(n, j - b, b), cls)
+                  for b in range(max(0, j - n), j // 2 + 1)]
+        assert fano_lines._kernel(images) == [], (n, j)
 
 
 def test_betti_table_literature_anchors():

@@ -13,9 +13,9 @@ from ciqc.acceptance import _ring
 from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly, TruncSeries, monomial
 from ciqc.geometry import describe
-from ciqc.reconstruct import f1_series, f2_at_zero, f2_gradient
+from ciqc.reconstruct import euler_beta, f1_series, f2_at_zero, f2_gradient
 from ciqc.reduction import (ReducedPotential, _derivative_table, _reduced,
-                            _wdvv, euler_beta, expand_order_k, expand_to_full,
+                            _wdvv, expand_order_k, expand_to_full,
                             full_wdvv_residuals, pairing_inverse,
                             wdvv_residuals)
 from oracles import (diff, j_recursion, low_point_terms, minus, pack_s,

@@ -351,6 +351,21 @@ def test_origin_memo_holds_only_graded_keys():
     assert len(qdegs) == 716
 
 
+def test_raise_step_contracts_each_distinct_middle_split_once(monkeypatch):
+    # repeated indices of P give the same split from several position
+    # subsets (3680 subsets here); each distinct split is contracted once
+    calls = []
+    real = AmbientOrigin._pair_contract
+
+    def counted(self, left, right):
+        calls.append((left, right))
+        return real(self, left, right)
+
+    monkeypatch.setattr(AmbientOrigin, "_pair_contract", counted)
+    AmbientOrigin(describe(5, (3,)), _ring(5, (3,))).jet_series(8)
+    assert len(calls) == 1368
+
+
 def test_index_one_shifted_ring():
     # a = 1 descriptors go through the exp(-ell q/z) shift and still satisfy
     # the ring relation (checked inside build_ring); (4,(3,3)) has a = 1
