@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Callable, List, Optional, Tuple
 
@@ -29,8 +30,7 @@ TOY_MODELS = (None, None)  # criterion 10's descriptor-free parts; no filter kee
 def _ring(n, d):
     """X_n(d)'s quantum ring; criteria read rings and J-series here.  Only a
     ring read by more than one criterion (one whose code calls _ring) is kept."""
-    readers = [cases for _, check, cases in CRITERIA if "_ring" in check.__code__.co_names]
-    if sum(any(case[:2] == (n, d) for case in cases) for cases in readers) > 1:
+    if (n, d) in _SHARED_RINGS:
         return _kept_ring(n, d)
     return build_ring(describe(n, d))
 
@@ -282,6 +282,13 @@ CRITERIA: List[Tuple[str, Callable, list]] = [
     ("10 property suites", check_property_suites,
      RING_DESCRIPTORS + [TOY_MODELS]),
 ]
+
+# the descriptors whose ring more than one ring-reading criterion reads
+_SHARED_RINGS = frozenset(
+    key for key, readers in Counter(
+        key for _, check, cases in CRITERIA if "_ring" in check.__code__.co_names
+        for key in {case[:2] for case in cases}).items()
+    if readers > 1)
 
 
 def run_all(only: Optional[tuple] = None, seed: int = 20240811):

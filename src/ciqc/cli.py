@@ -32,27 +32,35 @@ def _multidegree(text: str):
         raise argparse.ArgumentTypeError(f"cannot parse multidegree {text!r}")
 
 
-def _qpoly_out(q1: bool):
-    """The QPoly serializer: [[k, "p/q"], ...], or one "p/q" after q = 1."""
-    return (lambda p: rat_str(p.eval_q1())) if q1 else QPoly.to_json
+def _jsonable(value, q1: bool):
+    """The JSON form of a payload value.  A Fraction prints as "p/q", a QPoly
+    as [[k, "p/q"], ...] (one "p/q" of its value at q = 1 when ``q1``), a
+    TruncSeries through its own to_json with that QPoly rule, a NamedTuple as
+    its fields in order; dicts, lists and tuples are encoded element by
+    element, and ints, bools, strings and None pass through unchanged."""
+    if isinstance(value, Fraction):
+        return rat_str(value)
+    if isinstance(value, QPoly):
+        return rat_str(value.eval_q1()) if q1 else value.to_json()
+    if isinstance(value, TruncSeries):
+        return value.to_json(lambda c: _jsonable(c, q1))
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _jsonable(item, q1) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item, q1) for item in value]
+    return value
 
 
-def _matrix_out(mat, out):
-    return [[out(entry) for entry in row] for row in mat]
-
-
-def _rational_matrix_out(mat):
-    return [[rat_str(Fraction(entry)) for entry in row] for row in mat]
-
-
-def _emit(payload) -> None:
-    json.dump(payload, sys.stdout, indent=2)
+def _emit(payload, q1: bool = False) -> None:
+    json.dump(_jsonable(payload, q1), sys.stdout, indent=2)
     sys.stdout.write("\n")
 
 
 def cmd_info(args) -> int:
     desc = describe(args.n, args.d)
-    _emit(desc.to_json())
+    _emit(desc)
     if desc.exceptional:
         sys.stderr.write(
             f"domain error: exceptional complete intersection: "
@@ -66,21 +74,10 @@ def cmd_smallqh(args) -> int:
     desc = describe(args.n, args.d)
     ring = build_ring(desc)
     cval, conj, match = c_constant(desc, ring)
-    out = _qpoly_out(args.q1)
-    payload = {
-        "descriptor": desc.to_json(),
-        "qmax": ring.qmax,
-        "multH": _matrix_out(ring.multH, out),
-        "powers": _matrix_out(ring.powers, out),
-        "M": _rational_matrix_out(ring.M),
-        "W": _rational_matrix_out(ring.W),
-        "g": _matrix_out(ring.g, out),
-        "ginv": _matrix_out(ring.ginv, out),
-        "c": rat_str(cval),
-        "c_conjecture": rat_str(conj),
-        "conjecture_matches": match,
-    }
-    _emit(payload)
+    _emit({"descriptor": desc, "qmax": ring.qmax, "multH": ring.multH,
+           "powers": ring.powers, "M": ring.M, "W": ring.W, "g": ring.g,
+           "ginv": ring.ginv, "c": cval, "c_conjecture": conj,
+           "conjecture_matches": match}, args.q1)
     return 0
 
 
@@ -89,14 +86,8 @@ def cmd_f1(args) -> int:
     from .smallqh import build_ring
     desc = describe(args.n, args.d)
     jet = f1_series(desc, build_ring(desc))
-    out = _qpoly_out(args.q1)
-    payload = {
-        "descriptor": desc.to_json(),
-        "constant": out(jet.constant),
-        "tau_jet": jet.tau_jet.to_json(out),
-        "t_jet": jet.t_jet.to_json(out),
-    }
-    _emit(payload)
+    _emit({"descriptor": desc, "constant": jet.constant,
+           "tau_jet": jet.tau_jet, "t_jet": jet.t_jet}, args.q1)
     return 0
 
 
@@ -115,22 +106,13 @@ def cmd_f2(args) -> int:
             sys.stdout.write("roots\n")
         sys.stdout.write("\t".join(rat_str(r) for r in roots) + "\n")
         return 0
-    out = _qpoly_out(args.q1)
     gradients = []
     for r in roots:
         grad = f2_gradient(desc, r, ring, f1)
-        gradients.append({
-            "root": rat_str(r),
-            "value": out(grad.value),
-            "tau_gradient": [out(c) for c in grad.tau_grad],
-            "t_gradient": [out(c) for c in grad.t_grad],
-        })
-    payload = {
-        "descriptor": desc.to_json(),
-        "roots": [rat_str(r) for r in roots],
-        "gradients": gradients,
-    }
-    _emit(payload)
+        gradients.append({"root": r, "value": grad.value,
+                          "tau_gradient": grad.tau_grad,
+                          "t_gradient": grad.t_grad})
+    _emit({"descriptor": desc, "roots": roots, "gradients": gradients}, args.q1)
     return 0
 
 
@@ -148,17 +130,7 @@ def cmd_higherk(args) -> int:
                          f"got {args.kmax}\n")
         return 1
     desc = describe(args.n, args.d)
-    records = higher_k_coeffs(desc, args.kmax)
-    payload = {
-        "descriptor": desc.to_json(),
-        "records": [
-            {"order": r.order, "k": r.k, "coefficient": rat_str(r.coefficient),
-             "admissible": r.admissible, "determined": r.determined,
-             "note": r.note}
-            for r in records
-        ],
-    }
-    _emit(payload)
+    _emit({"descriptor": desc, "records": higher_k_coeffs(desc, args.kmax)})
     return 0
 
 
@@ -175,61 +147,55 @@ def cmd_residual(args) -> int:
         return 1
     pot = ReducedPotential(desc, F)
     res = wdvv_residuals(pot)
-    out = _qpoly_out(args.q1)
 
-    def violations(series):
-        return series.to_json(out)["terms"]
+    def violations(series):  # its JSON terms, each QPoly left to _emit
+        return series.to_json(lambda c: c)["terms"]
 
-    payload = {
-        "descriptor": desc.to_json(),
-        "window": pot.window,
+    _emit({
+        "descriptor": desc, "window": pot.window,
         "eq_mixed": {f"{a},{b}": violations(series)
                      for (a, b), series in sorted(res["eq_mixed"].items())},
         "eq_pure": violations(res["eq_pure"]),
         "ambient": {f"{k}": violations(series)
                     for k, series in sorted(res["ambient"].items())
                     if not series.is_zero()},
-    }
-    _emit(payload)
+    }, args.q1)
     return 0
 
 
 def cmd_fano_lines(args) -> int:
     from .fano_lines import (hilb2_check, hilb2_examples, omega_checks,
                              prim_square_class, rank_estimates)
-    n = args.n
-    payload = {"n": n, "checks": {}}
-    which = args.check
+    n, which = args.n, args.check
+    if which == "hilb2" and n != 4:
+        raise DomainError(f"the hilb2 cross-check is the cubic fourfold's: "
+                          f"it needs n = 4, got n = {n}")
+    checks = {}
     report = omega_checks(n) if which in ("all", "cubic13", "cubic16") else None
     if which in ("all", "cubic7"):
-        z = report["z"] if report else prim_square_class(n)
-        payload["checks"]["primitive_square_class"] = {
-            "z": [rat_str(v) for v in z],
+        checks["primitive_square_class"] = {
+            "z": report["z"] if report else prim_square_class(n),
             "matches_closed_form": True,  # enforced inside the computation
         }
     if report:
-        payload["checks"]["normalization"] = {
-            "value": rat_str(report["normalization"]),
-            "expected": rat_str(report["normalization_expected"]),
-            "ok": report["normalization_ok"],
-        }
-        payload["checks"]["quartic"] = {
-            "value": rat_str(report["quartic"]),
-            "closed_form": rat_str(report["quartic_closed_form"]),
-            "euler_value": rat_str(report["quartic_euler_value"]),
-            "ok": report["quartic_ok"],
-            "m_form_value": rat_str(report["m_form_value"]),
-            "m_form_matches": report["m_form_matches"],
-        }
-        payload["checks"]["f2_at_zero"] = rat_str(report["f2_at_zero"])
+        checks["normalization"] = dict(
+            value=report["normalization"], expected=report["normalization_expected"],
+            ok=report["normalization_ok"])
+        checks["quartic"] = dict(
+            value=report["quartic"], closed_form=report["quartic_closed_form"],
+            euler_value=report["quartic_euler_value"], ok=report["quartic_ok"],
+            m_form_value=report["m_form_value"],
+            m_form_matches=report["m_form_matches"])
+        checks["f2_at_zero"] = report["f2_at_zero"]
     if which == "all":
-        payload["checks"]["rank_estimates"] = rank_estimates(n)
+        checks["rank_estimates"] = rank_estimates(n)
     if which == "hilb2" or (which == "all" and n == 4):
-        payload["checks"]["hilb2"] = {
-            "scalar": rat_str(hilb2_check()),
-            "examples": {k: rat_str(v) for k, v in hilb2_examples().items()},
+        # the examples are lattice ints, printed as "p/q" like every value
+        checks["hilb2"] = {
+            "scalar": hilb2_check(),
+            "examples": {k: Fraction(v) for k, v in hilb2_examples().items()},
         }
-    _emit(payload)
+    _emit({"n": n, "checks": checks})
     return 0
 
 
@@ -243,17 +209,7 @@ def cmd_genus1(args) -> int:
         raise DomainError(f"exceptional: {desc.exceptional_case}")
     if args.n < 3:
         raise DomainError("need n >= 3")
-    report = f2_from_genus1(desc, build_ring(desc))
-    payload = {
-        "n": report.n,
-        "chi": report.chi,
-        "hn11": rat_str(report.hn11),
-        "h10": rat_str(report.h10),
-        "psi11": rat_str(report.psi11),
-        "f2": rat_str(report.f2),
-        "experimental": report.experimental,
-    }
-    _emit(payload)
+    _emit(f2_from_genus1(desc, build_ring(desc)))
     return 0
 
 

@@ -251,7 +251,8 @@ def rank_estimates(n: int) -> dict:
       + P - 1 at k = 2n - 4: the products of the m primitive classes, Sym^2
         (n even) or Lambda^2 (n odd, the classes are odd), less the
         contracted primitive square, which lies in the image.
-    ``kernel_by_degree`` maps 2j to kernel[j] for j >= n - 2 (zero below).
+    ``kernel_by_degree`` maps 2j to kernel[j] for j >= n - 2 (zero below);
+    it must agree with ``expected_kernels``, or InternalConsistencyError.
     """
     if n < 3:
         raise DomainError("need n >= 3")
@@ -277,9 +278,13 @@ def rank_estimates(n: int) -> dict:
             b += pair_rank - 1
         betti.append({"degree": k, "rk_lines_minus_rk_g": b - rk_g(k),
                       "rk_g": rk_g(k), "rk_lines": b})
-    return {"n": n,
-            "kernel_by_degree": {2 * j: kernel[j] for j in range(n - 2, 2 * n - 3)},
-            "betti": betti, "expected_kernels": {2 * n - 4: 0, 2 * n - 2: 1}}
+    by_degree = {2 * j: kernel[j] for j in range(n - 2, 2 * n - 3)}
+    expected = {2 * n - 4: 0, 2 * n - 2: 1}
+    if any(by_degree[k] != v for k, v in expected.items()):
+        raise InternalConsistencyError(
+            f"kernels {by_degree} differ from the expected {expected} at n = {n}")
+    return {"n": n, "kernel_by_degree": by_degree, "betti": betti,
+            "expected_kernels": expected}
 
 
 # --- the hyperkaehler fourfold cross-check ---------------------------------

@@ -47,21 +47,6 @@ class CIDescriptor(NamedTuple):
     def is_fano(self) -> bool:
         return self.a >= 1
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "d": list(self.d),
-            "r": self.r,
-            "a": self.a,
-            "ell": self.ell,
-            "b": self.b,
-            "chi": self.chi,
-            "m": self.m,
-            "exceptional": self.exceptional,
-            "exceptional_case": self.exceptional_case,
-            "monodromy": self.monodromy,
-        }
-
 
 def _exceptional_case(n: int, d: Tuple[int, ...]) -> str | None:
     if d == (2,):

@@ -102,6 +102,46 @@ def test_fano_lines_hilb2(capsys):
     assert data["checks"]["hilb2"]["examples"]["all_delta_four_point"] == "12"
 
 
+def test_fano_lines_hilb2_at_n4_is_the_golden_hilb2(capsys):
+    code, out, _ = run(capsys, "fano-lines", "--n", "4", "--check", "hilb2")
+    assert code == 0
+    golden = json.loads((GOLDEN / "fano_lines_n4_all.json").read_text())
+    assert json.loads(out) == {"n": 4, "checks": {"hilb2": golden["checks"]["hilb2"]}}
+
+
+@pytest.mark.parametrize("n", ["7", "-3"])
+def test_fano_lines_hilb2_needs_n4(capsys, n):
+    # the cross-check is the cubic fourfold's; it ignored --n before
+    code, out, err = run(capsys, "fano-lines", "--n", n, "--check", "hilb2")
+    assert code == 2 and out == ""
+    assert err == f"domain error: the hilb2 cross-check is the cubic fourfold's: " \
+                  f"it needs n = 4, got n = {n}\n"
+
+
+def test_jsonable_encoding_rules():
+    from typing import NamedTuple
+    from ciqc.cli import _jsonable
+    from ciqc.exact import QPoly, TruncSeries, monomial
+
+    class Record(NamedTuple):
+        z: int
+        a: Fraction
+        m: tuple
+
+    assert _jsonable({"rank": 12, "flag": True, "none": None}, False) == \
+        {"rank": 12, "flag": True, "none": None}
+    assert _jsonable([Fraction(12), Fraction(-3, 4)], False) == ["12", "-3/4"]
+    assert list(_jsonable(Record(1, Fraction(1, 2), (2, 3)), False).items()) == \
+        [("z", 1), ("a", "1/2"), ("m", [2, 3])]
+    poly = QPoly({0: Fraction(1, 3), 2: Fraction(2)})
+    assert _jsonable(poly, False) == [[0, "1/3"], [2, "2"]]
+    assert _jsonable(poly, True) == "7/3"
+    series = TruncSeries(2, 2, 2, terms={monomial(2, (1,)): poly})
+    for q1, coefficient in ((False, [[0, "1/3"], [2, "2"]]), (True, "7/3")):
+        terms = _jsonable({"s": series}, q1)["s"]["terms"]
+        assert terms == [{"monomial": [0, 1, 0], "coefficient": coefficient}]
+
+
 def test_residual_command(tmp_path, capsys):
     # store F = F^(0) jet + s F^(1) and confirm the reporting shape
     _, _, F, _ = reduced_potential(3, (3,), 3)
@@ -216,13 +256,20 @@ GOLDEN_CASES = {
     "fano_lines_n5_all": ["fano-lines", "--n", "5", "--check", "all"],
     "verify": ["verify"],
     "verify_n4_d3": ["verify", "--n", "4", "--d", "3"],
+    "info_n4_d3": ["info", "--n", "4", "--d", "3"],
+    "info_n4_d22": ["info", "--n", "4", "--d", "2,2"],  # exceptional: exit 2
+    "higherk_n3_d3": ["higherk", "--n", "3", "--d", "3"],
+    "smallqh_n3_d4_q1": ["smallqh", "--n", "3", "--d", "4", "--q", "1"],
+    "f2_n4_d3_q1": ["f2", "--n", "4", "--d", "3", "--q", "1"],
+    "fano_lines_n4_all": ["fano-lines", "--n", "4", "--check", "all"],  # with hilb2
 }
+GOLDEN_EXIT = {"info_n4_d22": 2}
 
 
 @pytest.mark.parametrize("name", GOLDEN_CASES)
 def test_golden_stdout(capsys, name):
     code, out, _ = run(capsys, *GOLDEN_CASES[name])
-    assert code == 0
+    assert code == GOLDEN_EXIT.get(name, 0)
     suffix = "txt" if name.startswith("verify") else "json"  # verify prints text
     assert out == (GOLDEN / f"{name}.{suffix}").read_text()
 

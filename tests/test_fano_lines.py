@@ -165,6 +165,20 @@ def test_rank_estimates_betti_identity_n4():
     assert row["rk_lines_minus_rk_g"] == m + m * (m + 1) // 2 - 1
 
 
+def test_rank_estimates_compares_the_expected_kernels(monkeypatch, capsys):
+    # one extra kernel vector in every degree puts a kernel at 2n - 4, where
+    # rank_estimates expects none: it raises, and fano-lines exits 3
+    from ciqc.cli import main
+    real = fano_lines._kernel
+    monkeypatch.setattr(fano_lines, "_kernel",
+                        lambda images: real(images) + [[Fraction(0)] * len(images)])
+    with pytest.raises(InternalConsistencyError, match="expected"):
+        rank_estimates(5)
+    assert main(["fano-lines", "--n", "5", "--check", "all"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("verification failure: ")
+
+
 @pytest.mark.parametrize("n", range(3, 15))
 def test_betti_table_matches_galkin_shinder(n):
     # odd n: products of the odd primitive classes span Lambda^2, not Sym^2
