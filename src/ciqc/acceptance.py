@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 from .errors import DomainError
 from .exact import QPoly, TruncSeries, monomial
 from .geometry import describe
-from .smallqh import _mat_vec, build_ring, c_constant, one_point_descendant
+from .smallqh import _check_inverse, _mat_vec, build_ring, c_constant, one_point_descendant
 
 RING_DESCRIPTORS: List[Tuple[int, tuple]] = [
     (3, (3,)), (4, (3,)), (5, (3,)), (3, (2, 2)), (5, (2, 2)),
@@ -201,16 +201,8 @@ def check_property_suites(cases, seed: int = 20240811) -> Tuple[bool, str]:
     descriptors = [nd for nd in cases if nd != TOY_MODELS]
     for nd in descriptors:
         ring = _ring(*nd)
-        size = nd[0] + 1
-        for i in range(size):
-            for j in range(size):
-                acc = sum(ring.W[i][k] * ring.M[k][j] for k in range(size))
-                if acc != (1 if i == j else 0):
-                    return False, f"W M != I at {nd}"
-                prod = sum((ring.g[i][f] * ring.ginv[f][j] for f in range(size)),
-                           QPoly.zero())
-                if prod != (1 if i == j else 0):
-                    return False, f"pairing inverse fails at {nd}"
+        _check_inverse(ring.W, ring.M, Fraction(0), f"W M != I at {nd}")
+        _check_inverse(ring.g, ring.ginv, QPoly.zero(), f"pairing inverse fails at {nd}")
     if TOY_MODELS not in cases:
         return True, f"W M = I, pairing inverses for {descriptors}"
     rng = random.Random(seed)

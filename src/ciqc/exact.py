@@ -11,10 +11,10 @@ Every number in the package is a ``fractions.Fraction`` (re-exported here as
   flat change of basis, and s = sum u^2/2 in the equivalence oracle),
 * ``contract`` -- the contraction of two QPoly rows through an inverse
   pairing,
-* series products -- each operand flattened once into packed-integer rows
-  over one denominator, then integer accumulation; the residual checker
-  builds such rows for its derivatives directly and sums whole residuals
-  in one accumulator,
+* ``derivative_table`` -- a series and its derivatives as the packed-integer
+  rows over one denominator that every series product is summed on:
+  ``TruncSeries.__mul__`` reads a series' own rows, the residual checker
+  the derivatives it names,
 * ``solve_linear`` -- exact row reduction with kernel basis.
 """
 
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import lcm
-from typing import Optional
+from math import lcm, perm
+from typing import NamedTuple, Optional
 
 from .errors import ConfigurationError, DomainError
 
@@ -256,10 +256,13 @@ class TruncSeries:
         return self.like({key: v.scale(c) for key, v in self.terms.items()})
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
-        """The product under the caps of self, on the integer kernel."""
-        den, flat = _flatten_all(self, [self, other])
-        acc = _accumulate(self, [(flat[id(self)], self._ONE, flat[id(other)])], 1)
-        return _collect(self, acc, den * den, _base(self))
+        """The product under the caps of self, on the integer kernel: each
+        operand's order-0 rows are read once, and once for a square."""
+        self._check(other)
+        left = derivative_table(self, [((), 0)])
+        right = left if other is self else derivative_table(other, [((), 0)])
+        acc = _accumulate(self, [(left.rows[(), 0], self._ONE, right.rows[(), 0])], 1)
+        return _collect(self, acc, left.den * right.den, _base(self))
 
     def coefficient(self, t_exps: dict, s_exp: int = 0) -> QPoly:
         key = monomial(self.nt, Counter(t_exps).elements(), s_exp)
@@ -421,29 +424,53 @@ def _base(like: TruncSeries) -> int:
     return max(like.degree_cap, like.qmax, 0) + 1
 
 
-def _flatten_all(like: TruncSeries, operands):
-    """(D, rows by id): each distinct series of ``operands``, checked against
-    the caps of ``like``, flattened once over one common denominator D.  A
-    series' rows (degree, s, packed, q, numerator) are sorted by total
-    degree; ``packed`` is the key and q in base ``_base(like)``, and
-    ``numerator`` is the coefficient of q^q times D."""
-    operands = {id(series): series for series in operands}
-    den = _common_denominator(c for series in operands.values() for c in series.terms.values())
-    base = _base(like)
-    flat = {}
-    for i, series in operands.items():
-        like._check(series)
-        rows = flat[i] = []
-        for key, coeff in series.terms.items():
-            packed = 0
-            for e in reversed(key):
-                packed = packed * base + e
-            degree, s = sum(key), key[-1]
-            for q, c in coeff.coeffs.items():
-                rows.append((degree, s, packed * base + q, q,
-                             c.numerator * (den // c.denominator)))
-        rows.sort(key=lambda row: row[0])
-    return den, flat
+class DerivativeTable(NamedTuple):
+    """Derivatives of ``F`` as packed rows over ``den`` (``derivative_table``)."""
+    F: TruncSeries
+    den: int
+    rows: dict
+
+
+def derivative_table(F: TruncSeries, specs) -> DerivativeTable:
+    """The derivatives ``specs`` of F in one pass over F's terms.  A spec
+    (idx, shift) is s^shift times the derivative in the sorted variables
+    ``idx`` (index nt standing for s), F itself ((), 0).  ``rows[spec]`` are
+    its terms (degree, s, packed, q, numerator) sorted by degree: ``packed``
+    holds q, e_0..e_{nt-1}, e_s as digits in base ``_base(F)``, lowest first,
+    and ``numerator`` is the coefficient of q^q times F's common denominator.
+    A derivative scales a term by falling factorials of its exponents and
+    moves its key by their units; ``_accumulate`` applies the caps."""
+    nt, base = F.nt, _base(F)
+    rows, plan = {}, []
+    for idx, shift in specs:
+        # (variable, order) pairs, their mask, the moves of key, degree, s
+        need, mask, dk = [], 0, shift * base ** (nt + 1)
+        for v in set(idx):
+            need.append((v, idx.count(v)))
+            mask |= 1 << v
+            dk -= idx.count(v) * base ** (v + 1)
+        rows[idx, shift] = out = []
+        plan.append((mask, need, dk, shift - len(idx), shift - idx.count(nt), out))
+    den = _common_denominator(F.terms.values())
+    for key, coeff in F.terms.items():
+        packed = mask = 0
+        for e in reversed(key):
+            packed = packed * base + e
+            mask += mask + (e > 0)
+        packed, degree, s, absent = packed * base, sum(key), key[nt], ~mask
+        for q, c in coeff.coeffs.items():
+            num = c.numerator * (den // c.denominator)
+            for need_mask, need, dk, dd, ds, out in plan:
+                if need_mask & absent:
+                    continue
+                factor = num
+                for v, order in need:
+                    factor *= perm(key[v], order)  # 0 below the order
+                if factor:
+                    out.append((degree + dd, s + ds, packed + dk + q, q, factor))
+    for out in rows.values():
+        out.sort(key=lambda row: row[0])
+    return DerivativeTable(F, den, rows)
 
 
 def _common_denominator(polys) -> int:
@@ -452,10 +479,10 @@ def _common_denominator(polys) -> int:
 
 
 def _accumulate(like: TruncSeries, triples, g_den: int) -> dict:
-    """sum left * g * right over ``triples`` of flattened rows (over D) and
-    QPolys g under the caps of ``like``, as packed key -> integer numerator
-    over D^2 ``g_den``.  A product key is one sum of packed keys; the right
-    rows are sorted by degree."""
+    """sum left * g * right over ``triples`` of table rows (over D_left and
+    D_right) and QPolys g under the caps of ``like``, as packed key ->
+    integer numerator over D_left D_right ``g_den``.  A product key is one
+    sum of packed keys; the right rows are sorted by degree."""
     cap, qmax = like.degree_cap, like.qmax
     s_cap = cap if like.s_cap is None else like.s_cap
     acc = {}

@@ -39,22 +39,22 @@ class CIDescriptor(NamedTuple):
 
     @property
     def degree(self) -> int:
-        p = 1
-        for di in self.d:
-            p *= di
-        return p
+        return math.prod(self.d)
 
     def is_fano(self) -> bool:
         return self.a >= 1
 
 
-def _exceptional_case(n: int, d: Tuple[int, ...]) -> str | None:
+def _exceptional_family(n: int, d: Tuple[int, ...]):
+    """(name, monodromy, m) of X_n(d) when it lies in one of the three
+    exceptional families, with m its primitive rank in closed form; else
+    None."""
     if d == (2,):
-        return "quadric hypersurface X_n(2)"
+        return "quadric hypersurface X_n(2)", Z2, 1 if n % 2 == 0 else 0
     if d == (2, 2) and n % 2 == 0:
-        return "even-dimensional intersection of two quadrics X_n(2,2)"
+        return "even-dimensional intersection of two quadrics X_n(2,2)", WEYL_D, n + 3
     if d == (3,) and n == 2:
-        return "cubic surface X_2(3)"
+        return "cubic surface X_2(3)", WEYL_E6, 6
     return None
 
 
@@ -102,17 +102,10 @@ def describe(n: int, d) -> CIDescriptor:
         raise DomainError(f"every multidegree entry must be >= 2, got {d}")
     r = len(d)
     a = n + r + 1 - sum(d)
-    ell = 1
-    b = 1
-    for di in d:
-        ell *= math.factorial(di)
-        b *= di ** di
+    ell = math.prod(map(math.factorial, d))
+    b = math.prod(di ** di for di in d)
 
-    kappa = _chern_numbers(n, d)
-    deg = 1
-    for di in d:
-        deg *= di
-    chi_f = deg * kappa[n]
+    chi_f = math.prod(d) * _chern_numbers(n, d)[n]
     if chi_f.denominator != 1:
         raise DomainError("non-integral Euler characteristic")
     chi = int(chi_f)
@@ -121,32 +114,15 @@ def describe(n: int, d) -> CIDescriptor:
     if m < 0:
         raise DomainError("negative primitive rank; invalid input")
 
-    case = _exceptional_case(n, d)
-    if case is None:
-        monodromy = ORTHOGONAL if n % 2 == 0 else SYMPLECTIC
-    elif d == (2,):
-        monodromy = Z2
-    elif d == (2, 2):
-        monodromy = WEYL_D
-    else:
-        monodromy = WEYL_E6
-
-    desc = CIDescriptor(n=n, d=d, r=r, a=a, ell=ell, b=b, chi=chi, m=m,
+    # an exceptional family's primitive rank has a closed form; cross-check
+    case, monodromy, expected = _exceptional_family(n, d) or (
+        None, ORTHOGONAL if n % 2 == 0 else SYMPLECTIC, m)
+    if m != expected:
+        raise DomainError(
+            f"primitive rank {m} disagrees with classification {expected}")
+    return CIDescriptor(n=n, d=d, r=r, a=a, ell=ell, b=b, chi=chi, m=m,
                         exceptional=case is not None, exceptional_case=case,
                         monodromy=monodromy)
-
-    # exceptional primitive ranks have a closed classification; cross-check
-    if case is not None:
-        if d == (2,):
-            expected = 1 if n % 2 == 0 else 0
-        elif d == (2, 2):
-            expected = n + 3
-        else:
-            expected = 6
-        if m != expected:
-            raise DomainError(
-                f"primitive rank {m} disagrees with classification {expected}")
-    return desc
 
 
 def require_reconstruction_domain(desc: CIDescriptor) -> None:

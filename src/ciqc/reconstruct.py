@@ -19,7 +19,7 @@ from .errors import DomainError, InternalConsistencyError
 from .exact import (QPoly, Rational, TruncSeries, contract, linear_substitute,
                     monomial)
 from .geometry import CIDescriptor, require_reconstruction_domain
-from .smallqh import QuantumRingData, _unit_vector, quantum_product_qp
+from .smallqh import QuantumRingData, _unit_vector, quantum_product_qp, reduce_power
 
 
 def gamma_vector(desc: CIDescriptor, ring: QuantumRingData):
@@ -55,27 +55,18 @@ def gamma_vector(desc: CIDescriptor, ring: QuantumRingData):
 # --- artin algebra model ----------------------------------------------------
 
 
-def _poly_mod_reduce(coeffs: List[Fraction], n: int, k: int, b: Fraction):
-    """Reduce a w-polynomial modulo w^{n+1} - b w^k."""
-    out = list(coeffs)
-    for d in range(len(out) - 1, n, -1):
-        c = out[d]
-        if c:
-            out[d] = Fraction(0)
-            out[d - (n + 1) + k] += c * b
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _poly_mul_mod(p, q, n, k, b):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+def _mul_mod(p, q, n: int, k: int, b: Fraction) -> List[Fraction]:
+    """p q in C[w]/(w^{n+1} - b w^k) on coefficient lists of length n + 1:
+    the ring's power rule w^x = b^e w^{x-ea} (``smallqh.reduce_power`` with
+    a = n + 1 - k, at q = 1) reduces each product of monomials."""
+    out = [Fraction(0)] * (n + 1)
     for i, ci in enumerate(p):
         if ci:
             for j, cj in enumerate(q):
                 if cj:
-                    out[i + j] += ci * cj
-    return _poly_mod_reduce(out, n, k, b)
+                    x, e = reduce_power(n, n + 1 - k, i + j)
+                    out[x] += ci * cj * b ** e
+    return out
 
 
 def artin_iso(n: int, k: int, b: Rational) -> dict:
@@ -90,32 +81,24 @@ def artin_iso(n: int, k: int, b: Rational) -> dict:
         raise DomainError("b must be nonzero")
     if not (1 <= k <= n) or n < 2:
         raise DomainError("need 1 <= k <= n and n >= 2")
-    eps = [Fraction(0)] * (n - k + 3)
-    eps[n - k + 2] = Fraction(1)
-    eps[1] = -b
-    eps = _poly_mod_reduce(eps, n, k, b)
 
-    power = [Fraction(1)]
+    def w(x):
+        return [Fraction(int(i == x)) for i in range(n + 1)]
+
+    # eps = w^{n-k+2} - b w, its first term reduced as w^{n-k+1} w
+    eps = [x - b * y for x, y in zip(_mul_mod(w(n - k + 1), w(1), n, k, b), w(1))]
+    powers = [w(0)]
     for _ in range(k):
-        power = _poly_mul_mod(power, eps, n, k, b)
-    eps_k_zero = all(c == 0 for c in power)
+        powers.append(_mul_mod(powers[-1], eps, n, k, b))
 
-    report = {"n": n, "k": k, "b": b, "eps_k_zero": eps_k_zero,
+    report = {"n": n, "k": k, "b": b, "eps_k_zero": not any(powers[k]),
               "eps_power_formula": None, "semisimple_distinct_roots": None}
 
     if k >= 2:
-        power = [Fraction(1)]
-        for _ in range(k - 1):
-            power = _poly_mul_mod(power, eps, n, k, b)
-        expected = [Fraction(0)] * (n + 1)
         sign = Fraction((-1) ** k) * b ** (k - 2)
-        expected[n] += sign
-        expected[k - 1] -= sign * b
-        expected = _poly_mod_reduce(expected, n, k, b)
-        width = max(len(power), len(expected))
-        power += [Fraction(0)] * (width - len(power))
-        expected += [Fraction(0)] * (width - len(expected))
-        report["eps_power_formula"] = power == expected
+        expected = [Fraction(0)] * (n + 1)
+        expected[n], expected[k - 1] = sign, -sign * b
+        report["eps_power_formula"] = powers[k - 1] == expected
     else:
         # w^{n+1} - b w has n+1 distinct roots iff gcd with derivative is 1
         p = [Fraction(0)] * (n + 2)
@@ -235,16 +218,10 @@ def _f2_gradient_parts(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet):
     return const, slope
 
 
-def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData,
-               f1: F1Jet) -> List[Fraction]:
-    """All roots of the quadratic satisfied by F^(2)(0), sorted ascending."""
-    return _f2_roots(desc, ring, f1)
-
-
-def _f2_roots(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet,
-              parts=None) -> List[Fraction]:
-    """The roots of F^(2)(0) from the gradient parts (const, slope) of f1,
-    built here unless the caller passes them.
+def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet,
+               parts=None) -> List[Fraction]:
+    """All roots of the quadratic satisfied by F^(2)(0), from the gradient
+    parts (const, slope) of f1, built here unless the caller passes them.
 
     The pure order-2 equation F2^2 + g^{0f} F2_f = 0 reads F2^2 + A F2 + B
     = 0, with A and B the g^{0f}-contractions of the gradient's slope and
@@ -284,23 +261,23 @@ def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-class F2Jet:
-    """The (mutable) origin jet of F^(2): its value F^(2)(0) with the q-grading,
-    the gradients d/d tau^b and d/d t^b at 0 (b = 0..n), and the constant +
+class F2Jet(NamedTuple):
+    """The origin jet of F^(2): its value F^(2)(0) with the q-grading, the
+    gradients d/d tau^b and d/d t^b at 0 (b = 0..n), and the constant +
     linear jet in t and in quantum-power coordinates."""
-
-    __slots__ = ("desc", "value", "tau_grad", "t_grad", "t_jet", "tau_jet")
-
-    def __init__(self, desc, value, tau_grad, t_grad, t_jet, tau_jet):
-        self.desc, self.value, self.tau_grad = desc, value, tau_grad
-        self.t_grad, self.t_jet, self.tau_jet = t_grad, t_jet, tau_jet
+    desc: CIDescriptor
+    value: QPoly
+    tau_grad: List[QPoly]
+    t_grad: List[QPoly]
+    t_jet: TruncSeries
+    tau_jet: TruncSeries
 
 
 def f2_gradient(desc: CIDescriptor, f2zero: Rational,
                 ring: QuantumRingData, f1: F1Jet) -> F2Jet:
     """Origin gradient of F^(2) for a chosen root of the quadratic."""
     const, slope = _f2_gradient_parts(desc, ring, f1)
-    roots = _f2_roots(desc, ring, f1, (const, slope))
+    roots = f2_at_zero(desc, ring, f1, (const, slope))
     f2zero = Fraction(f2zero)
     if f2zero not in roots:
         raise DomainError(f"{f2zero} is not a root of the F^(2)(0) quadratic {roots}")

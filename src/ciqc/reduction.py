@@ -19,13 +19,14 @@ does not enter here: the degree it forces on F^(k)(0) is
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import factorial, perm
-from typing import Dict, NamedTuple, Optional, Sequence
+from itertools import combinations_with_replacement
+from math import factorial
+from typing import Dict, Optional, Sequence
 
 from .errors import DomainError, InternalConsistencyError
-from .exact import (ONE, QPoly, TruncSeries, _accumulate, _collect,
-                    _base, _common_denominator, monomial, substitute)
+from .exact import (ONE, DerivativeTable, QPoly, TruncSeries, _accumulate, _base,
+                    _collect, _common_denominator, derivative_table, monomial,
+                    substitute)
 from .geometry import CIDescriptor
 
 TWO, MINUS_ONE = QPoly.const(2), QPoly.const(-1)
@@ -75,45 +76,14 @@ class ReducedPotential:
         return {"ambient": cap - 3, "eq_mixed": cap - 3, "eq_pure": cap - 2}
 
 
-class _Table(NamedTuple):
-    """The derivatives of F that the residuals read (``_derivative_table``),
-    numerators over ``den`` and keys packed in the one radix of F's caps."""
-    F: TruncSeries
-    den: int
-    rows: dict
-
-
-def _derivative_table(F: TruncSeries) -> _Table:
-    """F_{abe}, F_{sa}, F_{ss}, s F_{sab} and s F_{ss}, formed in one pass
-    over F's terms: ``rows[idx, shift]`` is s^shift times the derivative in
-    the sorted variables ``idx`` (index nt standing for s) as rows in the
-    layout of ``exact._flatten_all``, an empty list for a zero derivative.
-    A term's derivative multiplies it by the falling factorial of each
-    differentiated exponent and moves its packed key down by the matching
-    units (up one s-unit for the s-shift).  Nothing is cut: the residuals'
-    windows are applied by ``_accumulate``."""
-    nt, base = F.nt, _base(F)
-    units = [base ** (v + 1) for v in range(nt + 1)]  # e_v's digit; q is digit 0
+def _derivative_table(F: TruncSeries) -> DerivativeTable:
+    """The derivatives the residuals read, F_{abe}, F_{sa}, F_{ss}, s F_{sab}
+    and s F_{ss}, as one ``exact.derivative_table`` of F (index nt standing
+    for s); a zero derivative has no rows."""
+    nt = F.nt
     t3, t2 = (combinations_with_replacement(range(nt), k) for k in (3, 2))
-    rows = {spec: [] for spec in [*((idx, 0) for idx in t3), *((idx + (nt,), 1) for idx in t2),
-                                  *(((a, nt), 0) for a in range(nt + 1)), ((nt, nt), 1)]}
-    den = _common_denominator(F.terms.values())
-    for key, coeff in F.terms.items():
-        packed, degree = sum(e * unit for e, unit in zip(key, units)), sum(key)
-        nums = [(q, c.numerator * (den // c.denominator)) for q, c in coeff.coeffs.items()]
-        variables = [v for v, e in enumerate(key) for _ in range(e)]
-        specs = {(idx, shift) for size in (2, 3)
-                 for idx in combinations(variables, size) for shift in (0, 1)}
-        for idx, shift in specs & rows.keys():
-            factor, k = 1, packed + shift * units[nt]
-            for v in set(idx):
-                factor *= perm(key[v], idx.count(v))
-                k -= idx.count(v) * units[v]
-            d, s = degree - len(idx) + shift, key[nt] - idx.count(nt) + shift
-            rows[idx, shift].extend((d, s, k + q, q, num * factor) for q, num in nums)
-    for out in rows.values():
-        out.sort(key=lambda row: row[0])
-    return _Table(F, den, rows)
+    return derivative_table(F, [*((idx, 0) for idx in t3), *((idx + (nt,), 1) for idx in t2),
+                                *(((a, nt), 0) for a in range(nt + 1)), ((nt, nt), 1)])
 
 
 def _contraction(ginv, left, right) -> list:
@@ -122,7 +92,7 @@ def _contraction(ginv, left, right) -> list:
             for f, g in enumerate(ginv[e]) if right[f] and not g.is_zero()]
 
 
-def _wdvv(table: _Table, ginv, cap: int) -> Dict[tuple, TruncSeries]:
+def _wdvv(table: DerivativeTable, ginv, cap: int) -> Dict[tuple, TruncSeries]:
     """The WDVV residuals R(a,b,c,d) = F_{abe} g^{ef} F_{cdf} - F_{ace}
     g^{ef} F_{bdf} of the s^0 slice of the tabled F, for a <= b <= c and
     every d, through total degree ``cap``.
@@ -165,7 +135,7 @@ def _wdvv(table: _Table, ginv, cap: int) -> Dict[tuple, TruncSeries]:
     return out
 
 
-def _reduced(table: _Table, ginv, mixed_cap: int, pure_cap: int,
+def _reduced(table: DerivativeTable, ginv, mixed_cap: int, pure_cap: int,
              s_cap: Optional[int]):
     """Residuals (mixed, pure) of the two reduced equations on the tabled
     F(t, s): ``mixed[(a,b)]`` for 0 <= a <= b <= n is the first, through

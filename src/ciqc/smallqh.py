@@ -306,11 +306,11 @@ def _check_inverse(left, right, zero, message):
             raise InternalConsistencyError(message)
 
 
-def reduce_power(desc: CIDescriptor, x: int) -> Tuple[int, int]:
+def reduce_power(n: int, a: int, x: int) -> Tuple[int, int]:
     """The power-basis rule H^x = (b q)^k H^{x-ka}, with x - ka in [0, n]:
     returns (x - ka, k)."""
-    k = max(0, -(-(x - desc.n) // desc.a))
-    return x - k * desc.a, k
+    k = max(0, -(-(x - n) // a))
+    return x - k * a, k
 
 
 def pairings(desc: CIDescriptor):
@@ -328,7 +328,7 @@ def pairings(desc: CIDescriptor):
 
 def _pairing(desc: CIDescriptor, e: int, f: int) -> QPoly:
     """< H^e, H^f >: H^{e+f} reduced by H^x = (b q)^k H^{x-ka}, integrated."""
-    top, k = reduce_power(desc, e + f)
+    top, k = reduce_power(desc.n, desc.a, e + f)
     return QPoly.q_power(k, desc.degree * desc.b ** k) if top == desc.n else QPoly.zero()
 
 
@@ -342,7 +342,7 @@ def quantum_product_qp(desc: CIDescriptor, u, v):
         for f in range(n + 1):
             if v[f].is_zero():
                 continue
-            c, k = reduce_power(desc, e + f)
+            c, k = reduce_power(n, desc.a, e + f)
             out[c] = out[c] + u[e] * v[f] * QPoly.q_power(k, desc.b ** k)
     return out
 
@@ -469,7 +469,7 @@ class AmbientOrigin:
         A, C, D, P = key[0] - 1, key[1], key[2], key[3:]
 
         def ext(x: int, tail: Tuple[int, ...]) -> Rational:
-            x0, k = reduce_power(self.desc, x)  # H^x = (b q)^k H^x0
+            x0, k = reduce_power(self.desc.n, self.desc.a, x)  # H^x = (b q)^k H^x0
             return self.desc.b ** k * self._f(tail + (x0,))
 
         val = ext(A + C, (1, D) + P) + ext(1 + D, (A, C) + P) - ext(C + D, (A, 1) + P)

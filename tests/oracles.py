@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ciqc.acceptance import _ring
 from ciqc.errors import DomainError
-from ciqc.exact import (ONE, QPoly, Rational, TruncSeries, _accumulate, _base,
-                        _collect, _common_denominator, _flatten_all, contract,
+from ciqc.exact import (ONE, QPoly, Rational, TruncSeries, contract,
                         linear_substitute, monomial)
 from ciqc.fano_lines import SchubertVector
 from ciqc.geometry import CIDescriptor, describe
@@ -346,15 +345,14 @@ def diff(series: TruncSeries, *variables) -> TruncSeries:
 
 def contract_series(ginv, left, right) -> TruncSeries:
     """sum_{e,f} left[e] g^{ef} right[f] over rows of series with the caps
-    of left[0], by definition: every (e, f) with g^{ef} nonzero, summed in
-    one run of the series product kernel of ``TruncSeries.__mul__``."""
-    like = left[0]
-    den, flat = _flatten_all(like, [*left, *right])
-    triples = [(flat[id(le)], g, flat[id(right[f])]) for e, le in enumerate(left)
-               for f, g in enumerate(ginv[e]) if not g.is_zero()]
-    g_den = _common_denominator(g for _, g, _ in triples)
-    acc = _accumulate(like, triples, g_den)
-    return _collect(like, acc, den * den * g_den, _base(like))
+    of left[0], by definition: one series product per (e, f) with g^{ef}
+    nonzero."""
+    out = left[0].like()
+    for e, le in enumerate(left):
+        for f, g in enumerate(ginv[e]):
+            if not g.is_zero():
+                out = out + (le * right[f]).scale(g)
+    return out
 
 
 def minus(a: TruncSeries, b: TruncSeries) -> TruncSeries:

@@ -277,6 +277,7 @@ def test_products_equal_the_pairwise_reference(case):
     ginv, left, right = case
     one = QPoly.const(1)
     for a in left:
+        assert (a * a).terms == _reference_sum([(a, one, a)])
         for b in right:
             assert (a * b).terms == _reference_sum([(a, one, b)])
     assert contract_series(ginv, left, right).terms == _reference_sum([

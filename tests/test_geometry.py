@@ -41,6 +41,22 @@ def test_exceptional_cases():
     assert describe(5, (2,)).m == 0
 
 
+@pytest.mark.parametrize("n,d", [(4, (2,)), (4, (2, 2)), (2, (3,))])
+def test_exceptional_rank_is_cross_checked(monkeypatch, n, d):
+    # a family whose closed-form m disagrees with the Euler characteristic's
+    # is refused, not described
+    from ciqc import geometry
+    real = geometry._exceptional_family
+
+    def wrong_rank(n, d):
+        name, monodromy, m = real(n, d)
+        return name, monodromy, m + 1
+
+    monkeypatch.setattr(geometry, "_exceptional_family", wrong_rank)
+    with pytest.raises(DomainError, match="disagrees with classification"):
+        describe(n, d)
+
+
 def test_multidegree_sorted_and_validated():
     assert describe(5, (3, 2)).d == (2, 3)
     with pytest.raises(DomainError):

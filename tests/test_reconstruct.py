@@ -196,7 +196,7 @@ def test_f2_origin_residuals_detect_wrong_root():
     f1 = f1_series(desc, ring)
     f2jet = f2_gradient(desc, 1, ring, f1)
     # tamper with the value: residual of the pure equation must trip
-    f2jet.value = QPoly.q_power(1, 2)
+    f2jet = f2jet._replace(value=QPoly.q_power(1, 2))
     _, pure = f2_origin_residuals(desc, ring, f1, f2jet)
     assert not pure.is_zero()
 
