@@ -178,15 +178,7 @@ def cmd_fano_lines(args) -> int:
             "matches_closed_form": True,  # enforced inside the computation
         }
     if report:
-        checks["normalization"] = dict(
-            value=report["normalization"], expected=report["normalization_expected"],
-            ok=report["normalization_ok"])
-        checks["quartic"] = dict(
-            value=report["quartic"], closed_form=report["quartic_closed_form"],
-            euler_value=report["quartic_euler_value"], ok=report["quartic_ok"],
-            m_form_value=report["m_form_value"],
-            m_form_matches=report["m_form_matches"])
-        checks["f2_at_zero"] = report["f2_at_zero"]
+        checks.update({k: report[k] for k in ("normalization", "quartic", "f2_at_zero")})
     if which == "all":
         checks["rank_estimates"] = rank_estimates(n)
     if which == "hilb2" or (which == "all" and n == 4):

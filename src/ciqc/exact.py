@@ -106,12 +106,6 @@ class QPoly:
             out[k] = out.get(k, ZERO) + c
         return QPoly(out)
 
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, ZERO) - c
-        return QPoly(out)
-
     def __neg__(self) -> "QPoly":
         return QPoly({k: -c for k, c in self.coeffs.items()})
 

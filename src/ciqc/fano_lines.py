@@ -141,13 +141,11 @@ def lines_class_primitive(n: int) -> SchubertVector:
 
 
 def _kernel(images: List[SchubertVector]) -> List[List[Fraction]]:
-    """A basis of the kernel of z -> sum_k z_k images[k]: ``solve_linear``'s,
-    or the unit basis when every image is zero (an empty one for no images)."""
+    """A basis of the kernel of z -> sum_k z_k images[k], ``solve_linear``'s;
+    all-zero images give it one zero row, which keeps the column count."""
     target = sorted({key for img in images for key in img.terms})
-    if not target:
-        return [[Fraction(int(j == k)) for j in range(len(images))]
-                for k in range(len(images))]
-    rows = [[img.terms.get(key, 0) for img in images] for key in target]
+    rows = [[img.terms.get(key, 0) for img in images] for key in target] \
+        or [[0] * len(images)]
     return solve_linear(rows, [0] * len(rows))[1]
 
 
@@ -204,10 +202,8 @@ def omega_checks(n: int) -> dict:
     formula 9 z0 (5 z0 + 2 z1) together with its value (chi - n)^2 - 1,
     and reports the resulting four-point normalization scalar.
     """
-    if n < 3:
-        raise DomainError("need n >= 3")
+    z = prim_square_class(n)  # refuses n < 3
     desc = describe(n, (3,))
-    z = prim_square_class(n)
     v = prim_square_vector(n, z)
     cls = lines_class_primitive(n)
 
@@ -220,24 +216,21 @@ def omega_checks(n: int) -> dict:
     z1 = z[1] if len(z) > 1 else Fraction(0)
     quartic_closed = 9 * z0 * (5 * z0 + 2 * z1)
     chi_target = Fraction((desc.chi - n) ** 2 - 1)
+    # the printed even/odd discrepancy: m^2 + 2m equals (chi-n)^2 - 1 only in
+    # even dimensions; both values are reported, not resolved
+    m_form = Fraction(desc.m ** 2 + 2 * desc.m)
 
     report = {
-        "n": n,
         "z": z,
-        "normalization": norm,
-        "normalization_expected": norm_expected,
-        "normalization_ok": norm == norm_expected,
-        "quartic": quartic,
-        "quartic_closed_form": quartic_closed,
-        "quartic_euler_value": chi_target,
-        "quartic_ok": quartic == quartic_closed == chi_target,
-        # the printed even/odd discrepancy: m^2 + 2m equals (chi-n)^2 - 1
-        # only in even dimensions; both values are reported, not resolved
-        "m_form_value": Fraction(desc.m ** 2 + 2 * desc.m),
-        "m_form_matches": Fraction(desc.m ** 2 + 2 * desc.m) == chi_target,
+        "normalization": {"value": norm, "expected": norm_expected,
+                          "ok": norm == norm_expected},
+        "quartic": {"value": quartic, "closed_form": quartic_closed,
+                    "euler_value": chi_target,
+                    "ok": quartic == quartic_closed == chi_target,
+                    "m_form_value": m_form, "m_form_matches": m_form == chi_target},
         "f2_at_zero": quartic / chi_target,
     }
-    if not report["normalization_ok"] or not report["quartic_ok"]:
+    if not report["normalization"]["ok"] or not report["quartic"]["ok"]:
         raise VerificationError(f"lines-variety identities failed: {report}")
     return report
 

@@ -23,6 +23,10 @@ Z2 = "Z2"
 WEYL_D = "WeylD"
 WEYL_E6 = "WeylE6"
 
+# The largest multidegree sum: under it b = prod d_i^{d_i} <= (sum d)^{sum d} has
+# at most 4298 digits, and Python writes an int of up to 4300 digits, so b prints.
+MULTIDEGREE_SUM_LIMIT = 1370
+
 
 class CIDescriptor(NamedTuple):
     n: int
@@ -100,6 +104,8 @@ def describe(n: int, d) -> CIDescriptor:
     d = tuple(sorted(int(x) for x in d))
     if not d or any(di < 2 for di in d):
         raise DomainError(f"every multidegree entry must be >= 2, got {d}")
+    if sum(d) > MULTIDEGREE_SUM_LIMIT:
+        raise DomainError(f"multidegree sum {sum(d)} exceeds {MULTIDEGREE_SUM_LIMIT}")
     r = len(d)
     a = n + r + 1 - sum(d)
     ell = math.prod(map(math.factorial, d))

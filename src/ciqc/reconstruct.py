@@ -19,7 +19,7 @@ from .errors import DomainError, InternalConsistencyError
 from .exact import (QPoly, Rational, TruncSeries, contract, linear_substitute,
                     monomial)
 from .geometry import CIDescriptor, require_reconstruction_domain
-from .smallqh import QuantumRingData, _unit_vector, quantum_product_qp, reduce_power
+from .smallqh import QuantumRingData, _mat_vec, _unit_vector, quantum_product_qp, reduce_power
 
 
 def gamma_vector(desc: CIDescriptor, ring: QuantumRingData):
@@ -41,12 +41,7 @@ def gamma_vector(desc: CIDescriptor, ring: QuantumRingData):
         if prod != expect:
             raise InternalConsistencyError(f"gamma is not an eigenvector for H^{e}")
 
-    gamma_cl = [QPoly.zero() for _ in range(n + 1)]
-    for j in range(n + 1):
-        if gamma_qp[j].is_zero():
-            continue
-        for i in range(n + 1):
-            gamma_cl[i] = gamma_cl[i] + ring.powers[j][i] * gamma_qp[j]
+    gamma_cl = _mat_vec(list(zip(*ring.powers)), gamma_qp)
     if gamma_cl[n].scale(desc.degree) != QPoly.const(1):
         raise InternalConsistencyError("(gamma, 1) != 1")
     return gamma_cl

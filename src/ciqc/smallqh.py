@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .exact import QPoly, Rational, TruncSeries, monomial
@@ -44,7 +44,7 @@ def default_qmax(desc: CIDescriptor) -> int:
     return -(-2 * desc.n // desc.a) + 1  # ceil(2n/a) + 1
 
 
-class GradedJet:
+class GradedJet(NamedTuple):
     """Graded vector-valued jet in z and q, stored by q-order.
 
     With deg z = deg H = 1 and deg q = a the jet has one ``degree`` (the
@@ -55,13 +55,9 @@ class GradedJet:
     which lowers the q-order, so every stored row is exact.  ``entry`` reads
     zero off the grading and raises beyond the stored q-orders.
     """
-
-    __slots__ = ("a", "degree", "rows")
-
-    def __init__(self, a: int, degree: int, rows: List[List[Rational]]):
-        self.a = a
-        self.degree = degree
-        self.rows = rows
+    a: int
+    degree: int
+    rows: List[List[Rational]]
 
     def entry(self, zpow: int, h: int) -> QPoly:
         """The coefficient of z^zpow H_h, a single q-monomial."""
@@ -395,27 +391,32 @@ class AmbientOrigin:
         self._phi = {(s, i): sum((k * M[i + k * a][i] * W[s][i + k * a]
                                   for k in range(1, (s - i) // a + 1)), Fraction(0))
                      for s in range(n + 1) for i in range(s % a, s, a)}
+        # the ring's g^{ef} by row, nonzero entries only, as (f, k): the rational
+        # of g^{ef} (at q^{(n-e-f)/a}) is the k-th of its distinct values _gvals
+        rows = [_nonzero([x.coefficient((n - e - f) // a) for f, x in enumerate(row)])
+                for e, row in enumerate(ring.ginv)]
+        self._gvals = sorted({g for row in rows for _, g in row})
+        self._ginv = [[(f, self._gvals.index(g)) for f, g in row] for row in rows]
 
     # Kept lazy: F_{f,right} is evaluated only where F_{left,e} is nonzero.
     def _pair_contract(self, left: Tuple[int, ...], right: Tuple[int, ...]) -> Rational:
-        """sum_{e,f} F_{left,e} g^{ef} F_{f,right}: g^{ef} is 1/deg on e + f = n
-        and -b q/deg on e + f = n - a, the q being the grading's."""
-        n, a = self.desc.n, self.desc.a
-        acc = Fraction(0)
-        for e in range(n + 1):
+        """sum_{e,f} F_{left,e} g^{ef} F_{f,right}, the q being the grading's; summed
+        per distinct g^{ef}, so each value multiplies once per call, not per term."""
+        sums = [Fraction(0)] * len(self._gvals)
+        for e, row in enumerate(self._ginv):
             le = self._f(left + (e,))
             if le:
-                acc += le * self._f(right + (n - e,))
-                if e <= n - a:
-                    acc -= self.desc.b * le * self._f(right + (n - a - e,))
-        return acc / self.desc.degree
+                for f, k in row:
+                    r = self._f(right + (f,))
+                    if r:
+                        sums[k] += le * r
+        return sum(s * g for s, g in zip(sums, self._gvals))
 
     def contract0(self, key: Tuple[int, ...]) -> QPoly:
-        """sum_e F_{key,e}(0) g^{e0} = (F_{key,n} - b q F_{key,n-a}) / deg:
-        a derivative contracted with the unit."""
-        n, a, b = self.desc.n, self.desc.a, self.desc.b
-        top = self.partial(key + (n,)) - self.partial(key + (n - a,)) * QPoly.q_power(1, b)
-        return top.scale(Fraction(1, self.desc.degree))
+        """sum_e F_{key,e}(0) g^{e0}: a derivative contracted with the unit,
+        through the nonzero entries of the ring's g^{e0}."""
+        return sum((self.partial(key + (e,)) * g for e, g in _nonzero(self.ring.ginv[0])),
+                   QPoly.zero())
 
     def partial(self, indices) -> QPoly:
         """F^(0) partial derivative at 0 w.r.t. the given tau indices: the

@@ -201,7 +201,7 @@ def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
         for b in range(a, n + 1):
             third = [origin.partial((a, b, e)) for e in range(n + 1)]
             mixed[(a, b)] = (contract(ring.ginv, third, f2jet.tau_grad)
-                             - contract(ring.ginv, f1.row(a), f1.row(b))
+                             + -contract(ring.ginv, f1.row(a), f1.row(b))
                              + (f1.second(a, b) * f2jet.value).scale(2))
     pure = f2jet.value * f2jet.value + contract(ring.ginv, _unit_vector(n, 0),
                                                 f2jet.tau_grad)

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ciqc.cli import HIGHERK_KMAX_LIMIT, main
 from ciqc.exact import parse_rat
+from ciqc.geometry import MULTIDEGREE_SUM_LIMIT
 from oracles import reduced_potential
 
 
@@ -408,6 +410,26 @@ def test_higherk_kmax_above_limit_is_usage_error(capsys):
     assert json.loads(out)["records"][-1]["order"] == HIGHERK_KMAX_LIMIT
 
 
+@pytest.mark.parametrize("command", ["info", "smallqh"])
+@pytest.mark.parametrize("d", ["1371", "685,686", "100000000", str(10 ** 20)])
+def test_multidegree_above_the_bound_is_domain_error(capsys, command, d):
+    # b = 1371^1371 has 4301 digits, one more than Python writes out; 10^8
+    # would build gigantic b and ell, and 10^20 overflows math.factorial:
+    # describe refuses each before forming b or ell
+    code, out, err = run(capsys, command, "--n", "3", "--d", d)
+    assert (code, out) == (2, "")
+    total = sum(map(int, d.split(",")))
+    assert err == f"domain error: multidegree sum {total} exceeds {MULTIDEGREE_SUM_LIMIT}\n"
+
+
+@pytest.mark.parametrize("d", ["1370", "685,685"])
+def test_multidegree_at_the_bound_prints(capsys, d):
+    code, out, err = run(capsys, "info", "--n", "3", "--d", d)
+    assert (code, err) == (0, "")
+    degrees = [int(x) for x in d.split(",")]
+    assert json.loads(out)["b"] == prod(di ** di for di in degrees)
+
+
 @pytest.mark.parametrize("argv", [
     ["f2", "--n", "4", "--d", "3", "--no-header"],
     ["smallqh", "--n", "4", "--d", "3,x"],
@@ -497,8 +519,8 @@ def cli_argv(draw):
     command = draw(st.sampled_from(COMMANDS))
     argv = [command, "--n", str(draw(st.sampled_from(range(9))))]
     if command != "fano-lines" and (command != "genus1" or draw(st.booleans())):
-        degrees = draw(st.lists(st.sampled_from([3, 2, 4, 5, 1]), min_size=1,
-                                max_size=3))
+        degrees = draw(st.lists(st.sampled_from([3, 2, 4, 5, 1, 10 ** 20]),
+                                min_size=1, max_size=3))
         argv += ["--d", ",".join(map(str, degrees))]
     if command in ("smallqh", "f1", "f2", "residual") and draw(st.booleans()):
         argv += ["--q", "1"]

@@ -32,7 +32,7 @@ def test_gamma_cubic_fourfold_explicit():
     expected = [QPoly.zero() for _ in range(5)]
     for i in range(5):
         expected[i] = ring.powers[4][i].scale(third) \
-            - ring.powers[1][i].scale(27 * third) * QPoly.q_power(1)
+            + -ring.powers[1][i].scale(27 * third) * QPoly.q_power(1)
     assert gamma == expected
 
 
@@ -61,7 +61,7 @@ def test_f1_jet_matches_printed_form(n, d):
     desc = describe(n, d)
     ring = _ring(n, d)
     jet = f1_series(desc, ring)
-    assert jet.t_jet == _expected_f1_t_jet(desc, ring.qmax)
+    assert jet.t_jet == _expected_f1_t_jet(desc)
 
 
 def test_f1_cubic_fourfold_explicit_coefficients():

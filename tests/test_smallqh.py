@@ -271,6 +271,18 @@ def test_f0_fourth_contracted_boundary_entry():
     assert cval * desc.b != 120
 
 
+@pytest.mark.parametrize("n,d", RING_DESCRIPTORS)
+def test_contract0_is_the_unit_contraction_written_out(n, d):
+    # g^{e0} is 1/deg at e = n and -b q/deg at e = n - a
+    desc = describe(n, d)
+    origin = _ring(n, d).origin
+    for size in (2, 3):
+        for key in combinations_with_replacement(range(n + 1), size):
+            top = origin.partial(key + (n,)) \
+                + -origin.partial(key + (n - desc.a,)) * QPoly.q_power(1, desc.b)
+            assert origin.contract0(key) == top.scale(Fraction(1, desc.degree)), key
+
+
 def test_f0_fourfold_example_cubic():
     # F_{abc}(0) = 3 * 27^k q^k when a+b+c = 4 + 3k
     desc = describe(4, (3,))
@@ -472,7 +484,7 @@ def test_origin_jet_satisfies_differentiated_wdvv():
                     tuple(sorted(right + (n - e,)))).scale(Fraction(1, deg))
                 f2 = n - aa - e
                 if f2 >= 0:
-                    acc = acc - (le * origin.partial(
+                    acc = acc + -(le * origin.partial(
                         tuple(sorted(right + (f2,)))).scale(
                         Fraction(desc.b, deg))) * QPoly.q_power(1)
             return acc
