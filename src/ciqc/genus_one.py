@@ -2,8 +2,8 @@
 
 In degree one the standard-versus-reduced comparison collapses (genus-one
 maps of degree one contract their elliptic component), so the genus-one
-invariants reduce to genus-zero data: two-point descendants generated by an
-explicit induction off the seeds <H_n, H_{n-2}> and <H_{n-1}, H_{n-1}>, a
+invariants reduce to genus-zero data: two-point descendants read off the
+ring's flat sections and checked against their closed form in two seeds, a
 Chern-weighted descendant sum, and the genus-one topological recursion
 relation contracted over the primitive classes.  Solving the resulting
 linear equation determines the four-point primitive constant; for cubic
@@ -37,61 +37,36 @@ def _seeds(desc: CIDescriptor, ring: QuantumRingData) -> Tuple[Fraction, Fractio
 
 def two_point_g0(desc: CIDescriptor, ring: QuantumRingData,
                  i: int, j: int) -> Fraction:
-    """<psi^{2n-2-i-j} H_i, H_j>_{0,2,1}, by the divisor/TRR induction.
+    """<psi^K H_i, H_j>_{0,2,1}, K = 2n-2-i-j, read off the flat section S_i.
 
-    The recursion f(i,j) = f(i,j+1) - f(i+1,j) terminates on the diagonal
-    i+j = 2n-2 where only (n,n-2), (n-1,n-1), (n-2,n) survive; the result
-    is compared against the binomial closed form before returning.
+    The value is compared before returning against the binomial closed form
+    in the seeds <H_n, H_{n-2}> and <H_{n-1}, H_{n-1}>, an independent route.
     """
     n = desc.n
     if not (0 <= i <= n and 0 <= j <= n and i + j <= 2 * n - 2):
         raise DomainError(f"indices ({i},{j}) out of range for n = {n}")
     s1, s2 = _seeds(desc, ring)
-
-    memo = {}
-
-    def rec(a, b):
-        if a > n or b > n or a < 0 or b < 0:
-            return Fraction(0)
-        if a + b == 2 * n - 2:
-            if (a, b) == (n, n - 2) or (a, b) == (n - 2, n):
-                return s1
-            if (a, b) == (n - 1, n - 1):
-                return s2
-            return Fraction(0)
-        if (a, b) not in memo:
-            memo[(a, b)] = rec(a, b + 1) - rec(a + 1, b)
-        return memo[(a, b)]
-
-    value = rec(i, j)
     K = 2 * n - 2 - i - j
-    closed = ((-1) ** (n - i) * comb(K, n - i) * s1 if 0 <= n - i <= K else 0)
-    closed += ((-1) ** (n - 1 - i) * comb(K, n - 1 - i) * s2
-               if 0 <= n - 1 - i <= K else 0)
-    closed += ((-1) ** (n - 2 - i) * comb(K, n - 2 - i) * s1
-               if 0 <= n - 2 - i <= K else 0)
+    value = ring.two_point(i, j, K).coefficient(1)
+    closed = sum((-1) ** (n - c - i) * comb(K, n - c - i) * seed
+                 for c, seed in ((0, s1), (1, s2), (2, s1)) if 0 <= n - c - i <= K)
     if value != closed:
         raise VerificationError(
-            f"two-point induction {value} != closed form {closed} at ({i},{j})")
+            f"flat-section two-point {value} != closed form {closed} at ({i},{j})")
     return value
 
 
 def descendant_chern_sum(desc: CIDescriptor, ring: QuantumRingData) -> Fraction:
     """sum_{p=0}^{n-2} <psi^p c_{n-2-p}(TX), H_n>_{0,2,1}.
 
-    Each summand is kappa_{n-2-p} <psi^p H_{n-2-p}, H_n> and the descendant
-    reduces to (-1)^p times the <H_n, H_{n-2}> seed, which is the residue
-    form of the sum.
+    Each summand is kappa_{n-2-p} <psi^p H_{n-2-p}, H_n>, whose descendant
+    is (-1)^p times the <H_n, H_{n-2}> seed (``two_point_g0``'s closed form
+    at j = n), which is the residue form of the sum.
     """
     n = desc.n
     kappa = _chern_numbers(n, desc.d)
-    s1, _ = _seeds(desc, ring)
-    total = Fraction(0)
-    for p in range(0, n - 1):
-        two_pt = two_point_g0(desc, ring, n - 2 - p, n)
-        if two_pt != (-1) ** p * s1:
-            raise VerificationError("descendant value is not (-1)^p * seed")
-        total += kappa[n - 2 - p] * two_pt
+    total = sum((kappa[n - 2 - p] * two_point_g0(desc, ring, n - 2 - p, n)
+                 for p in range(n - 1)), Fraction(0))
     if desc.d == (3,):
         closed = Fraction(2, 3) * ((-1) ** n * 2 ** (n + 1) + 1) \
             + 3 * n * n + n - 2

@@ -26,6 +26,10 @@ WEYL_E6 = "WeylE6"
 # The largest multidegree sum: under it b = prod d_i^{d_i} <= (sum d)^{sum d} has
 # at most 4298 digits, and Python writes an int of up to 4300 digits, so b prints.
 MULTIDEGREE_SUM_LIMIT = 1370
+# The largest dimension: for n <= 1300 and s = sum d <= MULTIDEGREE_SUM_LIMIT,
+# |chi| <= prod(d) s^n (1 + 1/s)^{n+r+1} with prod(d) <= 3^{s/3} and r <= s/2,
+# below 10^4297, so chi and m print (X_1370(1370)'s chi has 4301 digits).
+DIMENSION_LIMIT = 1300
 
 
 class CIDescriptor(NamedTuple):
@@ -94,13 +98,15 @@ def chern_integrals(desc: CIDescriptor):
 
 
 def describe(n: int, d) -> CIDescriptor:
-    """Build the descriptor of X_n(d); accepts every n >= 1 and d_i >= 2.
+    """Build the descriptor of X_n(d), 1 <= n <= DIMENSION_LIMIT, d_i >= 2.
 
     Downstream reconstruction operations impose their own Fano and
     non-exceptional hypotheses; this classification does not.
     """
     if n < 1:
         raise DomainError(f"dimension must be >= 1, got {n}")
+    if n > DIMENSION_LIMIT:
+        raise DomainError(f"dimension {n} exceeds {DIMENSION_LIMIT}")
     d = tuple(sorted(int(x) for x in d))
     if not d or any(di < 2 for di in d):
         raise DomainError(f"every multidegree entry must be >= 2, got {d}")

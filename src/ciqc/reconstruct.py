@@ -17,7 +17,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .exact import (QPoly, Rational, TruncSeries, contract, linear_substitute,
-                    monomial)
+                    monomial, solve_linear)
 from .geometry import CIDescriptor, require_reconstruction_domain
 from .smallqh import QuantumRingData, _mat_vec, _unit_vector, quantum_product_qp, reduce_power
 
@@ -96,36 +96,20 @@ def artin_iso(n: int, k: int, b: Rational) -> dict:
         report["eps_power_formula"] = powers[k - 1] == expected
     else:
         # w^{n+1} - b w has n+1 distinct roots iff gcd with derivative is 1
-        p = [Fraction(0)] * (n + 2)
-        p[n + 1] = Fraction(1)
-        p[1] = -b
+        p = [0, -b] + [0] * (n - 1) + [1]
         dp = [i * c for i, c in enumerate(p)][1:]
         report["semisimple_distinct_roots"] = _poly_gcd_degree(p, dp) == 0
     return report
 
 
 def _poly_gcd_degree(p, q):
-    def norm(v):
-        v = list(v)
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    p, q = norm(p), norm(q)
-    while q:
-        # polynomial remainder
-        r = list(p)
-        while len(r) >= len(q) and any(c != 0 for c in r):
-            if r[-1] == 0:
-                r.pop()
-                continue
-            f = r[-1] / q[-1]
-            shift = len(r) - len(q)
-            for i, c in enumerate(q):
-                r[shift + i] -= f * c
-            r = norm(r)
-        p, q = q, norm(r)
-    return len(p) - 1
+    """deg gcd(p, q) for coefficient lists (constant term first) with nonzero
+    leading coefficients: the kernel dimension of the Sylvester map
+    (u, v) -> u p + v q, deg u < deg q and deg v < deg p."""
+    m, l = len(p) - 1, len(q) - 1
+    columns = ([[0] * i + p + [0] * (l - 1 - i) for i in range(l)]
+               + [[0] * j + q + [0] * (m - 1 - j) for j in range(m)])
+    return len(solve_linear(list(zip(*columns)), [0] * (l + m))[1])
 
 
 # --- F^(1) ------------------------------------------------------------------

@@ -84,7 +84,8 @@ def _graded(c: Rational, qdeg: int, a: int) -> QPoly:
 def small_j(desc: CIDescriptor) -> GradedJet:
     """Hypergeometric small J-series of X at the origin, exact through q^R,
     R = (n + 1) // a: ``build_ring`` reads its z^0 columns at q^{(j+1-h)/a},
-    j <= n, and ``two_point(i, j)`` at q^{(i+j+1-n)/a}, so none reads deeper.
+    j <= n, and ``two_point(i, j, k)`` at q^{(i+j+k+1-n)/a}, with i+j+k <= 2n
+    for every reader, so none reads deeper.
 
     The q^delta term of I is z T_delta with T_delta = prod_j prod_{m=1}^{d_j
     delta} (d_j H + m z) / prod_{m=1}^{delta} (H + m z)^{n+r+1}.  T_delta is
@@ -163,9 +164,11 @@ class QuantumRingData:
     def origin(self) -> "AmbientOrigin":
         return AmbientOrigin(self.desc, self)
 
-    def two_point(self, i: int, j: int) -> QPoly:
-        """< H_i, H_j >_{0,2,*} from the stored flat sections."""
-        return self.smat[i].entry(-1, self.desc.n - j).scale(self.desc.degree)
+    def two_point(self, i: int, j: int, k: int = 0) -> QPoly:
+        """< psi^k H_i, H_j >_{0,2,*}: (-1)^k deg X times the z^{-k-1} H_{n-j}
+        entry of the flat section S_i."""
+        return self.smat[i].entry(-k - 1, self.desc.n - j).scale(
+            (-1) ** k * self.desc.degree)
 
 
 def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingData:

@@ -16,7 +16,10 @@ route to a value the package computes another way, or a test input:
 * ``diff``/``contract_series``/``minus`` -- term-by-term differentiation,
   the contraction of series rows by its definition, and subtraction;
 * ``wdvv_reference``/``reduced_reference`` -- the ambient WDVV and the
-  reduced residuals by their definitions, one contraction per term.
+  reduced residuals by their definitions, one contraction per term;
+* ``two_point_induction`` -- the degree-one two-point descendants by the
+  divisor/TRR induction from two seeds;
+* ``poly_gcd_degree_euclid`` -- the degree of a polynomial gcd by Euclid.
 """
 
 from __future__ import annotations
@@ -407,3 +410,40 @@ def reduced_reference(F: TruncSeries, ginv, mixed_cap: int, pure_cap: int,
     pure = contract_series(ginv, ds1_p, ds1_p) + (cut(s, pure_cap) * cut(Fss, pure_cap)
                                                   * cut(Fss, pure_cap)).scale(2)
     return mixed, pure
+
+
+def two_point_induction(n: int, s1: Rational, s2: Rational) -> Dict[Tuple[int, int], Rational]:
+    """<psi^{2n-2-i-j} H_i, H_j>_{0,2,1} on the grid 0 <= i, j <= n, i + j <=
+    2n - 2, by the induction f(i, j) = f(i, j+1) - f(i+1, j).  On the diagonal
+    i + j = 2n - 2 only (n, n-2), (n-1, n-1), (n-2, n) survive, with the seeds
+    s1 = <H_n, H_{n-2}>, s2 = <H_{n-1}, H_{n-1}>, s1; off the grid f is 0."""
+    f: Dict[Tuple[int, int], Rational] = {}
+    for total in range(2 * n - 2, -1, -1):
+        for i in range(max(0, total - n), min(n, total) + 1):
+            j = total - i
+            if total == 2 * n - 2:
+                f[i, j] = {n: s1, n - 1: s2, n - 2: s1}.get(i, Fraction(0))
+            else:
+                f[i, j] = f.get((i, j + 1), 0) - f.get((i + 1, j), 0)
+    return f
+
+
+def poly_gcd_degree_euclid(p: Sequence[Rational], q: Sequence[Rational]) -> int:
+    """deg gcd(p, q) for coefficient lists (constant term first), by Euclid's
+    remainder sequence over the rationals; q may be zero, p may not."""
+    def norm(v):
+        v = [Fraction(c) for c in v]
+        while v and v[-1] == 0:
+            v.pop()
+        return v
+
+    p, q = norm(p), norm(q)
+    while q:
+        r = list(p)
+        while len(r) >= len(q):
+            f, shift = r[-1] / q[-1], len(r) - len(q)
+            for i, c in enumerate(q):
+                r[shift + i] -= f * c
+            r = norm(r)
+        p, q = q, r
+    return len(p) - 1

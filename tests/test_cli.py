@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from ciqc.cli import HIGHERK_KMAX_LIMIT, main
 from ciqc.exact import parse_rat
-from ciqc.geometry import MULTIDEGREE_SUM_LIMIT
+from ciqc.geometry import DIMENSION_LIMIT, MULTIDEGREE_SUM_LIMIT
 from oracles import reduced_potential
 
 
@@ -430,6 +430,23 @@ def test_multidegree_at_the_bound_prints(capsys, d):
     assert json.loads(out)["b"] == prod(di ** di for di in degrees)
 
 
+@pytest.mark.parametrize("command", ["info", "smallqh"])
+@pytest.mark.parametrize("n", ["1301", str(10 ** 20)])
+def test_dimension_above_the_bound_is_domain_error(capsys, command, n):
+    # describe refuses n before the Chern numbers: X_14000(3) used to take
+    # 36 s to print, X_2000(1000) and n = 10^20 to end in a traceback or hang
+    code, out, err = run(capsys, command, "--n", n, "--d", "3")
+    assert (code, out) == (2, "")
+    assert err == f"domain error: dimension {n} exceeds {DIMENSION_LIMIT}\n"
+
+
+def test_dimension_and_multidegree_at_their_bounds_print(capsys):
+    # X_1300(1370): chi = ((1 - D)^{n+2} - 1)/D + n + 2 has 4081 digits
+    code, out, err = run(capsys, "info", "--n", "1300", "--d", "1370")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["chi"] == (((-1369) ** 1302 - 1) // 1370 + 1302)
+
+
 @pytest.mark.parametrize("argv", [
     ["f2", "--n", "4", "--d", "3", "--no-header"],
     ["smallqh", "--n", "4", "--d", "3,x"],
@@ -517,7 +534,9 @@ COMMANDS = ("info", "smallqh", "f1", "f2", "higherk", "residual", "fano-lines",
 def cli_argv(draw):
     """An argv of one subcommand with in-range values; --d in any order."""
     command = draw(st.sampled_from(COMMANDS))
-    argv = [command, "--n", str(draw(st.sampled_from(range(9))))]
+    # fano-lines takes no descriptor, so describe's dimension bound is not its
+    dimensions = range(9) if command == "fano-lines" else [*range(9), 10 ** 20]
+    argv = [command, "--n", str(draw(st.sampled_from(dimensions)))]
     if command != "fano-lines" and (command != "genus1" or draw(st.booleans())):
         degrees = draw(st.lists(st.sampled_from([3, 2, 4, 5, 1, 10 ** 20]),
                                 min_size=1, max_size=3))

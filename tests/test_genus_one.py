@@ -11,6 +11,7 @@ from ciqc.genus_one import (descendant_chern_sum, f2_from_genus1, h_10,
                             hn_11, psi_top_descendant, two_point_g0)
 from ciqc.geometry import describe
 from ciqc.reconstruct import f1_series, f2_at_zero
+from oracles import two_point_induction
 
 
 def test_two_point_seed_values():
@@ -30,6 +31,18 @@ def test_two_point_grid_induction_vs_closed_form():
             for j in range(n + 1):
                 if i + j <= 2 * n - 2:
                     two_point_g0(desc, ring, i, j)
+
+
+@pytest.mark.parametrize("n,d", [(n, (3,)) for n in range(3, 9)]
+                         + [(n, (2, 2)) for n in (3, 5, 7)])
+def test_two_point_matches_the_induction(n, d):
+    # the flat sections against the divisor/TRR induction from the two seeds,
+    # on the whole admissible grid; the sign (-1)^K matters at odd K
+    desc, ring = describe(n, d), _ring(n, d)
+    grid = two_point_induction(n, ring.two_point(n, n - 2).coefficient(1),
+                               ring.two_point(n - 1, n - 1).coefficient(1))
+    assert len(grid) == (n + 1) ** 2 - 3
+    assert {ij: two_point_g0(desc, ring, *ij) for ij in grid} == grid
 
 
 def test_two_point_rejects_out_of_range():

@@ -1,5 +1,6 @@
 """Square-zero vector, quotient-ring model, F^(1)/F^(2) jets, higher orders."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,11 @@ from ciqc.acceptance import RING_DESCRIPTORS, _expected_f1_t_jet, _ring
 from ciqc.errors import DomainError
 from ciqc.exact import QPoly, linear_substitute
 from ciqc.geometry import describe
-from ciqc.reconstruct import (_tau_to_t_forms, artin_iso, f1_series, f2_at_zero, f2_gradient,
-                              gamma_vector, higher_k_coeffs)
+from ciqc.reconstruct import (_poly_gcd_degree, _tau_to_t_forms, artin_iso, f1_series,
+                              f2_at_zero, f2_gradient, gamma_vector, higher_k_coeffs)
 from ciqc.smallqh import build_ring, c_constant
-from oracles import diff, f2_gradient_closed_form, f2_origin_residuals
+from oracles import (diff, f2_gradient_closed_form, f2_origin_residuals,
+                     poly_gcd_degree_euclid)
 
 
 @pytest.mark.parametrize("n,d", RING_DESCRIPTORS)
@@ -53,6 +55,31 @@ def test_artin_iso_checks():
     assert rep1["semisimple_distinct_roots"]
     with pytest.raises(DomainError):
         artin_iso(4, 2, 0)
+
+
+def test_poly_gcd_degree_hand_case():
+    # (w - 1)^2 (w + 2) = w^3 - 3w + 2 and its derivative 3w^2 - 3 share w - 1
+    assert _poly_gcd_degree([2, -3, 0, 1], [-3, 0, 3]) == 1
+    assert _poly_gcd_degree([-3, 0, 3], [2, -3, 0, 1]) == 1
+
+
+def _from_roots(roots, lead):
+    poly = [Fraction(lead)]
+    for root in roots:  # poly * (w - root)
+        poly = [x - root * y for x, y in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+    return poly
+
+
+def test_poly_gcd_degree_matches_euclid():
+    # seeded pairs sharing a factor, roots repeated within and across them;
+    # the Sylvester kernel dimension against Euclid's remainder sequence
+    rng = random.Random(28)
+    for _ in range(40):
+        roots = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(6)]
+        common = rng.choices(roots, k=rng.randint(0, 3))
+        p = _from_roots(common + rng.choices(roots, k=rng.randint(0, 3)), rng.randint(1, 5))
+        q = _from_roots(common + rng.choices(roots, k=rng.randint(0, 3)), -rng.randint(1, 5))
+        assert _poly_gcd_degree(p, q) == poly_gcd_degree_euclid(p, q) >= len(common), (p, q)
 
 
 @pytest.mark.parametrize("n,d", [(3, (3,)), (4, (3,)), (5, (3,)),
