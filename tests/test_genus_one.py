@@ -23,26 +23,15 @@ def test_two_point_seed_values():
 
 
 def test_two_point_grid_induction_vs_closed_form():
-    # the comparison runs inside two_point_g0; sweep the admissible grid
-    for n in range(3, 9):
-        ring = _ring(n, (3,))
-        desc = describe(n, (3,))
-        for i in range(n + 1):
-            for j in range(n + 1):
-                if i + j <= 2 * n - 2:
-                    two_point_g0(desc, ring, i, j)
-
-
-@pytest.mark.parametrize("n,d", [(n, (3,)) for n in range(3, 9)]
-                         + [(n, (2, 2)) for n in (3, 5, 7)])
-def test_two_point_matches_the_induction(n, d):
-    # the flat sections against the divisor/TRR induction from the two seeds,
-    # on the whole admissible grid; the sign (-1)^K matters at odd K
-    desc, ring = describe(n, d), _ring(n, d)
-    grid = two_point_induction(n, ring.two_point(n, n - 2).coefficient(1),
-                               ring.two_point(n - 1, n - 1).coefficient(1))
-    assert len(grid) == (n + 1) ** 2 - 3
-    assert {ij: two_point_g0(desc, ring, *ij) for ij in grid} == grid
+    # the flat sections (two_point_g0, which also checks the binomial closed
+    # form) against the divisor/TRR induction from the two seeds, on the
+    # whole admissible grid; the sign (-1)^K matters at odd K
+    for n, d in [(n, (3,)) for n in range(3, 9)] + [(n, (2, 2)) for n in (3, 5, 7)]:
+        desc, ring = describe(n, d), _ring(n, d)
+        grid = two_point_induction(n, ring.two_point(n, n - 2).coefficient(1),
+                                   ring.two_point(n - 1, n - 1).coefficient(1))
+        assert len(grid) == (n + 1) ** 2 - 3
+        assert {ij: two_point_g0(desc, ring, *ij) for ij in grid} == grid, (n, d)
 
 
 def test_two_point_rejects_out_of_range():

@@ -422,15 +422,6 @@ def test_two_point_consistent_with_divisor(n, d):
                 assert lhs == col * deg, (j, e)
 
 
-@pytest.mark.parametrize("n,d", RING_DESCRIPTORS)
-def test_two_point_at_k0_is_the_flat_sections_z_minus_one_entry(n, d):
-    # k = 0, the primary invariant <H_i, H_j>: no sign, the z^{-1} entry of S_i
-    ring, deg = _ring(n, d), describe(n, d).degree
-    for i, j in product(range(n + 1), repeat=2):
-        expected = ring.smat[i].entry(-1, n - j).scale(deg)
-        assert ring.two_point(i, j, 0) == ring.two_point(i, j) == expected, (i, j)
-
-
 def _in_domain(nmax):
     """Every (n, d) with n <= nmax, entries >= 2 and d sorted, that
     require_reconstruction_domain accepts (it refuses n < 3)."""
