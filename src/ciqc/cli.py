@@ -121,6 +121,11 @@ def cmd_f2(args) -> int:
 # mistyped value run for minutes before printing anything.
 HIGHERK_KMAX_LIMIT = 1000
 
+# The largest `fano-lines --n`.  Nothing prints before the report is complete,
+# and `--check all` took 1.5 s at n = 100 and 8.8 s at n = 200 on a 2-vCPU
+# host, so a larger n would only run for minutes (n = 10^20 never returns).
+FANO_LINES_N_LIMIT = 100
+
 
 def cmd_higherk(args) -> int:
     from .reconstruct import higher_k_coeffs
@@ -167,6 +172,8 @@ def cmd_fano_lines(args) -> int:
     from .fano_lines import (hilb2_check, hilb2_examples, omega_checks,
                              prim_square_class, rank_estimates)
     n, which = args.n, args.check
+    if n > FANO_LINES_N_LIMIT:
+        raise DomainError(f"fano-lines needs n <= {FANO_LINES_N_LIMIT}, got n = {n}")
     if which == "hilb2" and n != 4:
         raise DomainError(f"the hilb2 cross-check is the cubic fourfold's: "
                           f"it needs n = 4, got n = {n}")

@@ -15,7 +15,8 @@ Every number in the package is a ``fractions.Fraction`` (re-exported here as
   rows over one denominator that every series product is summed on:
   ``TruncSeries.__mul__`` reads a series' own rows, the residual checker
   the derivatives it names,
-* ``solve_linear`` -- exact row reduction with kernel basis.
+* ``solve_linear`` -- sparse exact row reduction of a map given by its
+  column images, with kernel basis and a self-check of both results.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import lcm, perm
 from typing import NamedTuple, Optional
 
-from .errors import ConfigurationError, DomainError
+from .errors import ConfigurationError, DomainError, InternalConsistencyError
 
 Rational = Fraction
 
@@ -525,72 +526,61 @@ def contract(ginv, left, right) -> QPoly:
     return acc
 
 
-def solve_linear(matrix, rhs):
-    """Exact reduced row echelon solve of the dense system matrix x = rhs.
+def solve_linear(columns, rhs):
+    """Exact sparse reduced row echelon solve of sum_j x_j columns[j] = rhs.
 
-    Returns (particular, kernel, witness): ``particular`` is one solution or
-    None when the system is inconsistent, in which case ``witness`` is the
-    index of an original row whose reduced form reads 0 = nonzero.  ``kernel``
-    is a basis of the homogeneous solution space, each vector normalized so
-    its first nonzero entry is 1.
-
-    Pivots are chosen among the nonzero candidates by largest absolute
-    numerator, which keeps intermediate entries modest; exactness does not
-    depend on the choice.  Raises ConfigurationError when the matrix and
-    rhs sizes differ or the matrix is ragged.
+    Each column image, and ``rhs``, is a dict from a row key to a Rational (a
+    missing key is 0).  Returns (particular, kernel, witness): the solution
+    whose free variables are 0, or None and the first row key at which the
+    rows so far read 0 = nonzero; and a basis of the homogeneous solutions,
+    one vector per free column with first nonzero entry 1.  Rows are reduced
+    in the order their keys first appear (the columns in order, then
+    ``rhs``); a new pivot is its row's smallest column and is eliminated from
+    the earlier pivot rows, so the form stays reduced and both results are
+    the unique reduced-echelon ones.  Both are substituted back into every
+    row, and a mismatch raises InternalConsistencyError.
     """
-    if len(matrix) != len(rhs):
-        raise ConfigurationError("matrix and rhs sizes differ")
-    if len({len(row) for row in matrix}) > 1:
-        raise ConfigurationError("ragged matrix")
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    aug = [[rat(c) for c in matrix[i]] + [rat(rhs[i])] for i in range(rows)]
-    origin = list(range(rows))
-
-    pivot_cols = []
-    r = 0
-    for c in range(cols):
-        best = None
-        for i in range(r, rows):
-            if aug[i][c] != 0:
-                if best is None or abs(aug[i][c].numerator) > abs(aug[best][c].numerator):
-                    best = i
-        if best is None:
+    cols = len(columns)  # the rhs is entry ``cols`` of a row
+    rows = {}
+    for j, column in enumerate([*columns, rhs]):
+        for key, c in column.items():
+            if c:
+                rows.setdefault(key, {})[j] = rat(c)
+    pivots, witness = {}, None
+    for key, row in rows.items():
+        row = dict(row)
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, c, pivots[c])
+        unknowns = [c for c in row if c < cols]
+        if not unknowns:
+            if row and witness is None:
+                witness = key
             continue
-        aug[r], aug[best] = aug[best], aug[r]
-        origin[r], origin[best] = origin[best], origin[r]
-        piv = aug[r][c]
-        aug[r] = [v / piv for v in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-
-    for i in range(r, rows):
-        if aug[i][cols] != 0:
-            return None, _kernel_basis(aug, pivot_cols, cols), origin[i]
-
-    particular = [ZERO] * cols
-    for i, c in enumerate(pivot_cols):
-        particular[c] = aug[i][cols]
-    return particular, _kernel_basis(aug, pivot_cols, cols), None
+        p = min(unknowns)
+        row = {j: v / row[p] for j, v in row.items()}
+        for other in pivots.values():
+            if p in other:
+                _eliminate(other, p, row)
+        pivots[p] = row
+    particular = None if witness is not None else [
+        pivots[c].get(cols, ZERO) if c in pivots else ZERO for c in range(cols)]
+    kernel = []
+    for free in (c for c in range(cols) if c not in pivots):
+        vec = [-pivots[p].get(free, ZERO) if p in pivots else ZERO for p in range(cols)]
+        vec[free] = ONE
+        first = next(v for v in vec if v)
+        kernel.append([v / first for v in vec])
+    solutions = [vec + [ZERO] for vec in kernel] + \
+        ([] if particular is None else [particular + [-ONE]])
+    if any(sum(v * x[j] for j, v in row.items()) for x in solutions for row in rows.values()):
+        raise InternalConsistencyError("a solve_linear result fails a row")
+    return particular, kernel, witness
 
 
-def _kernel_basis(aug, pivot_cols, cols):
-    free = [c for c in range(cols) if c not in pivot_cols]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * cols
-        vec[fc] = ONE
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -aug[i][fc]
-        first = next((v for v in vec if v != 0), None)
-        if first is not None and first != 1:
-            vec = [v / first for v in vec]
-        basis.append(vec)
-    return basis
+def _eliminate(row, c, pivot_row):
+    """row -= row[c] * pivot_row in place (pivot_row[c] is 1), dropping zeros."""
+    f = row[c]
+    for j, v in pivot_row.items():
+        row[j] = row.get(j, ZERO) - f * v
+        if not row[j]:
+            del row[j]

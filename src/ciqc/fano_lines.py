@@ -141,12 +141,8 @@ def lines_class_primitive(n: int) -> SchubertVector:
 
 
 def _kernel(images: List[SchubertVector]) -> List[List[Fraction]]:
-    """A basis of the kernel of z -> sum_k z_k images[k], ``solve_linear``'s;
-    all-zero images give it one zero row, which keeps the column count."""
-    target = sorted({key for img in images for key in img.terms})
-    rows = [[img.terms.get(key, 0) for img in images] for key in target] \
-        or [[0] * len(images)]
-    return solve_linear(rows, [0] * len(rows))[1]
+    """``solve_linear``'s basis of the kernel of z -> sum_k z_k images[k]."""
+    return solve_linear([img.terms for img in images], {})[1]
 
 
 def prim_square_class(n: int) -> List[Fraction]:

@@ -107,9 +107,8 @@ def _poly_gcd_degree(p, q):
     leading coefficients: the kernel dimension of the Sylvester map
     (u, v) -> u p + v q, deg u < deg q and deg v < deg p."""
     m, l = len(p) - 1, len(q) - 1
-    columns = ([[0] * i + p + [0] * (l - 1 - i) for i in range(l)]
-               + [[0] * j + q + [0] * (m - 1 - j) for j in range(m)])
-    return len(solve_linear(list(zip(*columns)), [0] * (l + m))[1])
+    return len(solve_linear([dict(enumerate(p, i)) for i in range(l)]
+                            + [dict(enumerate(q, j)) for j in range(m)], {})[1])
 
 
 # --- F^(1) ------------------------------------------------------------------

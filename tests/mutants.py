@@ -65,14 +65,55 @@ MUTANTS = [
            "_nonzero(self.ring.ginv[0])", "_nonzero(self.ring.ginv[1])",
            "tests/test_smallqh.py::test_f0_fourth_contracted_matches_c_formula",
            "contracting with the unit reads g^{e0}, row 0 of ginv"),
-    Mutant("kernel_zero_row_ones", "fano_lines",
-           "or [[0] * len(images)]", "or [[1] * len(images)]",
-           "tests/test_fano_lines.py::test_kernel_of_zero_images_is_the_unit_basis",
-           "all-zero images have the whole space as kernel, not a hyperplane"),
     Mutant("multidegree_limit_off_by_one", "geometry",
            "MULTIDEGREE_SUM_LIMIT = 1370", "MULTIDEGREE_SUM_LIMIT = 1371",
            "tests/test_cli.py::test_multidegree_above_the_bound_is_domain_error",
            "b = 1371^1371 has 4301 digits and cannot print"),
+    Mutant("solve_skip_back_elimination", "exact",
+           "_eliminate(other, p, row)", "None",
+           "tests/test_exact.py::test_solve_matches_the_dense_oracle_on_seeded_systems",
+           "a new pivot must leave the earlier pivot rows, or the form is not reduced"),
+    Mutant("solve_pivot_largest_column", "exact",
+           "p = min(unknowns)", "p = max(unknowns)",
+           "tests/test_exact.py::test_solve_matches_the_dense_oracle_on_seeded_systems",
+           "the reduced echelon form pivots on each row's smallest column"),
+    Mutant("solve_self_check_dropped", "exact",
+           "sum(v * x[j] for j, v in row.items())", "0",
+           "tests/test_exact.py::test_corrupted_elimination_fails_the_self_check",
+           "the self-check substitutes both results back into every row"),
+    Mutant("solve_kernel_last_nonzero", "exact",
+           "first = next(v for v in vec if v)", "first = next(v for v in reversed(vec) if v)",
+           "tests/test_exact.py::test_solve_matches_the_dense_oracle_on_seeded_systems",
+           "kernel vectors are normalized by their first nonzero entry"),
+    Mutant("fano_lines_limit_off_by_one", "cli",
+           "FANO_LINES_N_LIMIT = 100", "FANO_LINES_N_LIMIT = 101",
+           "tests/test_cli.py::test_fano_lines_above_the_bound_is_domain_error",
+           "the fano-lines dimension bound is pinned at 100"),
+    Mutant("closed_form_third_seed", "genus_one",
+           "(2, s1)) if", "(2, s2)) if",
+           "tests/test_genus_one.py::test_two_point_grid_induction_vs_closed_form",
+           "the third closed-form term carries the <H_n, H_{n-2}> seed, as the first"),
+    Mutant("shared_ring_never_kept", "acceptance",
+           "if readers > 1)", "if readers > 9)",
+           "tests/test_acceptance.py::test_run_all_ring_and_origin_counts",
+           "a ring read by more than one criterion is built once"),
+    # mutants the change log records as killed by hand, now run by this suite
+    Mutant("substitute_s_to_zero", "exact",
+           "images + [series.like({monomial(nt, s=1): ONE})]", "images + [series.like()]",
+           "tests/test_reconstruct.py::test_tau_to_t_substitution_round_trip",
+           "linear_substitute leaves s untouched; sending it to 0 drops s F^(1)"),
+    Mutant("product_den_squared", "exact",
+           "left.den * right.den, _base(self)", "left.den ** 2, _base(self)",
+           "tests/test_exact.py::test_products_equal_the_pairwise_reference",
+           "a product of two series sits over the product of their denominators"),
+    Mutant("reduced_s_shift_dropped", "reduction",
+           "rows[(a, b, s), 1]", "rows[(a, b, s), 0]",
+           "tests/test_reduction.py::test_reduced_matches_one_contraction_per_key",
+           "the term 2 s F_{sab} F_ss reads F_{sab} shifted by one power of s"),
+    Mutant("fraction_printed_as_float", "cli",
+           "return rat_str(value)", "return float(value)",
+           "tests/test_cli.py::test_jsonable_encoding_rules",
+           "every exact rational prints as a \"p/q\" string"),
 ]
 
 

@@ -19,7 +19,9 @@ route to a value the package computes another way, or a test input:
   reduced residuals by their definitions, one contraction per term;
 * ``two_point_induction`` -- the degree-one two-point descendants by the
   divisor/TRR induction from two seeds;
-* ``poly_gcd_degree_euclid`` -- the degree of a polynomial gcd by Euclid.
+* ``poly_gcd_degree_euclid`` -- the degree of a polynomial gcd by Euclid;
+* ``dense_solve`` -- Gauss--Jordan on dense rows, the reference for the
+  sparse ``solve_linear`` (row i of ``matrix`` is row key i).
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from math import comb, factorial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ciqc.acceptance import _ring
-from ciqc.errors import DomainError
-from ciqc.exact import (ONE, QPoly, Rational, TruncSeries, contract,
-                        linear_substitute, monomial)
+from ciqc.errors import ConfigurationError, DomainError
+from ciqc.exact import (ONE, ZERO, QPoly, Rational, TruncSeries, contract,
+                        linear_substitute, monomial, rat)
 from ciqc.fano_lines import SchubertVector
 from ciqc.geometry import CIDescriptor, describe
 from ciqc.reconstruct import F1Jet, F2Jet, _tau_to_t_forms, f1_series
@@ -447,3 +449,74 @@ def poly_gcd_degree_euclid(p: Sequence[Rational], q: Sequence[Rational]) -> int:
             r = norm(r)
         p, q = q, r
     return len(p) - 1
+
+
+def dense_solve(matrix, rhs):
+    """Exact reduced row echelon solve of the dense system matrix x = rhs.
+
+    Returns (particular, kernel, witness): ``particular`` is one solution or
+    None when the system is inconsistent, in which case ``witness`` is the
+    index of an original row whose reduced form reads 0 = nonzero.  ``kernel``
+    is a basis of the homogeneous solution space, each vector normalized so
+    its first nonzero entry is 1.
+
+    Pivots are chosen among the nonzero candidates by largest absolute
+    numerator, which keeps intermediate entries modest; exactness does not
+    depend on the choice.  Raises ConfigurationError when the matrix and
+    rhs sizes differ or the matrix is ragged.
+    """
+    if len(matrix) != len(rhs):
+        raise ConfigurationError("matrix and rhs sizes differ")
+    if len({len(row) for row in matrix}) > 1:
+        raise ConfigurationError("ragged matrix")
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    aug = [[rat(c) for c in matrix[i]] + [rat(rhs[i])] for i in range(rows)]
+    origin = list(range(rows))
+
+    pivot_cols = []
+    r = 0
+    for c in range(cols):
+        best = None
+        for i in range(r, rows):
+            if aug[i][c] != 0:
+                if best is None or abs(aug[i][c].numerator) > abs(aug[best][c].numerator):
+                    best = i
+        if best is None:
+            continue
+        aug[r], aug[best] = aug[best], aug[r]
+        origin[r], origin[best] = origin[best], origin[r]
+        piv = aug[r][c]
+        aug[r] = [v / piv for v in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+
+    for i in range(r, rows):
+        if aug[i][cols] != 0:
+            return None, _kernel_basis(aug, pivot_cols, cols), origin[i]
+
+    particular = [ZERO] * cols
+    for i, c in enumerate(pivot_cols):
+        particular[c] = aug[i][cols]
+    return particular, _kernel_basis(aug, pivot_cols, cols), None
+
+
+def _kernel_basis(aug, pivot_cols, cols):
+    free = [c for c in range(cols) if c not in pivot_cols]
+    basis = []
+    for fc in free:
+        vec = [ZERO] * cols
+        vec[fc] = ONE
+        for i, pc in enumerate(pivot_cols):
+            vec[pc] = -aug[i][fc]
+        first = next((v for v in vec if v != 0), None)
+        if first is not None and first != 1:
+            vec = [v / first for v in vec]
+        basis.append(vec)
+    return basis

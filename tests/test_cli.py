@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import time
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -10,8 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ciqc.cli import HIGHERK_KMAX_LIMIT, main
-from ciqc.exact import parse_rat
+from ciqc.cli import FANO_LINES_N_LIMIT, HIGHERK_KMAX_LIMIT, main
+from ciqc.exact import parse_rat, rat_str
 from ciqc.geometry import DIMENSION_LIMIT, MULTIDEGREE_SUM_LIMIT
 from oracles import reduced_potential
 
@@ -440,6 +441,26 @@ def test_dimension_above_the_bound_is_domain_error(capsys, command, n):
     assert err == f"domain error: dimension {n} exceeds {DIMENSION_LIMIT}\n"
 
 
+@pytest.mark.parametrize("check", ["all", "cubic7", "cubic13", "cubic16", "hilb2"])
+@pytest.mark.parametrize("n", ["101", str(10 ** 20)])
+def test_fano_lines_above_the_bound_is_domain_error(capsys, check, n):
+    # refused for every --check before any Schubert product; --n 10^20 used
+    # to run until it was killed
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fano-lines", "--n", n, "--check", check)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"domain error: fano-lines needs n <= {FANO_LINES_N_LIMIT}, got n = {n}\n"
+
+
+def test_fano_lines_at_the_bound_prints(capsys):
+    code, out, err = run(capsys, "fano-lines", "--n", str(FANO_LINES_N_LIMIT), "--check", "cubic7")
+    assert (code, err) == (0, "")
+    z = json.loads(out)["checks"]["primitive_square_class"]["z"]
+    n = FANO_LINES_N_LIMIT
+    assert z == [rat_str(Fraction((-2) ** (n + 1 - k) - (-2) ** (k + 2), 9)) for k in range(n // 2)]
+
+
 def test_dimension_and_multidegree_at_their_bounds_print(capsys):
     # X_1300(1370): chi = ((1 - D)^{n+2} - 1)/D + n + 2 has 4081 digits
     code, out, err = run(capsys, "info", "--n", "1300", "--d", "1370")
@@ -534,9 +555,7 @@ COMMANDS = ("info", "smallqh", "f1", "f2", "higherk", "residual", "fano-lines",
 def cli_argv(draw):
     """An argv of one subcommand with in-range values; --d in any order."""
     command = draw(st.sampled_from(COMMANDS))
-    # fano-lines takes no descriptor, so describe's dimension bound is not its
-    dimensions = range(9) if command == "fano-lines" else [*range(9), 10 ** 20]
-    argv = [command, "--n", str(draw(st.sampled_from(dimensions)))]
+    argv = [command, "--n", str(draw(st.sampled_from([*range(9), 10 ** 20])))]
     if command != "fano-lines" and (command != "genus1" or draw(st.booleans())):
         degrees = draw(st.lists(st.sampled_from([3, 2, 4, 5, 1, 10 ** 20]),
                                 min_size=1, max_size=3))

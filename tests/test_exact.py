@@ -1,15 +1,17 @@
 """Substrate tests: exact arithmetic, truncated series, linear solving."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ciqc.errors import ConfigurationError
+from ciqc import exact
+from ciqc.errors import InternalConsistencyError
 from ciqc.exact import (QPoly, TruncSeries, contract, monomial, parse_rat,
                         rat_str, solve_linear, substitute)
-from oracles import contract_series, diff
+from oracles import contract_series, dense_solve, diff
 
 SEED = 20240811
 
@@ -85,8 +87,15 @@ def test_series_json_round_trip():
     assert TruncSeries.from_json(s.to_json()) == s
 
 
+def solve_rows(matrix, rhs):
+    """``solve_linear`` on dense rows: row i of ``matrix`` is row key i."""
+    cols = len(matrix[0]) if matrix else 0
+    return solve_linear([{i: row[j] for i, row in enumerate(matrix)} for j in range(cols)],
+                        dict(enumerate(rhs)))
+
+
 def test_solve_identity():
-    x, kernel, witness = solve_linear([[1, 0], [0, 1]], [1, 0])
+    x, kernel, witness = solve_rows([[1, 0], [0, 1]], [1, 0])
     assert x == [1, 0] and kernel == [] and witness is None
 
 
@@ -94,7 +103,7 @@ def test_solve_tridiagonal_252_chain_n5():
     # chain with interior rows (2,5,2) and boundary rows matching the
     # degree-(2n-2) band at n = 5: unknowns y_0..y_2
     rows = [[2, 5, 2], [0, 2, 5]]
-    x, kernel, witness = solve_linear(rows, [0, 0])
+    x, kernel, witness = solve_rows(rows, [0, 0])
     assert witness is None
     assert len(kernel) == 1
     v = kernel[0]
@@ -105,11 +114,11 @@ def test_solve_tridiagonal_252_chain_n5():
 
 def test_solve_injectivity_chain_n5():
     # the degree-(2n-4) band at n = 5: rows 5y0+2y1 = 0, 2y0+5y1 = 0
-    assert solve_linear([[5, 2], [2, 5]], [0, 0])[1] == []
+    assert solve_rows([[5, 2], [2, 5]], [0, 0])[1] == []
 
 
 def test_solve_inconsistent_reports_witness():
-    x, kernel, witness = solve_linear([[1, 1], [2, 2]], [1, 3])
+    x, kernel, witness = solve_rows([[1, 1], [2, 2]], [1, 3])
     assert x is None
     assert witness in (0, 1)  # a row participating in the contradiction
     assert len(kernel) == 1
@@ -121,7 +130,7 @@ def test_solution_substitutes_back():
         rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(4)] for _ in range(3)]
         target = [Fraction(rng.randrange(-3, 4)) for _ in range(4)]
         rhs = [sum(r[j] * target[j] for j in range(4)) for r in rows]
-        x, kernel, witness = solve_linear(rows, rhs)
+        x, kernel, witness = solve_rows(rows, rhs)
         assert witness is None
         for r, b in zip(rows, rhs):
             assert sum(ri * xi for ri, xi in zip(r, x)) == b
@@ -130,11 +139,123 @@ def test_solution_substitutes_back():
                 assert sum(ri * vi for ri, vi in zip(r, v)) == 0
 
 
-def test_solve_rejects_malformed_systems():
-    with pytest.raises(ConfigurationError, match="sizes differ"):
-        solve_linear([[1, 0], [0, 1]], [1])
-    with pytest.raises(ConfigurationError, match="ragged"):
-        solve_linear([[1, 0], [1]], [1, 0])
+def _seeded_system(rng, kind):
+    """A system as column dicts over shuffled string row keys.  ``kind``
+    picks full rank, rank-deficient, inconsistent, all-zero columns, a
+    duplicated row or an rhs key that no column has."""
+    rows, cols = rng.randrange(1, 8), rng.randrange(0, 8)
+    if kind == "full_rank":
+        rows = cols = max(cols, 1)
+    density = rng.choice([0.3, 0.6, 1.0])
+    matrix = [[rng.randrange(-3, 4) if rng.random() < density else 0
+               for _ in range(cols)] for _ in range(rows)]
+    if kind in ("rank_deficient", "inconsistent") and rows >= 3:
+        a, b = rng.randrange(-2, 3), rng.randrange(-2, 3)
+        matrix[-1] = [a * x + b * y for x, y in zip(matrix[0], matrix[1])]
+    if kind == "zero_columns":
+        for j in rng.sample(range(cols), rng.randrange(0, cols + 1)):
+            for row in matrix:
+                row[j] = 0
+    if kind == "duplicated_row":
+        matrix.append(list(rng.choice(matrix)))
+    target = [rng.randrange(-3, 4) for _ in range(cols)]
+    rhs = [sum(x * y for x, y in zip(row, target)) for row in matrix]
+    if kind == "inconsistent":
+        rhs[-1] += rng.randrange(1, 4)
+    keys = [f"r{i}" for i in rng.sample(range(len(matrix)), len(matrix))]
+    # an explicit 0 is a missing key
+    columns = [{k: row[j] for k, row in zip(keys, matrix) if row[j] or rng.random() < 0.2}
+               for j in range(cols)]
+    rhs = {k: b for k, b in zip(keys, rhs) if b or rng.random() < 0.2}
+    if kind == "rhs_only_key":
+        rhs["extra"] = rng.randrange(-1, 2)
+    return columns, rhs
+
+
+def _dense_rows(columns, rhs):
+    """The system's rows as ``dense_solve`` takes them, keyed in reduction
+    order: row keys in the order a nonzero entry first names them, the
+    columns in order and then ``rhs``."""
+    order = list(dict.fromkeys(k for column in [*columns, rhs] for k, c in column.items() if c))
+    matrix = [[column.get(k, 0) for column in columns] for k in order]
+    return order, matrix, [rhs.get(k, 0) for k in order]
+
+
+def _first_inconsistent_key(columns, rhs):
+    """The first row key, in reduction order, at which the rows so far have
+    no solution, by ``dense_solve`` on each prefix; None if consistent."""
+    order, matrix, b = _dense_rows(columns, rhs)
+    for i in range(len(order)):
+        if dense_solve(matrix[:i + 1], b[:i + 1])[0] is None:
+            return order[i]
+    return None
+
+
+def test_solve_matches_the_dense_oracle_on_seeded_systems():
+    rng = random.Random(SEED + 3)
+    kinds = ("full_rank", "rank_deficient", "inconsistent", "zero_columns",
+             "duplicated_row", "rhs_only_key")
+    systems = [_seeded_system(rng, kinds[i % len(kinds)]) for i in range(600)]
+    systems += [([], {}), ([], {"a": 1}), ([{}, {"x": 0}], {}), ([{}, {}], {"y": 2})]
+    seen = {"kernel": 0, "witness": 0, "no_columns": 0}
+    for columns, rhs in systems:
+        x, kernel, witness = solve_linear(columns, rhs)
+        order, matrix, b = _dense_rows(columns, rhs)
+        if not order:  # no row: one zero row keeps dense_solve's column count
+            matrix, b = [[0] * len(columns)], [0]
+        dense_x, dense_kernel, dense_witness = dense_solve(matrix, b)
+        assert (x, kernel) == (dense_x, dense_kernel), (columns, rhs)
+        assert (witness is None) == (dense_witness is None), (columns, rhs)
+        assert witness == _first_inconsistent_key(columns, rhs), (columns, rhs)
+        seen["kernel"] += bool(kernel)
+        seen["witness"] += witness is not None
+        seen["no_columns"] += not columns
+    assert min(seen.values()) >= 2, seen
+
+
+def test_solve_tall_sparse_system_matches_the_oracle_quickly():
+    # the shape of the reduced-WDVV slice systems: tall, about 2% dense
+    rng = random.Random(SEED + 4)
+    rows, cols = 300, 40
+    matrix = [[rng.choice([-9, -5, -2, -1, 1, 2, 3, 7]) if rng.random() < 0.02 else 0
+               for _ in range(cols)] for _ in range(rows)]
+    target = [Fraction(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(cols)]
+    rhs = [sum(x * y for x, y in zip(row, target)) for row in matrix]
+    start = time.perf_counter()
+    x, kernel, witness = solve_rows(matrix, rhs)
+    assert (x, kernel, witness) == dense_solve(matrix, rhs)
+    assert time.perf_counter() - start < 0.5
+    assert witness is None
+
+
+def test_corrupted_elimination_fails_the_self_check(monkeypatch):
+    # the rhs entry of the first row an elimination touches, off by 1: the
+    # reduced rows no longer describe the system, and substituting the
+    # solution back into the rows says so
+    rng = random.Random(SEED + 5)
+    real = exact._eliminate
+    raised = 0
+    for _ in range(20):
+        size = rng.randrange(2, 6)
+        matrix = [[rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(size)] for _ in range(size)]
+        rhs = [rng.randrange(-3, 4) for _ in range(size)]
+        if dense_solve(matrix, rhs)[1]:
+            continue  # singular: the corrupted row might only add a witness
+        calls = []
+
+        def corrupt(row, c, pivot_row):
+            real(row, c, pivot_row)
+            if not calls:
+                calls.append(c)
+                row[size] = row.get(size, 0) + 1
+
+        monkeypatch.setattr(exact, "_eliminate", corrupt)
+        with pytest.raises(InternalConsistencyError, match="fails a row"):
+            solve_rows(matrix, rhs)
+        monkeypatch.setattr(exact, "_eliminate", real)
+        assert solve_rows(matrix, rhs)[0] == dense_solve(matrix, rhs)[0]
+        raised += 1
+    assert raised >= 10
 
 
 @st.composite

@@ -198,8 +198,8 @@ def test_lines_class_is_injective_below_degree_n_minus_2(n):
 
 
 def test_kernel_of_zero_images_is_the_unit_basis():
-    # all-zero images reach solve_linear as one zero row, which keeps the
-    # column count; no images have an empty kernel basis
+    # all-zero images give solve_linear columns with no row, so every column
+    # is free; no images have an empty kernel basis
     zero = SchubertVector(4)
     assert fano_lines._kernel([zero] * 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert fano_lines._kernel([]) == []
