@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Tuple
 from .errors import DomainError
 from .exact import QPoly, TruncSeries, monomial
 from .geometry import describe
-from .smallqh import _check_inverse, _mat_vec, build_ring, c_constant, one_point_descendant
+from .smallqh import _check_inverse, _mat_vec, build_ring, c_constant
 
 RING_DESCRIPTORS: List[Tuple[int, tuple]] = [
     (3, (3,)), (4, (3,)), (5, (3,)), (3, (2, 2)), (5, (2, 2)),
@@ -28,8 +28,8 @@ RING_DESCRIPTORS: List[Tuple[int, tuple]] = [
 TOY_MODELS = (None, None)  # criterion 10's descriptor-free parts; no filter keeps it
 
 def _ring(n, d):
-    """X_n(d)'s quantum ring; criteria read rings and J-series here.  Only a
-    ring read by more than one criterion (one whose code calls _ring) is kept."""
+    """X_n(d)'s quantum ring, which criteria read here.  Only a ring read by
+    more than one criterion (one whose code calls _ring) is kept."""
     if (n, d) in _SHARED_RINGS:
         return _kept_ring(n, d)
     return build_ring(describe(n, d))
@@ -78,8 +78,7 @@ def check_c_constant(cases) -> Tuple[bool, str]:
 def check_one_point_descendant(cases) -> Tuple[bool, str]:
     """3. <psi^{n-3} H_n>_{0,1,1} = 18 for cubics, 3 <= n <= 8."""
     for n, d in cases:
-        jet = _ring(n, d).jfun
-        val = one_point_descendant(describe(n, d), jet, n - 3, n).coefficient(1)
+        val = _ring(n, d).one_point(n, n - 3).coefficient(1)
         if val != 18:
             return False, f"n = {n}: {val} != 18"
     return True, f"= 18 for n in {[n for n, _ in cases]}"

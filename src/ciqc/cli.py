@@ -100,19 +100,17 @@ def cmd_f2(args) -> int:
     desc = describe(args.n, args.d)
     ring = build_ring(desc)
     f1 = f1_series(desc, ring)
-    roots = f2_at_zero(desc, ring, f1)
     if args.format == "tsv":
+        roots = f2_at_zero(desc, ring, f1)
         if not args.no_header:
             sys.stdout.write("roots\n")
         sys.stdout.write("\t".join(rat_str(r) for r in roots) + "\n")
         return 0
-    gradients = []
-    for r in roots:
-        grad = f2_gradient(desc, r, ring, f1)
-        gradients.append({"root": r, "value": grad.value,
-                          "tau_gradient": grad.tau_grad,
-                          "t_gradient": grad.t_grad})
-    _emit({"descriptor": desc, "roots": roots, "gradients": gradients}, args.q1)
+    jets = f2_gradient(desc, ring, f1)
+    _emit({"descriptor": desc, "roots": [jet.root for jet in jets],
+           "gradients": [{"root": jet.root, "value": jet.value,
+                          "tau_gradient": jet.tau_grad, "t_gradient": jet.t_grad}
+                         for jet in jets]}, args.q1)
     return 0
 
 

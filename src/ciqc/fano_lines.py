@@ -234,8 +234,9 @@ def omega_checks(n: int) -> dict:
 def rank_estimates(n: int) -> dict:
     """The Betti table of the variety of lines F, derived from kernel[j], the
     kernel dimension of .[F] on H^{2j}(G(2, n+2)), j = 0..2n-4.  b_k(F) is
-      rk_g(k) - kernel[k/2] for even k (the image of H^k(G); rk_g(k) counts
-        the classes {a, k/2 - a} of the n-box and is 0 for odd k),
+      rk_image, the rank of the image of H^k(G) in H^k(F): the number of
+        classes {a, k/2 - a} of the n-box less kernel[k/2] for even k, 0 for
+        odd k,
       + m on the hard-Lefschetz string n - 2 <= k <= 3n - 6, k = n (mod 2),
       + P - 1 at k = 2n - 4: the products of the m primitive classes, Sym^2
         (n even) or Lambda^2 (n odd, the classes are odd), less the
@@ -251,22 +252,19 @@ def rank_estimates(n: int) -> dict:
     def classes(j):
         return [(a, j - a) for a in range((j + 1) // 2, min(j, n) + 1)]
 
-    def rk_g(k):
-        return 0 if k % 2 else len(classes(k // 2))
-
     kernel = [len(_kernel([schubert_product(SchubertVector.basis(n, a, b), cls)
                            for a, b in classes(j)]))
               for j in range(2 * n - 3)]
     pair_rank = m * (m + 1) // 2 if n % 2 == 0 else m * (m - 1) // 2
     betti = []
     for k in range(4 * n - 7):
-        b = 0 if k % 2 else rk_g(k) - kernel[k // 2]
+        rk_image = 0 if k % 2 else len(classes(k // 2)) - kernel[k // 2]
+        b = rk_image
         if n - 2 <= k <= 3 * n - 6 and (k - n) % 2 == 0:
             b += m
         if k == 2 * n - 4:
             b += pair_rank - 1
-        betti.append({"degree": k, "rk_lines_minus_rk_g": b - rk_g(k),
-                      "rk_g": rk_g(k), "rk_lines": b})
+        betti.append({"degree": k, "rk_image": rk_image, "rk_lines": b})
     by_degree = {2 * j: kernel[j] for j in range(n - 2, 2 * n - 3)}
     expected = {2 * n - 4: 0, 2 * n - 2: 1}
     if any(by_degree[k] != v for k, v in expected.items()):

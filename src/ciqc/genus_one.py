@@ -2,12 +2,13 @@
 
 In degree one the standard-versus-reduced comparison collapses (genus-one
 maps of degree one contract their elliptic component), so the genus-one
-invariants reduce to genus-zero data: two-point descendants read off the
-ring's flat sections and checked against their closed form in two seeds, a
-Chern-weighted descendant sum, and the genus-one topological recursion
-relation contracted over the primitive classes.  Solving the resulting
-linear equation determines the four-point primitive constant; for cubic
-hypersurfaces it comes out 1 in every dimension.
+invariants reduce to genus-zero data: one- and two-point descendants read
+off the ring's flat sections (the two-point ones checked against their
+closed form in two seeds), a Chern-weighted descendant sum, and the
+genus-one topological recursion relation contracted over the primitive
+classes.  Solving the resulting linear equation determines the four-point
+primitive constant; for cubic hypersurfaces it comes out 1 in every
+dimension.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DomainError, VerificationError
 from .geometry import CIDescriptor, _chern_numbers, chern_integrals
-from .smallqh import GradedJet, QuantumRingData, one_point_descendant
+from .smallqh import QuantumRingData
 
 
 def _seeds(desc: CIDescriptor, ring: QuantumRingData) -> Tuple[Fraction, Fraction]:
@@ -76,24 +77,18 @@ def descendant_chern_sum(desc: CIDescriptor, ring: QuantumRingData) -> Fraction:
     return total
 
 
-def psi_top_descendant(desc: CIDescriptor, jet: GradedJet) -> Fraction:
-    """<psi^{n-3} H_n>_{0,1,1} from the hypergeometric series ``jet``
-    (a ring's ``jfun``)."""
-    return one_point_descendant(desc, jet, desc.n - 3, desc.n).coefficient(1)
-
-
 def hn_11(desc: CIDescriptor, ring: QuantumRingData) -> Fraction:
     """<H_n>_{1,1} assembled from the degree-one comparison formula
 
         -(1/24) sum_p <psi^p c_{n-2-p}(TX), H_n> + (1/24) <psi^{n-3} H_n>,
 
     checked for cubics against the closed form
-    (-(-2)^{n+2} - 9n^2 - 3n + 58)/72.  Every two-point value and the
-    J-series read come from ``ring``, the descriptor's quantum ring.
+    (-(-2)^{n+2} - 9n^2 - 3n + 58)/72.  Every descendant comes from
+    ``ring``, the descriptor's quantum ring.
     """
     n = desc.n
     value = -Fraction(1, 24) * descendant_chern_sum(desc, ring) \
-        + Fraction(1, 24) * psi_top_descendant(desc, ring.jfun)
+        + Fraction(1, 24) * ring.one_point(n, n - 3).coefficient(1)
     if desc.d == (3,):
         closed = Fraction(-((-2) ** (n + 2)) - 9 * n * n - 3 * n + 58, 72)
         if value != closed:
@@ -143,7 +138,7 @@ def f2_from_genus1(desc: CIDescriptor, ring: QuantumRingData) -> GenusOneReport:
     n, d, deg = desc.n, desc.d, desc.degree
     kappa = Fraction(-desc.ell)
     M = Fraction(desc.chi - n - 1)
-    psi11 = Fraction(psi_top_descendant(desc, ring.jfun), 12 * deg)
+    psi11 = ring.one_point(n, n - 3).coefficient(1) / (12 * deg)
     if d == (3,) and psi11 != Fraction(1, 2):
         raise VerificationError("<psi gamma, gamma>_{1,1} coefficient != 1/2")
     hn = hn_11(desc, ring)

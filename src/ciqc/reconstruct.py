@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from .errors import DomainError, InternalConsistencyError
 from .exact import (QPoly, Rational, TruncSeries, contract, linear_substitute,
@@ -115,21 +115,10 @@ def _poly_gcd_degree(p, q):
 
 
 class F1Jet(NamedTuple):
-    desc: CIDescriptor
     constant: QPoly                 # -ell q for index 1, else 0
-    quad: Dict[Tuple[int, int], QPoly]   # tau-basis second derivatives at 0
+    hessian: List[List[QPoly]]      # F^(1)_{ij}(0), tau indices; row and column 0 vanish
     tau_jet: TruncSeries
     t_jet: TruncSeries
-
-    def second(self, i: int, j: int) -> QPoly:
-        """F^(1)_{ij}(0) for any tau indices (zero when one index is 0)."""
-        if i == 0 or j == 0:
-            return QPoly.zero()
-        return self.quad[(i, j) if i <= j else (j, i)]
-
-    def row(self, i: int) -> List[QPoly]:
-        """The Hessian row F^(1)_{ie}(0), e = 0..n."""
-        return [self.second(i, e) for e in range(self.desc.n + 1)]
 
 
 def _tau_to_t_forms(ring: QuantumRingData):
@@ -151,23 +140,21 @@ def f1_series(desc: CIDescriptor, ring: QuantumRingData) -> F1Jet:
     origin = ring.origin
     n, a = desc.n, desc.a
 
-    quad: Dict[Tuple[int, int], QPoly] = {}
+    hessian = [[QPoly.zero()] * (n + 1) for _ in range(n + 1)]
+    constant = QPoly.q_power(1, -desc.ell) if a == 1 else QPoly.zero()
+    terms = {monomial(n + 1): constant, monomial(n + 1, (0,)): QPoly.const(1)}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             # index 1: the divisor vector field; otherwise the contracted
             # fourth derivatives F^(1)_{ij}(0) = - sum_e F_{1,i-1,j,e}(0) g^{e0}
-            quad[(i, j)] = (QPoly.q_power(j // a, origin._phi.get((j, 0), 0)) if i == 1
-                            else -origin.contract0((1, i - 1, j)))
-
-    constant = QPoly.q_power(1, -desc.ell) if a == 1 else QPoly.zero()
-
-    terms = {monomial(n + 1): constant, monomial(n + 1, (0,)): QPoly.const(1)}
-    for (i, j), val in quad.items():
-        # Taylor coefficient: F_{ij} for i != j, F_{ii}/2 on the diagonal
-        terms[monomial(n + 1, (i, j))] = val if i != j else val.scale(Fraction(1, 2))
+            val = (QPoly.q_power(j // a, origin._phi.get((j, 0), 0)) if i == 1
+                   else -origin.contract0((1, i - 1, j)))
+            hessian[i][j] = hessian[j][i] = val
+            # Taylor coefficient: F_{ij} for i != j, F_{ii}/2 on the diagonal
+            terms[monomial(n + 1, (i, j))] = val if i != j else val.scale(Fraction(1, 2))
     tau = TruncSeries(n + 1, 2, ring.qmax, terms=terms)
     t_jet = linear_substitute(tau, _tau_to_t_forms(ring))
-    return F1Jet(desc, constant, quad, tau, t_jet)
+    return F1Jet(constant, hessian, tau, t_jet)
 
 
 # --- F^(2) ------------------------------------------------------------------
@@ -187,31 +174,20 @@ def _f2_gradient_parts(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet):
     F2 = F^(2)(0): F2_b = const_b + slope_b F2, read off the order-2
     equations as F2_1 = (n-1)/a F2 and, for b >= 2,
     F2_b = F1_{1e} g^{ef} F1_{f,b-1} - 2 F1_{1,b-1} F2."""
-    n = desc.n
-    row1 = f1.row(1)
-    const = [QPoly.zero()] * 2 + [contract(ring.ginv, row1, f1.row(b - 1))
+    n, row1 = desc.n, f1.hessian[1]
+    const = [QPoly.zero()] * 2 + [contract(ring.ginv, row1, f1.hessian[b - 1])
                                   for b in range(2, n + 1)]
     slope = [QPoly.zero(), QPoly.const(Fraction(n - 1, desc.a))] + [
-        f1.quad[(1, b - 1)].scale(-2) for b in range(2, n + 1)]
+        row1[b - 1].scale(-2) for b in range(2, n + 1)]
     return const, slope
 
 
-def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet,
-               parts=None) -> List[Fraction]:
-    """All roots of the quadratic satisfied by F^(2)(0), from the gradient
-    parts (const, slope) of f1, built here unless the caller passes them.
-
-    The pure order-2 equation F2^2 + g^{0f} F2_f = 0 reads F2^2 + A F2 + B
-    = 0, with A and B the g^{0f}-contractions of the gradient's slope and
-    constant part.  Returns the root list sorted ascending, {0} when the
-    admissibility degree (n-1)/a = ``euler_beta(desc, 2)`` is None (without
-    reading the parts) or when the quadratic degenerates to F^2 = 0.
-    """
-    beta = euler_beta(desc, 2)
-    if beta is None:
-        return [Fraction(0)]
-    const, slope = parts or _f2_gradient_parts(desc, ring, f1)
-    unit = _unit_vector(desc.n, 0)
+def _roots(ring: QuantumRingData, beta: int, const, slope) -> List[Fraction]:
+    """The roots of F2^2 + A F2 + B = 0, the pure order-2 equation
+    F2^2 + g^{0f} F2_f = 0 with A and B the g^{0f}-contractions of the
+    gradient's slope and constant part, at the q-degree beta of F^(2)(0);
+    sorted ascending, {0} when the quadratic degenerates to F^2 = 0."""
+    unit = _unit_vector(ring.desc.n, 0)
     A = contract(ring.ginv, unit, slope)
     B = contract(ring.ginv, unit, const)
     a_coeff = A.coefficient(beta)
@@ -229,6 +205,16 @@ def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet,
     return sorted({(-a_coeff - root) / 2, (-a_coeff + root) / 2})
 
 
+def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet) -> List[Fraction]:
+    """All roots of the quadratic satisfied by F^(2)(0), sorted ascending;
+    {0}, without building the gradient parts, when the admissibility degree
+    (n-1)/a = ``euler_beta(desc, 2)`` is None."""
+    beta = euler_beta(desc, 2)
+    if beta is None:
+        return [Fraction(0)]
+    return _roots(ring, beta, *_f2_gradient_parts(desc, ring, f1))
+
+
 def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
     if x < 0:
         return None
@@ -240,33 +226,34 @@ def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
 
 
 class F2Jet(NamedTuple):
-    """The origin jet of F^(2): its value F^(2)(0) with the q-grading, the
-    gradients d/d tau^b and d/d t^b at 0 (b = 0..n), and the constant +
-    linear jet in t and in quantum-power coordinates."""
-    desc: CIDescriptor
+    """The origin jet of F^(2) on one root of its quadratic: the root, the
+    value F^(2)(0) with the q-grading, the gradients d/d tau^b and d/d t^b
+    at 0 (b = 0..n), and the constant + linear jet in quantum-power
+    coordinates."""
+    root: Fraction
     value: QPoly
     tau_grad: List[QPoly]
     t_grad: List[QPoly]
-    t_jet: TruncSeries
     tau_jet: TruncSeries
 
 
-def f2_gradient(desc: CIDescriptor, f2zero: Rational,
-                ring: QuantumRingData, f1: F1Jet) -> F2Jet:
-    """Origin gradient of F^(2) for a chosen root of the quadratic."""
+def f2_gradient(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet) -> List[F2Jet]:
+    """The origin jet of F^(2) on each root of the quadratic, ascending.
+    The gradient parts are built once, also when the root set is {0}
+    without a quadratic, where the gradient is their constant part."""
     const, slope = _f2_gradient_parts(desc, ring, f1)
-    roots = f2_at_zero(desc, ring, f1, (const, slope))
-    f2zero = Fraction(f2zero)
-    if f2zero not in roots:
-        raise DomainError(f"{f2zero} is not a root of the F^(2)(0) quadratic {roots}")
     n, beta = desc.n, euler_beta(desc, 2)
-    value = QPoly.zero() if beta is None else QPoly.q_power(beta, f2zero)
-    tau_grad = [c + s * value for c, s in zip(const, slope)]
-    terms = {monomial(n + 1, (i,)): g for i, g in enumerate(tau_grad)}
-    tau_jet = TruncSeries(n + 1, 1, ring.qmax, terms={monomial(n + 1): value, **terms})
-    t_jet = linear_substitute(tau_jet, _tau_to_t_forms(ring))
-    t_grad = [t_jet.coefficient({i: 1}) for i in range(n + 1)]
-    return F2Jet(desc, value, tau_grad, t_grad, t_jet, tau_jet)
+    roots = [Fraction(0)] if beta is None else _roots(ring, beta, const, slope)
+    forms, jets = _tau_to_t_forms(ring), []
+    for root in roots:
+        value = QPoly.zero() if beta is None else QPoly.q_power(beta, root)
+        tau_grad = [c + s * value for c, s in zip(const, slope)]
+        terms = {monomial(n + 1, (i,)): g for i, g in enumerate(tau_grad)}
+        tau_jet = TruncSeries(n + 1, 1, ring.qmax, terms={monomial(n + 1): value, **terms})
+        t_jet = linear_substitute(tau_jet, forms)
+        t_grad = [t_jet.coefficient({i: 1}) for i in range(n + 1)]
+        jets.append(F2Jet(root, value, tau_grad, t_grad, tau_jet))
+    return jets
 
 
 # --- higher-order coefficients ----------------------------------------------

@@ -13,7 +13,8 @@ costs work linear in its q-orders.  Everything else is derived from it:
 
 * quantum multiplication by the degree generator, via the flat-section
   recursion D S_j = sum_c (H~ o H_j)^c S_c with D = z q d/dq + (H cup .),
-  which is the divisor and string equations in operator form;
+  which is the divisor and string equations in operator form, whose
+  solutions S_0..S_n also carry the one- and two-point descendants;
 * the quantum powers H^0..H^n, the triangular change-of-basis matrices M, W
   between classical and quantum powers, and the pairing in the quantum-power
   basis together with its inverse;
@@ -84,8 +85,9 @@ def _graded(c: Rational, qdeg: int, a: int) -> QPoly:
 def small_j(desc: CIDescriptor) -> GradedJet:
     """Hypergeometric small J-series of X at the origin, exact through q^R,
     R = (n + 1) // a: ``build_ring`` reads its z^0 columns at q^{(j+1-h)/a},
-    j <= n, and ``two_point(i, j, k)`` at q^{(i+j+k+1-n)/a}, with i+j+k <= 2n
-    for every reader, so none reads deeper.
+    j <= n, ``two_point(i, j, k)`` at q^{(i+j+k+1-n)/a}, with i+j+k <= 2n
+    for every reader, and ``one_point(i, k)`` at q^{(i+k+2-n)/a}, with
+    i+k <= 2n-3 for every reader, so none reads deeper.
 
     The q^delta term of I is z T_delta with T_delta = prod_j prod_{m=1}^{d_j
     delta} (d_j H + m z) / prod_{m=1}^{delta} (H + m z)^{n+r+1}.  T_delta is
@@ -97,7 +99,8 @@ def small_j(desc: CIDescriptor) -> GradedJet:
     (-ell)^k / k! I_{delta-k}, i.e. J = exp(-ell q / z) I.
 
     The coefficient of z^{-k-1} H_{n-i} q^d, multiplied by deg X, is the
-    one-point descendant < psi^k H_i >_{0,1,d}.
+    one-point descendant < psi^k H_i >_{0,1,d} (``QuantumRingData.one_point``
+    reads it off S_0 = J/z).
     """
     require_reconstruction_domain(desc)
     n, a = desc.n, desc.a
@@ -124,13 +127,6 @@ def small_j(desc: CIDescriptor) -> GradedJet:
                             for num, den in zip(nums, dens)])
 
 
-def one_point_descendant(desc: CIDescriptor, jet: GradedJet, k: int, i: int) -> QPoly:
-    """< psi^k H_i >_{0,1,*} as a polynomial in q, read off the J-series."""
-    if not 0 <= i <= desc.n or k < 0:
-        raise DomainError("descendant indices out of range")
-    return jet.entry(-k - 1, desc.n - i).scale(desc.degree)
-
-
 class QuantumRingData:
     """Quantum multiplication, power bases and pairings at the origin.
 
@@ -143,12 +139,13 @@ class QuantumRingData:
     ring shares its memo of the F^(0) derivatives.  The grading fixes the
     q-exponent of every entry, so the ring is computed on rationals: M and
     W are Rational, and multH, powers, g and ginv attach their q-power as
-    exact QPoly entries.  ``smat``/``jfun`` are GradedJets, the flat sections
-    S_0..S_n and the J-series, exact through q^{(n+1)//a}, ``small_j``'s reach.
+    exact QPoly entries.  ``smat`` holds the flat sections S_0..S_n as
+    GradedJets, exact through q^{(n+1)//a}, ``small_j``'s reach; S_0 = J/z
+    is the J-series, so the one-point descendants are read off it.
     ``qmax`` only caps the series built from the ring (see ``default_qmax``).
     """
 
-    def __init__(self, desc, qmax, multh, powers, mmat, wmat, g, ginv, smat, jfun):
+    def __init__(self, desc, qmax, multh, powers, mmat, wmat, g, ginv, smat):
         self.desc = desc
         self.qmax = qmax
         self.multH = multh
@@ -158,11 +155,17 @@ class QuantumRingData:
         self.g = g
         self.ginv = ginv
         self.smat = smat
-        self.jfun = jfun
 
     @cached_property
     def origin(self) -> "AmbientOrigin":
         return AmbientOrigin(self.desc, self)
+
+    def one_point(self, i: int, k: int) -> QPoly:
+        """< psi^k H_i >_{0,1,*}: deg X times the z^{-k-2} H_{n-i} entry of
+        S_0 = J/z."""
+        if not 0 <= i <= self.desc.n or k < 0:
+            raise DomainError("descendant indices out of range")
+        return self.smat[0].entry(-k - 2, self.desc.n - i).scale(self.desc.degree)
 
     def two_point(self, i: int, j: int, k: int = 0) -> QPoly:
         """< psi^k H_i, H_j >_{0,2,*}: (-1)^k deg X times the z^{-k-1} H_{n-j}
@@ -178,8 +181,7 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
     if qmax is None:
         qmax = default_qmax(desc)
     n, a = desc.n, desc.a
-    jet = small_j(desc)
-    smat = [GradedJet(a, 0, jet.rows)]  # S_0 = J / z
+    smat = [GradedJet(a, 0, small_j(desc).rows)]  # S_0 = J / z
     # cols[j][i]: coefficient of H_i in H o H_j, at q^{(j+1-i)/a}
     cols: List[List[Rational]] = []
 
@@ -250,8 +252,7 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
              for i in range(n + 1)]
     powers = [[_graded(pw[j][i], j - i, a) for i in range(n + 1)]
               for j in range(n + 1)]
-    return QuantumRingData(desc, qmax, multh, powers, mmat, wmat,
-                           g, ginv, smat, jet)
+    return QuantumRingData(desc, qmax, multh, powers, mmat, wmat, g, ginv, smat)
 
 
 def _unit_vector(n, idx):

@@ -114,6 +114,30 @@ MUTANTS = [
            "return rat_str(value)", "return float(value)",
            "tests/test_cli.py::test_jsonable_encoding_rules",
            "every exact rational prints as a \"p/q\" string"),
+    # the origin quantities built once: descendants off S_0, F^(1)'s Hessian,
+    # the F^(2) gradient; and the lines-variety Betti table
+    Mutant("one_point_z_power", "smallqh",
+           "self.smat[0].entry(-k - 2, self.desc.n - i)",
+           "self.smat[0].entry(-k - 1, self.desc.n - i)",
+           "tests/test_smallqh.py::test_one_point_descendant_cubics",
+           "S_0 = J/z, so <psi^k H_i> sits at z^{-k-2} of S_0, not z^{-k-1}"),
+    Mutant("hessian_upper_triangle_only", "reconstruct",
+           "hessian[i][j] = hessian[j][i] = val", "hessian[i][j] = val",
+           "tests/test_reconstruct.py::test_f2_origin_residuals_each_root",
+           "the F^(2) gradient contracts full Hessian rows, below the diagonal too"),
+    Mutant("f2_slope_n_over_a", "reconstruct",
+           "Fraction(n - 1, desc.a)", "Fraction(n, desc.a)",
+           "tests/test_reconstruct.py::test_f2_gradient_cubic_jets",
+           "the divisor equation gives F2_1 = (n - 1)/a F2, the degree of F^(2)(0)"),
+    Mutant("betti_sym2_lambda2_swapped", "fano_lines",
+           "m * (m + 1) // 2 if n % 2 == 0 else m * (m - 1) // 2",
+           "m * (m - 1) // 2 if n % 2 == 0 else m * (m + 1) // 2",
+           "tests/test_fano_lines.py::test_betti_table_matches_galkin_shinder",
+           "even primitive classes multiply into Sym^2, odd ones into Lambda^2"),
+    Mutant("lines_class_wrong_middle_term", "fano_lines",
+           "schubert_product(s1_2, s2).scale(-4)", "schubert_product(s1_2, s2).scale(-3)",
+           "tests/test_fano_lines.py::test_omega_quartic_values",
+           "[F] is 9(3 s1^4 - 4 s1^2 s2 + s2^2); the quartics 80/528/1680 need the -4"),
 ]
 
 

@@ -13,6 +13,7 @@ route to a value the package computes another way, or a test input:
 * ``galkin_shinder_betti`` -- Betti numbers of the variety of lines of a
   cubic from those of the cubic;
 * ``small_j_reference`` -- the J-series expanded afresh at every q-degree;
+* ``one_point_descendant`` -- the one-point descendants read off the J-series;
 * ``diff``/``contract_series``/``minus`` -- term-by-term differentiation,
   the contraction of series rows by its definition, and subtraction;
 * ``wdvv_reference``/``reduced_reference`` -- the ambient WDVV and the
@@ -38,7 +39,7 @@ from ciqc.exact import (ONE, ZERO, QPoly, Rational, TruncSeries, contract,
 from ciqc.fano_lines import SchubertVector
 from ciqc.geometry import CIDescriptor, describe
 from ciqc.reconstruct import F1Jet, F2Jet, _tau_to_t_forms, f1_series
-from ciqc.smallqh import QuantumRingData, _unit_vector
+from ciqc.smallqh import GradedJet, QuantumRingData, _unit_vector
 
 
 def reduced_potential(n=4, d=(3,), deg0=5):
@@ -65,9 +66,8 @@ def low_point_terms(ring: QuantumRingData, degree_cap: int) -> TruncSeries:
     one-point terms <H_i>_{0,1,d} and two-point terms <H_i, H_j>_{0,2,d}.
     Classical (degree-zero) low-point data is unstable and absent.
     """
-    desc, n = ring.desc, ring.desc.n
-    terms = {monomial(n + 1, (i,)): ring.jfun.entry(-1, n - i).scale(desc.degree)
-             for i in range(n + 1)}
+    n = ring.desc.n
+    terms = {monomial(n + 1, (i,)): ring.one_point(i, 0) for i in range(n + 1)}
     for i in range(n + 1):
         for j in range(i, n + 1):
             # Taylor coefficient: halved on the diagonal
@@ -76,6 +76,14 @@ def low_point_terms(ring: QuantumRingData, degree_cap: int) -> TruncSeries:
     return TruncSeries(n + 1, degree_cap, ring.qmax, terms={
         key: QPoly({k: c for k, c in v.coeffs.items() if k >= 1})
         for key, v in terms.items()})
+
+
+def one_point_descendant(desc: CIDescriptor, jet: GradedJet, k: int, i: int) -> QPoly:
+    """< psi^k H_i >_{0,1,*} as a polynomial in q: deg X times the z^{-k-1}
+    H_{n-i} entry of the J-series ``jet`` (``small_j``)."""
+    if not 0 <= i <= desc.n or k < 0:
+        raise DomainError("descendant indices out of range")
+    return jet.entry(-k - 1, desc.n - i).scale(desc.degree)
 
 
 def pack_s(desc: CIDescriptor, values: Sequence[Rational]) -> Rational:
@@ -206,8 +214,8 @@ def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
         for b in range(a, n + 1):
             third = [origin.partial((a, b, e)) for e in range(n + 1)]
             mixed[(a, b)] = (contract(ring.ginv, third, f2jet.tau_grad)
-                             + -contract(ring.ginv, f1.row(a), f1.row(b))
-                             + (f1.second(a, b) * f2jet.value).scale(2))
+                             + -contract(ring.ginv, f1.hessian[a], f1.hessian[b])
+                             + (f1.hessian[a][b] * f2jet.value).scale(2))
     pure = f2jet.value * f2jet.value + contract(ring.ginv, _unit_vector(n, 0),
                                                 f2jet.tau_grad)
     return mixed, pure

@@ -85,7 +85,8 @@ def _commands():
                     "--load", str(PERFBENCH_DATA / entry["file"])]
             out += [load, load + ["--q", "1"]]
     out += [["genus1", "--n", str(n)] for n in range(3, 9)]
-    out += [["genus1", "--n", "5", "--d", "2,2"], ["genus1", "--n", "4", "--d", "2,2"]]
+    # the odd (2,2) family the paper reconstructs, and the exceptional n = 4
+    out += [["genus1", "--n", str(n), "--d", "2,2"] for n in (3, 5, 7, 4)]
     out += [["verify"], ["verify", "--seed", "7"]]
     out += [["verify", "--n", str(n), "--d", d] for n, d in VERIFY_DESCRIPTORS]
     out += [[], ["info", "--n", "x", "--d", "3"],

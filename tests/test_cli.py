@@ -308,38 +308,59 @@ def test_qmax_env_var_has_no_effect(capsys, monkeypatch):
     assert out == plain
 
 
-def test_f2_gradient_once_per_root(capsys, monkeypatch):
+def _count_f2_calls(monkeypatch):
+    """Log the calls of reconstruct's gradient-part builder and f2_gradient."""
     from ciqc import reconstruct
-    calls = []
+    parts, gradients = [], []
+
+    def counted(log, real):
+        def wrapper(*args):
+            log.append(args)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(reconstruct, "_f2_gradient_parts",
+                        counted(parts, reconstruct._f2_gradient_parts))
+    monkeypatch.setattr(reconstruct, "f2_gradient",
+                        counted(gradients, reconstruct.f2_gradient))
+    return parts, gradients
+
+
+def test_f2_gradient_once_per_root(capsys, monkeypatch):
+    # the f2 command asks f2_gradient once, and gets one jet per root
+    from ciqc import reconstruct
+    roots = []
     real = reconstruct.f2_gradient
 
-    def counted(desc, root, *args):
-        calls.append(root)
-        return real(desc, root, *args)
+    def counted(*args):
+        jets = real(*args)
+        roots.append([jet.root for jet in jets])
+        return jets
 
     monkeypatch.setattr(reconstruct, "f2_gradient", counted)
     code, _, _ = run(capsys, "f2", "--n", "4", "--d", "3")
     assert code == 0
-    assert calls == [Fraction(1), Fraction(4)]
+    assert roots == [[Fraction(1), Fraction(4)]]
 
 
-@pytest.mark.parametrize("n,d,builds", [("4", "3", 3), ("8", "9", 2),
-                                         ("6", "2,3", 1)])
+@pytest.mark.parametrize("n,d,builds", [("4", "3", 1), ("8", "9", 1), ("6", "2,3", 1)])
 def test_f2_gradient_parts_built_once_per_call(capsys, monkeypatch, n, d, builds):
-    # f2_at_zero builds the gradient parts once, then f2_gradient once per
-    # root; when a does not divide n - 1 the root set {0} needs no parts
-    from ciqc import reconstruct
-    calls = []
-    real = reconstruct._f2_gradient_parts
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(reconstruct, "_f2_gradient_parts", counted)
+    # one f2_gradient call per f2 command solves the quadratic once and
+    # builds the gradient parts once, also for the root set {0} without a
+    # quadratic (a does not divide n - 1), whose gradient is the constant part
+    parts, gradients = _count_f2_calls(monkeypatch)
     code, _, _ = run(capsys, "f2", "--n", n, "--d", d)
     assert code == 0
-    assert len(calls) == builds
+    assert len(parts) == builds
+    assert len(gradients) == 1
+
+
+def test_f2_tsv_roots_build_no_gradient_parts(capsys, monkeypatch):
+    # the TSV prints the roots only, and {0} on X_6(2,3) needs no parts
+    parts, gradients = _count_f2_calls(monkeypatch)
+    code, out, _ = run(capsys, "f2", "--n", "6", "--d", "2,3", "--format", "tsv")
+    assert (code, out) == (0, "roots\n0\n")
+    assert parts == gradients == []
 
 
 @pytest.mark.parametrize("content", [None, "not json {", '{"nt": 4}'])

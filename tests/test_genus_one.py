@@ -8,7 +8,7 @@ from ciqc.acceptance import _ring
 from ciqc.cli import main
 from ciqc.errors import DomainError
 from ciqc.genus_one import (descendant_chern_sum, f2_from_genus1, h_10,
-                            hn_11, psi_top_descendant, two_point_g0)
+                            hn_11, two_point_g0)
 from ciqc.geometry import describe
 from ciqc.reconstruct import f1_series, f2_at_zero
 from oracles import two_point_induction
@@ -50,7 +50,7 @@ def test_descendant_chern_sum_n3():
     # n = 3: the sum is 18 * sum (-1)^p [x^{1-p}] (1+x)^5/(1+3x) = 18
     desc = describe(3, (3,))
     assert descendant_chern_sum(desc, _ring(3, (3,))) == 18
-    assert psi_top_descendant(desc, _ring(3, (3,)).jfun) == 18
+    assert _ring(3, (3,)).one_point(3, 0).coefficient(1) == 18
     # so <H_3>_{1,1} = (-18 + 18)/24 = 0
     assert hn_11(desc, _ring(3, (3,))) == 0
 

@@ -118,15 +118,20 @@ def test_f1_quadratic_matches_c_constant_in_range():
         desc = describe(n, d)
         ring = _ring(n, d)
         cval, _, _ = c_constant(desc, ring)
-        jet = f1_series(desc, ring)
-        for (i, j), val in jet.quad.items():
-            s = i + j - 1
-            if s % desc.a == 0 and s > 0:
-                k = s // desc.a
-                expected = QPoly.q_power(k, -cval * Fraction(desc.b) ** k)
-                assert val == expected, (n, d, i, j)
-            else:
-                assert val.is_zero()
+        hessian = f1_series(desc, ring).hessian
+        assert all(val.is_zero() for val in hessian[0])
+        for i in range(1, desc.n + 1):
+            assert hessian[i][0].is_zero()
+            for j in range(i, desc.n + 1):
+                val = hessian[i][j]
+                assert hessian[j][i] == val
+                s = i + j - 1
+                if s % desc.a == 0 and s > 0:
+                    k = s // desc.a
+                    expected = QPoly.q_power(k, -cval * Fraction(desc.b) ** k)
+                    assert val == expected, (n, d, i, j)
+                else:
+                    assert val.is_zero()
 
 
 @pytest.mark.parametrize("n,d,expected", [
@@ -165,17 +170,26 @@ def test_f2_zero_whenever_gcd_filter_triggers():
             assert f2_at_zero(desc, ring, f1_series(desc, ring)) == [Fraction(0)]
 
 
+@pytest.mark.parametrize("n,d", RING_DESCRIPTORS + [(6, (2, 3)), (4, (2, 2, 2))])
+def test_f2_gradient_has_one_jet_per_root(n, d):
+    # one quadratic solve: the jets' roots are f2_at_zero's, ascending,
+    # also on the gcd-filtered descriptors, whose root set {0} needs none
+    desc, ring = describe(n, d), _ring(n, d)
+    f1 = f1_series(desc, ring)
+    assert [jet.root for jet in f2_gradient(desc, ring, f1)] == f2_at_zero(desc, ring, f1)
+
+
 def test_f2_gradient_cubic_jets():
     desc = describe(4, (3,))
     ring = _ring(4, (3,))
     f1 = f1_series(desc, ring)
-    jet1 = f2_gradient(desc, 1, ring, f1)
+    jet1, jet4 = f2_gradient(desc, ring, f1)
+    assert (jet1.root, jet4.root) == (1, 4)
     # jet: 1 + t^1 + 3 t^n with q-powers q, q, q^2
     assert jet1.value.coefficient(1) == 1
     assert jet1.t_grad[1].coefficient(1) == 1
     assert jet1.t_grad[4].coefficient(2) == 3
     assert all(jet1.t_grad[i].is_zero() for i in (0, 2, 3))
-    jet4 = f2_gradient(desc, 4, ring, f1)
     assert jet4.value.coefficient(1) == 4
     assert jet4.t_grad[1].coefficient(1) == 4
     assert jet4.t_grad[4].coefficient(2) == -24
@@ -184,7 +198,8 @@ def test_f2_gradient_cubic_jets():
 def test_f2_gradient_two_quadrics():
     desc = describe(5, (2, 2))
     ring = _ring(5, (2, 2))
-    jet = f2_gradient(desc, 1, ring, f1_series(desc, ring))
+    [jet] = f2_gradient(desc, ring, f1_series(desc, ring))
+    assert jet.root == 1
     assert jet.value.coefficient(1) == 1
     assert jet.t_grad[1].coefficient(1) == 1
     assert all(jet.t_grad[i].is_zero() for i in (0, 2, 3, 4, 5))
@@ -196,7 +211,8 @@ def test_f2_gradient_closed_form_other_degrees():
         desc = describe(n, d)
         ring = _ring(n, d)
         cval, _, _ = c_constant(desc, ring)
-        jet = f2_gradient(desc, 0, ring, f1_series(desc, ring))
+        [jet] = f2_gradient(desc, ring, f1_series(desc, ring))
+        assert jet.root == 0
         closed = f2_gradient_closed_form(desc, cval)
         for b in range(2, n + 1):
             assert jet.tau_grad[b] == closed[b], (n, d, b)
@@ -209,19 +225,19 @@ def test_f2_origin_residuals_each_root():
         desc = describe(n, d)
         ring = _ring(n, d)
         f1 = f1_series(desc, ring)
-        for root in f2_at_zero(desc, ring, f1):
-            f2jet = f2_gradient(desc, root, ring, f1)
+        for f2jet in f2_gradient(desc, ring, f1):
             mixed, pure = f2_origin_residuals(desc, ring, f1, f2jet)
-            assert pure.is_zero(), (n, d, root)
+            assert pure.is_zero(), (n, d, f2jet.root)
             for key, res in mixed.items():
-                assert res.is_zero(), (n, d, root, key)
+                assert res.is_zero(), (n, d, f2jet.root, key)
 
 
 def test_f2_origin_residuals_detect_wrong_root():
     desc = describe(4, (3,))
     ring = _ring(4, (3,))
     f1 = f1_series(desc, ring)
-    f2jet = f2_gradient(desc, 1, ring, f1)
+    f2jet = f2_gradient(desc, ring, f1)[0]
+    assert f2jet.root == 1
     # tamper with the value: residual of the pure equation must trip
     f2jet = f2jet._replace(value=QPoly.q_power(1, 2))
     _, pure = f2_origin_residuals(desc, ring, f1, f2jet)
@@ -282,7 +298,7 @@ def test_f1_divisor_route_matches_contracted_route():
         origin = ring.origin
         jet = f1_series(desc, ring)
         for j in range(2, n + 1):
-            via_phi = jet.quad[(1, j)]
+            via_phi = jet.hessian[1][j]
             via_contracted = -origin.partial(
                 tuple(sorted((1, j - 1, 1, n)))).scale(Fr(1, desc.degree))
             if n - desc.a >= 0:
@@ -299,7 +315,8 @@ def test_f2_quintic_fivefold_residuals_close():
     desc = describe(5, (5,))
     ring = _ring(5, (5,))
     f1 = f1_series(desc, ring)
-    jet = f2_gradient(desc, Fraction(1440), ring, f1)
+    [jet] = f2_gradient(desc, ring, f1)
+    assert jet.root == 1440
     assert jet.tau_grad[1].coefficient(2) == 2880
     assert jet.tau_grad[3].coefficient(3) == 9000000
     assert jet.tau_grad[5].coefficient(4) == 28114632000

@@ -13,7 +13,7 @@ from ciqc.acceptance import _ring
 from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly, TruncSeries, monomial
 from ciqc.geometry import describe
-from ciqc.reconstruct import euler_beta, f1_series, f2_at_zero, f2_gradient
+from ciqc.reconstruct import euler_beta, f1_series, f2_gradient
 from ciqc.reduction import (ReducedPotential, _derivative_table, _reduced,
                             _wdvv, expand_order_k, expand_to_full,
                             full_wdvv_residuals, pairing_inverse,
@@ -523,10 +523,9 @@ def test_expand_order_two_is_the_f2_equation():
     desc, ring, origin = cubic4_data()
     f1 = f1_series(desc, ring)
     f0_tau = origin.jet_series(3)
-    for root in f2_at_zero(desc, ring, f1):
-        f2 = f2_gradient(desc, root, ring, f1)
+    for f2 in f2_gradient(desc, ring, f1):
         _, pure = expand_order_k([f0_tau, f1.tau_jet, f2.tau_jet], 2, ring.ginv)
-        assert pure.coefficient({}).is_zero(), root
+        assert pure.coefficient({}).is_zero(), f2.root
 
 
 # --- brute-force equivalence of full and reduced WDVV ----------------------
@@ -649,7 +648,8 @@ def test_primitive_layers_z1_coefficient_is_fs():
     # the z^{-1} coefficient of layer j of exp(F_s/z) is F^(j+1)/j!
     desc, ring, origin = cubic4_data()
     f1 = f1_series(desc, ring)
-    f2 = f2_gradient(desc, 1, ring, f1)
+    f2 = f2_gradient(desc, ring, f1)[0]
+    assert f2.root == 1
     f3_placeholder = TruncSeries(desc.n + 1, 1, ring.qmax)
     jets = [origin.jet_series(3), f1.tau_jet, f2.tau_jet, f3_placeholder]
     layers = primitive_j_layers(desc, jets, 2, -3)
@@ -682,7 +682,8 @@ def test_j_recursion_layers_consistency():
     # F^(1)-gradient contractions of the layer-0 jet
     desc, ring, origin = cubic4_data()
     f1 = f1_series(desc, ring)
-    f2 = f2_gradient(desc, 1, ring, f1)
+    f2 = f2_gradient(desc, ring, f1)[0]
+    assert f2.root == 1
     n = desc.n
     jets = [origin.jet_series(3), f1.tau_jet, f2.tau_jet]
     # layer 0 of J_a: take the t-linear seed g_{ac} tau^c at z^0

@@ -11,10 +11,9 @@ from ciqc.acceptance import RING_DESCRIPTORS, _ring
 from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import QPoly, rat_str
 from ciqc.geometry import describe, require_reconstruction_domain
-from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant,
-                          one_point_descendant, pairings, quantum_product_qp,
-                          small_j)
-from oracles import small_j_reference
+from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant, pairings,
+                          quantum_product_qp, small_j)
+from oracles import one_point_descendant, small_j_reference
 
 # index one, hypersurfaces and complete intersections (X_10(11) reaches
 # q^11), every multidegree of RING_DESCRIPTORS and more
@@ -33,10 +32,27 @@ def qc(ring, c):
 def test_one_point_descendant_cubics():
     # < psi^{n-3} H_n >_{0,1,1} = 18 for cubic hypersurfaces of dim >= 3
     for n in range(3, 7):
-        desc = describe(n, (3,))
-        jet = small_j(desc)
-        val = one_point_descendant(desc, jet, n - 3, n)
-        assert val.coefficient(1) == 18
+        assert _ring(n, (3,)).one_point(n, n - 3).coefficient(1) == 18
+
+
+@pytest.mark.parametrize("n,d", [(4, (3,)), (5, (5,)), (3, (2, 2)), (6, (7,)),
+                                 (8, (9,)), (5, (2, 3))])
+def test_one_point_reads_s0_as_the_j_series_reference(n, d):
+    # ring.one_point(i, k) off S_0 = J/z against the reference read off the
+    # J-series itself, for every i <= n and k < 2n; past the jet both raise
+    desc, ring = describe(n, d), _ring(n, d)
+    jet = small_j(desc)
+    for i, k in product(range(n + 1), range(2 * n)):
+        try:
+            expected = one_point_descendant(desc, jet, k, i)
+        except InternalConsistencyError:
+            with pytest.raises(InternalConsistencyError):
+                ring.one_point(i, k)
+            continue
+        assert ring.one_point(i, k) == expected, (n, d, i, k)
+    for i, k in [(-1, 0), (n + 1, 0), (n, -1)]:
+        with pytest.raises(DomainError):
+            ring.one_point(i, k)
 
 
 def test_small_j_degree_zero_is_classical():
@@ -110,7 +126,7 @@ def test_flat_sections_are_graded():
     # J has degree 1 and the flat section S_j starts at H_j: degree j
     for n, d in [(4, (3,)), (4, (3, 3)), (5, (2, 3))]:
         ring = _ring(n, d)
-        assert ring.jfun.degree == 1
+        assert small_j(ring.desc).degree == 1
         assert [s.degree for s in ring.smat] == list(range(n + 1))
 
 
@@ -449,20 +465,19 @@ def test_every_reader_stays_inside_the_reach():
         desc = describe(n, d)
         ring = build_ring(desc)
         reach = (n + 1) // desc.a
-        assert len(ring.jfun.rows) == reach + 1, (n, d)
+        assert len(ring.smat[0].rows) == reach + 1, (n, d)
         for i, j in product(range(n + 1), repeat=2):
             ring.two_point(i, j)
-        one_point_descendant(desc, ring.jfun, n - 3, n)
+        ring.one_point(n, n - 3)
         with pytest.raises(InternalConsistencyError):
-            ring.jfun.entry(1 - desc.a * (reach + 1), 0)
+            ring.smat[0].entry(-desc.a * (reach + 1), 0)
 
 
 def test_descendant_beyond_the_jet_raises():
     # < psi^10 H_4 > of the cubic fourfold sits at q^4, beyond the q-reach
     # (n + 1) // a = 1: reading it must raise, not return 0
-    desc = describe(4, (3,))
     with pytest.raises(InternalConsistencyError):
-        one_point_descendant(desc, small_j(desc), 10, 4)
+        _ring(4, (3,)).one_point(4, 10)
 
 
 def test_origin_jet_satisfies_differentiated_wdvv():
