@@ -82,31 +82,29 @@ def cmd_smallqh(args) -> int:
 
 
 def cmd_f1(args) -> int:
-    from .reconstruct import f1_series
     from .smallqh import build_ring
     desc = describe(args.n, args.d)
-    jet = f1_series(desc, build_ring(desc))
+    jet = build_ring(desc).f1
     _emit({"descriptor": desc, "constant": jet.constant,
            "tau_jet": jet.tau_jet, "t_jet": jet.t_jet}, args.q1)
     return 0
 
 
 def cmd_f2(args) -> int:
-    from .reconstruct import f2_at_zero, f2_gradient, f1_series
+    from .reconstruct import f2_at_zero, f2_gradient
     from .smallqh import build_ring
     if args.no_header and args.format != "tsv":
         sys.stderr.write("ciqc f2: error: --no-header requires --format tsv\n")
         return 1
     desc = describe(args.n, args.d)
     ring = build_ring(desc)
-    f1 = f1_series(desc, ring)
     if args.format == "tsv":
-        roots = f2_at_zero(desc, ring, f1)
+        roots = f2_at_zero(desc, ring)
         if not args.no_header:
             sys.stdout.write("roots\n")
         sys.stdout.write("\t".join(rat_str(r) for r in roots) + "\n")
         return 0
-    jets = f2_gradient(desc, ring, f1)
+    jets = f2_gradient(desc, ring)
     _emit({"descriptor": desc, "roots": [jet.root for jet in jets],
            "gradients": [{"root": jet.root, "value": jet.value,
                           "tau_gradient": jet.tau_grad, "t_gradient": jet.t_grad}

@@ -83,9 +83,17 @@ class QPoly:
                     clean[k] = c
         self.coeffs = clean
 
+    @classmethod
+    def _of(cls, coeffs: dict) -> "QPoly":
+        """An arithmetic result: Rationals at non-negative exponents, taken
+        unchecked, zeros dropped; ``QPoly(dict)`` validates its input."""
+        out = object.__new__(cls)
+        out.coeffs = {k: c for k, c in coeffs.items() if c}
+        return out
+
     @staticmethod
     def const(c) -> "QPoly":
-        return QPoly({0: rat(c)})
+        return QPoly._of({0: rat(c)})
 
     @staticmethod
     def zero() -> "QPoly":
@@ -93,22 +101,29 @@ class QPoly:
 
     @staticmethod
     def q_power(k: int, c=ONE) -> "QPoly":
-        return QPoly({k: rat(c)})
+        if k < 0:
+            raise DomainError("negative q exponent")
+        return QPoly._of({k: rat(c)})
 
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs.get(k, ZERO)
 
     def __add__(self, other: "QPoly") -> "QPoly":
+        if not (self.coeffs and other.coeffs):
+            return self if other.is_zero() else other
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, ZERO) + c
-        return QPoly(out)
+        return QPoly._of(out)
 
     def __neg__(self) -> "QPoly":
-        return QPoly({k: -c for k, c in self.coeffs.items()})
+        return QPoly._of({k: -c for k, c in self.coeffs.items()})
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
@@ -118,7 +133,7 @@ class QPoly:
             for k2, c2 in other.coeffs.items():
                 k = k1 + k2
                 out[k] = out.get(k, ZERO) + c1 * c2
-        return QPoly(out)
+        return QPoly._of(out)
 
     __rmul__ = __mul__
 
@@ -126,15 +141,15 @@ class QPoly:
         if isinstance(c, QPoly):
             return self * c
         c = rat(c)
-        return QPoly({k: v * c for k, v in self.coeffs.items()})
+        return QPoly._of({k: v * c for k, v in self.coeffs.items()})
 
     def eval_q1(self) -> Fraction:
         """Substitute q = 1 (output-side specialization only)."""
         return sum(self.coeffs.values(), ZERO)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QPoly.const(other)
+        if isinstance(other, (int, Fraction)):  # a constant; no QPoly is built
+            return self.coeffs == {0: other} if other else not self.coeffs
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -207,7 +222,7 @@ class TruncSeries:
         qmax = self.qmax
         for k in coeff.coeffs:
             if k > qmax:
-                coeff = QPoly({k: c for k, c in coeff.coeffs.items() if k <= qmax})
+                coeff = QPoly._of({k: c for k, c in coeff.coeffs.items() if k <= qmax})
                 break
         if coeff.is_zero():
             return
@@ -510,7 +525,7 @@ def _collect(like: TruncSeries, acc: dict, den: int, base: int) -> TruncSeries:
         for _ in range(like.nt + 1):
             mono, e = divmod(mono, base)
             key.append(e)
-        out.terms[tuple(key)] = QPoly(coeffs)
+        out.terms[tuple(key)] = QPoly._of(coeffs)
     return out
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError, VerificationError
@@ -295,10 +296,7 @@ _RANK = 22
 
 
 def _dot(u: List[Coeff], v: List[Coeff]) -> Coeff:
-    acc = 14 * u[0] * v[0]
-    for i in range(1, _RANK):
-        acc += -2 * u[i] * v[i]
-    return acc
+    return 14 * u[0] * v[0] - 2 * sum(map(mul, u[1:_RANK], v[1:_RANK]))
 
 
 def _b2(v: LatticeVector, w: LatticeVector) -> Coeff:
@@ -344,24 +342,22 @@ def _gram_data(basis: List[LatticeVector]) -> Tuple[List[List[int]], List[int]]:
     return gram, [as_int(v.a) for v in basis]
 
 
-# the three ways to split four slots into two pairs
-_PAIRINGS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
-
-
-def _quadruple_forms(gram: List[List[int]], a: List[int],
-                     quad: Tuple[int, int, int, int]) -> Tuple[int, int]:
-    """(lhs, b4) for the basis vectors ``quad`` from the integer Gram data:
-    lhs is the symmetrized product of _b2 forms and b4 is _b4, both summed
-    over the three pairings of the four slots."""
-    i, j, k, l = quad
-    lhs = 0
-    b4 = 12 * a[i] * a[j] * a[k] * a[l]
-    for p, q, r, s in _PAIRINGS:
-        w, x, y, z = quad[p], quad[q], quad[r], quad[s]
-        lhs += 36 * (gram[w][x] - 2 * a[w] * a[x]) * (gram[y][z] - 2 * a[y] * a[z])
-        b4 += gram[w][x] * gram[y][z] \
-            - 2 * (a[w] * a[x] * gram[y][z] + a[y] * a[z] * gram[w][x])
-    return lhs, b4
+def _quadruple_rows(gram: List[List[int]], bmat: List[List[int]], a: List[int],
+                    i: int, j: int, k: int) -> List[Tuple[int, int]]:
+    """(lhs, b4) for the basis vectors (i, j, k, l), l = k, k + 1, ..., over
+    the pairings (ij|kl), (ik|jl), (il|jk): lhs, the symmetrized product of
+    _b2 forms, is 36 B_wx B_yz with B = gram - 2 a a^T (``bmat``); b4 is _b4,
+    12 a_i a_j a_k a_l + G_wx G_yz - 2 (a_w a_x G_yz + a_y a_z G_wx) from
+    the Gram data, its factors of a_l, G_kl, G_jl, G_il formed once a row."""
+    g_i, g_j, g_k, b_i, b_j, b_k = gram[i], gram[j], gram[k], bmat[i], bmat[j], bmat[k]
+    a_i, a_j, a_k = a[i], a[j], a[k]
+    c_a = 12 * a_i * a_j * a_k - 2 * (a_k * g_i[j] + a_j * g_i[k] + a_i * g_j[k])
+    c_k, c_j, c_i = g_i[j] - 2 * a_i * a_j, g_i[k] - 2 * a_i * a_k, g_j[k] - 2 * a_j * a_k
+    p_k, p_j, p_i = 36 * b_i[j], 36 * b_i[k], 36 * b_j[k]
+    return [(p_k * b_kl + p_j * b_jl + p_i * b_il,
+             c_a * a_l + c_k * g_kl + c_j * g_jl + c_i * g_il)
+            for g_il, g_jl, g_kl, b_il, b_jl, b_kl, a_l in zip(
+                g_i[k:], g_j[k:], g_k[k:], b_i[k:], b_j[k:], b_k[k:], a[k:])]
 
 
 def hilb2_check() -> Fraction:
@@ -389,22 +385,23 @@ def hilb2_check() -> Fraction:
     gram, a = _gram_data(basis)
     if any(row[j] != gram[j][i] for i, row in enumerate(gram) for j in range(i)):
         raise InternalConsistencyError("Gram matrix is not symmetric")
+    bmat = [[g - 2 * x * y for g, y in zip(row, a)] for row, x in zip(gram, a)]
 
     # the first nondegenerate ratio rhs0 / lhs0, compared with each later
     # one by cross-multiplying (exact, as lhs != 0)
     rhs0 = lhs0 = None
-    for quad in combinations_with_replacement(range(len(basis)), 4):
-        lhs, b4 = _quadruple_forms(gram, a, quad)
-        rhs = 36 * b4
-        if lhs == 0:
-            if rhs != 0:
-                raise VerificationError("inconsistent quadruple")
-            continue
-        if lhs0 is None:
-            rhs0, lhs0 = rhs, lhs
-        elif rhs * lhs0 != rhs0 * lhs:
-            raise VerificationError(f"scalar not constant: {Fraction(rhs0, lhs0)} "
-                                    f"vs {Fraction(rhs, lhs)}")
+    for i, j, k in combinations_with_replacement(range(len(basis)), 3):
+        for lhs, b4 in _quadruple_rows(gram, bmat, a, i, j, k):
+            rhs = 36 * b4
+            if lhs == 0:
+                if rhs != 0:
+                    raise VerificationError("inconsistent quadruple")
+                continue
+            if lhs0 is None:
+                rhs0, lhs0 = rhs, lhs
+            elif rhs * lhs0 != rhs0 * lhs:
+                raise VerificationError(f"scalar not constant: {Fraction(rhs0, lhs0)} "
+                                        f"vs {Fraction(rhs, lhs)}")
     if lhs0 is None:
         raise InternalConsistencyError("no nondegenerate quadruple found")
     return Fraction(rhs0, lhs0)

@@ -148,8 +148,8 @@ def f2_from_genus1(desc: CIDescriptor, ring: QuantumRingData) -> GenusOneReport:
         - Fraction(1, 24) * Fraction(kappa, deg) * (n - 1) * M
     f2 = rhs / coeff_f2
 
-    from .reconstruct import f1_series, f2_at_zero
-    roots = f2_at_zero(desc, ring, f1_series(desc, ring))
+    from .reconstruct import f2_at_zero
+    roots = f2_at_zero(desc, ring)
     if f2 not in roots:
         raise VerificationError(
             f"genus-one value {f2} is not a root of the quadratic {roots}")

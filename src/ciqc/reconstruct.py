@@ -169,16 +169,16 @@ def euler_beta(desc: CIDescriptor, k: int) -> Optional[int]:
     return num // desc.a
 
 
-def _f2_gradient_parts(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet):
+def _f2_gradient_parts(desc: CIDescriptor, ring: QuantumRingData):
     """The tau-gradient of F^(2) at 0 as (const, slope), affine in
     F2 = F^(2)(0): F2_b = const_b + slope_b F2, read off the order-2
     equations as F2_1 = (n-1)/a F2 and, for b >= 2,
-    F2_b = F1_{1e} g^{ef} F1_{f,b-1} - 2 F1_{1,b-1} F2."""
-    n, row1 = desc.n, f1.hessian[1]
-    const = [QPoly.zero()] * 2 + [contract(ring.ginv, row1, f1.hessian[b - 1])
+    F2_b = F1_{1e} g^{ef} F1_{f,b-1} - 2 F1_{1,b-1} F2 (F1: ``ring.f1``)."""
+    n, hessian = desc.n, ring.f1.hessian
+    const = [QPoly.zero()] * 2 + [contract(ring.ginv, hessian[1], hessian[b - 1])
                                   for b in range(2, n + 1)]
     slope = [QPoly.zero(), QPoly.const(Fraction(n - 1, desc.a))] + [
-        row1[b - 1].scale(-2) for b in range(2, n + 1)]
+        hessian[1][b - 1].scale(-2) for b in range(2, n + 1)]
     return const, slope
 
 
@@ -205,14 +205,14 @@ def _roots(ring: QuantumRingData, beta: int, const, slope) -> List[Fraction]:
     return sorted({(-a_coeff - root) / 2, (-a_coeff + root) / 2})
 
 
-def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet) -> List[Fraction]:
+def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData) -> List[Fraction]:
     """All roots of the quadratic satisfied by F^(2)(0), sorted ascending;
-    {0}, without building the gradient parts, when the admissibility degree
-    (n-1)/a = ``euler_beta(desc, 2)`` is None."""
+    {0}, without building the gradient parts or reading F^(1), when the
+    admissibility degree (n-1)/a = ``euler_beta(desc, 2)`` is None."""
     beta = euler_beta(desc, 2)
     if beta is None:
         return [Fraction(0)]
-    return _roots(ring, beta, *_f2_gradient_parts(desc, ring, f1))
+    return _roots(ring, beta, *_f2_gradient_parts(desc, ring))
 
 
 def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -237,11 +237,11 @@ class F2Jet(NamedTuple):
     tau_jet: TruncSeries
 
 
-def f2_gradient(desc: CIDescriptor, ring: QuantumRingData, f1: F1Jet) -> List[F2Jet]:
+def f2_gradient(desc: CIDescriptor, ring: QuantumRingData) -> List[F2Jet]:
     """The origin jet of F^(2) on each root of the quadratic, ascending.
     The gradient parts are built once, also when the root set is {0}
     without a quadratic, where the gradient is their constant part."""
-    const, slope = _f2_gradient_parts(desc, ring, f1)
+    const, slope = _f2_gradient_parts(desc, ring)
     n, beta = desc.n, euler_beta(desc, 2)
     roots = [Fraction(0)] if beta is None else _roots(ring, beta, const, slope)
     forms, jets = _tau_to_t_forms(ring), []

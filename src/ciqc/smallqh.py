@@ -34,7 +34,7 @@ from math import comb, factorial, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import DomainError, InternalConsistencyError
-from .exact import QPoly, Rational, TruncSeries, monomial
+from .exact import ONE, ZERO, QPoly, Rational, TruncSeries, monomial
 from .geometry import CIDescriptor, require_reconstruction_domain
 
 
@@ -71,15 +71,6 @@ class GradedJet(NamedTuple):
                 f"q^{delta} lies beyond the jet, which is exact through "
                 f"q^{len(self.rows) - 1}")
         return QPoly.q_power(delta, self.rows[delta][h])
-
-
-def _graded(c: Rational, qdeg: int, a: int) -> QPoly:
-    """c q^{qdeg/a}: a rational at a position of q-degree qdeg, as a QPoly."""
-    if not c:
-        return QPoly.zero()
-    if qdeg < 0 or qdeg % a:
-        raise InternalConsistencyError(f"q-degree {qdeg} is off the grading")
-    return QPoly.q_power(qdeg // a, c)
 
 
 def small_j(desc: CIDescriptor) -> GradedJet:
@@ -136,13 +127,14 @@ class QuantumRingData:
     W are the mutually inverse triangular base-change matrices; g and ginv
     the pairing of quantum powers and its inverse.  ``origin`` is the
     descriptor's AmbientOrigin, built once so that every consumer of the
-    ring shares its memo of the F^(0) derivatives.  The grading fixes the
-    q-exponent of every entry, so the ring is computed on rationals: M and
-    W are Rational, and multH, powers, g and ginv attach their q-power as
-    exact QPoly entries.  ``smat`` holds the flat sections S_0..S_n as
-    GradedJets, exact through q^{(n+1)//a}, ``small_j``'s reach; S_0 = J/z
-    is the J-series, so the one-point descendants are read off it.
-    ``qmax`` only caps the series built from the ring (see ``default_qmax``).
+    ring shares its memo of the F^(0) derivatives; ``f1``, its F^(1) jet, is
+    shared likewise.  The grading fixes the q-exponent of every entry, so
+    the ring is computed on rationals: M and W are Rational, and multH,
+    powers, g and ginv attach their q-power as exact QPoly entries.  ``smat``
+    holds the flat sections S_0..S_n as GradedJets, exact through
+    q^{(n+1)//a}, ``small_j``'s reach; S_0 = J/z is the J-series, so the
+    one-point descendants are read off it.  ``qmax`` only caps the series
+    built from the ring (see ``default_qmax``).
     """
 
     def __init__(self, desc, qmax, multh, powers, mmat, wmat, g, ginv, smat):
@@ -160,6 +152,11 @@ class QuantumRingData:
     def origin(self) -> "AmbientOrigin":
         return AmbientOrigin(self.desc, self)
 
+    @cached_property
+    def f1(self):
+        from .reconstruct import f1_series
+        return f1_series(self.desc, self)
+
     def one_point(self, i: int, k: int) -> QPoly:
         """< psi^k H_i >_{0,1,*}: deg X times the z^{-k-2} H_{n-i} entry of
         S_0 = J/z."""
@@ -176,40 +173,53 @@ class QuantumRingData:
 
 def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingData:
     """The small quantum ring of X from ``small_j``, every identity checked
-    exactly; ``qmax`` (default ``default_qmax``) caps only derived series."""
+    exactly; ``qmax`` (default ``default_qmax``) caps only derived series.
+    S_j's q^delta layer is kept as integers over small_j's denominator
+    D_delta = (delta!)^{2n+r+1}, which D keeps; D_k D_delta divides
+    D_{k+delta}, so (H o H_c) q^k S_c adds C(k+delta, k)^{2n+r+1} times an
+    integer to layer k + delta."""
     require_reconstruction_domain(desc)
     if qmax is None:
         qmax = default_qmax(desc)
     n, a = desc.n, desc.a
-    smat = [GradedJet(a, 0, small_j(desc).rows)]  # S_0 = J / z
-    # cols[j][i]: coefficient of H_i in H o H_j, at q^{(j+1-i)/a}
-    cols: List[List[Rational]] = []
+    jet = small_j(desc)
+    expo = 2 * n + desc.r + 1
+    dens = [factorial(delta) ** expo for delta in range(len(jet.rows))]
+    if any(den % x.denominator for den, row in zip(dens, jet.rows) for x in row):
+        raise InternalConsistencyError("a J layer is not integral over (delta!)^(2n+r+1)")
+    binom = [[comb(k + delta, k) ** expo for delta in range(len(dens) - k)]
+             for k in range(len(dens))]  # D_{k+delta} / (D_k D_delta)
+    layers = [[[x.numerator * (den // x.denominator) for x in row]
+               for den, row in zip(dens, jet.rows)]]
+    smat = [GradedJet(a, 0, jet.rows)]  # S_0 = J / z
+    # mult[i][j]: coefficient of H_i in H o H_j, at q^{(j+1-i)/a}
+    mult = [[ZERO] * (n + 1) for _ in range(n + 1)]
 
     for j in range(n + 1):
         # D S_j, D = z q d/dq + (H cup .), row by row; it has degree j + 1
         nxt = [[delta * row[0]] + [delta * row[h] + row[h - 1] for h in range(1, n + 1)]
-               for delta, row in enumerate(smat[j].rows)]
-        # its z^0 column: H_h sits at q^{(j+1-h)/a}
-        col = [Fraction(0)] * (n + 1)
-        for h in range((j + 1) % a, min(j + 1, n) + 1, a):
-            col[h] = nxt[(j + 1 - h) // a][h]
-        cols.append(col)
-        if j < n and col[j + 1] != 1:
+               for delta, row in enumerate(layers[j])]
+        # its z^0 column: H_h sits at q^{(j+1-h)/a}, over D_{(j+1-h)/a}
+        hks = [(h, (j + 1 - h) // a) for h in range((j + 1) % a, min(j + 1, n) + 1, a)]
+        for h, k in hks:
+            mult[h][j] = Fraction(nxt[k][h], dens[k])
+        terms = [(h, k, nxt[k][h]) for h, k in hks if h <= j and nxt[k][h]]
+        if j < n and mult[j + 1][j] != 1:
             raise InternalConsistencyError("D S_j does not start at H_(j+1)")
-        # S_{j+1} = D S_j - sum_{c <= j} col[c] q^{(j+1-c)/a} S_c
-        for c_idx, coeff in _nonzero(col[: j + 1]):
-            k = (j + 1 - c_idx) // a
-            for src, dst in zip(smat[c_idx].rows, nxt[k:]):
-                for h, x in _nonzero(src):
-                    dst[h] -= coeff * x
+        # S_{j+1} = D S_j - sum_{c <= j} mult[c][j] q^{(j+1-c)/a} S_c
+        for c, k, num in terms:
+            for delta, src in enumerate(layers[c][:len(nxt) - k]):
+                f = num * binom[k][delta]
+                nxt[k + delta] = [y - f * x for y, x in zip(nxt[k + delta], src)]
         if j < n:
-            smat.append(GradedJet(a, j + 1, nxt))
+            layers.append(nxt)
+            smat.append(GradedJet(a, j + 1, [[Fraction(x, den) if x else ZERO for x in row]
+                                             for den, row in zip(dens, nxt)]))
         elif any(any(row) for row in nxt):
             raise InternalConsistencyError(
                 "flat-section recursion failed to close at the top power")
 
     # multiplication by the shifted generator H~ (= H + ell q when a = 1)
-    mult = [[cols[j][i] for j in range(n + 1)] for i in range(n + 1)]
     if a == 1:
         for i in range(n + 1):
             mult[i][i] += desc.ell
@@ -217,9 +227,9 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
     # quantum powers: pw[j][i] = coefficient of H_i in H^j, at q^{(j-i)/a};
     # H^{j+1} = sum_k pw[j][k] (H~ o H_k) over the nonzero pw[j][k]
     mult_cols = [_nonzero(col) for col in zip(*mult)]
-    pw = [[Fraction(int(i == 0)) for i in range(n + 1)]]
+    pw = [[ONE] + [ZERO] * n]
     for _ in range(n + 1):
-        row = [Fraction(0)] * (n + 1)
+        row = [ZERO] * (n + 1)
         for k, x in _nonzero(pw[-1]):
             for i, y in mult_cols[k]:
                 row[i] += x * y
@@ -233,26 +243,37 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
     # the graded base change: W[i][j] = pw[i][j]; M is its exact inverse
     wmat = pw[: n + 1]
     mmat = _invert_unitriangular(wmat)
-    _check_inverse(wmat, mmat, Fraction(0), "W * M is not the identity")
+    _check_inverse(wmat, mmat, "W * M is not the identity")
 
     g, ginv = pairings(desc)
 
     # the pairing formula must agree with the classical pairing of powers:
-    # g_ef = deg sum_i pw[e][i] pw[f][n-i], over the nonzero pw[e][i]
+    # g_ef = deg sum_i pw[e][i] pw[f][n-i], over the nonzero pw[e][i], at
+    # each (e, f) the grading allows; elsewhere both sides vanish by grading
     pw_rows = [_nonzero(row) for row in wmat]
     for e in range(n + 1):
-        for f in range(n + 1):
-            acc = sum((x * pw[f][n - i] for i, x in pw_rows[e] if pw[f][n - i]),
-                      Fraction(0))
-            if _graded(acc * desc.degree, e + f - n, a) != g[e][f]:
+        for f in range(n - e, n + 1, a):
+            acc = sum((x * pw[f][n - i] for i, x in pw_rows[e] if pw[f][n - i]), ZERO)
+            if g[e][f] != QPoly.q_power((e + f - n) // a, acc * desc.degree):
                 raise InternalConsistencyError(
                     f"pairing formula disagrees at ({e},{f})")
 
-    multh = [[_graded(mult[i][j], j + 1 - i, a) for j in range(n + 1)]
-             for i in range(n + 1)]
-    powers = [[_graded(pw[j][i], j - i, a) for i in range(n + 1)]
-              for j in range(n + 1)]
+    multh = _graded_matrix(n, ((i, j, (j + 1 - i) // a, mult[i][j]) for j in range(n + 1)
+                               for i in range((j + 1) % a, min(j + 1, n) + 1, a)))
+    powers = _graded_matrix(n, ((j, i, (j - i) // a, pw[j][i]) for j in range(n + 1)
+                                for i in range(j % a, j + 1, a)))
     return QuantumRingData(desc, qmax, multh, powers, mmat, wmat, g, ginv, smat)
+
+
+def _graded_matrix(n: int, entries) -> List[List[QPoly]]:
+    """The (n+1) x (n+1) QPoly matrix with c q^beta at each (i, j, beta, c) of
+    ``entries``, the positions the grading allows, and one shared zero else."""
+    zero = QPoly.zero()
+    out = [[zero] * (n + 1) for _ in range(n + 1)]
+    for i, j, beta, c in entries:
+        if c:
+            out[i][j] = QPoly.q_power(beta, c)
+    return out
 
 
 def _unit_vector(n, idx):
@@ -260,20 +281,12 @@ def _unit_vector(n, idx):
 
 
 def _mat_vec(mat, vec):
-    n = len(vec)
-    out = []
-    for i in range(n):
-        acc = QPoly.zero()
-        for j in range(n):
-            if not (mat[i][j].is_zero() or vec[j].is_zero()):
-                acc = acc + mat[i][j] * vec[j]
-        out.append(acc)
-    return out
+    return [sum((m * v for m, v in zip(row, vec) if m and v), QPoly.zero()) for row in mat]
 
 
 def _nonzero(row):
     """The nonzero entries of a row, as (column, value) pairs."""
-    return [(k, x) for k, x in enumerate(row) if x != 0]
+    return [(k, x) for k, x in enumerate(row) if x]
 
 
 def _invert_unitriangular(w) -> List[List[Rational]]:
@@ -284,7 +297,7 @@ def _invert_unitriangular(w) -> List[List[Rational]]:
         raise InternalConsistencyError("base change is not unitriangular")
     out, out_rows = [], []
     for i in range(n):
-        row = [Fraction(int(i == j)) for j in range(n)]
+        row = [ZERO] * i + [ONE] + [ZERO] * (n - 1 - i)
         for k, x in _nonzero(w[i][:i]):
             for j, y in out_rows[k]:
                 row[j] -= x * y
@@ -293,16 +306,17 @@ def _invert_unitriangular(w) -> List[List[Rational]]:
     return out
 
 
-def _check_inverse(left, right, zero, message):
+def _check_inverse(left, right, message):
     """Raise unless left * right is the identity, comparing every entry; a
-    product with a zero factor is exactly zero and is not formed."""
+    product with a zero factor is exactly zero and is not formed, so an
+    entry that no product reaches is zero."""
     right_rows = [_nonzero(row) for row in right]
     for i, row in enumerate(left):
-        acc = [zero] * len(right[0])
+        acc = {}
         for k, x in _nonzero(row):
             for j, y in right_rows[k]:
-                acc[j] = acc[j] + x * y
-        if any(v != (1 if i == j else 0) for j, v in enumerate(acc)):
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        if acc.pop(i, 0) != 1 or any(acc.values()):
             raise InternalConsistencyError(message)
 
 
@@ -317,12 +331,9 @@ def pairings(desc: CIDescriptor):
     """Pairing g_{ef} of quantum powers and its inverse g^{ef}."""
     n, a, deg = desc.n, desc.a, desc.degree
     g = [[_pairing(desc, e, f) for f in range(n + 1)] for e in range(n + 1)]
-    ginv = [[QPoly.zero() for _ in range(n + 1)] for _ in range(n + 1)]
-    for e in range(n + 1):
-        ginv[e][n - e] = QPoly.const(Fraction(1, deg))
-        if n - a - e >= 0:
-            ginv[e][n - a - e] = QPoly.q_power(1, Fraction(-desc.b, deg))
-    _check_inverse(g, ginv, QPoly.zero(), "pairing inverse check failed")
+    ginv = _graded_matrix(n, [(e, n - e, 0, Fraction(1, deg)) for e in range(n + 1)] + [
+        (e, n - a - e, 1, Fraction(-desc.b, deg)) for e in range(n - a + 1)])
+    _check_inverse(g, ginv, "pairing inverse check failed")
     return g, ginv
 
 
@@ -334,16 +345,11 @@ def _pairing(desc: CIDescriptor, e: int, f: int) -> QPoly:
 
 def quantum_product_qp(desc: CIDescriptor, u, v):
     """Product of two vectors given in quantum-power coordinates."""
-    n = desc.n
-    out = [QPoly.zero() for _ in range(n + 1)]
-    for e in range(n + 1):
-        if u[e].is_zero():
-            continue
-        for f in range(n + 1):
-            if v[f].is_zero():
-                continue
-            c, k = reduce_power(n, desc.a, e + f)
-            out[c] = out[c] + u[e] * v[f] * QPoly.q_power(k, desc.b ** k)
+    out = [QPoly.zero()] * (desc.n + 1)
+    for e, x in _nonzero(u):
+        for f, y in _nonzero(v):
+            c, k = reduce_power(desc.n, desc.a, e + f)
+            out[c] = out[c] + x * y * QPoly.q_power(k, desc.b ** k)
     return out
 
 
@@ -434,14 +440,19 @@ class AmbientOrigin:
         return self._qpoly(key, self._f(key))
 
     def _qpoly(self, key: Tuple[int, ...], val: Rational) -> QPoly:
-        """F_key(0) = val q^beta as a QPoly."""
-        return _graded(val, sum(key) - self.desc.n + 3 - len(key), self.desc.a)
+        """F_key(0) = val q^beta as a QPoly (a nonzero val is on the grading)."""
+        beta = (sum(key) - self.desc.n + 3 - len(key)) // self.desc.a
+        return QPoly.q_power(beta, val) if val else QPoly.zero()
 
     def _f(self, key: Tuple[int, ...]) -> Rational:
-        """The rational of F_key(0), for an in-range key in any order."""
+        """The rational of F_key(0), for an in-range key in any order; a key
+        already sorted and memoized is looked up before anything else."""
+        val = self._cache.get(key)
+        if val is not None:
+            return val
         qdeg = sum(key) - self.desc.n + 3 - len(key)
         if qdeg < 0 or qdeg % self.desc.a:
-            return Fraction(0)
+            return ZERO
         key = tuple(sorted(key))
         val = self._cache.get(key)
         if val is None:

@@ -138,6 +138,24 @@ MUTANTS = [
            "schubert_product(s1_2, s2).scale(-4)", "schubert_product(s1_2, s2).scale(-3)",
            "tests/test_fano_lines.py::test_omega_quartic_values",
            "[F] is 9(3 s1^4 - 4 s1^2 s2 + s2^2); the quartics 80/528/1680 need the -4"),
+    # the exact arithmetic of verify: integer flat sections, the graded
+    # support, QPoly's scalar comparison and the hilb2 row kernel
+    Mutant("flat_section_binomial_power", "smallqh",
+           "comb(k + delta, k) ** expo", "comb(k + delta, k) ** (expo - 1)",
+           "tests/test_smallqh.py::test_integer_flat_sections_equal_the_fraction_recursion",
+           "D_{k+delta} / (D_k D_delta) is C(k+delta, k)^{2n+r+1}, the denominators' power"),
+    Mutant("graded_powers_skip_diagonal", "smallqh",
+           "for i in range(j % a, j + 1, a)))", "for i in range(j % a, j, a)))",
+           "tests/test_smallqh.py::test_integer_flat_sections_equal_the_fraction_recursion",
+           "the graded support of H^j reaches H_j itself, its leading coefficient 1"),
+    Mutant("scalar_eq_ignores_q_degree", "exact",
+           "self.coeffs == {0: other}", "list(self.coeffs.values()) == [other]",
+           "tests/test_exact.py::test_qpoly_results_store_no_zero_and_compare_with_scalars",
+           "a scalar equals only a constant QPoly, not c q^k for k > 0"),
+    Mutant("row_kernel_drops_a_pairing", "fano_lines",
+           "p_k * b_kl + p_j * b_jl + p_i * b_il", "p_k * b_kl + p_j * b_jl",
+           "tests/test_fano_lines.py::test_hilb2_gram_forms_match_lattice_forms",
+           "lhs symmetrizes over all three pairings (ij|kl), (ik|jl), (il|jk)"),
 ]
 
 

@@ -13,6 +13,8 @@ route to a value the package computes another way, or a test input:
 * ``galkin_shinder_betti`` -- Betti numbers of the variety of lines of a
   cubic from those of the cubic;
 * ``small_j_reference`` -- the J-series expanded afresh at every q-degree;
+* ``ring_reference`` -- the flat-section recursion on Fractions and the
+  ring's QPoly matrices filled at every position;
 * ``one_point_descendant`` -- the one-point descendants read off the J-series;
 * ``diff``/``contract_series``/``minus`` -- term-by-term differentiation,
   the contraction of series rows by its definition, and subtraction;
@@ -39,7 +41,7 @@ from ciqc.exact import (ONE, ZERO, QPoly, Rational, TruncSeries, contract,
 from ciqc.fano_lines import SchubertVector
 from ciqc.geometry import CIDescriptor, describe
 from ciqc.reconstruct import F1Jet, F2Jet, _tau_to_t_forms, f1_series
-from ciqc.smallqh import GradedJet, QuantumRingData, _unit_vector
+from ciqc.smallqh import GradedJet, QuantumRingData, _unit_vector, small_j
 
 
 def reduced_potential(n=4, d=(3,), deg0=5):
@@ -345,6 +347,61 @@ def small_j_reference(desc: CIDescriptor, qtop: int) -> List[List[Fraction]]:
             for k in range(qtop + 1 - delta):
                 out[delta + k][h] += c * Fraction((-desc.ell) ** k, factorial(k))
     return out
+
+
+def ring_reference(desc: CIDescriptor) -> Dict[str, list]:
+    """The quantum ring's flat sections and matrices from ``small_j`` by
+    the flat-section recursion D S_j = sum_c (H o H_j)^c S_c in Fractions,
+    and every QPoly matrix (multH, powers, ginv) filled at every position,
+    asserting that no nonzero entry sits off the grading.
+
+    Returns {"smat": the rows of S_0..S_n, "multH", "powers", "M", "W",
+    "ginv"}, for comparison with ``build_ring``."""
+    n, a = desc.n, desc.a
+
+    def graded(c, qdeg):
+        if not c:
+            return QPoly.zero()
+        assert qdeg >= 0 and qdeg % a == 0, (c, qdeg)
+        return QPoly.q_power(qdeg // a, c)
+
+    smat = [small_j(desc).rows]  # S_0 = J / z
+    cols = []
+    for j in range(n + 1):
+        nxt = [[delta * row[0]] + [delta * row[h] + row[h - 1] for h in range(1, n + 1)]
+               for delta, row in enumerate(smat[j])]
+        col = [Fraction(0)] * (n + 1)
+        for h in range((j + 1) % a, min(j + 1, n) + 1, a):
+            col[h] = nxt[(j + 1 - h) // a][h]
+        cols.append(col)
+        for c, coeff in enumerate(col[:j + 1]):
+            k = (j + 1 - c) // a
+            for src, dst in zip(smat[c], nxt[k:]):
+                for h, x in enumerate(src):
+                    dst[h] -= coeff * x
+        if j < n:
+            smat.append(nxt)
+        else:
+            assert not any(any(row) for row in nxt)
+    mult = [[cols[j][i] + (desc.ell if a == 1 and i == j else 0) for j in range(n + 1)]
+            for i in range(n + 1)]
+    pw = [[Fraction(int(i == 0)) for i in range(n + 1)]]
+    for _ in range(n):
+        pw.append([sum((pw[-1][k] * mult[i][k] for k in range(n + 1)), Fraction(0))
+                   for i in range(n + 1)])
+    minv = []
+    for i in range(n + 1):  # W is unitriangular: solve row by row
+        minv.append([Fraction(int(i == j)) - sum((pw[i][k] * minv[k][j] for k in range(i)),
+                                                 Fraction(0)) for j in range(n + 1)])
+    deg, b = desc.degree, desc.b
+    ginv = [[graded(Fraction(1, deg), 0) if f == n - e else
+             graded(Fraction(-b, deg), a) if f == n - a - e else QPoly.zero()
+             for f in range(n + 1)] for e in range(n + 1)]
+    return {"smat": smat,
+            "multH": [[graded(mult[i][j], j + 1 - i) for j in range(n + 1)]
+                      for i in range(n + 1)],
+            "powers": [[graded(pw[j][i], j - i) for i in range(n + 1)] for j in range(n + 1)],
+            "M": minv, "W": pw, "ginv": ginv}
 
 
 def diff(series: TruncSeries, *variables) -> TruncSeries:

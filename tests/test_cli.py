@@ -356,11 +356,22 @@ def test_f2_gradient_parts_built_once_per_call(capsys, monkeypatch, n, d, builds
 
 
 def test_f2_tsv_roots_build_no_gradient_parts(capsys, monkeypatch):
-    # the TSV prints the roots only, and {0} on X_6(2,3) needs no parts
+    # the TSV prints the roots only, and {0} on X_6(2,3) needs no parts and
+    # no F^(1) jet
+    from ciqc import reconstruct
     parts, gradients = _count_f2_calls(monkeypatch)
+    f1s, real = [], reconstruct.f1_series
+
+    def counted(*args):
+        f1s.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reconstruct, "f1_series", counted)
     code, out, _ = run(capsys, "f2", "--n", "6", "--d", "2,3", "--format", "tsv")
     assert (code, out) == (0, "roots\n0\n")
-    assert parts == gradients == []
+    assert parts == gradients == f1s == []
+    code, out, _ = run(capsys, "f2", "--n", "4", "--d", "3", "--format", "tsv")
+    assert (code, out, len(f1s)) == (0, "roots\n1\t4\n", 1)
 
 
 @pytest.mark.parametrize("content", [None, "not json {", '{"nt": 4}'])

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ciqc import exact
-from ciqc.errors import InternalConsistencyError
+from ciqc.errors import DomainError, InternalConsistencyError
 from ciqc.exact import (QPoly, TruncSeries, contract, monomial, parse_rat,
                         rat_str, solve_linear, substitute)
 from oracles import contract_series, dense_solve, diff
@@ -38,6 +38,36 @@ def test_qpoly_truncation_and_eval():
     assert capped.add_term((0, 0), p * q3).coefficient({}) == q3  # q^5 dropped
     assert capped.add_term((0, 0), q3 * q3).is_zero()
     assert p.eval_q1() == Fraction(5, 2)
+
+
+def test_qpoly_results_store_no_zero_and_compare_with_scalars():
+    # every arithmetic result drops its zeros (cancellations included) and
+    # holds Fractions; == and != against an int or a Fraction, and bool,
+    # agree with the comparison against QPoly.const of that scalar, also on
+    # a monomial q^k with the same coefficient
+    rng = random.Random(SEED + 6)
+    scalars = [0, 1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(0)]
+
+    def poly():
+        return QPoly({k: rng.choice(scalars) for k in rng.sample(range(4), rng.randrange(4))})
+
+    for _ in range(200):
+        p, q, c, k = poly(), poly(), rng.choice(scalars), rng.randrange(3)
+        results = [p + q, p + (-p), p * q, p * c, c * p, -p, p.scale(c), p.scale(q),
+                   QPoly.const(c), QPoly.q_power(k, c), QPoly.zero(), p * QPoly.zero()]
+        for r in results:
+            assert all(type(v) is Fraction and v != 0 for v in r.coeffs.values())
+            assert min(r.coeffs, default=0) >= 0
+            assert bool(r) == (r != QPoly.zero()) == (not r.is_zero())
+            for x in scalars:
+                assert (r == x) == (r == QPoly.const(x)), (r, x)
+                assert (r != x) == (r != QPoly.const(x)), (r, x)
+        for x in scalars:
+            assert (QPoly.q_power(1 + k, x) == x) == (x == 0)
+    with pytest.raises(DomainError, match="negative q exponent"):
+        QPoly.q_power(-1, 2)
+    with pytest.raises(DomainError, match="negative q exponent"):
+        QPoly({-1: 2})
 
 
 def test_mul_truncated_polynomial_identity():

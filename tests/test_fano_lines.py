@@ -236,41 +236,46 @@ def test_hilb2_scalar_is_one():
 
 def test_hilb2_gram_forms_match_lattice_forms():
     # independent route: _b2/_b4 on the LatticeVectors, on every multiset
-    # of f_1..f_6, v*
+    # of f_1..f_6, v*, read off the row kernel's entry at l; the kernel's
+    # B is _b2 / 6 here
     basis = fano_lines._hilb2_basis()
     gram, a = fano_lines._gram_data(basis)
+    bmat = [[fano_lines._b2(u, v) // 6 for v in basis] for u in basis]
     sample = list(range(6)) + [len(basis) - 1]
     for quad in combinations_with_replacement(sample, 4):
-        v1, v2, v3, v4 = (basis[i] for i in quad)
+        i, j, k, l = quad
+        v1, v2, v3, v4 = (basis[x] for x in quad)
         lhs = fano_lines._b2(v1, v2) * fano_lines._b2(v3, v4) \
             + fano_lines._b2(v1, v3) * fano_lines._b2(v4, v2) \
             + fano_lines._b2(v1, v4) * fano_lines._b2(v2, v3)
-        assert fano_lines._quadruple_forms(gram, a, quad) == \
+        assert fano_lines._quadruple_rows(gram, bmat, a, i, j, k)[l - k] == \
             (lhs, fano_lines._b4(v1, v2, v3, v4))
+
+
+def _patch_rows(monkeypatch, change):
+    # every (lhs, b4) of the row kernel goes through change(quad, lhs, b4),
+    # quad = (i, j, k, l) the multiset it belongs to
+    real = fano_lines._quadruple_rows
+
+    def patched(gram, bmat, a, i, j, k):
+        return [change((i, j, k, l), lhs, b4)
+                for l, (lhs, b4) in enumerate(real(gram, bmat, a, i, j, k), k)]
+
+    monkeypatch.setattr(fano_lines, "_quadruple_rows", patched)
 
 
 def test_hilb2_covers_the_full_basis(monkeypatch):
     # a defect confined to f_21 is caught: the whole basis is checked
-    real = fano_lines._quadruple_forms
-
-    def tampered(gram, a, quad):
-        lhs, b4 = real(gram, a, quad)
-        return lhs, b4 + (1 if quad == (20, 20, 20, 20) else 0)
-
-    monkeypatch.setattr(fano_lines, "_quadruple_forms", tampered)
+    _patch_rows(monkeypatch, lambda quad, lhs, b4:
+                (lhs, b4 + (1 if quad == (20, 20, 20, 20) else 0)))
     with pytest.raises(VerificationError, match="scalar not constant"):
         hilb2_check()
 
 
 @pytest.mark.parametrize("quad", [(0, 0, 0, 0), (3, 8, 15, 21), (20, 20, 20, 20)])
 def test_hilb2_rejects_a_degenerate_lhs_with_nonzero_rhs(monkeypatch, quad):
-    real = fano_lines._quadruple_forms
-
-    def tampered(gram, a, q):
-        lhs, b4 = real(gram, a, q)
-        return (0, b4 + 1) if q == quad else (lhs, b4)
-
-    monkeypatch.setattr(fano_lines, "_quadruple_forms", tampered)
+    _patch_rows(monkeypatch, lambda q, lhs, b4:
+                (0, b4 + 1) if q == quad else (lhs, b4))
     with pytest.raises(VerificationError, match="inconsistent quadruple"):
         hilb2_check()
 
@@ -279,37 +284,25 @@ def test_hilb2_rejects_a_degenerate_lhs_with_nonzero_rhs(monkeypatch, quad):
 def test_hilb2_compares_ratios_not_raw_values(monkeypatch, quad):
     # doubling both sides at one multiset (the first one included) keeps
     # every ratio, so the scalar is still 1
-    real = fano_lines._quadruple_forms
-
-    def doubled(gram, a, q):
-        lhs, b4 = real(gram, a, q)
-        return (2 * lhs, 2 * b4) if q == quad else (lhs, b4)
-
-    monkeypatch.setattr(fano_lines, "_quadruple_forms", doubled)
+    _patch_rows(monkeypatch, lambda q, lhs, b4:
+                (2 * lhs, 2 * b4) if q == quad else (lhs, b4))
     assert hilb2_check() == 1
 
 
 @pytest.mark.parametrize("lhs_factor, b4_factor", [(1, 2), (3, 2), (-1, 1)])
 def test_hilb2_returns_the_common_ratio(monkeypatch, lhs_factor, b4_factor):
-    real = fano_lines._quadruple_forms
-
-    def scaled(gram, a, quad):
-        lhs, b4 = real(gram, a, quad)
-        return lhs_factor * lhs, b4_factor * b4
-
-    monkeypatch.setattr(fano_lines, "_quadruple_forms", scaled)
+    _patch_rows(monkeypatch, lambda q, lhs, b4: (lhs_factor * lhs, b4_factor * b4))
     assert hilb2_check() == Fraction(b4_factor, lhs_factor)
 
 
 def test_hilb2_evaluates_every_multiset(monkeypatch):
     seen = []
-    real = fano_lines._quadruple_forms
 
-    def counted(gram, a, quad):
+    def counted(quad, lhs, b4):
         seen.append(quad)
-        return real(gram, a, quad)
+        return lhs, b4
 
-    monkeypatch.setattr(fano_lines, "_quadruple_forms", counted)
+    _patch_rows(monkeypatch, counted)
     assert hilb2_check() == 1
     assert len(seen) == 12650  # multisets of size 4 from 22 basis vectors
     assert seen == list(combinations_with_replacement(range(22), 4))

@@ -10,7 +10,7 @@ from ciqc.errors import DomainError
 from ciqc.genus_one import (descendant_chern_sum, f2_from_genus1, h_10,
                             hn_11, two_point_g0)
 from ciqc.geometry import describe
-from ciqc.reconstruct import f1_series, f2_at_zero
+from ciqc.reconstruct import f2_at_zero
 from oracles import two_point_induction
 
 
@@ -82,7 +82,7 @@ def test_f2_selection_is_one(n):
     assert report.psi11 == Fraction(1, 2)
     assert not report.experimental
     desc, ring = describe(n, (3,)), _ring(n, (3,))
-    assert report.f2 in f2_at_zero(desc, ring, f1_series(desc, ring))
+    assert report.f2 in f2_at_zero(desc, ring)
 
 
 def test_f2_always_selects_one_across_range():

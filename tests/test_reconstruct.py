@@ -144,7 +144,7 @@ def test_f1_quadratic_matches_c_constant_in_range():
 ])
 def test_f2_at_zero_root_sets(n, d, expected):
     desc, ring = describe(n, d), _ring(n, d)
-    roots = f2_at_zero(desc, ring, f1_series(desc, ring))
+    roots = f2_at_zero(desc, ring)
     assert roots == [Fraction(e) for e in expected]
 
 
@@ -154,7 +154,7 @@ def test_f2_at_zero_quintic_fivefold_boundary():
     # both fourth-derivative splits and the isotropy constraint) it reads
     # (F - 1440 q^2)^2 = 0, so the double root 1440 is forced
     desc, ring = describe(5, (5,)), _ring(5, (5,))
-    roots = f2_at_zero(desc, ring, f1_series(desc, ring))
+    roots = f2_at_zero(desc, ring)
     assert roots == [Fraction(1440)]
 
 
@@ -167,7 +167,7 @@ def test_f2_zero_whenever_gcd_filter_triggers():
         import math
         if math.gcd(desc.n - 2, desc.a) > 1:
             ring = _ring(n, d)
-            assert f2_at_zero(desc, ring, f1_series(desc, ring)) == [Fraction(0)]
+            assert f2_at_zero(desc, ring) == [Fraction(0)]
 
 
 @pytest.mark.parametrize("n,d", RING_DESCRIPTORS + [(6, (2, 3)), (4, (2, 2, 2))])
@@ -175,15 +175,13 @@ def test_f2_gradient_has_one_jet_per_root(n, d):
     # one quadratic solve: the jets' roots are f2_at_zero's, ascending,
     # also on the gcd-filtered descriptors, whose root set {0} needs none
     desc, ring = describe(n, d), _ring(n, d)
-    f1 = f1_series(desc, ring)
-    assert [jet.root for jet in f2_gradient(desc, ring, f1)] == f2_at_zero(desc, ring, f1)
+    assert [jet.root for jet in f2_gradient(desc, ring)] == f2_at_zero(desc, ring)
 
 
 def test_f2_gradient_cubic_jets():
     desc = describe(4, (3,))
     ring = _ring(4, (3,))
-    f1 = f1_series(desc, ring)
-    jet1, jet4 = f2_gradient(desc, ring, f1)
+    jet1, jet4 = f2_gradient(desc, ring)
     assert (jet1.root, jet4.root) == (1, 4)
     # jet: 1 + t^1 + 3 t^n with q-powers q, q, q^2
     assert jet1.value.coefficient(1) == 1
@@ -198,7 +196,7 @@ def test_f2_gradient_cubic_jets():
 def test_f2_gradient_two_quadrics():
     desc = describe(5, (2, 2))
     ring = _ring(5, (2, 2))
-    [jet] = f2_gradient(desc, ring, f1_series(desc, ring))
+    [jet] = f2_gradient(desc, ring)
     assert jet.root == 1
     assert jet.value.coefficient(1) == 1
     assert jet.t_grad[1].coefficient(1) == 1
@@ -211,7 +209,7 @@ def test_f2_gradient_closed_form_other_degrees():
         desc = describe(n, d)
         ring = _ring(n, d)
         cval, _, _ = c_constant(desc, ring)
-        [jet] = f2_gradient(desc, ring, f1_series(desc, ring))
+        [jet] = f2_gradient(desc, ring)
         assert jet.root == 0
         closed = f2_gradient_closed_form(desc, cval)
         for b in range(2, n + 1):
@@ -225,7 +223,7 @@ def test_f2_origin_residuals_each_root():
         desc = describe(n, d)
         ring = _ring(n, d)
         f1 = f1_series(desc, ring)
-        for f2jet in f2_gradient(desc, ring, f1):
+        for f2jet in f2_gradient(desc, ring):
             mixed, pure = f2_origin_residuals(desc, ring, f1, f2jet)
             assert pure.is_zero(), (n, d, f2jet.root)
             for key, res in mixed.items():
@@ -236,7 +234,7 @@ def test_f2_origin_residuals_detect_wrong_root():
     desc = describe(4, (3,))
     ring = _ring(4, (3,))
     f1 = f1_series(desc, ring)
-    f2jet = f2_gradient(desc, ring, f1)[0]
+    f2jet = f2_gradient(desc, ring)[0]
     assert f2jet.root == 1
     # tamper with the value: residual of the pure equation must trip
     f2jet = f2jet._replace(value=QPoly.q_power(1, 2))
@@ -315,7 +313,7 @@ def test_f2_quintic_fivefold_residuals_close():
     desc = describe(5, (5,))
     ring = _ring(5, (5,))
     f1 = f1_series(desc, ring)
-    [jet] = f2_gradient(desc, ring, f1)
+    [jet] = f2_gradient(desc, ring)
     assert jet.root == 1440
     assert jet.tau_grad[1].coefficient(2) == 2880
     assert jet.tau_grad[3].coefficient(3) == 9000000

@@ -523,7 +523,7 @@ def test_expand_order_two_is_the_f2_equation():
     desc, ring, origin = cubic4_data()
     f1 = f1_series(desc, ring)
     f0_tau = origin.jet_series(3)
-    for f2 in f2_gradient(desc, ring, f1):
+    for f2 in f2_gradient(desc, ring):
         _, pure = expand_order_k([f0_tau, f1.tau_jet, f2.tau_jet], 2, ring.ginv)
         assert pure.coefficient({}).is_zero(), f2.root
 
@@ -648,7 +648,7 @@ def test_primitive_layers_z1_coefficient_is_fs():
     # the z^{-1} coefficient of layer j of exp(F_s/z) is F^(j+1)/j!
     desc, ring, origin = cubic4_data()
     f1 = f1_series(desc, ring)
-    f2 = f2_gradient(desc, ring, f1)[0]
+    f2 = f2_gradient(desc, ring)[0]
     assert f2.root == 1
     f3_placeholder = TruncSeries(desc.n + 1, 1, ring.qmax)
     jets = [origin.jet_series(3), f1.tau_jet, f2.tau_jet, f3_placeholder]
@@ -682,7 +682,7 @@ def test_j_recursion_layers_consistency():
     # F^(1)-gradient contractions of the layer-0 jet
     desc, ring, origin = cubic4_data()
     f1 = f1_series(desc, ring)
-    f2 = f2_gradient(desc, ring, f1)[0]
+    f2 = f2_gradient(desc, ring)[0]
     assert f2.root == 1
     n = desc.n
     jets = [origin.jet_series(3), f1.tau_jet, f2.tau_jet]

@@ -13,7 +13,7 @@ from ciqc.exact import QPoly, rat_str
 from ciqc.geometry import describe, require_reconstruction_domain
 from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant, pairings,
                           quantum_product_qp, small_j)
-from oracles import one_point_descendant, small_j_reference
+from oracles import one_point_descendant, ring_reference, small_j_reference
 
 # index one, hypersurfaces and complete intersections (X_10(11) reaches
 # q^11), every multidegree of RING_DESCRIPTORS and more
@@ -120,6 +120,41 @@ def test_flat_section_checks_see_every_j_entry(monkeypatch, n, d):
             build_ring(desc)
     monkeypatch.setattr(smallqh, "small_j", real)
     build_ring(desc)
+
+
+# the benchmark sweep's descriptors, cubics n <= 12 and two of index one
+FLAT_SECTION_DESCRIPTORS = sorted(set(
+    RING_DESCRIPTORS + [(n, (3,)) for n in range(3, 13)] + [(3, (4,)), (4, (5,))]
+    + [(4, (3,)), (5, (5,)), (6, (7,)), (5, (2, 2)), (8, (9,)), (3, (2, 2)),
+       (6, (2, 3)), (12, (3,))]))
+
+
+@pytest.mark.parametrize("n,d", FLAT_SECTION_DESCRIPTORS)
+def test_integer_flat_sections_equal_the_fraction_recursion(n, d):
+    # the recursion on integers over (delta!)^{2n+r+1} gives the Fraction
+    # recursion's flat sections, and the matrices filled on the graded
+    # support equal the ones filled at every position
+    ring = build_ring(describe(n, d))
+    ref = ring_reference(ring.desc)
+    assert [s.rows for s in ring.smat] == ref["smat"]
+    assert (ring.multH, ring.powers, ring.M, ring.W, ring.ginv) == \
+        (ref["multH"], ref["powers"], ref["M"], ref["W"], ref["ginv"])
+
+
+@pytest.mark.parametrize("delta", [0, 1, 4])
+def test_non_integral_j_layer_is_refused(monkeypatch, delta):
+    # a J entry whose denominator does not divide (delta!)^{2n+r+1} cannot
+    # be carried on integers; build_ring says so instead of truncating it
+    desc, real = describe(3, (4,)), smallqh.small_j
+
+    def perturbed(desc):
+        jet = real(desc)
+        jet.rows[delta][1] += Fraction(1, 7)
+        return jet
+
+    monkeypatch.setattr(smallqh, "small_j", perturbed)
+    with pytest.raises(InternalConsistencyError, match="not integral"):
+        build_ring(desc)
 
 
 def test_flat_sections_are_graded():
