@@ -7,13 +7,15 @@ The fundamental class of the lines on a cubic hypersurface is
 models integrals over the variety of lines.  The class of the contracted
 primitive square solves a tridiagonal kernel system, is normalized by an
 Euler-characteristic integral, and its self-intersection produces the
-four-point primitive normalization.
+four-point primitive normalization.  On the cubic fourfold the lines form a
+hyperkaehler fourfold of K3^[2] type, and the same integrals satisfy its
+three Fujiki relations; a rank-23 model lattice prints two sample values of
+the K3^[2] intersection forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -276,6 +278,36 @@ def rank_estimates(n: int) -> dict:
 
 
 # --- the hyperkaehler fourfold cross-check ---------------------------------
+# The lines F on a cubic fourfold form a hyperkaehler fourfold of K3^[2] type
+# (Beauville-Donagi) whose Beauville-Bogomolov form q satisfies the Fujiki
+# relation int_F x^4 = FUJIKI c q(x)^2 with c = 1.  The Pluecker class
+# h = sigma_1 has q(h) = 6, and the Abel-Jacobi images of primitive classes
+# pair as minus the cubic's pairing, so they are q-orthogonal to h.
+
+_Q_H = 6
+_FUJIKI = 3
+
+
+def hilb2_check() -> Fraction:
+    """Verify the Fujiki relations on the variety of lines F of the cubic
+    fourfold, as integrals over G(2, 6) against [F], and return the forced
+    constant c.
+
+    c is int_F h^4 / (FUJIKI q(h)^2) = 108 / 108.  Polarizing the relation
+    on h, h and the m = 22 primitive classes, then contracting them into
+    the primitive square PS, gives int_F h^2 PS = c q(h) (-m) = -132 and
+    int_F PS^2 = c (m^2 + 2m) = 528; ``omega_checks(4)`` computes both
+    integrals.  A mismatch raises VerificationError.
+    """
+    m = describe(4, (3,)).m
+    h4 = schubert_product(sigma1_power(4, 4), lines_class_primitive(4)).integral() * 9
+    c = Fraction(h4, _FUJIKI * _Q_H ** 2)
+    report = omega_checks(4)
+    for key, fujiki in (("normalization", c * _Q_H * -m), ("quartic", c * (m * m + 2 * m))):
+        if report[key]["value"] != fujiki:
+            raise VerificationError(f"Fujiki relation fails: the {key} integral is "
+                                    f"{report[key]['value']}, c = {c} gives {fujiki}")
+    return c
 
 
 class LatticeVector:
@@ -290,8 +322,7 @@ class LatticeVector:
 
 
 # Gram data: index 0 is the polarization l with l.l = 14; indices 1..21 are
-# orthogonal classes of square -2 (the precise off-l form is immaterial for
-# the identity being verified, which is multilinear)
+# orthogonal classes of square -2
 _RANK = 22
 
 
@@ -316,95 +347,6 @@ def _b4(v1, v2, v3, v4) -> Coeff:
             acc += -2 * vs[i].a * vs[j].a * _dot(rest[0].gamma, rest[1].gamma)
     acc += 12 * v1.a * v2.a * v3.a * v4.a
     return acc
-
-
-def _unit(i: int) -> List[int]:
-    return [int(j == i) for j in range(_RANK)]
-
-
-def _hilb2_basis() -> List[LatticeVector]:
-    """Basis of the primitive lattice: the classes f_1..f_21 orthogonal to l
-    (a = 0), then v* = 5 l - 14 delta."""
-    basis = [LatticeVector(_unit(i), 0) for i in range(1, _RANK)]
-    basis.append(LatticeVector([5 if j == 0 else 0 for j in range(_RANK)], -14))
-    return basis
-
-
-def _gram_data(basis: List[LatticeVector]) -> Tuple[List[List[int]], List[int]]:
-    """The Gram matrix _dot(gamma_i, gamma_j) and the delta coefficients a_i
-    of a basis, as Python ints; a non-integral entry is an error."""
-    def as_int(x: Coeff) -> int:
-        if x.denominator != 1:
-            raise InternalConsistencyError(f"Gram entry {x} is not integral")
-        return x.numerator
-
-    gram = [[as_int(_dot(u.gamma, v.gamma)) for v in basis] for u in basis]
-    return gram, [as_int(v.a) for v in basis]
-
-
-def _quadruple_rows(gram: List[List[int]], bmat: List[List[int]], a: List[int],
-                    i: int, j: int, k: int) -> List[Tuple[int, int]]:
-    """(lhs, b4) for the basis vectors (i, j, k, l), l = k, k + 1, ..., over
-    the pairings (ij|kl), (ik|jl), (il|jk): lhs, the symmetrized product of
-    _b2 forms, is 36 B_wx B_yz with B = gram - 2 a a^T (``bmat``); b4 is _b4,
-    12 a_i a_j a_k a_l + G_wx G_yz - 2 (a_w a_x G_yz + a_y a_z G_wx) from
-    the Gram data, its factors of a_l, G_kl, G_jl, G_il formed once a row."""
-    g_i, g_j, g_k, b_i, b_j, b_k = gram[i], gram[j], gram[k], bmat[i], bmat[j], bmat[k]
-    a_i, a_j, a_k = a[i], a[j], a[k]
-    c_a = 12 * a_i * a_j * a_k - 2 * (a_k * g_i[j] + a_j * g_i[k] + a_i * g_j[k])
-    c_k, c_j, c_i = g_i[j] - 2 * a_i * a_j, g_i[k] - 2 * a_i * a_k, g_j[k] - 2 * a_j * a_k
-    p_k, p_j, p_i = 36 * b_i[j], 36 * b_i[k], 36 * b_j[k]
-    return [(p_k * b_kl + p_j * b_jl + p_i * b_il,
-             c_a * a_l + c_k * g_kl + c_j * g_jl + c_i * g_il)
-            for g_il, g_jl, g_kl, b_il, b_jl, b_kl, a_l in zip(
-                g_i[k:], g_j[k:], g_k[k:], b_i[k:], b_j[k:], b_k[k:], a[k:])]
-
-
-def hilb2_check() -> Fraction:
-    """Verify the four-point normalization on the hyperkaehler model of the
-    lines on a cubic fourfold and return the forced scalar.
-
-    The polarization is sigma_1 = 2 l - 5 delta; primitive classes satisfy
-    gamma.l + 5 a = 0.  For every quadruple of primitive basis vectors (all
-    22 of them) the quadruple integral must equal the scalar times the
-    symmetrized product of the 2-point forms; the scalar comes out as 1.
-    Both sides are symmetric in the four slots once the Gram matrix is, so
-    each multiset of basis vectors is checked once, in integer arithmetic.
-    """
-    basis = _hilb2_basis()
-    vstar = basis[-1]
-    if _dot(vstar.gamma, _unit(0)) + 5 * vstar.a != 0:
-        raise InternalConsistencyError("v* is not primitive")
-
-    sigma1 = LatticeVector([2 if j == 0 else 0 for j in range(_RANK)], -5)
-    for v in basis:
-        # primitivity against the polarization: (v, sigma1, sigma1, sigma1) = 0
-        if _b4(v, sigma1, sigma1, sigma1) != 0:
-            raise InternalConsistencyError("basis vector is not primitive")
-
-    gram, a = _gram_data(basis)
-    if any(row[j] != gram[j][i] for i, row in enumerate(gram) for j in range(i)):
-        raise InternalConsistencyError("Gram matrix is not symmetric")
-    bmat = [[g - 2 * x * y for g, y in zip(row, a)] for row, x in zip(gram, a)]
-
-    # the first nondegenerate ratio rhs0 / lhs0, compared with each later
-    # one by cross-multiplying (exact, as lhs != 0)
-    rhs0 = lhs0 = None
-    for i, j, k in combinations_with_replacement(range(len(basis)), 3):
-        for lhs, b4 in _quadruple_rows(gram, bmat, a, i, j, k):
-            rhs = 36 * b4
-            if lhs == 0:
-                if rhs != 0:
-                    raise VerificationError("inconsistent quadruple")
-                continue
-            if lhs0 is None:
-                rhs0, lhs0 = rhs, lhs
-            elif rhs * lhs0 != rhs0 * lhs:
-                raise VerificationError(f"scalar not constant: {Fraction(rhs0, lhs0)} "
-                                        f"vs {Fraction(rhs, lhs)}")
-    if lhs0 is None:
-        raise InternalConsistencyError("no nondegenerate quadruple found")
-    return Fraction(rhs0, lhs0)
 
 
 def hilb2_examples() -> dict:

@@ -67,16 +67,13 @@ def _exceptional_family(n: int, d: Tuple[int, ...]):
 
 
 def _chern_numbers(n: int, d: Tuple[int, ...]):
-    """Coefficients kappa_j of x^j in (1+x)^{n+r+1} / prod(1+d_i x), j<=n."""
-    r = len(d)
-    top = n + r + 1
-    series = [Fraction(math.comb(top, j)) for j in range(n + 1)]
+    """Coefficients kappa_j of x^j in (1+x)^{n+r+1} / prod(1+d_i x), j<=n,
+    as ints: dividing an integer series by 1 + d_i x keeps it integral."""
+    series = [math.comb(n + len(d) + 1, j) for j in range(n + 1)]
     for di in d:
-        # divide by (1 + di*x): out[j] = series[j] - di*out[j-1]
-        out = [Fraction(0)] * (n + 1)
-        for j in range(n + 1):
-            out[j] = series[j] - (di * out[j - 1] if j else Fraction(0))
-        series = out
+        # divide by (1 + di*x) in place: out[j] = series[j] - di*out[j-1]
+        for j in range(1, n + 1):
+            series[j] -= di * series[j - 1]
     return series
 
 
@@ -87,14 +84,7 @@ def chern_integrals(desc: CIDescriptor):
     entry 0 is the Euler characteristic and entry n the degree of X.
     """
     kappa = _chern_numbers(desc.n, desc.d)
-    deg = desc.degree
-    out = []
-    for j in range(desc.n + 1):
-        v = deg * kappa[desc.n - j]
-        if v.denominator != 1:
-            raise DomainError("non-integral characteristic number")
-        out.append(Fraction(v))
-    return out
+    return [Fraction(desc.degree * kappa[desc.n - j]) for j in range(desc.n + 1)]
 
 
 def describe(n: int, d) -> CIDescriptor:
@@ -117,10 +107,7 @@ def describe(n: int, d) -> CIDescriptor:
     ell = math.prod(map(math.factorial, d))
     b = math.prod(di ** di for di in d)
 
-    chi_f = math.prod(d) * _chern_numbers(n, d)[n]
-    if chi_f.denominator != 1:
-        raise DomainError("non-integral Euler characteristic")
-    chi = int(chi_f)
+    chi = math.prod(d) * _chern_numbers(n, d)[n]
 
     m = (chi - (n + 1)) if n % 2 == 0 else -(chi - (n + 1))
     if m < 0:

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 from typing import Dict, Optional, Sequence
 
-from .errors import DomainError, InternalConsistencyError
+from .errors import ConfigurationError, DomainError, InternalConsistencyError
 from .exact import (ONE, DerivativeTable, QPoly, TruncSeries, _accumulate, _base,
                     _collect, _common_denominator, derivative_table, monomial,
                     substitute)
@@ -135,30 +135,32 @@ def _wdvv(table: DerivativeTable, ginv, cap: int) -> Dict[tuple, TruncSeries]:
     return out
 
 
-def _reduced(table: DerivativeTable, ginv, mixed_cap: int, pure_cap: int,
-             s_cap: Optional[int]):
-    """Residuals (mixed, pure) of the two reduced equations on the tabled
-    F(t, s): ``mixed[(a,b)]`` for 0 <= a <= b <= n is the first, through
-    total degree ``mixed_cap``, and ``pure`` the second, through
-    ``pure_cap``; both through s-degree ``s_cap`` unless it is None.  Each
-    residual is one integer accumulation of its products (g-contraction,
-    2 (s F_{sab}) F_{ss} and -F_{sa} F_{sb}), each formed only inside the
-    caps; no exponent is negative, so the products inside the caps are
-    exact."""
-    rows, s = table.rows, table.F.nt  # s: the index of s in rows
+def _reduced(left: DerivativeTable, right: DerivativeTable, ginv, mixed_cap: int,
+             pure_cap: int, s_cap: Optional[int]):
+    """The bilinear form B(X, Y) of the reduced equations, B(F, F) being F's
+    residual: X (``left``) gives F_{abe}, s F_{sab} and F_{sa}, Y (``right``)
+    F_{sf}, F_{ss} and F_{sb}.  ``mixed[(a,b)]``, 0 <= a <= b <= n, is the
+    first equation through total degree ``mixed_cap``, ``pure`` the second
+    through ``pure_cap``, both through s-degree ``s_cap`` unless None; each is
+    one integer accumulation inside the caps, over left.den right.den g_den.
+    Tables packed in different radices are a ConfigurationError."""
+    s, base = left.F.nt, _base(left.F)  # s: the index of s in rows
+    if _base(right.F) != base:
+        raise ConfigurationError("the two tables pack their keys in different radices")
     g_den = _common_denominator(g for row in ginv for g in row)
-    den = table.den ** 2 * g_den
-    Fs, Fss = [rows[(a, s), 0] for a in range(s)], rows[(s, s), 0]
+    den = left.den * right.den * g_den
+    Xs, Ys = ([table.rows[(a, s), 0] for a in range(s)] for table in (left, right))
+    Yss = right.rows[(s, s), 0]
 
     def residual(cap, triples):
-        like = TruncSeries(s, cap, table.F.qmax, s_cap)
-        return _collect(like, _accumulate(like, triples, g_den), den, _base(table.F))
+        like = TruncSeries(s, cap, left.F.qmax, s_cap)
+        return _collect(like, _accumulate(like, triples, g_den), den, base)
 
     mixed = {(a, b): residual(mixed_cap, _contraction(
-        ginv, [rows[tuple(sorted((a, b, e))), 0] for e in range(s)], Fs)
-        + [(rows[(a, b, s), 1], TWO, Fss), (Fs[a], MINUS_ONE, Fs[b])])
+        ginv, [left.rows[tuple(sorted((a, b, e))), 0] for e in range(s)], Ys)
+        + [(left.rows[(a, b, s), 1], TWO, Yss), (Xs[a], MINUS_ONE, Ys[b])])
         for a, b in combinations_with_replacement(range(s), 2)}
-    pure = residual(pure_cap, _contraction(ginv, Fs, Fs) + [(rows[(s, s), 1], TWO, Fss)])
+    pure = residual(pure_cap, _contraction(ginv, Xs, Ys) + [(left.rows[(s, s), 1], TWO, Yss)])
     return mixed, pure
 
 
@@ -176,7 +178,7 @@ def wdvv_residuals(pot: ReducedPotential) -> Dict[str, object]:
     window = pot.window
     s_cap = None if pot.s_cutoff is None else pot.s_cutoff - 1
     table = _derivative_table(pot.F)
-    mixed, pure = _reduced(table, pot.ginv, window["eq_mixed"],
+    mixed, pure = _reduced(table, table, pot.ginv, window["eq_mixed"],
                            window["eq_pure"], s_cap)
     ambient = _wdvv(table, pot.ginv, window["ambient"])
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
@@ -204,7 +206,8 @@ def expand_order_k(jets: Sequence[TruncSeries], k: int, ginv):
     F = TruncSeries(jets[0].nt, cap + k, jets[0].qmax, terms={
         key[:-1] + (i,): c.scale(Fraction(1, factorial(i)))
         for i, jet in enumerate(jets[:k + 1]) for key, c in jet.terms.items()})
-    mixed, pure = _reduced(_derivative_table(F), ginv, cap + k - 1, cap + k - 1, k - 1)
+    table = _derivative_table(F)
+    mixed, pure = _reduced(table, table, ginv, cap + k - 1, cap + k - 1, k - 1)
     return ({key: res.s_slice(k - 1).truncate_degree(cap)
              for key, res in mixed.items()},
             pure.s_slice(k - 1).truncate_degree(cap))

@@ -139,7 +139,7 @@ MUTANTS = [
            "tests/test_fano_lines.py::test_omega_quartic_values",
            "[F] is 9(3 s1^4 - 4 s1^2 s2 + s2^2); the quartics 80/528/1680 need the -4"),
     # the exact arithmetic of verify: integer flat sections, the graded
-    # support, QPoly's scalar comparison and the hilb2 row kernel
+    # support and QPoly's scalar comparison
     Mutant("flat_section_binomial_power", "smallqh",
            "comb(k + delta, k) ** expo", "comb(k + delta, k) ** (expo - 1)",
            "tests/test_smallqh.py::test_integer_flat_sections_equal_the_fraction_recursion",
@@ -152,10 +152,24 @@ MUTANTS = [
            "self.coeffs == {0: other}", "list(self.coeffs.values()) == [other]",
            "tests/test_exact.py::test_qpoly_results_store_no_zero_and_compare_with_scalars",
            "a scalar equals only a constant QPoly, not c q^k for k > 0"),
-    Mutant("row_kernel_drops_a_pairing", "fano_lines",
-           "p_k * b_kl + p_j * b_jl + p_i * b_il", "p_k * b_kl + p_j * b_jl",
-           "tests/test_fano_lines.py::test_hilb2_gram_forms_match_lattice_forms",
-           "lhs symmetrizes over all three pairings (ij|kl), (ik|jl), (il|jk)"),
+    # criterion 9's Fujiki relations on the lines of the cubic fourfold, and
+    # the bilinear form of the reduced equations
+    Mutant("fujiki_wrong_q_of_h", "fano_lines",
+           "_Q_H = 6", "_Q_H = 7",
+           "tests/test_fano_lines.py::test_hilb2_scalar_is_one",
+           "the Pluecker class has Beauville-Bogomolov square q(h) = 6"),
+    Mutant("fujiki_wrong_constant", "fano_lines",
+           "_FUJIKI = 3", "_FUJIKI = 4",
+           "tests/test_fano_lines.py::test_hilb2_scalar_is_one",
+           "on K3^[2] type int x^4 = 3 q(x)^2; another constant moves c off 1"),
+    Mutant("bilinear_fss_from_left", "reduction",
+           "right.rows[(s, s), 0]", "left.rows[(s, s), 0]",
+           "tests/test_reduction.py::test_reduced_is_a_bilinear_form",
+           "B(X, Y) reads F_ss from Y; from X the term 2 s F_sab F_ss is quadratic in X"),
+    Mutant("bilinear_den_squared", "reduction",
+           "left.den * right.den", "left.den ** 2",
+           "tests/test_reduction.py::test_reduced_is_a_bilinear_form",
+           "B(X, Y) sits over X.den Y.den g_den, not X.den^2 g_den"),
 ]
 
 

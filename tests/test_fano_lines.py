@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -234,78 +233,47 @@ def test_hilb2_scalar_is_one():
     assert hilb2_check() == 1
 
 
-def test_hilb2_gram_forms_match_lattice_forms():
-    # independent route: _b2/_b4 on the LatticeVectors, on every multiset
-    # of f_1..f_6, v*, read off the row kernel's entry at l; the kernel's
-    # B is _b2 / 6 here
-    basis = fano_lines._hilb2_basis()
-    gram, a = fano_lines._gram_data(basis)
-    bmat = [[fano_lines._b2(u, v) // 6 for v in basis] for u in basis]
-    sample = list(range(6)) + [len(basis) - 1]
-    for quad in combinations_with_replacement(sample, 4):
-        i, j, k, l = quad
-        v1, v2, v3, v4 = (basis[x] for x in quad)
-        lhs = fano_lines._b2(v1, v2) * fano_lines._b2(v3, v4) \
-            + fano_lines._b2(v1, v3) * fano_lines._b2(v4, v2) \
-            + fano_lines._b2(v1, v4) * fano_lines._b2(v2, v3)
-        assert fano_lines._quadruple_rows(gram, bmat, a, i, j, k)[l - k] == \
-            (lhs, fano_lines._b4(v1, v2, v3, v4))
+def test_hilb2_fujiki_integrals():
+    # int_F h^4 = 3 q(h)^2 c, int_F h^2 PS = c q(h) (-m), int_F PS^2 = c (m^2 + 2m)
+    cls = lines_class_primitive(4)
+    assert schubert_product(sigma1_power(4, 4), cls).integral() * 9 == 108 == 3 * 6 ** 2
+    report = omega_checks(4)
+    assert report["normalization"]["value"] == -132 == 6 * -22
+    assert report["quartic"]["value"] == 528 == 22 ** 2 + 2 * 22
 
 
-def _patch_rows(monkeypatch, change):
-    # every (lhs, b4) of the row kernel goes through change(quad, lhs, b4),
-    # quad = (i, j, k, l) the multiset it belongs to
-    real = fano_lines._quadruple_rows
+def _tamper_hilb2(monkeypatch, tamper):
+    if tamper == "lines_class":
+        real = fano_lines.lines_class_primitive
+        monkeypatch.setattr(fano_lines, "lines_class_primitive",
+                            lambda n: real(n).scale(2))
+    elif tamper == "q_h":
+        monkeypatch.setattr(fano_lines, "_Q_H", 7)
+    else:
+        monkeypatch.setattr(fano_lines, "_FUJIKI", 4)
 
-    def patched(gram, bmat, a, i, j, k):
-        return [change((i, j, k, l), lhs, b4)
-                for l, (lhs, b4) in enumerate(real(gram, bmat, a, i, j, k), k)]
 
-    monkeypatch.setattr(fano_lines, "_quadruple_rows", patched)
+HILB2_TAMPERS = ["lines_class", "q_h", "fujiki"]
 
 
-def test_hilb2_covers_the_full_basis(monkeypatch):
-    # a defect confined to f_21 is caught: the whole basis is checked
-    _patch_rows(monkeypatch, lambda quad, lhs, b4:
-                (lhs, b4 + (1 if quad == (20, 20, 20, 20) else 0)))
-    with pytest.raises(VerificationError, match="scalar not constant"):
+@pytest.mark.parametrize("tamper, message", [
+    ("lines_class", "closed form"),  # omega_checks' own identities catch [F] first
+    ("q_h", "Fujiki relation fails: the normalization integral is -132, c = 36/49"),
+    ("fujiki", "Fujiki relation fails: the normalization integral is -132, c = 3/4"),
+])
+def test_hilb2_rejects_a_tampered_input(monkeypatch, tamper, message):
+    _tamper_hilb2(monkeypatch, tamper)
+    with pytest.raises(VerificationError, match=message):
         hilb2_check()
 
 
-@pytest.mark.parametrize("quad", [(0, 0, 0, 0), (3, 8, 15, 21), (20, 20, 20, 20)])
-def test_hilb2_rejects_a_degenerate_lhs_with_nonzero_rhs(monkeypatch, quad):
-    _patch_rows(monkeypatch, lambda q, lhs, b4:
-                (0, b4 + 1) if q == quad else (lhs, b4))
-    with pytest.raises(VerificationError, match="inconsistent quadruple"):
-        hilb2_check()
-
-
-@pytest.mark.parametrize("quad", [(0, 0, 0, 0), (3, 8, 15, 21), (20, 20, 20, 20)])
-def test_hilb2_compares_ratios_not_raw_values(monkeypatch, quad):
-    # doubling both sides at one multiset (the first one included) keeps
-    # every ratio, so the scalar is still 1
-    _patch_rows(monkeypatch, lambda q, lhs, b4:
-                (2 * lhs, 2 * b4) if q == quad else (lhs, b4))
-    assert hilb2_check() == 1
-
-
-@pytest.mark.parametrize("lhs_factor, b4_factor", [(1, 2), (3, 2), (-1, 1)])
-def test_hilb2_returns_the_common_ratio(monkeypatch, lhs_factor, b4_factor):
-    _patch_rows(monkeypatch, lambda q, lhs, b4: (lhs_factor * lhs, b4_factor * b4))
-    assert hilb2_check() == Fraction(b4_factor, lhs_factor)
-
-
-def test_hilb2_evaluates_every_multiset(monkeypatch):
-    seen = []
-
-    def counted(quad, lhs, b4):
-        seen.append(quad)
-        return lhs, b4
-
-    _patch_rows(monkeypatch, counted)
-    assert hilb2_check() == 1
-    assert len(seen) == 12650  # multisets of size 4 from 22 basis vectors
-    assert seen == list(combinations_with_replacement(range(22), 4))
+@pytest.mark.parametrize("tamper", HILB2_TAMPERS)
+def test_verify_fails_criterion_9_on_a_tampered_input(monkeypatch, capsys, tamper):
+    from ciqc.cli import main
+    _tamper_hilb2(monkeypatch, tamper)
+    assert main(["verify", "--n", "4", "--d", "3"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[8].startswith("FAIL  9 hyperkaehler fourfold cross-check: VerificationError")
 
 
 @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", "1"])
@@ -324,39 +292,8 @@ def test_integral_classes_have_int_coefficients():
     # no Fraction is built until a rational coefficient enters
     for n in range(3, 11):
         assert all(type(c) is int for c in lines_class_primitive(n).terms.values()), n
-    assert all(type(c) is int for v in fano_lines._hilb2_basis()
-               for c in [*v.gamma, v.a])
     assert type(SchubertVector.basis(5, 2, 1).scale(Fraction(1, 3))
                 .terms[(2, 1)]) is Fraction
-
-
-def _tampered_dot(extra):
-    real = fano_lines._dot
-    return lambda u, v: real(u, v) + extra(u, v)
-
-
-@pytest.mark.parametrize("extra, message", [
-    (lambda u, v: u[0] * v[0], "v\\* is not primitive"),       # l.l = 15
-    (lambda u, v: u[1] * v[2], "not symmetric"),
-    (lambda u, v: Fraction(1, 2) * u[1] * v[1], "not integral"),
-])
-def test_hilb2_rejects_a_tampered_form(monkeypatch, extra, message):
-    monkeypatch.setattr(fano_lines, "_dot", _tampered_dot(extra))
-    with pytest.raises(InternalConsistencyError, match=message):
-        hilb2_check()
-
-
-def test_hilb2_rejects_a_tampered_vstar(monkeypatch):
-    real = fano_lines._hilb2_basis
-
-    def tampered():
-        basis = real()
-        basis[-1] = fano_lines.LatticeVector(basis[-1].gamma, -13)
-        return basis
-
-    monkeypatch.setattr(fano_lines, "_hilb2_basis", tampered)
-    with pytest.raises(InternalConsistencyError, match="not primitive"):
-        hilb2_check()
 
 
 def test_omega_checks_computes_the_primitive_square_class_once(monkeypatch):

@@ -1,11 +1,14 @@
 """Descriptor and characteristic-number tests."""
 
+from fractions import Fraction
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ciqc.errors import DomainError
 from ciqc.geometry import (ORTHOGONAL, SYMPLECTIC, WEYL_D, WEYL_E6, Z2,
-                           chern_integrals, describe)
+                           _chern_numbers, chern_integrals, describe)
 
 
 def chi_cubic(n):
@@ -83,6 +86,19 @@ def test_chern_top_is_degree():
         desc = describe(n, d)
         assert chern_integrals(desc)[n] == desc.degree
         assert chern_integrals(desc)[0] == desc.chi
+
+
+@pytest.mark.parametrize("n,d", [(3, (3,)), (4, (2, 2)), (6, (2, 2, 3)), (12, (7,))])
+def test_chern_numbers_are_ints_that_multiply_back(n, d):
+    # kappa * prod(1 + d_i x) = (1 + x)^{n+r+1} through x^n, in ints
+    kappa = _chern_numbers(n, d)
+    assert all(type(k) is int for k in kappa)
+    for di in d:
+        kappa = [k + (di * kappa[j - 1] if j else 0) for j, k in enumerate(kappa)]
+    assert kappa == [comb(n + len(d) + 1, j) for j in range(n + 1)]
+    desc = describe(n, d)
+    assert type(desc.chi) is int
+    assert all(type(v) is Fraction for v in chern_integrals(desc))
 
 
 def test_chi_parity_and_m_consistency():

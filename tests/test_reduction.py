@@ -10,7 +10,7 @@ import pytest
 
 from ciqc import reduction
 from ciqc.acceptance import _ring
-from ciqc.errors import DomainError, InternalConsistencyError
+from ciqc.errors import ConfigurationError, DomainError, InternalConsistencyError
 from ciqc.exact import QPoly, TruncSeries, monomial
 from ciqc.geometry import describe
 from ciqc.reconstruct import euler_beta, f1_series, f2_gradient
@@ -216,10 +216,45 @@ def test_reduced_matches_one_contraction_per_key(nt, s_cap):
     F = _seeded_series(rng, nt, 6, 2, 40, s_cap=s_cap, s_max=2)
     ginv = pairing_inverse(nt - 1, 3, 0) if nt % 2 else _seeded_pairing(rng, nt)
     for caps in ((3, 4), (6, 6)):
-        mixed, pure = _reduced(_derivative_table(F), ginv, *caps, s_cap)
+        table = _derivative_table(F)
+        mixed, pure = _reduced(table, table, ginv, *caps, s_cap)
         ref_mixed, ref_pure = reduced_reference(F, ginv, *caps, s_cap)
         _same(mixed, ref_mixed)
         assert pure.to_json() == ref_pure.to_json()
+
+
+@pytest.mark.parametrize("nt,s_cap", [(3, None), (4, None), (4, 1), (5, 2)])
+def test_reduced_is_a_bilinear_form(nt, s_cap):
+    # R(K + d) = R(K) + B(K, d) + B(d, K) + B(d, d) exactly, s_cap None being
+    # even mode; d is over 11ths, so its table's denominator is not K's
+    rng = random.Random(SEED + 7 * nt)
+    K = _seeded_series(rng, nt, 6, 2, 30, s_cap=s_cap, s_max=2)
+    d = _seeded_series(rng, nt, 6, 2, 12, s_cap=s_cap, s_max=2).scale(Fraction(1, 11))
+    ginv = pairing_inverse(nt - 1, 3, 0) if nt % 2 else _seeded_pairing(rng, nt)
+    tK, td, t_sum = (_derivative_table(F) for F in (K, d, K + d))
+    assert tK.den != td.den
+
+    def B(x, y):
+        return _reduced(x, y, ginv, 5, 6, s_cap)
+
+    parts = [B(tK, tK), B(tK, td), B(td, tK), B(td, td)]
+    mixed, pure = B(t_sum, t_sum)
+    for key, series in mixed.items():
+        total = parts[0][0][key]
+        for part in parts[1:]:
+            total = total + part[0][key]
+        assert series.to_json() == total.to_json(), key
+    assert pure.to_json() == (parts[0][1] + parts[1][1] + parts[2][1]
+                              + parts[3][1]).to_json()
+    # the two cross terms differ: B is not symmetric
+    assert any(parts[1][0][key].to_json() != parts[2][0][key].to_json() for key in mixed)
+
+
+def test_reduced_refuses_tables_in_different_radices():
+    F = _seeded_series(random.Random(SEED), 3, 6, 2, 10, s_max=1)
+    ginv = pairing_inverse(2, 3, 0)
+    with pytest.raises(ConfigurationError, match="different radices"):
+        _reduced(_derivative_table(F), _derivative_table(F.recap(7)), ginv, 5, 5, None)
 
 
 def test_wdvv_refuses_an_asymmetric_pairing():
@@ -373,7 +408,7 @@ def _unwindowed(pot):
     cap = pot.F.degree_cap
     s_cap = None if pot.s_cutoff is None else pot.s_cutoff - 1
     table = _derivative_table(pot.F)
-    mixed, pure = _reduced(table, pot.ginv, cap, cap, s_cap)
+    mixed, pure = _reduced(table, table, pot.ginv, cap, cap, s_cap)
     ambient = _wdvv(table, pot.ginv, cap)
     return {"eq_mixed": mixed, "eq_pure": pure, "ambient": ambient}
 
