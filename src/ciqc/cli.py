@@ -185,11 +185,8 @@ def cmd_fano_lines(args) -> int:
     if which == "all":
         checks["rank_estimates"] = rank_estimates(n)
     if which == "hilb2" or (which == "all" and n == 4):
-        # the examples are lattice ints, printed as "p/q" like every value
-        checks["hilb2"] = {
-            "scalar": hilb2_check(),
-            "examples": {k: Fraction(v) for k, v in hilb2_examples().items()},
-        }
+        c = hilb2_check()
+        checks["hilb2"] = {"scalar": c, "examples": hilb2_examples(c)}
     _emit({"n": n, "checks": checks})
     return 0
 

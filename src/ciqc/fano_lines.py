@@ -2,21 +2,19 @@
 
 Two-row Schubert classes {l0, l1} (n >= l0 >= l1 >= 0) multiply by iterated
 Pieri rules: {1,1} adds a box to each row, sigma_k adds a horizontal strip.
-The fundamental class of the lines on a cubic hypersurface is
+The class [F] of the lines F on a cubic hypersurface is
 9(3 sigma_1^4 - 4 sigma_1^2 sigma_2 + sigma_2^2); multiplying against it
-models integrals over the variety of lines.  The class of the contracted
-primitive square solves a tridiagonal kernel system, is normalized by an
-Euler-characteristic integral, and its self-intersection produces the
-four-point primitive normalization.  On the cubic fourfold the lines form a
-hyperkaehler fourfold of K3^[2] type, and the same integrals satisfy its
-three Fujiki relations; a rank-23 model lattice prints two sample values of
-the K3^[2] intersection forms.
+gives integrals over F.  The class of the contracted primitive square solves
+a tridiagonal kernel system, is normalized by an Euler-characteristic
+integral, and its self-intersection produces the four-point primitive
+normalization.  On the cubic fourfold F is a hyperkaehler fourfold of K3^[2]
+type, and the same integrals satisfy its three Fujiki relations; two values
+of that Fujiki form are printed as examples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError, VerificationError
@@ -133,14 +131,15 @@ def sigma1_power(n: int, k: int) -> SchubertVector:
     return out
 
 
-def lines_class_primitive(n: int) -> SchubertVector:
-    """3 sigma_1^4 - 4 sigma_1^2 sigma_2 + sigma_2^2 (the class over 9)."""
+def lines_class(n: int) -> SchubertVector:
+    """[F] = 9(3 sigma_1^4 - 4 sigma_1^2 sigma_2 + sigma_2^2), the class of the
+    lines on a cubic n-fold in G(2, n+2)."""
     s1_2 = sigma1_power(n, 2)
     s2 = SchubertVector.basis(n, 2, 0)
     t1 = schubert_product(s1_2, s1_2).scale(3)
     t2 = schubert_product(s1_2, s2).scale(-4)
     t3 = schubert_product(s2, s2)
-    return t1 + t2 + t3
+    return (t1 + t2 + t3).scale(9)
 
 
 def _kernel(images: List[SchubertVector]) -> List[List[Fraction]]:
@@ -160,7 +159,7 @@ def prim_square_class(n: int) -> List[Fraction]:
     if n < 3:
         raise DomainError("need n >= 3")
     n0 = n // 2
-    cls = lines_class_primitive(n)
+    cls = lines_class(n)
     e2cls = schubert_product(cls, SchubertVector.basis(n, 1, 1))
 
     # kernel of z -> sum z_k {n-2-k,k} * cls * {1,1}
@@ -173,7 +172,7 @@ def prim_square_class(n: int) -> List[Fraction]:
 
     s1pow = sigma1_power(n, n - 2)
     total = schubert_product(schubert_product(prim_square_vector(n, z), s1pow),
-                             cls).integral() * 9
+                             cls).integral()
     if total == 0:
         raise InternalConsistencyError("normalization integral vanished")
     scale = Fraction((-2) ** (n + 3) - 4, 1) / total
@@ -204,13 +203,13 @@ def omega_checks(n: int) -> dict:
     z = prim_square_class(n)  # refuses n < 3
     desc = describe(n, (3,))
     v = prim_square_vector(n, z)
-    cls = lines_class_primitive(n)
+    cls = lines_class(n)
 
     s1pow = sigma1_power(n, n - 2)
-    norm = schubert_product(schubert_product(v, s1pow), cls).integral() * 9
+    norm = schubert_product(schubert_product(v, s1pow), cls).integral()
     norm_expected = Fraction((-2) ** (n + 3) - 4)
 
-    quartic = schubert_product(schubert_product(v, v), cls).integral() * 9
+    quartic = schubert_product(schubert_product(v, v), cls).integral()
     z0 = z[0]
     z1 = z[1] if len(z) > 1 else Fraction(0)
     quartic_closed = 9 * z0 * (5 * z0 + 2 * z1)
@@ -250,7 +249,7 @@ def rank_estimates(n: int) -> dict:
     if n < 3:
         raise DomainError("need n >= 3")
     m = describe(n, (3,)).m
-    cls = lines_class_primitive(n)
+    cls = lines_class(n)
 
     def classes(j):
         return [(a, j - a) for a in range((j + 1) // 2, min(j, n) + 1)]
@@ -282,9 +281,12 @@ def rank_estimates(n: int) -> dict:
 # (Beauville-Donagi) whose Beauville-Bogomolov form q satisfies the Fujiki
 # relation int_F x^4 = FUJIKI c q(x)^2 with c = 1.  The Pluecker class
 # h = sigma_1 has q(h) = 6, and the Abel-Jacobi images of primitive classes
-# pair as minus the cubic's pairing, so they are q-orthogonal to h.
+# pair as minus the cubic's pairing, so they are q-orthogonal to h.  The
+# exceptional class delta of S^[2] has q(delta) = -2; the printed examples
+# are values of this one form.
 
 _Q_H = 6
+_Q_DELTA = -2
 _FUJIKI = 3
 
 
@@ -300,7 +302,7 @@ def hilb2_check() -> Fraction:
     integrals.  A mismatch raises VerificationError.
     """
     m = describe(4, (3,)).m
-    h4 = schubert_product(sigma1_power(4, 4), lines_class_primitive(4)).integral() * 9
+    h4 = schubert_product(sigma1_power(4, 4), lines_class(4)).integral()
     c = Fraction(h4, _FUJIKI * _Q_H ** 2)
     report = omega_checks(4)
     for key, fujiki in (("normalization", c * _Q_H * -m), ("quartic", c * (m * m + 2 * m))):
@@ -310,55 +312,10 @@ def hilb2_check() -> Fraction:
     return c
 
 
-class LatticeVector:
-    """Element gamma + a * delta of the rank-23 model lattice.  The model's
-    vectors are integral, so the coordinates and forms are Python ints."""
-
-    __slots__ = ("gamma", "a")
-
-    def __init__(self, gamma: List[Coeff], a: Coeff):
-        self.gamma = [_exact(c) for c in gamma]
-        self.a = _exact(a)
-
-
-# Gram data: index 0 is the polarization l with l.l = 14; indices 1..21 are
-# orthogonal classes of square -2
-_RANK = 22
-
-
-def _dot(u: List[Coeff], v: List[Coeff]) -> Coeff:
-    return 14 * u[0] * v[0] - 2 * sum(map(mul, u[1:_RANK], v[1:_RANK]))
-
-
-def _b2(v: LatticeVector, w: LatticeVector) -> Coeff:
-    """(sigma_1, sigma_1, v, w): six times the quadratic lattice form."""
-    return 6 * (_dot(v.gamma, w.gamma) - 2 * v.a * w.a)
-
-
-def _b4(v1, v2, v3, v4) -> Coeff:
-    pairs = [(v1, v2, v3, v4), (v1, v3, v2, v4), (v1, v4, v2, v3)]
-    acc = 0
-    for (x, y, z, w) in pairs:
-        acc += _dot(x.gamma, y.gamma) * _dot(z.gamma, w.gamma)
-    vs = [v1, v2, v3, v4]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            rest = [vs[k] for k in range(4) if k not in (i, j)]
-            acc += -2 * vs[i].a * vs[j].a * _dot(rest[0].gamma, rest[1].gamma)
-    acc += 12 * v1.a * v2.a * v3.a * v4.a
-    return acc
-
-
-def hilb2_examples() -> dict:
-    """The two printed instances of the intersection forms: the all-delta
-    four-point value 12, and the two-point value -12 against an isotropic
-    gamma (here l + 2f_1 + f_2 + f_3 + f_4, of square 14 - 14 = 0)."""
-    delta = LatticeVector([0] * _RANK, 1)
-    iso = [1, 2, 1, 1, 1] + [0] * (_RANK - 5)
-    if _dot(iso, iso) != 0:
-        raise InternalConsistencyError("isotropic vector is not isotropic")
-    gd = LatticeVector(iso, 1)
-    return {
-        "all_delta_four_point": _b4(delta, delta, delta, delta),
-        "gamma_plus_delta_two_point": _b2(gd, gd),
-    }
+def hilb2_examples(c: Fraction) -> dict:
+    """Two values of the Fujiki form with constant ``c``: int delta^4 =
+    FUJIKI c q(delta)^2, and int h^2 x^2 = c q(h) q(x) for x = gamma + delta
+    with gamma isotropic and q-orthogonal to delta, and x q-orthogonal to h,
+    so that q(x) = q(delta)."""
+    return {"all_delta_four_point": _FUJIKI * c * _Q_DELTA ** 2,
+            "gamma_plus_delta_two_point": c * _Q_H * _Q_DELTA}

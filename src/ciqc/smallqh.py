@@ -167,6 +167,8 @@ class QuantumRingData:
     def two_point(self, i: int, j: int, k: int = 0) -> QPoly:
         """< psi^k H_i, H_j >_{0,2,*}: (-1)^k deg X times the z^{-k-1} H_{n-j}
         entry of the flat section S_i."""
+        if not (0 <= i <= self.desc.n and 0 <= j <= self.desc.n) or k < 0:
+            raise DomainError("descendant indices out of range")
         return self.smat[i].entry(-k - 1, self.desc.n - j).scale(
             (-1) ** k * self.desc.degree)
 

@@ -170,6 +170,19 @@ MUTANTS = [
            "left.den * right.den", "left.den ** 2",
            "tests/test_reduction.py::test_reduced_is_a_bilinear_form",
            "B(X, Y) sits over X.den Y.den g_den, not X.den^2 g_den"),
+    # the printed Fujiki values and the origin factors of F^(0)'s partials
+    Mutant("hilb2_wrong_q_of_delta", "fano_lines",
+           "_Q_DELTA = -2", "_Q_DELTA = -1",
+           "tests/test_fano_lines.py::test_hilb2_examples",
+           "the exceptional class of S^[2] has q(delta) = -2; the examples 12, -12 need it"),
+    Mutant("origin_divisor_beta_dropped", "smallqh",
+           "val = beta * self._f(rest)", "val = self._f(rest)",
+           "tests/test_reconstruct.py::test_f1_jet_matches_printed_form",
+           "the divisor equation multiplies F_rest by its q-degree beta"),
+    Mutant("origin_three_point_b_power", "smallqh",
+           "Fraction(self.desc.b) ** (qdeg // self.desc.a)", "Fraction(self.desc.b)",
+           "tests/test_reconstruct.py::test_f1_jet_matches_printed_form",
+           "a three-point F_key(0) at q^k carries b^k, not b"),
 ]
 
 

@@ -1,4 +1,4 @@
-"""Schubert products, the lines-variety class, kernels and the fourfold model."""
+"""Schubert products, the lines class [F], kernels and the fourfold's Fujiki form."""
 
 import random
 from fractions import Fraction
@@ -8,7 +8,7 @@ import pytest
 from ciqc import fano_lines
 from ciqc.errors import DomainError, InternalConsistencyError, VerificationError
 from ciqc.fano_lines import (SchubertVector, hilb2_check, hilb2_examples,
-                             lines_class_primitive, omega_checks,
+                             lines_class, omega_checks,
                              prim_square_class, rank_estimates,
                              schubert_product, sigma1_power)
 from oracles import galkin_shinder_betti, schur_oracle_product
@@ -78,9 +78,9 @@ def test_products_match_schur_oracle():
 
 
 def test_lines_class_row_products():
-    # {k1,k2} (3 s1^4 - 4 s1^2 s2 + s2^2) per the separation k1 - k2
+    # {k1,k2} 9(3 s1^4 - 4 s1^2 s2 + s2^2) per the separation k1 - k2
     n = 9
-    cls = lines_class_primitive(n)
+    cls = lines_class(n)
     for (k1, k2), expected in [
         ((4, 2), {(7, 3): 2, (6, 4): 5, (5, 5): 2}),
         ((3, 2), {(6, 3): 2, (5, 4): 5}),
@@ -88,12 +88,12 @@ def test_lines_class_row_products():
         ((0, 0), {(3, 1): 2, (2, 2): 3}),
     ]:
         prod = schubert_product(SchubertVector.basis(n, k1, k2), cls)
-        assert prod == sv(n, expected), (k1, k2)
+        assert prod == sv(n, expected).scale(9), (k1, k2)
 
 
 def test_fano_class_expansion():
     # 9(3 s1^4 - 4 s1^2 s2 + s2^2) = 9(2{3,1} + 3{2,2}) for n >= 4
-    cls = lines_class_primitive(5).scale(9)
+    cls = lines_class(5)
     assert cls == sv(5, {(3, 1): 18, (2, 2): 27})
 
 
@@ -103,7 +103,7 @@ def test_primitive_annihilated_by_sigma1sq_minus_sigma2():
     for n in (4, 5, 6):
         from ciqc.fano_lines import prim_square_vector
         v = prim_square_vector(n, prim_square_class(n))
-        cls = lines_class_primitive(n)
+        cls = lines_class(n)
         prod = schubert_product(schubert_product(v, cls),
                                 SchubertVector.basis(n, 1, 1))
         assert prod == SchubertVector(n), n
@@ -191,7 +191,7 @@ def test_betti_table_matches_galkin_shinder(n):
 def test_lines_class_is_injective_below_degree_n_minus_2(n):
     # kernel_by_degree starts at j = n - 2 because .[F] has no kernel on
     # H^{2j}(G(2, n+2)) below it
-    cls = lines_class_primitive(n)
+    cls = lines_class(n)
     for j in range(n - 2):
         images = [schubert_product(SchubertVector.basis(n, j - b, b), cls)
                   for b in range(max(0, j - n), j // 2 + 1)]
@@ -224,9 +224,11 @@ def test_betti_table_low_degrees_match_grassmannian():
 
 
 def test_hilb2_examples():
-    ex = hilb2_examples()
-    assert ex["all_delta_four_point"] == 12
-    assert ex["gamma_plus_delta_two_point"] == -12
+    # int delta^4 = 3 c q(delta)^2 and int h^2 (gamma + delta)^2 = c q(h) q(delta)
+    for c, four, two in [(Fraction(1), 12, -12), (Fraction(1, 2), 6, -6)]:
+        ex = hilb2_examples(c)
+        assert ex == {"all_delta_four_point": four, "gamma_plus_delta_two_point": two}
+        assert all(type(v) is Fraction for v in ex.values()), c
 
 
 def test_hilb2_scalar_is_one():
@@ -235,8 +237,8 @@ def test_hilb2_scalar_is_one():
 
 def test_hilb2_fujiki_integrals():
     # int_F h^4 = 3 q(h)^2 c, int_F h^2 PS = c q(h) (-m), int_F PS^2 = c (m^2 + 2m)
-    cls = lines_class_primitive(4)
-    assert schubert_product(sigma1_power(4, 4), cls).integral() * 9 == 108 == 3 * 6 ** 2
+    cls = lines_class(4)
+    assert schubert_product(sigma1_power(4, 4), cls).integral() == 108 == 3 * 6 ** 2
     report = omega_checks(4)
     assert report["normalization"]["value"] == -132 == 6 * -22
     assert report["quartic"]["value"] == 528 == 22 ** 2 + 2 * 22
@@ -244,8 +246,8 @@ def test_hilb2_fujiki_integrals():
 
 def _tamper_hilb2(monkeypatch, tamper):
     if tamper == "lines_class":
-        real = fano_lines.lines_class_primitive
-        monkeypatch.setattr(fano_lines, "lines_class_primitive",
+        real = fano_lines.lines_class
+        monkeypatch.setattr(fano_lines, "lines_class",
                             lambda n: real(n).scale(2))
     elif tamper == "q_h":
         monkeypatch.setattr(fano_lines, "_Q_H", 7)
@@ -282,16 +284,12 @@ def test_inexact_coefficients_are_refused(bad):
         SchubertVector(4, {(1, 0): bad})
     with pytest.raises(DomainError, match="not an int or a Fraction"):
         SchubertVector.basis(4, 1, 0).scale(bad)
-    with pytest.raises(DomainError, match="not an int or a Fraction"):
-        fano_lines.LatticeVector([bad] + [0] * 21, 0)
-    with pytest.raises(DomainError, match="not an int or a Fraction"):
-        fano_lines.LatticeVector([0] * 22, bad)
 
 
 def test_integral_classes_have_int_coefficients():
     # no Fraction is built until a rational coefficient enters
     for n in range(3, 11):
-        assert all(type(c) is int for c in lines_class_primitive(n).terms.values()), n
+        assert all(type(c) is int for c in lines_class(n).terms.values()), n
     assert type(SchubertVector.basis(5, 2, 1).scale(Fraction(1, 3))
                 .terms[(2, 1)]) is Fraction
 

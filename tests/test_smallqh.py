@@ -55,6 +55,15 @@ def test_one_point_reads_s0_as_the_j_series_reference(n, d):
             ring.one_point(i, k)
 
 
+def test_two_point_refuses_indices_out_of_range():
+    # i and j index H_0..H_n and k >= 0, as for one_point; smat[-1] would
+    # read S_n, and (-1) ** -1 is a float
+    ring = _ring(4, (3,))
+    for i, j, k in [(-1, 2, 0), (4, -1, 0), (0, 0, -1), (5, 0, 0)]:
+        with pytest.raises(DomainError, match="descendant indices out of range"):
+            ring.two_point(i, j, k)
+
+
 def test_small_j_degree_zero_is_classical():
     desc = describe(3, (3,))
     jet = small_j(desc)
