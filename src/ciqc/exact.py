@@ -21,7 +21,6 @@ Every number in the package is a ``fractions.Fraction`` (re-exported here as
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from math import lcm, perm
 from typing import NamedTuple, Optional
@@ -273,10 +272,6 @@ class TruncSeries:
         right = left if other is self else derivative_table(other, [((), 0)])
         acc = _accumulate(self, [(left.rows[(), 0], self._ONE, right.rows[(), 0])], 1)
         return _collect(self, acc, left.den * right.den, _base(self))
-
-    def coefficient(self, t_exps: dict, s_exp: int = 0) -> QPoly:
-        key = monomial(self.nt, Counter(t_exps).elements(), s_exp)
-        return self.terms.get(key, QPoly.zero())
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -205,16 +205,6 @@ def _roots(ring: QuantumRingData, beta: int, const, slope) -> List[Fraction]:
     return sorted({(-a_coeff - root) / 2, (-a_coeff + root) / 2})
 
 
-def f2_at_zero(desc: CIDescriptor, ring: QuantumRingData) -> List[Fraction]:
-    """All roots of the quadratic satisfied by F^(2)(0), sorted ascending;
-    {0}, without building the gradient parts or reading F^(1), when the
-    admissibility degree (n-1)/a = ``euler_beta(desc, 2)`` is None."""
-    beta = euler_beta(desc, 2)
-    if beta is None:
-        return [Fraction(0)]
-    return _roots(ring, beta, *_f2_gradient_parts(desc, ring))
-
-
 def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
     if x < 0:
         return None
@@ -227,20 +217,21 @@ def _exact_sqrt(x: Fraction) -> Optional[Fraction]:
 
 class F2Jet(NamedTuple):
     """The origin jet of F^(2) on one root of its quadratic: the root, the
-    value F^(2)(0) with the q-grading, the gradients d/d tau^b and d/d t^b
-    at 0 (b = 0..n), and the constant + linear jet in quantum-power
-    coordinates."""
+    value F^(2)(0) with the q-grading, and the gradients d/d tau^b and
+    d/d t^b at 0 (b = 0..n)."""
     root: Fraction
     value: QPoly
     tau_grad: List[QPoly]
     t_grad: List[QPoly]
-    tau_jet: TruncSeries
 
 
 def f2_gradient(desc: CIDescriptor, ring: QuantumRingData) -> List[F2Jet]:
-    """The origin jet of F^(2) on each root of the quadratic, ascending.
-    The gradient parts are built once, also when the root set is {0}
-    without a quadratic, where the gradient is their constant part."""
+    """The origin jet of F^(2) on each root of the quadratic, ascending; the
+    commands read it as ``ring.f2``.  The gradient parts are built once, also
+    when the admissibility degree (n-1)/a = ``euler_beta(desc, 2)`` is None:
+    the root set is then {0} without a quadratic, and the gradient is their
+    constant part.  The t-gradient is the tau-gradient under the base change
+    tau^i = sum_j c_ij t^j: d/dt^j = sum_i c_ij d/dtau^i."""
     const, slope = _f2_gradient_parts(desc, ring)
     n, beta = desc.n, euler_beta(desc, 2)
     roots = [Fraction(0)] if beta is None else _roots(ring, beta, const, slope)
@@ -248,11 +239,11 @@ def f2_gradient(desc: CIDescriptor, ring: QuantumRingData) -> List[F2Jet]:
     for root in roots:
         value = QPoly.zero() if beta is None else QPoly.q_power(beta, root)
         tau_grad = [c + s * value for c, s in zip(const, slope)]
-        terms = {monomial(n + 1, (i,)): g for i, g in enumerate(tau_grad)}
-        tau_jet = TruncSeries(n + 1, 1, ring.qmax, terms={monomial(n + 1): value, **terms})
-        t_jet = linear_substitute(tau_jet, forms)
-        t_grad = [t_jet.coefficient({i: 1}) for i in range(n + 1)]
-        jets.append(F2Jet(root, value, tau_grad, t_grad, tau_jet))
+        t_grad = [QPoly.zero()] * (n + 1)
+        for form, g in zip(forms, tau_grad):
+            for j, c in form:
+                t_grad[j] += c * g
+        jets.append(F2Jet(root, value, tau_grad, t_grad))
     return jets
 
 

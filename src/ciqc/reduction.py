@@ -115,9 +115,9 @@ def _wdvv(table: DerivativeTable, ginv, cap: int) -> Dict[tuple, TruncSeries]:
              for (idx, shift), rows in table.rows.items() if len(idx) == 3 and not shift}
     like, g_den = TruncSeries(nt, cap, table.F.qmax), _common_denominator(
         g for row in ginv for g in row)
-
-    def row(a, b):
-        return [third[tuple(sorted((a, b, e)))] for e in range(nt)]
+    # the row (F_{abe})_e of each sorted pair, built once
+    row = {(a, b): [third[tuple(sorted((a, b, e)))] for e in range(nt)]
+           for a, b in combinations_with_replacement(range(nt), 2)}
 
     memo, out = {}, {}
     for a, b, c in combinations_with_replacement(range(nt), 3):
@@ -128,7 +128,7 @@ def _wdvv(table: DerivativeTable, ginv, cap: int) -> Dict[tuple, TruncSeries]:
             for sign, key in zip((1, -1), sides) if sides[0] != sides[1] else ():
                 if key not in memo:
                     memo[key] = _accumulate(like, _contraction(
-                        ginv, row(*key[0]), row(*key[1])), g_den)
+                        ginv, row[key[0]], row[key[1]]), g_den)
                 for packed, num in memo[key].items():
                     acc[packed] = acc.get(packed, 0) + sign * num
             out[a, b, c, d] = _collect(like, acc, table.den ** 2 * g_den, _base(table.F))

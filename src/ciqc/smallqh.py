@@ -46,19 +46,21 @@ def default_qmax(desc: CIDescriptor) -> int:
 
 
 class GradedJet(NamedTuple):
-    """Graded vector-valued jet in z and q, stored by q-order.
+    """Graded vector-valued jet in z and q, stored by q-order as integers.
 
     With deg z = deg H = 1 and deg q = a the jet has one ``degree`` (the
-    J-series has degree 1, the flat section S_j degree j).  ``rows[delta][h]``
-    is the coefficient of q^delta H_h, and the grading puts it at
-    z^{degree - h - a delta}, so only the rational is stored.  The jets are
-    built by z q d/dq, cup with H and multiplication by powers of q, none of
-    which lowers the q-order, so every stored row is exact.  ``entry`` reads
-    zero off the grading and raises beyond the stored q-orders.
+    J-series has degree 1, the flat section S_j degree j).  The coefficient
+    of q^delta H_h is rows[delta][h] / dens[delta], an integer numerator over
+    the layer's denominator, and the grading puts it at z^{degree - h - a
+    delta}, so only the numerator is stored.  The jets are built by z q d/dq,
+    cup with H and multiplication by powers of q, none of which lowers the
+    q-order, so every stored row is exact.  ``entry`` reads zero off the
+    grading and raises beyond the stored q-orders.
     """
     a: int
     degree: int
-    rows: List[List[Rational]]
+    rows: List[List[int]]
+    dens: List[int]
 
     def entry(self, zpow: int, h: int) -> QPoly:
         """The coefficient of z^zpow H_h, a single q-monomial."""
@@ -70,7 +72,7 @@ class GradedJet(NamedTuple):
             raise InternalConsistencyError(
                 f"q^{delta} lies beyond the jet, which is exact through "
                 f"q^{len(self.rows) - 1}")
-        return QPoly.q_power(delta, self.rows[delta][h])
+        return QPoly.q_power(delta, Fraction(self.rows[delta][h], self.dens[delta]))
 
 
 def small_j(desc: CIDescriptor) -> GradedJet:
@@ -83,11 +85,12 @@ def small_j(desc: CIDescriptor) -> GradedJet:
     The q^delta term of I is z T_delta with T_delta = prod_j prod_{m=1}^{d_j
     delta} (d_j H + m z) / prod_{m=1}^{delta} (H + m z)^{n+r+1}.  T_delta is
     homogeneous of degree -a delta, so its H^h coefficient carries exactly
-    z^{-a delta - h} and the layer is n + 1 numbers, kept as integers over
-    the common denominator (delta!)^{2n+r+1}.  Each layer comes from the
-    last: T_delta = T_{delta-1} prod_j prod_{m=d_j (delta-1)+1}^{d_j delta}
-    (d_j H + m z) (H + delta z)^{-(n+r+1)}.  For index one J_delta = sum_k
-    (-ell)^k / k! I_{delta-k}, i.e. J = exp(-ell q / z) I.
+    z^{-a delta - h} and the layer is n + 1 integers over the common
+    denominator D_delta = (delta!)^{2n+r+1}, the jet's ``dens``.  Each layer
+    comes from the last: T_delta = T_{delta-1} prod_j prod_{m=d_j
+    (delta-1)+1}^{d_j delta} (d_j H + m z) (H + delta z)^{-(n+r+1)}.  For
+    index one J_delta = sum_k (-ell)^k / k! I_{delta-k}, i.e. J = exp(-ell q
+    / z) I.
 
     The coefficient of z^{-k-1} H_{n-i} q^d, multiplied by deg X, is the
     one-point descendant < psi^k H_i >_{0,1,d} (``QuantumRingData.one_point``
@@ -114,8 +117,7 @@ def small_j(desc: CIDescriptor) -> GradedJet:
                      * (dens[delta] // (factorial(k) * dens[delta - k]))
                      for k in range(delta + 1)) for h in range(n + 1)]
                 for delta in range(len(nums))]
-    return GradedJet(a, 1, [[Fraction(c, den) for c in num]
-                            for num, den in zip(nums, dens)])
+    return GradedJet(a, 1, nums, dens)
 
 
 class QuantumRingData:
@@ -128,11 +130,12 @@ class QuantumRingData:
     the pairing of quantum powers and its inverse.  ``origin`` is the
     descriptor's AmbientOrigin, built once so that every consumer of the
     ring shares its memo of the F^(0) derivatives; ``f1``, its F^(1) jet, is
-    shared likewise.  The grading fixes the q-exponent of every entry, so
-    the ring is computed on rationals: M and W are Rational, and multH,
-    powers, g and ginv attach their q-power as exact QPoly entries.  ``smat``
-    holds the flat sections S_0..S_n as GradedJets, exact through
-    q^{(n+1)//a}, ``small_j``'s reach; S_0 = J/z is the J-series, so the
+    shared likewise, and ``f2``, its F^(2) jets, likewise.  The grading
+    fixes the q-exponent of every entry, so the ring is computed on
+    rationals: M and W are Rational, and multH, powers, g and ginv attach
+    their q-power as exact QPoly entries.  ``smat`` holds the flat sections
+    S_0..S_n as GradedJets of integers over ``small_j``'s denominators, exact
+    through q^{(n+1)//a}, its reach; S_0 = J/z is the J-series, so the
     one-point descendants are read off it.  ``qmax`` only caps the series
     built from the ring (see ``default_qmax``).
     """
@@ -156,6 +159,11 @@ class QuantumRingData:
     def f1(self):
         from .reconstruct import f1_series
         return f1_series(self.desc, self)
+
+    @cached_property
+    def f2(self):
+        from .reconstruct import f2_gradient
+        return f2_gradient(self.desc, self)
 
     def one_point(self, i: int, k: int) -> QPoly:
         """< psi^k H_i >_{0,1,*}: deg X times the z^{-k-2} H_{n-i} entry of
@@ -185,22 +193,17 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
         qmax = default_qmax(desc)
     n, a = desc.n, desc.a
     jet = small_j(desc)
-    expo = 2 * n + desc.r + 1
-    dens = [factorial(delta) ** expo for delta in range(len(jet.rows))]
-    if any(den % x.denominator for den, row in zip(dens, jet.rows) for x in row):
-        raise InternalConsistencyError("a J layer is not integral over (delta!)^(2n+r+1)")
+    expo, dens = 2 * n + desc.r + 1, jet.dens
     binom = [[comb(k + delta, k) ** expo for delta in range(len(dens) - k)]
              for k in range(len(dens))]  # D_{k+delta} / (D_k D_delta)
-    layers = [[[x.numerator * (den // x.denominator) for x in row]
-               for den, row in zip(dens, jet.rows)]]
-    smat = [GradedJet(a, 0, jet.rows)]  # S_0 = J / z
+    smat = [GradedJet(a, 0, jet.rows, dens)]  # S_0 = J / z
     # mult[i][j]: coefficient of H_i in H o H_j, at q^{(j+1-i)/a}
     mult = [[ZERO] * (n + 1) for _ in range(n + 1)]
 
     for j in range(n + 1):
         # D S_j, D = z q d/dq + (H cup .), row by row; it has degree j + 1
         nxt = [[delta * row[0]] + [delta * row[h] + row[h - 1] for h in range(1, n + 1)]
-               for delta, row in enumerate(layers[j])]
+               for delta, row in enumerate(smat[j].rows)]
         # its z^0 column: H_h sits at q^{(j+1-h)/a}, over D_{(j+1-h)/a}
         hks = [(h, (j + 1 - h) // a) for h in range((j + 1) % a, min(j + 1, n) + 1, a)]
         for h, k in hks:
@@ -210,13 +213,11 @@ def build_ring(desc: CIDescriptor, qmax: Optional[int] = None) -> QuantumRingDat
             raise InternalConsistencyError("D S_j does not start at H_(j+1)")
         # S_{j+1} = D S_j - sum_{c <= j} mult[c][j] q^{(j+1-c)/a} S_c
         for c, k, num in terms:
-            for delta, src in enumerate(layers[c][:len(nxt) - k]):
+            for delta, src in enumerate(smat[c].rows[:len(nxt) - k]):
                 f = num * binom[k][delta]
                 nxt[k + delta] = [y - f * x for y, x in zip(nxt[k + delta], src)]
         if j < n:
-            layers.append(nxt)
-            smat.append(GradedJet(a, j + 1, [[Fraction(x, den) if x else ZERO for x in row]
-                                             for den, row in zip(dens, nxt)]))
+            smat.append(GradedJet(a, j + 1, nxt, dens))
         elif any(any(row) for row in nxt):
             raise InternalConsistencyError(
                 "flat-section recursion failed to close at the top power")

@@ -183,6 +183,20 @@ MUTANTS = [
            "Fraction(self.desc.b) ** (qdeg // self.desc.a)", "Fraction(self.desc.b)",
            "tests/test_reconstruct.py::test_f1_jet_matches_printed_form",
            "a three-point F_key(0) at q^k carries b^k, not b"),
+    # each ring quantity held once: integer jets over their layer's
+    # denominator, the F^(2) t-gradient by the base change, the residual bound
+    Mutant("graded_jet_den_of_q0", "smallqh",
+           "self.dens[delta]", "self.dens[0]",
+           "tests/test_smallqh.py::test_entries_past_q1_equal_the_reference",
+           "the q^delta numerators sit over D_delta; D_0 = D_1 = 1 hides the slip below q^2"),
+    Mutant("t_gradient_drops_base_change", "reconstruct",
+           "c * g", "g",
+           "tests/test_reconstruct.py::test_f2_gradient_cubic_jets",
+           "d/dt^j sums c_ij d/dtau^i; dropping c_ij moves X_4(3)'s t_grad[4]"),
+    Mutant("residual_limit_off_by_one", "cli",
+           "RESIDUAL_N_LIMIT = 30", "RESIDUAL_N_LIMIT = 31",
+           "tests/test_cli.py::test_residual_above_the_bound_is_domain_error",
+           "the residual dimension bound is pinned at 30"),
 ]
 
 

@@ -9,13 +9,16 @@ route to a value the package computes another way, or a test input:
 * ``j_recursion``/``primitive_j_layers`` -- the s-expansion of J;
 * ``f2_gradient_closed_form``/``f2_origin_residuals`` -- the F^(2) origin
   data checked without the gradient solve;
+* ``f2_tau_jet`` -- an F^(2) jet's constant + linear series in tau;
 * ``schur_oracle_product`` -- Schubert products through Schur polynomials;
 * ``galkin_shinder_betti`` -- Betti numbers of the variety of lines of a
   cubic from those of the cubic;
 * ``small_j_reference`` -- the J-series expanded afresh at every q-degree;
+* ``fraction_rows`` -- a GradedJet's rows as Fractions;
 * ``ring_reference`` -- the flat-section recursion on Fractions and the
   ring's QPoly matrices filled at every position;
 * ``one_point_descendant`` -- the one-point descendants read off the J-series;
+* ``coefficient`` -- one monomial's coefficient in a series;
 * ``diff``/``contract_series``/``minus`` -- term-by-term differentiation,
   the contraction of series rows by its definition, and subtraction;
 * ``wdvv_reference``/``reduced_reference`` -- the ambient WDVV and the
@@ -29,6 +32,7 @@ route to a value the package computes another way, or a test input:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, factorial
@@ -223,6 +227,14 @@ def f2_origin_residuals(desc: CIDescriptor, ring: QuantumRingData,
     return mixed, pure
 
 
+def f2_tau_jet(ring: QuantumRingData, jet: F2Jet) -> TruncSeries:
+    """The constant + linear jet F^(2)(0) + sum_b F^(2)_b(0) tau^b of an
+    F^(2) jet, in quantum-power coordinates, under the ring's q-cap."""
+    nt = ring.desc.n + 1
+    terms = {monomial(nt, (b,)): g for b, g in enumerate(jet.tau_grad)}
+    return TruncSeries(nt, 1, ring.qmax, terms={monomial(nt): jet.value, **terms})
+
+
 def schur_oracle_product(u: SchubertVector, v: SchubertVector) -> SchubertVector:
     """Independent product route through two-variable Schur polynomials.
 
@@ -349,6 +361,12 @@ def small_j_reference(desc: CIDescriptor, qtop: int) -> List[List[Fraction]]:
     return out
 
 
+def fraction_rows(jet: GradedJet) -> List[List[Fraction]]:
+    """rows[delta][h] / dens[delta] of a GradedJet: its coefficients of
+    q^delta H_h as Fractions."""
+    return [[Fraction(x, den) for x in row] for row, den in zip(jet.rows, jet.dens)]
+
+
 def ring_reference(desc: CIDescriptor) -> Dict[str, list]:
     """The quantum ring's flat sections and matrices from ``small_j`` by
     the flat-section recursion D S_j = sum_c (H o H_j)^c S_c in Fractions,
@@ -365,7 +383,7 @@ def ring_reference(desc: CIDescriptor) -> Dict[str, list]:
         assert qdeg >= 0 and qdeg % a == 0, (c, qdeg)
         return QPoly.q_power(qdeg // a, c)
 
-    smat = [small_j(desc).rows]  # S_0 = J / z
+    smat = [fraction_rows(small_j(desc))]  # S_0 = J / z
     cols = []
     for j in range(n + 1):
         nxt = [[delta * row[0]] + [delta * row[h] + row[h - 1] for h in range(1, n + 1)]
@@ -402,6 +420,12 @@ def ring_reference(desc: CIDescriptor) -> Dict[str, list]:
                       for i in range(n + 1)],
             "powers": [[graded(pw[j][i], j - i) for i in range(n + 1)] for j in range(n + 1)],
             "M": minv, "W": pw, "ginv": ginv}
+
+
+def coefficient(series: TruncSeries, t_exps: dict, s_exp: int = 0) -> QPoly:
+    """The coefficient of prod_i (t^i)^{t_exps[i]} s^{s_exp} in ``series``."""
+    return series.terms.get(monomial(series.nt, Counter(t_exps).elements(), s_exp),
+                            QPoly.zero())
 
 
 def diff(series: TruncSeries, *variables) -> TruncSeries:

@@ -345,33 +345,16 @@ def test_f2_gradient_once_per_root(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n,d,builds", [("4", "3", 1), ("8", "9", 1), ("6", "2,3", 1)])
 def test_f2_gradient_parts_built_once_per_call(capsys, monkeypatch, n, d, builds):
-    # one f2_gradient call per f2 command solves the quadratic once and
-    # builds the gradient parts once, also for the root set {0} without a
-    # quadratic (a does not divide n - 1), whose gradient is the constant part
+    # the JSON and the TSV both read the ring's F^(2) jets: one f2_gradient
+    # call per f2 command solves the quadratic once and builds the gradient
+    # parts once, also for the root set {0} without a quadratic (a does not
+    # divide n - 1), whose gradient is the constant part
     parts, gradients = _count_f2_calls(monkeypatch)
-    code, _, _ = run(capsys, "f2", "--n", n, "--d", d)
-    assert code == 0
-    assert len(parts) == builds
-    assert len(gradients) == 1
-
-
-def test_f2_tsv_roots_build_no_gradient_parts(capsys, monkeypatch):
-    # the TSV prints the roots only, and {0} on X_6(2,3) needs no parts and
-    # no F^(1) jet
-    from ciqc import reconstruct
-    parts, gradients = _count_f2_calls(monkeypatch)
-    f1s, real = [], reconstruct.f1_series
-
-    def counted(*args):
-        f1s.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(reconstruct, "f1_series", counted)
-    code, out, _ = run(capsys, "f2", "--n", "6", "--d", "2,3", "--format", "tsv")
-    assert (code, out) == (0, "roots\n0\n")
-    assert parts == gradients == f1s == []
-    code, out, _ = run(capsys, "f2", "--n", "4", "--d", "3", "--format", "tsv")
-    assert (code, out, len(f1s)) == (0, "roots\n1\t4\n", 1)
+    code, out, _ = run(capsys, "f2", "--n", n, "--d", d)
+    assert (code, len(parts), len(gradients)) == (0, builds, 1)
+    code, tsv, _ = run(capsys, "f2", "--n", n, "--d", d, "--format", "tsv")
+    assert (code, tsv) == (0, "roots\n" + "\t".join(json.loads(out)["roots"]) + "\n")
+    assert (len(parts), len(gradients)) == (2 * builds, 2)
 
 
 @pytest.mark.parametrize("content", [None, "not json {", '{"nt": 4}'])
@@ -483,6 +466,18 @@ def test_fano_lines_above_the_bound_is_domain_error(capsys, check, n):
     assert time.perf_counter() - start < 0.5
     assert (code, out) == (2, "")
     assert err == f"domain error: fano-lines needs n <= {FANO_LINES_N_LIMIT}, got n = {n}\n"
+
+
+def test_residual_above_the_bound_is_domain_error(capsys, tmp_path):
+    # the bound is checked before the file is read: at the bound a missing
+    # file is a usage error, one above it a domain error with nothing printed
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(capsys, "residual", "--n", "30", "--d", "3", "--load", missing)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ciqc residual: error: cannot load {missing}")
+    code, out, err = run(capsys, "residual", "--n", "31", "--d", "3", "--load", missing)
+    assert (code, out) == (2, "")
+    assert err == "domain error: residual needs n <= 30, got n = 31\n"
 
 
 def test_fano_lines_at_the_bound_prints(capsys):

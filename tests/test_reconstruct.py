@@ -10,9 +10,9 @@ from ciqc.errors import DomainError
 from ciqc.exact import QPoly, linear_substitute
 from ciqc.geometry import describe
 from ciqc.reconstruct import (_poly_gcd_degree, _tau_to_t_forms, artin_iso, f1_series,
-                              f2_at_zero, f2_gradient, gamma_vector, higher_k_coeffs)
+                              f2_gradient, gamma_vector, higher_k_coeffs)
 from ciqc.smallqh import build_ring, c_constant
-from oracles import (diff, f2_gradient_closed_form, f2_origin_residuals,
+from oracles import (coefficient, diff, f2_gradient_closed_form, f2_origin_residuals,
                      poly_gcd_degree_euclid)
 
 
@@ -95,18 +95,18 @@ def test_f1_cubic_fourfold_explicit_coefficients():
     desc = describe(4, (3,))
     jet = f1_series(desc, _ring(4, (3,)))
     t = jet.t_jet
-    assert t.coefficient({0: 1}) == QPoly.const(1)
-    assert t.coefficient({3: 1}).coefficient(1) == -6
-    assert t.coefficient({1: 1, 3: 1}).coefficient(1) == -6  # -3q * 2 ordered pairs
-    assert t.coefficient({2: 2}).coefficient(1) == -3
-    assert t.coefficient({3: 1, 4: 1}).coefficient(2) == -36
+    assert coefficient(t, {0: 1}) == QPoly.const(1)
+    assert coefficient(t, {3: 1}).coefficient(1) == -6
+    assert coefficient(t, {1: 1, 3: 1}).coefficient(1) == -6  # -3q * 2 ordered pairs
+    assert coefficient(t, {2: 2}).coefficient(1) == -3
+    assert coefficient(t, {3: 1, 4: 1}).coefficient(2) == -36
 
 
 def test_f1_string_direction():
     for n, d in [(4, (3,)), (3, (2, 2))]:
         jet = f1_series(describe(n, d), _ring(n, d))
         grad0 = diff(jet.t_jet, 0)
-        assert grad0.coefficient({}) == QPoly.const(1)
+        assert coefficient(grad0, {}) == QPoly.const(1)
         # and t^0 appears only linearly
         assert grad0 == jet.t_jet.like().add_term(
             (0,) * (n + 2), QPoly.const(1))
@@ -143,8 +143,7 @@ def test_f1_quadratic_matches_c_constant_in_range():
     (5, (2, 3), [0]),
 ])
 def test_f2_at_zero_root_sets(n, d, expected):
-    desc, ring = describe(n, d), _ring(n, d)
-    roots = f2_at_zero(desc, ring)
+    roots = [jet.root for jet in _ring(n, d).f2]
     assert roots == [Fraction(e) for e in expected]
 
 
@@ -153,8 +152,7 @@ def test_f2_at_zero_quintic_fivefold_boundary():
     # with the true F^(1) data (cross-checked against the divisor route,
     # both fourth-derivative splits and the isotropy constraint) it reads
     # (F - 1440 q^2)^2 = 0, so the double root 1440 is forced
-    desc, ring = describe(5, (5,)), _ring(5, (5,))
-    roots = f2_at_zero(desc, ring)
+    roots = [jet.root for jet in _ring(5, (5,)).f2]
     assert roots == [Fraction(1440)]
 
 
@@ -166,16 +164,19 @@ def test_f2_zero_whenever_gcd_filter_triggers():
             continue
         import math
         if math.gcd(desc.n - 2, desc.a) > 1:
-            ring = _ring(n, d)
-            assert f2_at_zero(desc, ring) == [Fraction(0)]
+            assert [jet.root for jet in _ring(n, d).f2] == [Fraction(0)]
 
 
 @pytest.mark.parametrize("n,d", RING_DESCRIPTORS + [(6, (2, 3)), (4, (2, 2, 2))])
 def test_f2_gradient_has_one_jet_per_root(n, d):
-    # one quadratic solve: the jets' roots are f2_at_zero's, ascending,
-    # also on the gcd-filtered descriptors, whose root set {0} needs none
+    # one quadratic solve: ring.f2 holds f2_gradient's jets, one per root,
+    # ascending, also on the gcd-filtered descriptors, whose root set {0}
+    # needs none; the ring builds them once
     desc, ring = describe(n, d), _ring(n, d)
-    assert [jet.root for jet in f2_gradient(desc, ring)] == f2_at_zero(desc, ring)
+    roots = [jet.root for jet in ring.f2]
+    assert roots == sorted(set(roots))
+    assert f2_gradient(desc, ring) == ring.f2
+    assert ring.f2 is ring.f2
 
 
 def test_f2_gradient_cubic_jets():

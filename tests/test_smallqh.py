@@ -13,7 +13,8 @@ from ciqc.exact import QPoly, rat_str
 from ciqc.geometry import describe, require_reconstruction_domain
 from ciqc.smallqh import (AmbientOrigin, build_ring, c_constant, pairings,
                           quantum_product_qp, small_j)
-from oracles import one_point_descendant, ring_reference, small_j_reference
+from oracles import (fraction_rows, one_point_descendant, ring_reference,
+                     small_j_reference)
 
 # index one, hypersurfaces and complete intersections (X_10(11) reaches
 # q^11), every multidegree of RING_DESCRIPTORS and more
@@ -79,7 +80,24 @@ def test_small_j_equals_the_expansion_from_scratch(n, d):
     desc = describe(n, d)
     jet = small_j(desc)
     assert jet.degree == 1
-    assert jet.rows == small_j_reference(desc, (n + 1) // desc.a)
+    assert fraction_rows(jet) == small_j_reference(desc, (n + 1) // desc.a)
+
+
+@pytest.mark.parametrize("n,d", [(3, (4,)), (5, (5,)), (4, (5,)), (3, (2, 3))])
+def test_entries_past_q1_equal_the_reference(n, d):
+    # D_0 = D_1 = 1, so only an entry at q^delta, delta >= 2, tells each
+    # layer's denominator D_delta from D_0: every entry of J and of S_0 = J/z
+    # through the reach, read through GradedJet.entry, against the reference
+    desc = describe(n, d)
+    reach = (n + 1) // desc.a
+    assert reach >= 2
+    ref = small_j_reference(desc, reach)
+    jet, s0 = small_j(desc), build_ring(desc).smat[0]
+    for delta, h in product(range(reach + 1), range(n + 1)):
+        expected = QPoly.q_power(delta, ref[delta][h])
+        zpow = -h - desc.a * delta  # S_0 has degree 0, J degree 1
+        assert jet.entry(zpow + 1, h) == expected, (delta, h)
+        assert s0.entry(zpow, h) == expected, (delta, h)
 
 
 def _perturbed(matrix, i, j, one):
@@ -145,25 +163,9 @@ def test_integer_flat_sections_equal_the_fraction_recursion(n, d):
     # support equal the ones filled at every position
     ring = build_ring(describe(n, d))
     ref = ring_reference(ring.desc)
-    assert [s.rows for s in ring.smat] == ref["smat"]
+    assert [fraction_rows(s) for s in ring.smat] == ref["smat"]
     assert (ring.multH, ring.powers, ring.M, ring.W, ring.ginv) == \
         (ref["multH"], ref["powers"], ref["M"], ref["W"], ref["ginv"])
-
-
-@pytest.mark.parametrize("delta", [0, 1, 4])
-def test_non_integral_j_layer_is_refused(monkeypatch, delta):
-    # a J entry whose denominator does not divide (delta!)^{2n+r+1} cannot
-    # be carried on integers; build_ring says so instead of truncating it
-    desc, real = describe(3, (4,)), smallqh.small_j
-
-    def perturbed(desc):
-        jet = real(desc)
-        jet.rows[delta][1] += Fraction(1, 7)
-        return jet
-
-    monkeypatch.setattr(smallqh, "small_j", perturbed)
-    with pytest.raises(InternalConsistencyError, match="not integral"):
-        build_ring(desc)
 
 
 def test_flat_sections_are_graded():
